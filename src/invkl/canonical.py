@@ -21,8 +21,6 @@ Both produce identical tables; the test and verification suites insist on it.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .errors import InconsistentBar, NotDivisible, RecurrenceInconsistent, TheoremMismatch
 from .invmodule import MVector
 from .laurent import LaurentPoly, ONE, ZERO, v_pow
@@ -61,7 +59,13 @@ class CanonicalBasis:
         return [by_length[k] for k in sorted(by_length)]
 
     def build(self, jobs=1, method=None, max_length=None):
-        """Fill all columns bottom-up; same-length columns are independent."""
+        """Fill all columns of length at most ``max_length``, bottom-up.
+
+        ``jobs`` must be at least 1 and has no effect on the result: columns
+        are built one at a time, in (length, word) order.
+        """
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
         method = method or self.method
         compute = (
             self.column_recursive if method == "recursive" else self.column_barfix
@@ -72,14 +76,9 @@ class CanonicalBasis:
                 break
             if length <= self._built_length:
                 continue
-            todo = [wid for wid in layer if wid not in self._columns]
-            if jobs > 1 and len(todo) > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(compute, todo))
-            else:
-                results = [compute(wid) for wid in todo]
-            for wid, col in zip(todo, results):
-                self._install(wid, col)
+            for wid in layer:
+                if wid not in self._columns:
+                    self._install(wid, compute(wid))
             self._built_length = length
         return self
 

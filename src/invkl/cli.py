@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 on configuration or usage errors, 3 when a
 mathematical invariant fails (the message names the violated identity and
 the first counterexample is serialized to stderr).  Output is assembled
-after all computation finishes and is byte-identical across --jobs values.
+after all computation finishes.  Every build runs in one thread; --jobs is
+validated (at least 1) and kept for scripts, and has no effect on output.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .specialize import SpecializedModule
 from .verify import SUITE_NAMES, run_suites
 
 __all__ = ["main", "build_parser"]
-
-_EXPERIMENTAL_LETTERS = ("I",)
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -48,13 +46,14 @@ def build_parser():
     )
     common.add_argument(
         "--max-length", type=int, default=None,
-        help="restrict table rows to columns of at most this length",
+        help="build and print only columns of at most this length",
     )
     common.add_argument(
         "--format", choices=("json", "csv", "text"), default="json",
     )
     common.add_argument(
-        "--jobs", type=int, default=1, help="worker threads for table builds"
+        "--jobs", type=int, default=1,
+        help="must be at least 1; builds run serially and output does not depend on it",
     )
     common.add_argument(
         "--experimental", action="store_true",
@@ -148,7 +147,9 @@ def _involution_pairs(system, module, max_length):
 def cmd_table(args):
     system = _make_system(args)
     module = InvolutionModule(system)
-    basis = CanonicalBasis(module).build(jobs=args.jobs)
+    basis = CanonicalBasis(module).build(
+        jobs=args.jobs, max_length=args.max_length
+    )
     kl = KLTable(system) if args.classic else None
     entries = []
     for yid, wid in _involution_pairs(system, module, args.max_length):

@@ -5,24 +5,27 @@ The canonical form of an element is its ShortLex-minimal reduced word,
 obtained by repeatedly splitting off the smallest left descent.  Interned
 handles make memo tables over pairs of elements cheap.
 
-Two element engines back the interning:
-
-* crystallographic types act on the root lattice through integer matrices
-  built from a Cartan matrix; descents are read off root signs, so the
-  element universe is explored lazily;
-* everything else (``I2(m)`` with m not in {2,3,4,6}, raw matrices) uses the
-  standard geometric representation over the real cyclotomic field
-  Q(2cos(pi/N)) with exact rational coordinates, and the whole group is
-  enumerated breadth-first at construction time (capped).
+One element engine serves every finite type, crystallographic or not: the
+group acts on its root system in the geometric representation by
+permutations of root numbers (Casselman, *Computation in Coxeter groups I*,
+2002).  The positive roots are found once, by closing the simple roots under
+the generators with exact coordinates over Q(2cos(pi/N)); that closure is
+the only field arithmetic.  An element is stored as the root numbers of
+w(alpha_s) and w^-1(alpha_s), so a product with a generator is a lookup per
+simple root, a descent is a sign test on one root number, and elements are
+interned lazily.  An integer Cartan realization is kept only for the
+reflection representation of crystallographic types.
 """
 
 from __future__ import annotations
 
+import math
 import re
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+from .errors import InvariantError
 
 __all__ = [
     "CoxeterSystem",
@@ -60,12 +63,6 @@ def _matmul(a, b, n):
     )
 
 
-def _identity_matrix(n, one, zero):
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
 def _rational_rank(rows):
     """Rank of an integer matrix via fraction-free style elimination."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -90,7 +87,7 @@ def _rational_rank(rows):
 
 
 # ---------------------------------------------------------------------------
-# the real cyclotomic field Q(2cos(pi/N)), used only by the generic engine
+# the real cyclotomic field Q(2cos(pi/N)), used only to build the root system
 
 
 def _int_poly_divmod(num, den):
@@ -98,13 +95,14 @@ def _int_poly_divmod(num, den):
     d = len(den) - 1
     q = [0] * (len(num) - d)
     for k in range(len(num) - d - 1, -1, -1):
-        c = num[k + d]
-        assert c % den[-1] == 0
-        q[k] = c // den[-1]
+        q[k], rem = divmod(num[k + d], den[-1])
+        if rem:
+            raise InvariantError("non-exact cyclotomic division")
         if q[k]:
             for j in range(d + 1):
                 num[k + j] -= q[k] * den[j]
-    assert not any(num), "non-exact cyclotomic division"
+    if any(num):
+        raise InvariantError("non-exact cyclotomic division")
     return q
 
 
@@ -138,7 +136,8 @@ class _CycloField:
             p_next = self._poly_sub([0] + p_cur, p_prev)
             p_prev, p_cur = p_cur, p_next
             psi = self._poly_add(psi, [phi[d + j] * c for c in p_cur])
-        assert len(psi) == d + 1 and psi[-1] == 1
+        if len(psi) != d + 1 or psi[-1] != 1:
+            raise InvariantError(f"2cos(pi/{n_denom}) has no monic minimal polynomial")
         self.degree = d
         self.minpoly = tuple(psi)
         self.zero = (Fraction(0),) * d
@@ -201,7 +200,10 @@ class _CycloField:
         if m == 2:
             return self.zero
         k, rem = divmod(self.n_denom, m)
-        assert rem == 0, "Coxeter entry does not divide the field conductor"
+        if rem:
+            raise ValueError(
+                f"Coxeter entry {m} does not divide the field conductor {self.n_denom}"
+            )
         # p_k(c) = 2cos(k*pi/N)
         p_prev = tuple(
             Fraction(2 if i == 0 else 0) for i in range(self.degree)
@@ -224,175 +226,135 @@ class _CycloField:
 
 
 # ---------------------------------------------------------------------------
-# element engines
+# the element engine
 
 
-class _CartanEngine:
-    """Integer matrices on the root lattice; descents from root signs."""
+def _conductor(cox_matrix):
+    """The least N with every Coxeter entry dividing N (at least 3)."""
+    return max(math.lcm(*{m for row in cox_matrix for m in row if m > 2}), 3)
 
-    has_descent_test = True
 
-    def __init__(self, cartan):
-        self.rank = n = len(cartan)
-        self.cartan = cartan
-        mats = []
+class _RootEngine:
+    """W acting on its finite root system by permutations (Casselman 2002).
+
+    The positive roots are numbered 0..N-1, simple roots first, and the
+    negative of root i is numbered i + N.  ``perms[s]`` is the permutation of
+    all 2N numbers given by the generator s, and ``refl[b]`` the one given by
+    the reflection in root b.  A payload is the pair (w(alpha_t))_t,
+    (w^-1(alpha_t))_t of root numbers; w(alpha_t) is negative iff t is a
+    right descent of w.
+    """
+
+    def __init__(self, cox_matrix, max_roots):
+        n = len(cox_matrix)
+        field = _CycloField(_conductor(cox_matrix))
+        links = [
+            [
+                (j, field.two_cos_pi_over(cox_matrix[s][j]))
+                for j in range(n)
+                if j != s and cox_matrix[s][j] != 2
+            ]
+            for s in range(n)
+        ]
+
+        def reflect(s, root):
+            # s(v) = v + (sum_{j != s} 2cos(pi/m_sj) v_j - 2 v_s) alpha_s
+            acc = field.scale(root[s], -1)
+            for j, c in links[s]:
+                if any(root[j]):
+                    acc = field.add(acc, field.mul(c, root[j]))
+            return root[:s] + (acc,) + root[s + 1:]
+
+        # s permutes the positive roots other than alpha_s, so closing the
+        # simple roots under that rule yields exactly the positive roots.
+        roots = [
+            tuple(field.one if i == j else field.zero for i in range(n))
+            for j in range(n)
+        ]
+        number = {root: i for i, root in enumerate(roots)}
+        images = [[] for _ in range(n)]
+        origin = [None] * n  # root i = s(root p) for origin[i] = (s, p)
+        i = 0
+        while i < len(roots):
+            for s in range(n):
+                if i == s:
+                    images[s].append(None)
+                    continue
+                image = reflect(s, roots[i])
+                j = number.get(image)
+                if j is None:
+                    if len(roots) >= max_roots:
+                        raise ValueError(
+                            f"root system exceeds the cap ({max_roots} roots); "
+                            "the Coxeter matrix does not define a finite group"
+                        )
+                    j = number[image] = len(roots)
+                    roots.append(image)
+                    origin.append((s, i))
+                images[s].append(j)
+            i += 1
+        self.npos = npos = len(roots)
+        self.perms = []
         for s in range(n):
-            rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for j in range(n):
-                rows[s][j] = (1 if j == s else 0) - cartan[s][j]
-            mats.append(tuple(tuple(r) for r in rows))
-        self.gen_mats = mats
-        ident = _identity_matrix(n, 1, 0)
+            pos = [s + npos if j is None else j for j in images[s]]
+            self.perms.append(tuple(pos + [(j + npos) % (2 * npos) for j in pos]))
+        refl = list(self.perms)
+        for s, p in origin[n:]:
+            # the reflection in s(beta) is s r_beta s
+            perm, r = self.perms[s], refl[p]
+            refl.append(tuple(perm[r[perm[b]]] for b in range(2 * npos)))
+        self.refl = refl + refl
+        ident = tuple(range(n))
         self.identity = (ident, ident)
 
-    def key(self, payload):
-        return payload[0]
-
     def lmul(self, s, payload):
-        m, minv = payload
-        g = self.gen_mats[s]
-        return (_matmul(g, m, self.rank), _matmul(minv, g, self.rank))
+        w, winv = payload
+        perm, r = self.perms[s], self.refl[winv[s]]
+        # (sw)^-1 = (w^-1 s w) w^-1, and w^-1 s w reflects in w^-1(alpha_s)
+        return (tuple(perm[b] for b in w), tuple(r[b] for b in winv))
 
     def rmul(self, payload, s):
-        m, minv = payload
-        g = self.gen_mats[s]
-        return (_matmul(m, g, self.rank), _matmul(g, minv, self.rank))
+        w, winv = payload
+        perm, r = self.perms[s], self.refl[w[s]]
+        return (tuple(r[b] for b in w), tuple(perm[b] for b in winv))
 
     def left_descent(self, s, payload):
-        # l(sw) < l(w)  iff  w^-1(alpha_s) is a negative root
-        col = [row[s] for row in payload[1]]
-        return all(x <= 0 for x in col)
+        return payload[1][s] >= self.npos
 
     def right_descent(self, payload, s):
-        col = [row[s] for row in payload[0]]
-        return all(x <= 0 for x in col)
-
-
-class _FieldEngine:
-    """Geometric representation over Q(2cos(pi/N)); no descent oracle."""
-
-    has_descent_test = False
-
-    def __init__(self, cox_matrix):
-        self.rank = n = len(cox_matrix)
-        entries = sorted({m for row in cox_matrix for m in row if m > 2})
-        n_denom = 1
-        for m in entries:
-            g = n_denom
-            while g % m:
-                g += n_denom
-            n_denom = g
-        self.field = field = _CycloField(max(n_denom, 3))
-        mats = []
-        for s in range(n):
-            rows = [
-                [field.one if i == j else field.zero for j in range(n)]
-                for i in range(n)
-            ]
-            for j in range(n):
-                if j == s:
-                    rows[s][j] = field.scale(field.one, Fraction(-1))
-                else:
-                    # s(alpha_j) = alpha_j + 2cos(pi/m_sj) alpha_s
-                    rows[s][j] = field.two_cos_pi_over(cox_matrix[s][j])
-            mats.append(tuple(tuple(r) for r in rows))
-        self.gen_mats = mats
-        self.identity = _identity_matrix(n, field.one, field.zero)
-
-    def key(self, payload):
-        return payload
-
-    def _mul(self, a, b):
-        field, n = self.field, self.rank
-        bt = tuple(zip(*b))
-        out = []
-        for ra in a:
-            row = []
-            for cb in bt:
-                acc = field.zero
-                for k in range(n):
-                    acc = field.add(acc, field.mul(ra[k], cb[k]))
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
-
-    def lmul(self, s, payload):
-        return self._mul(self.gen_mats[s], payload)
-
-    def rmul(self, payload, s):
-        return self._mul(payload, self.gen_mats[s])
+        return payload[0][s] >= self.npos
 
 
 # ---------------------------------------------------------------------------
 # type descriptors
 
 
-def _chain_cartan(n):
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        c[i][i + 1] = c[i + 1][i] = -1
-    return c
-
-
-def _label_cartan(letter, n):
-    if letter == "A":
-        if n < 1:
-            raise ValueError("type A requires rank >= 1")
-        return _chain_cartan(n)
-    if letter in ("B", "C"):
-        if n < 2:
-            raise ValueError(f"type {letter} requires rank >= 2")
-        c = _chain_cartan(n)
-        if letter == "B":
-            c[n - 2][n - 1] = -2
-        else:
-            c[n - 1][n - 2] = -2
-        return c
+def _label_coxeter(letter, n):
+    """The Coxeter matrix of an irreducible type, nodes numbered as in Bourbaki."""
+    if letter == "I":
+        return [[1, n], [n, 1]]
+    exists = {
+        "A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 2,
+        "E": n in (6, 7, 8), "F": n == 4, "G": n == 2,
+    }
+    if letter not in exists:
+        raise ValueError(f"unknown type letter {letter!r}")
+    if not exists[letter]:
+        raise ValueError(f"type {letter}{n} does not exist")
+    edges = [(i, i + 1) for i in range(n - 1)]
     if letter == "D":
-        if n < 2:
-            raise ValueError("type D requires rank >= 2")
-        c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n - 2):
-            c[i][i + 1] = c[i + 1][i] = -1
-        if n >= 3:
-            c[n - 3][n - 1] = c[n - 1][n - 3] = -1
-        return c
-    if letter == "E":
-        if n not in (6, 7, 8):
-            raise ValueError("type E exists for ranks 6, 7, 8 only")
-        c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        edges += [(5, 6)] if n >= 7 else []
-        edges += [(6, 7)] if n == 8 else []
-        for i, j in edges:
-            c[i][j] = c[j][i] = -1
-        return c
-    if letter == "F":
-        if n != 4:
-            raise ValueError("type F exists for rank 4 only")
-        c = _chain_cartan(4)
-        c[1][2] = -2
-        c[2][1] = -1
-        return c
-    if letter == "G":
-        if n != 2:
-            raise ValueError("type G exists for rank 2 only")
-        return [[2, -1], [-3, 2]]
-    raise ValueError(f"unknown type letter {letter!r}")
-
-
-def _dihedral_coxeter(m):
-    return [[1, m], [m, 1]]
-
-
-def _cartan_to_coxeter(cartan):
-    n = len(cartan)
-    weight_to_m = {0: 2, 1: 3, 2: 4, 3: 6}
+        edges = edges[:-1] + ([(n - 3, n - 1)] if n >= 3 else [])
+    elif letter == "E":
+        edges = [(0, 2), (1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n - 1)]
     cox = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                cox[i][j] = weight_to_m[cartan[i][j] * cartan[j][i]]
+    for i, j in edges:
+        cox[i][j] = cox[j][i] = 3
+    if letter in ("B", "C"):
+        cox[n - 2][n - 1] = cox[n - 1][n - 2] = 4
+    elif letter == "F":
+        cox[1][2] = cox[2][1] = 4
+    elif letter == "G":
+        cox[0][1] = cox[1][0] = 6
     return cox
 
 
@@ -407,6 +369,18 @@ def _coxeter_to_cartan(cox):
                 c[i][j] = -1
                 c[j][i] = -w
     return c
+
+
+def _reflection_matrices(cox):
+    """Integer generator matrices on the root lattice of ``_coxeter_to_cartan``."""
+    n = len(cox)
+    cartan = _coxeter_to_cartan(cox)
+    mats = []
+    for s in range(n):
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows[s] = tuple(int(j == s) - cartan[s][j] for j in range(n))
+        mats.append(tuple(rows))
+    return mats
 
 
 def _parse_label(token):
@@ -461,80 +435,36 @@ def build_system(spec, delta=None, *, finite=None, max_elements=10 ** 6):
     ``"A2×A1"`` (separators ``×``, ``x`` or ``*``), or an explicit symmetric
     Coxeter matrix.  Finiteness of labelled types follows from the
     classification; a raw matrix must be declared finite by the caller with
-    ``finite=True`` (enumeration still aborts past ``max_elements``).
+    ``finite=True``, and a matrix of an infinite group then fails with
+    ``ValueError`` once its root system passes ``max_elements`` roots.
+    Enumeration of elements and involutions stops at the same cap.
     """
     if isinstance(spec, str):
         tokens = [t for t in re.split(r"[×xX*]", spec) if t.strip()]
         if not tokens:
             raise ValueError("empty type descriptor")
-        labels = [_parse_label(t) for t in tokens]
-        crystal_parts = all(
-            letter != "I" or order in (3, 4, 6) for letter, order in labels
-        )
-        if crystal_parts:
-            blocks = []
-            for letter, n in labels:
-                if letter == "I":
-                    blocks.append(
-                        _coxeter_to_cartan(_dihedral_coxeter(n))
-                    )
-                else:
-                    blocks.append(_label_cartan(letter, n))
-            cartan = _block_diag(blocks, 0)
-            cox = _cartan_to_coxeter(cartan)
-        else:
-            blocks = []
-            for letter, n in labels:
-                if letter == "I":
-                    blocks.append(_dihedral_coxeter(n))
-                else:
-                    blocks.append(
-                        _cartan_to_coxeter(_label_cartan(letter, n))
-                    )
-            cox = _block_diag(blocks, 2)
-            for i in range(len(cox)):
-                cox[i][i] = 1
-            cartan = None
+        cox = _block_diag([_label_coxeter(*_parse_label(t)) for t in tokens], 2)
         label = "×".join(t.strip() for t in tokens)
-        return CoxeterSystem(
-            cox,
-            cartan=cartan,
-            type_label=label,
-            delta=delta,
-            known_finite=True,
-            max_elements=max_elements,
-        )
-
-    cox = [list(map(int, row)) for row in spec]
-    n = len(cox)
-    if any(len(row) != n for row in cox):
-        raise ValueError("Coxeter matrix is not square")
-    for i in range(n):
-        if cox[i][i] != 1:
-            raise ValueError("Coxeter matrix diagonal must be 1")
-        for j in range(n):
-            if cox[i][j] != cox[j][i]:
-                raise ValueError("Coxeter matrix is not symmetric")
-            if i != j and cox[i][j] < 2:
-                raise ValueError("off-diagonal Coxeter entries must be >= 2")
-    if finite is not True:
-        raise ValueError(
-            "raw Coxeter matrices must be declared finite (pass finite=True)"
-        )
-    crystallographic = all(
-        cox[i][j] in (2, 3, 4, 6)
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    )
-    cartan = _coxeter_to_cartan(cox) if crystallographic else None
+    else:
+        cox = [list(map(int, row)) for row in spec]
+        n = len(cox)
+        if any(len(row) != n for row in cox):
+            raise ValueError("Coxeter matrix is not square")
+        for i in range(n):
+            if cox[i][i] != 1:
+                raise ValueError("Coxeter matrix diagonal must be 1")
+            for j in range(n):
+                if cox[i][j] != cox[j][i]:
+                    raise ValueError("Coxeter matrix is not symmetric")
+                if i != j and cox[i][j] < 2:
+                    raise ValueError("off-diagonal Coxeter entries must be >= 2")
+        if finite is not True:
+            raise ValueError(
+                "raw Coxeter matrices must be declared finite (pass finite=True)"
+            )
+        label = None
     return CoxeterSystem(
-        cox,
-        cartan=cartan,
-        type_label=None,
-        delta=delta,
-        known_finite=True,
-        max_elements=max_elements,
+        cox, type_label=label, delta=delta, max_elements=max_elements
     )
 
 
@@ -544,36 +474,36 @@ def build_system(spec, delta=None, *, finite=None, max_elements=10 ** 6):
 class CoxeterSystem:
     """A Coxeter presentation plus the interned element universe.
 
-    The intern table supports concurrent reads; insertion is serialized by a
-    lock, and every derived record is written exactly once, so query results
-    are independent of thread schedule.
+    Elements are interned lazily, on the first product that reaches them,
+    through one root-permutation engine for every finite type.  Lengths,
+    descents, products and inverses never need the whole group.  The
+    integer reflection representation (``reflection_rep``, ``h_value``)
+    exists for crystallographic types only.
     """
 
     def __init__(
         self,
         coxeter_matrix,
         *,
-        cartan=None,
         type_label=None,
         delta=None,
-        known_finite=True,
         max_elements=10 ** 6,
     ):
         self.coxeter_matrix = tuple(tuple(row) for row in coxeter_matrix)
         self.rank = len(self.coxeter_matrix)
         self.type_label = type_label
-        self.crystallographic = cartan is not None
-        self.cartan = tuple(tuple(row) for row in cartan) if cartan else None
+        self.crystallographic = all(
+            m in _CRYSTAL_WEIGHT for row in self.coxeter_matrix for m in row if m > 1
+        )
+        self._gen_mats = (
+            _reflection_matrices(self.coxeter_matrix)
+            if self.crystallographic
+            else None
+        )
         self.delta = _parse_delta(delta, self.rank, self.coxeter_matrix)
-        self.known_finite = known_finite
         self.max_elements = max_elements
+        self._engine = _RootEngine(self.coxeter_matrix, max_elements)
 
-        if self.crystallographic:
-            self._engine = _CartanEngine(self.cartan)
-        else:
-            self._engine = _FieldEngine(self.coxeter_matrix)
-
-        self._lock = threading.Lock()
         self._index = {}
         self._payloads = []
         self._lengths = []
@@ -589,67 +519,24 @@ class CoxeterSystem:
         self._classes = None
 
         self._register(self._engine.identity, 0, ())
-        if not self._engine.has_descent_test:
-            self._eager_enumerate()
 
     # -- interning ----------------------------------------------------------
 
     def _register(self, payload, length, word=None):
-        key = self._engine.key(payload)
+        key = payload[0]
         wid = self._index.get(key)
         if wid is not None:
             return wid
-        with self._lock:
-            wid = self._index.get(key)
-            if wid is not None:
-                return wid
-            wid = len(self._payloads)
-            self._payloads.append(payload)
-            self._lengths.append(length)
-            self._words.append(word)
-            self._lmul.append([None] * self.rank)
-            self._rmul.append([None] * self.rank)
-            self._inv.append(None)
-            self._delta_img.append(None)
-            self._index[key] = wid
+        wid = len(self._payloads)
+        self._payloads.append(payload)
+        self._lengths.append(length)
+        self._words.append(word)
+        self._lmul.append([None] * self.rank)
+        self._rmul.append([None] * self.rank)
+        self._inv.append(None)
+        self._delta_img.append(None)
+        self._index[key] = wid
         return wid
-
-    def _eager_enumerate(self):
-        layers = [[0]]
-        total = 1
-        while layers[-1]:
-            frontier = layers[-1]
-            depth = len(layers) - 1
-            candidates = {}
-            for wid in frontier:
-                pw = self._payloads[wid]
-                word_w = self._words[wid]
-                for s in range(self.rank):
-                    payload = self._engine.lmul(s, pw)
-                    key = self._engine.key(payload)
-                    if key in self._index:
-                        continue
-                    cand = (s,) + word_w
-                    prev = candidates.get(key)
-                    if prev is None or cand < prev[1]:
-                        candidates[key] = (payload, cand)
-            if not candidates:
-                break
-            total += len(candidates)
-            if total > self.max_elements:
-                raise ValueError(
-                    f"group exceeds the element cap ({self.max_elements}); "
-                    "matrix was declared finite but enumeration aborted"
-                )
-            new_ids = [
-                self._register(payload, depth + 1, word)
-                for payload, word in sorted(
-                    candidates.values(), key=lambda t: t[1]
-                )
-            ]
-            layers.append(new_ids)
-        self._layers = layers
-        self._complete = True
 
     # -- element arithmetic ---------------------------------------------------
 
@@ -658,7 +545,7 @@ class CoxeterSystem:
         if cached is not None:
             return cached
         payload = self._engine.lmul(s, self._payloads[wid])
-        xid = self._index.get(self._engine.key(payload))
+        xid = self._index.get(payload[0])
         if xid is None:
             down = self._engine.left_descent(s, self._payloads[wid])
             xid = self._register(
@@ -673,7 +560,7 @@ class CoxeterSystem:
         if cached is not None:
             return cached
         payload = self._engine.rmul(self._payloads[wid], s)
-        xid = self._index.get(self._engine.key(payload))
+        xid = self._index.get(payload[0])
         if xid is None:
             down = self._engine.right_descent(self._payloads[wid], s)
             xid = self._register(
@@ -687,14 +574,10 @@ class CoxeterSystem:
         return self._lengths[wid]
 
     def is_left_descent(self, s, wid):
-        if self._engine.has_descent_test:
-            return self._engine.left_descent(s, self._payloads[wid])
-        return self._lengths[self.lmul(s, wid)] < self._lengths[wid]
+        return self._engine.left_descent(s, self._payloads[wid])
 
     def is_right_descent(self, wid, s):
-        if self._engine.has_descent_test:
-            return self._engine.right_descent(self._payloads[wid], s)
-        return self._lengths[self.rmul(wid, s)] < self._lengths[wid]
+        return self._engine.right_descent(self._payloads[wid], s)
 
     def left_descents(self, wid):
         return tuple(
@@ -829,8 +712,6 @@ class CoxeterSystem:
         return out
 
     def enumerate_all(self):
-        if not self.known_finite:
-            raise ValueError("enumerate_all requires a system known finite")
         self._extend_layers(None)
         return [
             self.element(wid) for layer in self._layers for wid in layer
@@ -934,18 +815,16 @@ class CoxeterSystem:
             raise ValueError(
                 "reflection representation over Q requires a crystallographic type"
             )
-        return ReflectionRep(
-            matrices={
-                s: self._engine.gen_mats[s] for s in range(self.rank)
-            }
-        )
+        return ReflectionRep(matrices=dict(enumerate(self._gen_mats)))
 
     def h_value(self, wid):
         """dim ker(M_w + Id): the fixed space of -w in the reflection rep."""
         if not self.crystallographic:
             raise ValueError("h_value requires a crystallographic type")
-        mat = self._payloads[wid][0]
         n = self.rank
+        mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        for s in self.word_of(wid):
+            mat = _matmul(mat, self._gen_mats[s], n)
         k = [
             [mat[i][j] + (1 if i == j else 0) for j in range(n)]
             for i in range(n)
@@ -982,9 +861,6 @@ class CoxeterSystem:
 
     def element_from_word(self, word):
         return self.element(self.element_id_from_word(word))
-
-    def delta_elem(self, w):
-        return self.element(self.delta_id(self._id_of(w)))
 
     def __repr__(self):
         label = self.type_label or f"rank-{self.rank} matrix"

@@ -252,11 +252,6 @@ class InvolutionModule:
                 )
         self._check_even(result, "bar involution")
 
-    def r_poly(self, y, w):
-        """The coefficient of a_y in bar(a_w)."""
-        sys = self.system
-        return self.bar_basis(sys._id_of(w)).get(sys._id_of(y))
-
     def bar_mvector(self, m):
         """Semilinear extension: bar(sum f_y a_y) = sum bar(f_y) bar(a_y)."""
         self._check_even(m, "bar input")

@@ -5,13 +5,10 @@ One polynomial table P_{y,w}(q) drives two readouts: the basis
 quadratic relation (T_s+1)(T_s-u) = 0 (u = v^2), and the basis
 ``c_w = u^{-l(w)} sum_y P_{y,w}(u^2) T_y`` of the variant algebra with
 relation (T_s+1)(T_s-u^2) = 0.  The table is filled column by column in
-length order; columns of equal length are independent and may be built
-concurrently.
+length order.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvariantError
 from .laurent import LaurentPoly, ONE, ZERO, v_pow
@@ -161,7 +158,6 @@ class KLTable:
         self.system = system
         self._pq = {}  # (y_id, w_id) -> tuple of q-coefficients
         self._h2 = HeckeAlgebra(system, 2)
-        self._h4 = HeckeAlgebra(system, 4)
         self._cdot_cache = {}
         self._cprime_cache = {}
         self._cdot_product_cache = {}
@@ -255,29 +251,21 @@ class KLTable:
         return self.mu_ids(sys._id_of(y), sys._id_of(w))
 
     def build_full(self, jobs=1, max_length=None):
-        """Fill the whole table column by column (parallel over a layer)."""
+        """Fill the table column by column, in length order.
+
+        ``jobs`` must be at least 1 and has no effect on the result.
+        """
+        if jobs < 1:
+            raise ValueError("jobs must be at least 1")
         sys = self.system
         if max_length is None:
             elements = sys.enumerate_all()
         else:
             elements = sys.enumerate_up_to_length(max_length)
-        by_length = {}
-        for el in elements:
-            by_length.setdefault(el.length, []).append(el.id)
-
-        def column(wid):
-            for el in elements:
-                if el.length <= sys.length_of(wid):
-                    self._pq_poly(el.id, wid)
-
-        for length in sorted(by_length):
-            layer = by_length[length]
-            if jobs > 1 and len(layer) > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(column, layer))
-            else:
-                for wid in layer:
-                    column(wid)
+        for w in elements:
+            for y in elements:
+                if y.length <= w.length:
+                    self._pq_poly(y.id, w.id)
         return elements
 
     # -- canonical bases in the T-basis ----------------------------------------

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from invkl.canonical import CanonicalBasis
 from invkl.cli import main
 
 
@@ -52,7 +53,15 @@ def test_kl_command(capsys):
     assert all(e["poly"] == {"0": "1"} for e in payload["entries"])
 
 
-def test_max_length_filter(capsys):
+def test_max_length_filter(capsys, monkeypatch):
+    built = []
+    install = CanonicalBasis._install
+
+    def recording_install(self, wid, col):
+        built.append(self.system.length_of(wid))
+        install(self, wid, col)
+
+    monkeypatch.setattr(CanonicalBasis, "_install", recording_install)
     code, out, _ = run_cli(
         capsys, "table", "--type", "A3", "--max-length", "1"
     )
@@ -60,6 +69,7 @@ def test_max_length_filter(capsys):
     assert {tuple(e["w_word"]) for e in payload["entries"]} == {
         (), (0,), (1,), (2,)
     }
+    assert sorted(built) == [0, 1, 1, 1]  # no column longer than 1 is built
 
 
 def test_verify_command(capsys):

@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invkl
 from invkl import build_system
 from invkl.coxeter import _matmul
 
@@ -28,6 +33,10 @@ def test_build_errors():
         build_system([[1, 3], [3, 2]], finite=True)
     with pytest.raises(ValueError):
         build_system([[1, 3], [3, 1]])  # raw matrix without finite=True
+    with pytest.raises(ValueError):  # affine A2: infinitely many roots
+        build_system(
+            [[1, 3, 3], [3, 1, 3], [3, 3, 1]], finite=True, max_elements=1000
+        )
 
 
 def test_mult_gen_and_lengths(a2):
@@ -205,11 +214,70 @@ def test_commuting_ascent_increases_h():
                     assert system.h_value(sw) > system.h_value(wid)
 
 
-def test_field_engine_group_orders():
-    assert len(build_system("I2(5)").enumerate_all()) == 10
-    assert len(build_system("I2(7)").enumerate_all()) == 14
-    h3 = build_system([[1, 5, 2], [5, 1, 3], [2, 3, 1]], finite=True)
-    assert len(h3.enumerate_all()) == 120
+H3 = [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+H4 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
+
+
+@pytest.mark.parametrize(
+    "spec, order, longest, involutions",
+    [
+        pytest.param("I2(5)", 10, 5, 6, id="I2(5)"),
+        pytest.param("I2(7)", 14, 7, 8, id="I2(7)"),
+        pytest.param("I2(8)", 16, 8, 10, id="I2(8)"),
+        pytest.param(H3, 120, 15, 32, id="H3"),
+        pytest.param(H4, 14400, 60, 572, id="H4"),
+        pytest.param("E6", 51840, 36, 892, id="E6"),
+    ],
+)
+def test_known_group_orders(spec, order, longest, involutions):
+    """Group order, length of the longest element (|positive roots|), involutions."""
+    system = build_system(spec, finite=True)
+    elements = system.enumerate_all()
+    assert len(elements) == order
+    assert elements[-1].length == longest
+    assert len(system.twisted_involution_ids()) == involutions
+
+
+def _matrix_along(mats, word, n):
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for s in word:
+        out = _matmul(out, mats[s], n)
+    return out
+
+
+def test_root_engine_matches_reflection_matrices():
+    """Descents and lengths against root signs in the integer representation."""
+    for label in ("A3", "B3", "D4", "G2", "F4"):
+        system = build_system(label)
+        mats = system.reflection_rep().matrices
+        n = system.rank
+        for el in system.enumerate_all():
+            assert system.length_of(el.id) == len(system.word_of(el.id))
+            m = _matrix_along(mats, el.word, n)
+            minv = _matrix_along(mats, el.word[::-1], n)
+            for s in range(n):
+                # ws < w iff w(alpha_s) < 0; sw < w iff w^-1(alpha_s) < 0
+                assert system.is_right_descent(el.id, s) == all(
+                    row[s] <= 0 for row in m
+                )
+                assert system.is_left_descent(s, el.id) == all(
+                    row[s] <= 0 for row in minv
+                )
+
+
+def test_field_checks_survive_optimize():
+    """The conductor check raises under python -O, where asserts vanish."""
+    src = str(Path(invkl.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "from invkl.coxeter import _CycloField; _CycloField(12).two_cos_pi_over(5)"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
 
 
 def test_element_cap():

@@ -17,6 +17,10 @@ this triangularity, which gives two independent construction routes:
   z = s w delta(s) (then each row is a closed formula over shorter columns).
 
 Both produce identical tables; the test and verification suites insist on it.
+Every T_s case (commuting, ascending, partner) is read from
+``InvolutionModule.action_case``, the length layers from
+``InvolutionModule.layers``, and the involutions x < top with s a left
+descent of x are memoized per (s, top).
 """
 
 from __future__ import annotations
@@ -39,38 +43,27 @@ _V2PVINV2 = v_pow(2) + v_pow(-2)
 class CanonicalBasis:
     """Bar-invariant basis columns, built per involution and memoized."""
 
-    def __init__(self, module, method="recursive"):
-        if method not in ("recursive", "barfix"):
-            raise ValueError(f"unknown construction method {method!r}")
+    def __init__(self, module):
         self.module = module
         self.system = module.system
-        self.method = method
         self._columns = {}   # wid -> {yid: pi poly}
         self._mu1 = {}       # wid -> {yid: int}
         self._built_length = -1
         self._a_vectors = {}
+        self._intervals = {}  # (s, top) -> involutions x < top with sx < x
 
     # -- table management -------------------------------------------------------
 
-    def _layers(self):
-        by_length = {}
-        for wid in self.module.involution_ids:
-            by_length.setdefault(self.system.length_of(wid), []).append(wid)
-        return [by_length[k] for k in sorted(by_length)]
-
-    def build(self, jobs=1, method=None, max_length=None):
+    def build(self, jobs=1, max_length=None):
         """Fill all columns of length at most ``max_length``, bottom-up.
 
         ``jobs`` must be at least 1 and has no effect on the result: columns
-        are built one at a time, in (length, word) order.
+        are built one at a time by the descent recursion, in (length, word)
+        order.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        method = method or self.method
-        compute = (
-            self.column_recursive if method == "recursive" else self.column_barfix
-        )
-        for layer in self._layers():
+        for layer in self.module.layers:
             length = self.system.length_of(layer[0])
             if max_length is not None and length > max_length:
                 break
@@ -78,7 +71,7 @@ class CanonicalBasis:
                 continue
             for wid in layer:
                 if wid not in self._columns:
-                    self._install(wid, compute(wid))
+                    self._install(wid, self.column_recursive(wid))
             self._built_length = length
         return self
 
@@ -89,6 +82,33 @@ class CanonicalBasis:
     def _ensure(self, wid):
         if wid not in self._columns:
             self.build(max_length=self.system.length_of(wid))
+
+    def _rows_below(self, wid):
+        """The involutions shorter than w, longest first, by word within a length."""
+        length = self.system.length_of
+        lw = length(wid)
+        return [
+            yid
+            for layer in reversed(self.module.layers)
+            if length(layer[0]) < lw
+            for yid in layer
+        ]
+
+    def _descent_interval(self, s, top):
+        """The involutions x < top with s a left descent of x, longest first.
+
+        ``top`` may be any group element; the result is memoized per (s, top).
+        """
+        key = (s, top)
+        cached = self._intervals.get(key)
+        if cached is None:
+            sys = self.system
+            cached = self._intervals[key] = tuple(
+                x
+                for x in self._rows_below(top)
+                if sys.is_left_descent(s, x) and sys.bruhat_leq_ids(x, top)
+            )
+        return cached
 
     # -- lookups ------------------------------------------------------------------
 
@@ -127,31 +147,18 @@ class CanonicalBasis:
         sys = self.system
         yid, wid = sys._id_of(y), sys._id_of(w)
         self._ensure(wid)
-        if (sys.length_of(yid) - sys.length_of(wid)) % 2:
-            return self.mu_prime(yid, wid) * _VPV
-        total = self.mu_double_prime(yid, wid)
-        total -= self._mu_convolution(s, yid, wid)
-        sw = sys.lmul(s, wid)
-        if sys.rmul(sw, sys.delta_gen(s)) == wid:  # sw = w delta(s)
-            total -= self.mu_prime(yid, sw)
-        sy = sys.lmul(s, yid)
-        if sy == sys.rmul(yid, sys.delta_gen(s)):
-            total += self.mu_prime(sy, wid)
-        return LaurentPoly((total,), 0)
+        known = self._ms_known_part(s, yid, wid)
+        commuting, _up, sw = self.module.action_case(s, wid)
+        if commuting and not (sys.length_of(yid) - sys.length_of(wid)) % 2:
+            known = known - LaurentPoly((self.mu_prime(yid, sw),), 0)
+        return known
 
     def _mu_convolution(self, s, yid, wid):
         sys = self.system
         total = 0
-        for xid in self.module.involution_ids:
-            if not sys.is_left_descent(s, xid):
-                continue
-            if xid in (yid, wid):
-                continue
-            if not (
-                sys.bruhat_leq_ids(yid, xid) and sys.bruhat_leq_ids(xid, wid)
-            ):
-                continue
-            total += self.mu_prime(yid, xid) * self.mu_prime(xid, wid)
+        for xid in self._descent_interval(s, wid):
+            if xid != yid and sys.bruhat_leq_ids(yid, xid):
+                total += self.mu_prime(yid, xid) * self.mu_prime(xid, wid)
         return total
 
     def _ms_known_part(self, s, xid, wid):
@@ -161,8 +168,8 @@ class CanonicalBasis:
             return self.mu_prime(xid, wid) * _VPV
         total = self.mu_double_prime(xid, wid)
         total -= self._mu_convolution(s, xid, wid)
-        sx = sys.lmul(s, xid)
-        if sx == sys.rmul(xid, sys.delta_gen(s)):
+        commuting, _up, sx = self.module.action_case(s, xid)
+        if commuting:
             total += self.mu_prime(sx, wid)
         return LaurentPoly((total,), 0)
 
@@ -180,13 +187,7 @@ class CanonicalBasis:
         """Solve bar(A_w) = A_w row by row, top down."""
         sys = self.system
         col = {wid: ONE}
-        rows = [
-            yid
-            for yid in self.module.involution_ids
-            if sys.length_of(yid) < sys.length_of(wid)
-        ]
-        rows.sort(key=lambda y: -sys.length_of(y))
-        for yid in rows:
+        for yid in self._rows_below(wid):
             q = ZERO
             for xid, pi_xw in col.items():
                 rho = self._rho(yid, xid)
@@ -212,22 +213,17 @@ class CanonicalBasis:
 
     def _case_term(self, s, yid, wid):
         """Column-w data entering the row-y equation for the target column."""
-        sys = self.system
         col_w = self._columns.get(wid, {})
-        sy = sys.lmul(s, yid)
-        up = sys.length_of(sy) > sys.length_of(yid)
-        yds = sys.rmul(yid, sys.delta_gen(s))
+        commuting, up, other = self.module.action_case(s, yid)
         pi_y = col_w.get(yid, ZERO)
-        if sy == yds:
-            pi_sy = col_w.get(sy, ZERO)
+        pi_other = col_w.get(other, ZERO)
+        if commuting:
             if up:
-                return pi_y * _CASE_UP_COMM + pi_sy * _VMV
-            return pi_sy * _VPV + pi_y * _V2_M1
-        sys_ds = sys.rmul(sy, sys.delta_gen(s))
-        pi_sys = col_w.get(sys_ds, ZERO)
+                return pi_y * _CASE_UP_COMM + pi_other * _VMV
+            return pi_other * _VPV + pi_y * _V2_M1
         if up:
-            return pi_y * _VINV2 + pi_sys
-        return pi_sys + pi_y * _V2
+            return pi_y * _VINV2 + pi_other
+        return pi_other + pi_y * _V2
 
     def column_recursive(self, zid):
         """Build column z from strictly shorter columns via the smallest descent."""
@@ -237,24 +233,9 @@ class CanonicalBasis:
         if self._built_length < sys.length_of(zid) - 1:
             self.build(max_length=sys.length_of(zid) - 1)
         s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
-        sz = sys.lmul(s, zid)
-        commuting = sz == sys.rmul(zid, sys.delta_gen(s))
-        wid = sz if commuting else sys.rmul(sz, sys.delta_gen(s))
-        sw = zid if commuting else sys.rmul(zid, sys.delta_gen(s))
-        lsw = sys.length_of(sw)
-        ids_below = [
-            x
-            for x in self.module.involution_ids
-            if sys.length_of(x) < sys.length_of(zid)
-        ]
-        ids_below.sort(key=lambda y: (-sys.length_of(y), sys.word_of(y)))
-        x_range = [
-            x
-            for x in ids_below
-            if sys.is_left_descent(s, x)
-            and sys.length_of(x) < lsw
-            and sys.bruhat_leq_ids(x, sw)
-        ]
+        commuting, _up, wid = self.module.action_case(s, zid)
+        ids_below = self._rows_below(zid)
+        x_range = self._descent_interval(s, sys.lmul(s, wid))
         col = {zid: ONE}
         mu1 = {zid: 0}
         if commuting:
@@ -424,22 +405,15 @@ class CanonicalBasis:
         wid = sys._id_of(w)
         got = self.expand_in_A(self.module.cs_action(s, self.a_vector(wid)))
         expected = {}
-        if sys.is_left_descent(s, wid):
+        commuting, up, other = self.module.action_case(s, wid)
+        if not up:
             expected[wid] = _V2PVINV2
         else:
-            commuting, _up, other = self.module.action_case(s, wid)
-            sw = sys.lmul(s, wid)
             expected[other] = _VPV if commuting else ONE
-            lsw = sys.length_of(sw)
-            for zid in self.module.involution_ids:
-                if (
-                    sys.length_of(zid) < lsw
-                    and sys.is_left_descent(s, zid)
-                    and sys.bruhat_leq_ids(zid, sw)
-                ):
-                    mz = self.ms_constant(s, zid, wid)
-                    if not mz.is_zero:
-                        expected[zid] = mz
+            for zid in self._descent_interval(s, sys.lmul(s, wid)):
+                mz = self.ms_constant(s, zid, wid)
+                if not mz.is_zero:
+                    expected[zid] = mz
         if got != expected:
             raise TheoremMismatch(
                 f"c_s A_w expansion mismatch at s={s}, w={sys.word_of(wid)}: "

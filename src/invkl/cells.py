@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RelationViolated
-from .laurent import ZERO, v_pow
+from .invmodule import MVector, _accumulate
+from .laurent import ZERO
 
 __all__ = ["CellPartition", "compute_cells", "involutions_per_cell", "check_hf_relation"]
 
@@ -171,12 +172,12 @@ def check_hf_relation(z, w, kl, canonical):
     module = canonical.module
     zid, wid = sys._id_of(z), sys._id_of(w)
     h_exp = kl.h_constants(zid, wid)
-    cz = kl.cprime(zid)
-    acted = None
-    for yid, coeff in cz.items():
-        part = canonical.module.tw_action(yid, canonical.a_vector(wid)).scaled(coeff)
-        acted = part if acted is None else acted + part
-    f_exp = canonical.expand_in_A(acted)
+    a_w = canonical.a_vector(wid)
+    acted = {}
+    for yid, coeff in kl.cprime(zid).items():
+        for x, f in module.tw_action(yid, a_w).entries.items():
+            _accumulate(acted, x, f * coeff)
+    f_exp = canonical.expand_in_A(MVector._raw(acted))
 
     involutions = set(module.involution_ids)
     report = {}

@@ -5,6 +5,8 @@ mathematical invariant fails (the message names the violated identity and
 the first counterexample is serialized to stderr).  Output is assembled
 after all computation finishes.  Every build runs in one thread; --jobs is
 validated (at least 1) and kept for scripts, and has no effect on output.
+Each command accepts only the options it reads: --max-length (at least 0)
+belongs to table and kl, and verify writes json or text but not csv.
 """
 
 from __future__ import annotations
@@ -15,15 +17,29 @@ import json
 import sys
 
 from .canonical import CanonicalBasis
-from .cells import DEFAULT_CELL_CAP, check_hf_relation, compute_cells, involutions_per_cell
+from .cells import DEFAULT_CELL_CAP, compute_cells, involutions_per_cell
 from .coxeter import build_system
 from .errors import InvariantError
 from .invmodule import InvolutionModule
 from .klclassic import KLTable
 from .specialize import SpecializedModule
-from .verify import SUITE_NAMES, run_suites
+from .verify import run_suites
 
 __all__ = ["main", "build_parser"]
+
+_FORMATS = ("json", "csv", "text")
+
+
+def _length_cap(text):
+    """Parse --max-length: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -45,36 +61,39 @@ def build_parser():
         help="diagram involution as a permutation of generator indices",
     )
     common.add_argument(
-        "--max-length", type=int, default=None,
-        help="build and print only columns of at most this length",
-    )
-    common.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json",
-    )
-    common.add_argument(
         "--jobs", type=int, default=1,
         help="must be at least 1; builds run serially and output does not depend on it",
     )
     common.add_argument(
         "--experimental", action="store_true",
-        help="allow non-crystallographic types such as I2(5)",
+        help="allow non-crystallographic types such as I2(5) or H3",
     )
     common.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p_table = sub.add_parser(
-        "table", parents=[common],
-        help="involution Kazhdan-Lusztig table (P-sigma, optionally classical P)",
+    def command(name, summary, formats=_FORMATS, max_length=False):
+        """A subcommand with the common options plus the ones it reads."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--format", choices=formats, default="json")
+        if max_length:
+            p.add_argument(
+                "--max-length", type=_length_cap, default=None,
+                help="build and print only columns of at most this length",
+            )
+        return p
+
+    p_table = command(
+        "table",
+        "involution Kazhdan-Lusztig table (P-sigma, optionally classical P)",
+        max_length=True,
     )
     p_table.add_argument(
         "--classic", action="store_true",
         help="include the classical polynomial of each involution pair",
     )
-
-    sub.add_parser("kl", parents=[common], help="classical Kazhdan-Lusztig table")
-    sub.add_parser("verify", parents=[common], help="run all verification suites")
-    sub.add_parser("character", parents=[common], help="u=1 characters per class")
-
-    p_cells = sub.add_parser("cells", parents=[common], help="two-sided cells")
+    command("kl", "classical Kazhdan-Lusztig table", max_length=True)
+    command("verify", "run all verification suites", formats=("json", "text"))
+    command("character", "u=1 characters per class")
+    p_cells = command("cells", "two-sided cells")
     p_cells.add_argument(
         "--max-elements", type=int, default=DEFAULT_CELL_CAP,
         help="element-count gate for the cell computation",
@@ -151,17 +170,28 @@ def cmd_table(args):
         jobs=args.jobs, max_length=args.max_length
     )
     kl = KLTable(system) if args.classic else None
-    entries = []
-    for yid, wid in _involution_pairs(system, module, args.max_length):
-        entry = {
-            "y_word": list(system.word_of(yid)),
-            "w_word": list(system.word_of(wid)),
-            "sigma_poly": basis.sigma_kl(yid, wid).to_json_obj(),
-        }
-        if kl is not None:
-            entry["classic_poly"] = kl.kl_poly_ids(yid, wid).to_json_obj()
-        entries.append(entry)
+    # one pass over the pairs; each format below consumes it once, so no
+    # second copy of the table is held while the output is assembled
+    rows = (
+        (
+            system.word_of(yid),
+            system.word_of(wid),
+            basis.sigma_kl(yid, wid),
+            kl.kl_poly_ids(yid, wid) if kl is not None else None,
+        )
+        for yid, wid in _involution_pairs(system, module, args.max_length)
+    )
     if args.format == "json":
+        entries = []
+        for y, w, sigma, classic in rows:
+            entry = {
+                "y_word": list(y),
+                "w_word": list(w),
+                "sigma_poly": sigma.to_json_obj(),
+            }
+            if classic is not None:
+                entry["classic_poly"] = classic.to_json_obj()
+            entries.append(entry)
         _emit(args, _dump_json(
             {"command": "table", "system": _system_header(system), "entries": entries}
         ))
@@ -169,26 +199,19 @@ def cmd_table(args):
         header = ["y_word", "w_word", "poly"] + (
             ["classic_poly"] if kl is not None else []
         )
-        rows = []
-        for yid, wid in _involution_pairs(system, module, args.max_length):
-            row = [
-                _word_str(system.word_of(yid)),
-                _word_str(system.word_of(wid)),
-                basis.sigma_kl(yid, wid).pair_string(),
-            ]
-            if kl is not None:
-                row.append(kl.kl_poly_ids(yid, wid).pair_string())
-            rows.append(row)
-        _emit(args, _csv_lines(header, rows))
+        table = [
+            [_word_str(y), _word_str(w), sigma.pair_string()]
+            + ([classic.pair_string()] if classic is not None else [])
+            for y, w, sigma, classic in rows
+        ]
+        _emit(args, _csv_lines(header, table))
     else:
         lines = [f"involution table for {system!r}"]
-        for entry in entries:
-            text = (
-                f"P[{_word_str(tuple(entry['y_word']))}, "
-                f"{_word_str(tuple(entry['w_word']))}] = "
-                f"{basis.sigma_kl(system.element_id_from_word(entry['y_word']), system.element_id_from_word(entry['w_word']))}"
-            )
-            lines.append(text)
+        for y, w, sigma, classic in rows:
+            line = f"P[{_word_str(y)}, {_word_str(w)}] = {sigma}"
+            if classic is not None:
+                line += f"  (classical {classic})"
+            lines.append(line)
         _emit(args, "\n".join(lines) + "\n")
     return 0
 

@@ -335,7 +335,7 @@ def _label_coxeter(letter, n):
         return [[1, n], [n, 1]]
     exists = {
         "A": n >= 1, "B": n >= 2, "C": n >= 2, "D": n >= 2,
-        "E": n in (6, 7, 8), "F": n == 4, "G": n == 2,
+        "E": n in (6, 7, 8), "F": n == 4, "G": n == 2, "H": n in (3, 4),
     }
     if letter not in exists:
         raise ValueError(f"unknown type letter {letter!r}")
@@ -355,6 +355,8 @@ def _label_coxeter(letter, n):
         cox[1][2] = cox[2][1] = 4
     elif letter == "G":
         cox[0][1] = cox[1][0] = 6
+    elif letter == "H":
+        cox[0][1] = cox[1][0] = 5
     return cox
 
 
@@ -391,7 +393,7 @@ def _parse_label(token):
         if order < 3:
             raise ValueError("I2(m) requires m >= 3")
         return ("I", order)
-    m = re.fullmatch(r"([A-G])(\d+)", token)
+    m = re.fullmatch(r"([A-H])(\d+)", token)
     if m:
         return (m.group(1), int(m.group(2)))
     raise ValueError(f"unknown type descriptor {token!r}")
@@ -431,12 +433,12 @@ def _parse_delta(delta, rank, cox):
 def build_system(spec, delta=None, *, finite=None, max_elements=10 ** 6):
     """Build a :class:`CoxeterSystem` from a type label or a Coxeter matrix.
 
-    ``spec`` is either a descriptor like ``"A3"``, ``"B2"``, ``"I2(5)"``,
-    ``"A2×A1"`` (separators ``×``, ``x`` or ``*``), or an explicit symmetric
-    Coxeter matrix.  Finiteness of labelled types follows from the
-    classification; a raw matrix must be declared finite by the caller with
-    ``finite=True``, and a matrix of an infinite group then fails with
-    ``ValueError`` once its root system passes ``max_elements`` roots.
+    ``spec`` is either a descriptor like ``"A3"``, ``"B2"``, ``"H3"``,
+    ``"I2(5)"``, ``"A2×A1"`` (separators ``×``, ``x`` or ``*``), or an
+    explicit symmetric Coxeter matrix.  Finiteness of labelled types follows
+    from the classification; a raw matrix must be declared finite by the
+    caller with ``finite=True``, and a matrix of an infinite group then fails
+    with ``ValueError`` once its root system passes ``max_elements`` roots.
     Enumeration of elements and involutions stops at the same cap.
     """
     if isinstance(spec, str):
@@ -730,15 +732,19 @@ class CoxeterSystem:
     def twisted_involution_ids(self):
         """Ids of all w with delta(w) = w^-1, sorted by (length, word).
 
-        Enumerated by closing {1} under w -> sw (when sw = w delta(s)) and
-        w -> s w delta(s); both moves stay inside the twisted involutions
-        and every one of them is reachable by length-increasing steps.
+        Enumerated by closing {1} under the ascents w -> sw (when
+        sw = w delta(s)) and w -> s w delta(s); both moves stay inside the
+        twisted involutions and every one of them is reachable by
+        length-increasing steps.  The same pass fills the T_s case table of
+        :meth:`involution_action`: an ascent s of w with partner z records
+        (commuting, True, z) at (w, s) and (commuting, False, w) at (z, s).
+        Every descent of z is the ascent of its partner read backwards, so
+        this fills every entry.
         """
         if self._tw_inv is not None:
             return self._tw_inv
-        seen = {0}
+        action = {0: [None] * self.rank}
         frontier = [0]
-        count = 1
         while frontier:
             nxt = set()
             for wid in frontier:
@@ -746,21 +752,33 @@ class CoxeterSystem:
                     if self.is_left_descent(s, wid):
                         continue
                     sw = self.lmul(s, wid)
-                    wds = self.rmul(wid, self.delta[s])
-                    z = sw if sw == wds else self.rmul(sw, self.delta[s])
-                    if z not in seen:
+                    commuting = sw == self.rmul(wid, self.delta[s])
+                    z = sw if commuting else self.rmul(sw, self.delta[s])
+                    if z not in action:
+                        action[z] = [None] * self.rank
                         nxt.add(z)
-            count += len(nxt)
-            if count > self.max_elements:
+                    action[wid][s] = (commuting, True, z)
+                    action[z][s] = (commuting, False, wid)
+            if len(action) > self.max_elements:
                 raise ValueError(
                     f"involution enumeration exceeds the cap ({self.max_elements})"
                 )
-            seen.update(nxt)
             frontier = sorted(nxt)
-        ids = sorted(seen, key=lambda w: (self._lengths[w], self.word_of(w)))
+        ids = sorted(action, key=lambda w: (self._lengths[w], self.word_of(w)))
+        self._tw_action = action
         self._tw_inv = tuple(ids)
         self._tw_inv_set = frozenset(ids)
         return self._tw_inv
+
+    def involution_action(self):
+        """The T_s case table: ``table[w][s] = (commuting, up, partner)``.
+
+        ``commuting`` says sw = w delta(s), ``up`` that sw > w, and the
+        partner is sw when commuting and s w delta(s) otherwise.  Keyed by
+        the twisted involutions; filled by :meth:`twisted_involution_ids`.
+        """
+        self.twisted_involution_ids()
+        return self._tw_action
 
     def is_twisted_involution(self, wid):
         self.twisted_involution_ids()

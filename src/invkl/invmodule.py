@@ -9,9 +9,13 @@ w*delta(s):
 * sw != ws* > w:  T_s a_w = a_{s w s*}
 * sw != ws* < w:  T_s a_w = (u^2-1) a_w + u^2 a_{s w s*}
 
-which satisfies (T_s+1)(T_s-u^2) = 0 and the braid relations.  The module
-is defined over Z[u, u^-1]; every coefficient produced here must have even
-v-support, and the bar operations assert that.
+which satisfies (T_s+1)(T_s-u^2) = 0 and the braid relations.  Which case
+applies, and the partner sw or s w s*, is decided once per (s, w) by the
+involution enumeration (``CoxeterSystem.involution_action``); this module,
+the canonical basis, the verify suites and the u=1 module all read that
+table through ``InvolutionModule.action_case``.  The module is defined over
+Z[u, u^-1]; every coefficient produced here must have even v-support, and
+the bar operations assert that.
 
 The bar involution is the unique Z-linear map with bar(u^n m) = u^-n bar(m),
 bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  It is computed by
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantError, NotDivisible
+from .errors import InvariantError
 from .laurent import LaurentPoly, ONE, ZERO, u_pow, v_pow
 
 __all__ = ["MVector", "InvolutionModule", "bar_table_dense_solve"]
@@ -122,32 +126,29 @@ def _accumulate(out, wid, f):
 
 
 class InvolutionModule:
-    """The module over the u^2-Hecke algebra with basis the twisted involutions."""
+    """The module over the u^2-Hecke algebra with basis the twisted involutions.
+
+    The whole module structure is the system's T_s case table
+    (:meth:`CoxeterSystem.involution_action`), read through
+    :meth:`action_case`.  ``layers`` groups the involutions by length, in
+    ``involution_ids`` order.
+    """
 
     def __init__(self, system):
         self.system = system
         self.involution_ids = system.twisted_involution_ids()
-        self._case_cache = {}
+        self._action = system.involution_action()
+        by_length = {}
+        for wid in self.involution_ids:
+            by_length.setdefault(system.length_of(wid), []).append(wid)
+        self.layers = list(by_length.values())
         self._bar_cache = {}
 
     # -- case analysis -------------------------------------------------------
 
     def action_case(self, s, wid):
         """(commuting, ascending, partner) for the T_s action on a_w."""
-        key = (s, wid)
-        cached = self._case_cache.get(key)
-        if cached is not None:
-            return cached
-        sys = self.system
-        sw = sys.lmul(s, wid)
-        up = sys.length_of(sw) > sys.length_of(wid)
-        wds = sys.rmul(wid, sys.delta_gen(s))
-        if sw == wds:
-            res = (True, up, sw)
-        else:
-            res = (False, up, sys.rmul(sw, sys.delta_gen(s)))
-        self._case_cache[key] = res
-        return res
+        return self._action[wid][s]
 
     def basis(self, wid):
         if wid not in self.system._tw_inv_set:
@@ -217,10 +218,9 @@ class InvolutionModule:
                 raise ValueError(
                     f"generator {s} is not a left descent of {sys.word_of(wid)}"
                 )
-            commuting, _up, _other = self.action_case(s, wid)
+            commuting, _up, xid = self.action_case(s, wid)
+            bx = self.bar_basis(xid)
             if commuting:
-                xid = sys.lmul(s, wid)
-                bx = self.bar_basis(xid)
                 lifted = (self.ts_action(s, bx) + bx).scaled(_UINV2)
                 quotient = MVector._raw(
                     {
@@ -230,8 +230,6 @@ class InvolutionModule:
                 )
                 result = quotient - bx
             else:
-                xid = sys.rmul(sys.lmul(s, wid), sys.delta_gen(s))
-                bx = self.bar_basis(xid)
                 result = (self.ts_action(s, bx) + bx).scaled(_UINV2) - bx
             self._validate_bar(wid, result)
         if choice is None:
@@ -259,10 +257,12 @@ class InvolutionModule:
 
     def bar_extended(self, m):
         """The same semilinear bar on the v-extended module (odd powers allowed)."""
-        out = MVector._raw({})
+        out = {}
         for wid, f in m.entries.items():
-            out = out + self.bar_basis(wid).scaled(f.bar())
-        return out
+            fb = f.bar()
+            for yid, g in self.bar_basis(wid).entries.items():
+                _accumulate(out, yid, g * fb)
+        return MVector._raw(out)
 
 
 # ---------------------------------------------------------------------------

@@ -55,29 +55,6 @@ class HeckeAlgebra:
         self.param = v_pow(param_exp)
         self.param_minus_one = self.param - ONE
 
-    def t_basis(self, wid):
-        return {wid: ONE}
-
-    def lmul_gen(self, s, elem):
-        sys = self.system
-        out = {}
-        for wid, f in elem.items():
-            sw = sys.lmul(s, wid)
-            if sys.length_of(sw) > sys.length_of(wid):
-                out[sw] = out.get(sw, ZERO) + f
-            else:
-                g = out.get(wid, ZERO) + f * self.param_minus_one
-                if g.is_zero:
-                    out.pop(wid, None)
-                else:
-                    out[wid] = g
-                g = out.get(sw, ZERO) + f * self.param
-                if g.is_zero:
-                    out.pop(sw, None)
-                else:
-                    out[sw] = g
-        return {w: f for w, f in out.items() if not f.is_zero}
-
     def rmul_gen(self, elem, s):
         sys = self.system
         out = {}
@@ -279,12 +256,9 @@ class KLTable:
         scale = v_pow(-sys.length_of(wid))
         out = {}
         for el in sys.enumerate_up_to_length(sys.length_of(wid)):
-            p = self._pq_poly(el.id, wid)
-            if p:
-                coeffs = [0] * (2 * len(p) - 1)
-                for i, c in enumerate(p):
-                    coeffs[2 * i] = c
-                out[el.id] = LaurentPoly(coeffs, 0) * scale
+            p = self.kl_poly_ids(el.id, wid)
+            if not p.is_zero:
+                out[el.id] = p * scale
         self._cdot_cache[wid] = out
         return out
 

@@ -66,15 +66,11 @@ class SpecializedModule:
 
     # -- generator action at u = 1 ------------------------------------------------
 
-    def _gen_case(self, s, wid):
-        commuting, up, other = self.module.action_case(s, wid)
-        return commuting, up, other
-
     def apply_gen(self, s, vec):
         """Generator action on a sparse integer vector over the basis."""
         out = {}
         for wid, c in vec.items():
-            commuting, up, other = self._gen_case(s, wid)
+            commuting, up, other = self.module.action_case(s, wid)
             if commuting and up:
                 out[wid] = out.get(wid, 0) + c
                 out[other] = out.get(other, 0) + 2 * c
@@ -138,17 +134,20 @@ class SpecializedModule:
         """The sign with which x maps the graded basis vector of w.
 
         Multiplicative along reduced words through the conjugation cocycle;
-        a generator contributes -1 exactly when sw = ws < w.
+        a generator contributes -1 exactly when sw = ws < w, and otherwise
+        moves w to its partner sws (which is w itself when sw = ws).
         """
         sys = self.system
         xid, wid = sys._id_of(x), sys._id_of(w)
         sign = 1
         cur = wid
         for s in reversed(sys.word_of(xid)):
-            sw = sys.lmul(s, cur)
-            if sw == sys.rmul(cur, s) and sys.length_of(sw) < sys.length_of(cur):
-                sign = -sign
-            cur = sys.conjugate_by_gen(s, cur)
+            commuting, up, other = self.module.action_case(s, cur)
+            if commuting:
+                if not up:
+                    sign = -sign
+            else:
+                cur = other
         return sign
 
     def character_gr_m1(self, x):
@@ -251,7 +250,7 @@ class SpecializedModule:
         }
         for wid in self.basis:
             for s in range(sys.rank):
-                commuting, up, other = self._gen_case(s, wid)
+                commuting, up, other = self.module.action_case(s, wid)
                 if commuting and up:
                     report["ascent_instances"] += 1
                     if h[other] <= h[wid]:
@@ -265,7 +264,7 @@ class SpecializedModule:
                         f"filtration broken at s={s}, w={sys.word_of(wid)}"
                     )
                 graded = {y: c for y, c in img.items() if h[y] == h[wid]}
-                target = sys.conjugate_by_gen(s, wid)
+                target = wid if commuting else other
                 sign = -1 if (commuting and not up) else 1
                 report["graded_action_checks"] += 1
                 if graded != {target: sign}:

@@ -224,11 +224,7 @@ def suite_descent_stability(ctx):
             for yid in ctx.module.involution_ids:
                 if not sys.bruhat_leq_ids(yid, wid):
                     continue
-                sy = sys.lmul(s, yid)
-                if sy == sys.rmul(yid, sys.delta_gen(s)):
-                    other = sy
-                else:
-                    other = sys.rmul(sy, sys.delta_gen(s))
+                _commuting, _up, other = ctx.module.action_case(s, yid)
                 res.checks += 1
                 if cb.sigma_kl(yid, wid) != cb.sigma_kl(other, wid):
                     res.fail(

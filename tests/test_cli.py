@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from invkl import cli
 from invkl.canonical import CanonicalBasis
 from invkl.cli import main
 
@@ -43,6 +44,30 @@ def test_table_csv_format(capsys):
     assert lines[0] == "y_word,w_word,poly"
     assert len(lines) == 1 + 45  # comparable involution pairs of A3
     assert lines[1] == "e,e,0:1"
+
+
+def test_table_pairs_listed_once(capsys, monkeypatch):
+    calls = []
+    pairs = cli._involution_pairs
+
+    def counting_pairs(*args):
+        calls.append(args)
+        return pairs(*args)
+
+    monkeypatch.setattr(cli, "_involution_pairs", counting_pairs)
+    code, out, _ = run_cli(
+        capsys, "table", "--type", "A3", "--classic", "--format", "csv"
+    )
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines()[0] == "y_word,w_word,poly,classic_poly"
+    code, out, _ = run_cli(
+        capsys, "table", "--type", "A3", "--classic", "--format", "text"
+    )
+    assert code == 0 and len(calls) == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 + 45
+    assert lines[1] == "P[e, e] = 1  (classical 1)"
+    assert all("(classical " in line for line in lines[1:])
 
 
 def test_kl_command(capsys):
@@ -124,6 +149,13 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "table")[0] == 2  # missing --type
     assert run_cli(capsys, "character", "--type", "A2", "--twisted", "delta=1,0")[0] == 2
     assert run_cli(capsys, "cells", "--type", "A3", "--max-elements", "5")[0] == 2
+    # each command accepts only the options it reads
+    assert run_cli(capsys, "table", "--type", "A2", "--max-length", "-3")[0] == 2
+    assert run_cli(capsys, "kl", "--type", "A2", "--max-length", "-1")[0] == 2
+    assert run_cli(capsys, "verify", "--type", "A2", "--max-length", "2")[0] == 2
+    assert run_cli(capsys, "character", "--type", "A2", "--max-length", "1")[0] == 2
+    assert run_cli(capsys, "cells", "--type", "A2", "--max-length", "1")[0] == 2
+    assert run_cli(capsys, "verify", "--type", "A2", "--format", "csv")[0] == 2
 
 
 def test_output_file(tmp_path, capsys):

@@ -24,7 +24,7 @@ def test_classification_examples():
 
 def test_build_errors():
     with pytest.raises(ValueError):
-        build_system("H3")
+        build_system("H5")
     with pytest.raises(ValueError):
         build_system("A2", delta=[1, 1])
     with pytest.raises(ValueError):
@@ -226,6 +226,8 @@ H4 = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
         pytest.param("I2(8)", 16, 8, 10, id="I2(8)"),
         pytest.param(H3, 120, 15, 32, id="H3"),
         pytest.param(H4, 14400, 60, 572, id="H4"),
+        pytest.param("H3", 120, 15, 32, id="H3-label"),
+        pytest.param("H4", 14400, 60, 572, id="H4-label"),
         pytest.param("E6", 51840, 36, 892, id="E6"),
     ],
 )
@@ -236,6 +238,13 @@ def test_known_group_orders(spec, order, longest, involutions):
     assert len(elements) == order
     assert elements[-1].length == longest
     assert len(system.twisted_involution_ids()) == involutions
+
+
+def test_h_labels_match_raw_matrices():
+    """H3 and H4 labels: Bourbaki numbering, 5 on the first edge."""
+    assert build_system("H3").coxeter_matrix == tuple(map(tuple, H3))
+    assert build_system("H4").coxeter_matrix == tuple(map(tuple, H4))
+    assert not build_system("H3").crystallographic
 
 
 def _matrix_along(mats, word, n):

@@ -192,3 +192,33 @@ def test_specialization_coherence(a2_module):
             }
             got = {y: val for y, val in got.items() if val}
             assert got == {y: val for y, val in expected.items() if val}
+
+
+@pytest.mark.parametrize(
+    "label, delta",
+    [
+        ("A3", None),
+        ("B3", None),
+        ("F4", None),
+        ("I2(5)", None),
+        ("H3", None),
+        pytest.param("A5", (4, 3, 2, 1, 0), id="A5-twisted"),
+        pytest.param("D5", (0, 1, 2, 4, 3), id="D5-twisted"),
+        pytest.param("E6", (5, 1, 4, 3, 2, 0), id="E6-twisted"),
+    ],
+)
+def test_action_table_matches_products(label, delta):
+    """The enumeration's T_s case table against a derivation from products."""
+    system = build_system(label, delta=delta)
+    module = InvolutionModule(system)
+    table = system.involution_action()
+    assert set(table) == set(module.involution_ids)
+    for wid in module.involution_ids:
+        assert len(table[wid]) == system.rank and None not in table[wid]
+        for s in range(system.rank):
+            sw = system.lmul(s, wid)
+            up = system.length_of(sw) > system.length_of(wid)
+            ds = system.delta_gen(s)
+            commuting = sw == system.rmul(wid, ds)
+            partner = sw if commuting else system.rmul(sw, ds)
+            assert module.action_case(s, wid) == (commuting, up, partner)

@@ -47,7 +47,6 @@ class CanonicalBasis:
         self.module = module
         self.system = module.system
         self._columns = {}   # wid -> {yid: pi poly}
-        self._mu1 = {}       # wid -> {yid: int}
         self._built_length = -1
         self._a_vectors = {}
         self._intervals = {}  # (s, top) -> involutions x < top with sx < x
@@ -71,13 +70,9 @@ class CanonicalBasis:
                 continue
             for wid in layer:
                 if wid not in self._columns:
-                    self._install(wid, self.column_recursive(wid))
+                    self._columns[wid] = self.column_recursive(wid)
             self._built_length = length
         return self
-
-    def _install(self, wid, col):
-        self._columns[wid] = col
-        self._mu1[wid] = {y: f.coeff(-1) for y, f in col.items()}
 
     def _ensure(self, wid):
         if wid not in self._columns:

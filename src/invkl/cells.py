@@ -2,10 +2,11 @@
 
 The two-sided preorder is generated one step at a time: y is reachable from
 w when cdot_y appears in cdot_s cdot_w or cdot_w cdot_s for some generator.
-For an ascent these supports are {cdot_sw} plus the mu-correction terms, so
-the reachability graph comes straight out of the classical mu table.  Cells
-are the strongly connected components; the component order is the quotient
-preorder.
+For an ascent these supports are {cdot_sw} plus the mu-correction terms:
+the z in the classical table's mu row of w that have s as a descent on the
+same side.  So the reachability graph is read straight off the sparse mu
+rows, with no Bruhat test and no scan of the group.  Cells are the strongly
+connected components; the component order is the quotient preorder.
 
 ``check_hf_relation`` expands cdot_z cdot_w cdot_{z^-1} in the cdot basis
 (coefficients h) and c_z A_w in the canonical involution basis
@@ -38,23 +39,14 @@ def _mu_edges(kl, wid):
     """One-step two-sided reachability: targets of cdot_s cdot_w and cdot_w cdot_s."""
     sys = kl.system
     out = set()
-    lw = sys.length_of(wid)
-    below = [
-        el.id
-        for el in sys.enumerate_up_to_length(max(lw - 1, 0))
-        if sys.bruhat_leq_ids(el.id, wid)
-    ]
+    row = kl.mu_row(wid)
     for s in range(sys.rank):
         if not sys.is_left_descent(s, wid):
             out.add(sys.lmul(s, wid))
-            for yid in below:
-                if sys.is_left_descent(s, yid) and kl.mu_ids(yid, wid):
-                    out.add(yid)
+            out.update(z for z, _ in row if sys.is_left_descent(s, z))
         if not sys.is_right_descent(wid, s):
             out.add(sys.rmul(wid, s))
-            for yid in below:
-                if sys.is_right_descent(yid, s) and kl.mu_ids(yid, wid):
-                    out.add(yid)
+            out.update(z for z, _ in row if sys.is_right_descent(z, s))
     out.discard(wid)
     return out
 

@@ -145,6 +145,7 @@ def _csv_lines(header, rows):
 
 
 def _involution_pairs(system, module, max_length):
+    """Comparable involution pairs (y, w), both in (length, word) order."""
     pairs = []
     for wid in module.involution_ids:
         if max_length is not None and system.length_of(wid) > max_length:
@@ -152,14 +153,6 @@ def _involution_pairs(system, module, max_length):
         for yid in module.involution_ids:
             if system.bruhat_leq_ids(yid, wid):
                 pairs.append((yid, wid))
-    pairs.sort(
-        key=lambda p: (
-            system.length_of(p[1]),
-            system.word_of(p[1]),
-            system.length_of(p[0]),
-            system.word_of(p[0]),
-        )
-    )
     return pairs
 
 
@@ -220,12 +213,11 @@ def cmd_kl(args):
     system = _make_system(args)
     kl = KLTable(system)
     elements = kl.build_full(jobs=args.jobs, max_length=args.max_length)
+    # elements are in (length, word) order, so the pairs come out sorted
     pairs = []
     for w in elements:
-        for y in elements:
-            if y.length <= w.length and system.bruhat_leq_ids(y.id, w.id):
-                pairs.append((y, w))
-    pairs.sort(key=lambda p: (p[1].length, p[1].word, p[0].length, p[0].word))
+        column = kl.column(w.id)
+        pairs.extend((y, w) for y in elements if y.id in column)
     if args.format == "json":
         entries = [
             {

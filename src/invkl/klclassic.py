@@ -4,8 +4,13 @@ One polynomial table P_{y,w}(q) drives two readouts: the basis
 ``cdot_w = v^{-l(w)} sum_y P_{y,w}(v^2) T_y`` of the Hecke algebra with
 quadratic relation (T_s+1)(T_s-u) = 0 (u = v^2), and the basis
 ``c_w = u^{-l(w)} sum_y P_{y,w}(u^2) T_y`` of the variant algebra with
-relation (T_s+1)(T_s-u^2) = 0.  The table is filled column by column in
-length order.
+relation (T_s+1)(T_s-u^2) = 0.
+
+The table is stored as columns over Bruhat intervals: column w holds
+P_{y,w} for exactly the y <= w, beside a sparse mu row of the z with
+mu(z, w) != 0 (the layout of du Cloux's Coxeter 3).  Column w is built
+from column sw and the mu row of sw, so Bruhat order is never tested pair
+by pair; the interval itself falls out of the recursion.
 """
 
 from __future__ import annotations
@@ -14,6 +19,11 @@ from .errors import InvariantError
 from .laurent import LaurentPoly, ONE, ZERO, v_pow
 
 __all__ = ["KLTable", "HeckeAlgebra"]
+
+_U = v_pow(2)
+_U_MINUS_ONE = _U - ONE
+_U_INV = v_pow(-2)
+_U_INV_MINUS_ONE = _U_INV - ONE
 
 
 def _q_shift(p, k):
@@ -43,17 +53,22 @@ def _q_trim(p):
     return tuple(p)
 
 
-class HeckeAlgebra:
-    """T-basis arithmetic with quadratic relation (T_s+1)(T_s - v^k) = 0.
+def _spread(p, step):
+    """The q-coefficients p as a Laurent polynomial in v, with q = v^step."""
+    coeffs = [0] * (step * (len(p) - 1) + 1) if p else []
+    for i, c in enumerate(p):
+        coeffs[step * i] = c
+    return LaurentPoly(coeffs, 0)
 
-    Elements are dicts mapping element ids to Laurent coefficients.  k = 2
-    gives the algebra with parameter u, k = 4 the one with parameter u^2.
+
+class HeckeAlgebra:
+    """T-basis arithmetic with quadratic relation (T_s+1)(T_s - u) = 0, u = v^2.
+
+    Elements are dicts mapping element ids to Laurent coefficients in v.
     """
 
-    def __init__(self, system, param_exp):
+    def __init__(self, system):
         self.system = system
-        self.param = v_pow(param_exp)
-        self.param_minus_one = self.param - ONE
 
     def rmul_gen(self, elem, s):
         sys = self.system
@@ -63,12 +78,12 @@ class HeckeAlgebra:
             if sys.length_of(ws) > sys.length_of(wid):
                 out[ws] = out.get(ws, ZERO) + f
             else:
-                g = out.get(wid, ZERO) + f * self.param_minus_one
+                g = out.get(wid, ZERO) + f * _U_MINUS_ONE
                 if g.is_zero:
                     out.pop(wid, None)
                 else:
                     out[wid] = g
-                g = out.get(ws, ZERO) + f * self.param
+                g = out.get(ws, ZERO) + f * _U
                 if g.is_zero:
                     out.pop(ws, None)
                 else:
@@ -95,12 +110,10 @@ class HeckeAlgebra:
         return out
 
     def rmul_gen_inverse(self, elem, s):
-        """elem * T_s^{-1}, using T_s^{-1} = Q^{-1} T_s + (Q^{-1} - 1)."""
-        qinv = v_pow(-self.param.max_exp)
-        out = {w: f * qinv for w, f in self.rmul_gen(elem, s).items()}
-        lo = qinv - ONE
+        """elem * T_s^{-1}, using T_s^{-1} = u^{-1} T_s + (u^{-1} - 1)."""
+        out = {w: f * _U_INV for w, f in self.rmul_gen(elem, s).items()}
         for wid, f in elem.items():
-            g = out.get(wid, ZERO) + f * lo
+            g = out.get(wid, ZERO) + f * _U_INV_MINUS_ONE
             if g.is_zero:
                 out.pop(wid, None)
             else:
@@ -129,108 +142,99 @@ class HeckeAlgebra:
 
 
 class KLTable:
-    """Memoized classical Kazhdan-Lusztig data for one Coxeter system."""
+    """Classical Kazhdan-Lusztig data as columns over Bruhat intervals.
+
+    ``_columns[w]`` maps exactly the y <= w to P_{y,w} as a tuple of
+    q-coefficients, and ``_mu_rows[w]`` lists the (z, mu(z, w)) with
+    mu(z, w) != 0.  Column w is built from column v = sw, where s is the
+    smallest left descent of w, and from the columns of v's mu row; every
+    reader (polynomials, mu, the cdot and c bases, cells, the CLI) looks
+    the data up here.
+    """
 
     def __init__(self, system):
         self.system = system
-        self._pq = {}  # (y_id, w_id) -> tuple of q-coefficients
-        self._h2 = HeckeAlgebra(system, 2)
+        self._columns = {0: {0: (1,)}}  # w_id -> {y_id: tuple of q-coefficients}
+        self._mu_rows = {0: ()}  # w_id -> ((z_id, mu(z, w)), ...), mu != 0
+        self._h2 = HeckeAlgebra(system)
         self._cdot_cache = {}
         self._cprime_cache = {}
         self._cdot_product_cache = {}
         self._pair_raw_cache = {}
-        self._range_cache = {}
 
-    # -- the polynomial recursion -------------------------------------------
+    # -- the column recursion -------------------------------------------------
 
-    def _pq_poly(self, yid, wid):
-        """P_{y,w} as a tuple of coefficients in the parameter q."""
+    def column(self, wid):
+        """{y: P_{y,w} as q-coefficients} over exactly the y <= w (memoized).
+
+        With s the smallest left descent of w and v = sw, every x <= v adds
+        q^[sx<x] P_{x,v} at x and at sx (this is C'_s C'_v), and then
+        mu(z, v) q^((l(w)-l(z))/2) P_{., z} is subtracted for each z in v's
+        mu row with sz < z.
+        """
+        col = self._columns.get(wid)
+        if col is not None:
+            return col
         sys = self.system
-        if yid == wid:
-            return (1,)
-        if not sys.bruhat_leq_ids(yid, wid):
-            return ()
-        key = (yid, wid)
-        cached = self._pq.get(key)
-        if cached is not None:
-            return cached
-        s = min(t for t in range(sys.rank) if sys.is_left_descent(t, wid))
-        v = sys.lmul(s, wid)
-        sy = sys.lmul(s, yid)
-        if sys.length_of(sy) < sys.length_of(yid):
-            p = _q_add(self._pq_poly(sy, v), _q_shift(self._pq_poly(yid, v), 1))
-        else:
-            p = _q_add(_q_shift(self._pq_poly(sy, v), 1), self._pq_poly(yid, v))
-        lw = sys.length_of(wid)
-        for zid in self._descent_range(s, v):
-            if not sys.bruhat_leq_ids(yid, zid):
-                continue
-            m = self.mu_ids(zid, v)
-            if m:
-                shift = (lw - sys.length_of(zid)) // 2
-                p = _q_sub_scaled(
-                    p, _q_shift(self._pq_poly(yid, zid), shift), m
+        length = sys.length_of
+        s = sys.left_descents(wid)[0]
+        vid = sys.lmul(s, wid)
+        acc = {}
+        for x, p in self.column(vid).items():
+            sx = sys.lmul(s, x)
+            if length(sx) < length(x):
+                p = _q_shift(p, 1)
+            acc[x] = _q_add(acc[x], p) if x in acc else p
+            acc[sx] = _q_add(acc[sx], p) if sx in acc else p
+        lw = length(wid)
+        for zid, m in self.mu_row(vid):
+            if sys.is_left_descent(s, zid):
+                shift = (lw - length(zid)) // 2
+                for x, p in self.column(zid).items():
+                    acc[x] = _q_sub_scaled(acc[x], _q_shift(p, shift), m)
+        col = {}
+        row = []
+        for x, p in acc.items():
+            p = _q_trim(p)
+            if any(c < 0 for c in p):
+                raise InvariantError(
+                    f"negative Kazhdan-Lusztig coefficient at pair "
+                    f"{sys.word_of(x)}, {sys.word_of(wid)}"
                 )
-        p = _q_trim(p)
-        if any(c < 0 for c in p):
-            raise InvariantError(
-                f"negative Kazhdan-Lusztig coefficient at pair "
-                f"{sys.word_of(yid)}, {sys.word_of(wid)}"
-            )
-        deg_bound = (lw - sys.length_of(yid) - 1) // 2
-        if len(p) - 1 > deg_bound:
-            raise InvariantError(
-                f"Kazhdan-Lusztig degree bound violated at pair "
-                f"{sys.word_of(yid)}, {sys.word_of(wid)}"
-            )
-        self._pq[key] = p
-        return p
+            gap = lw - length(x)
+            if x != wid and len(p) - 1 > (gap - 1) // 2:
+                raise InvariantError(
+                    f"Kazhdan-Lusztig degree bound violated at pair "
+                    f"{sys.word_of(x)}, {sys.word_of(wid)}"
+                )
+            col[x] = p
+            if gap % 2 and len(p) == (gap + 1) // 2:
+                row.append((x, p[-1]))
+        self._columns[wid] = col
+        self._mu_rows[wid] = tuple(row)
+        return col
 
-    def _descent_range(self, s, vid):
-        """Elements z < v with sz < z (candidates for mu corrections)."""
-        key = (s, vid)
-        cached = self._range_cache.get(key)
-        if cached is not None:
-            return cached
-        sys = self.system
-        lv = sys.length_of(vid)
-        out = []
-        for el in sys.enumerate_up_to_length(max(lv - 1, 0)):
-            if sys.is_left_descent(s, el.id) and sys.bruhat_leq_ids(el.id, vid):
-                out.append(el.id)
-        out = tuple(out)
-        self._range_cache[key] = out
-        return out
+    def mu_row(self, wid):
+        """The pairs (z, mu(z, w)) with mu(z, w) != 0, in column order."""
+        self.column(wid)
+        return self._mu_rows[wid]
 
     def kl_poly_ids(self, yid, wid):
-        """P_{y,w} as an even-support Laurent polynomial in u = v^2."""
-        p = self._pq_poly(yid, wid)
-        out = [0] * (2 * len(p) - 1) if p else []
-        for i, c in enumerate(p):
-            if c:
-                out[2 * i] = c
-        return LaurentPoly(out, 0)
+        """P_{y,w} as an even-support Laurent polynomial in u = v^2.
 
-    def kl_poly(self, y, w):
-        sys = self.system
-        return self.kl_poly_ids(sys._id_of(y), sys._id_of(w))
+        Zero unless y <= w.
+        """
+        return _spread(self.column(wid).get(yid, ()), 2)
 
     def mu_ids(self, yid, wid):
-        sys = self.system
-        d = sys.length_of(wid) - sys.length_of(yid) - 1
-        if d < 0 or d % 2:
-            return 0
-        p = self._pq_poly(yid, wid)
-        return p[d // 2] if d // 2 < len(p) else 0
-
-    def mu(self, y, w):
-        sys = self.system
-        return self.mu_ids(sys._id_of(y), sys._id_of(w))
+        """mu(y, w), read from the mu row of w (0 when it is not listed)."""
+        return dict(self.mu_row(wid)).get(yid, 0)
 
     def build_full(self, jobs=1, max_length=None):
-        """Fill the table column by column, in length order.
+        """Build every column of length at most ``max_length``, in enumeration order.
 
-        ``jobs`` must be at least 1 and has no effect on the result.
+        Returns the enumerated elements.  ``jobs`` must be at least 1 and has
+        no effect on the result.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
@@ -240,9 +244,7 @@ class KLTable:
         else:
             elements = sys.enumerate_up_to_length(max_length)
         for w in elements:
-            for y in elements:
-                if y.length <= w.length:
-                    self._pq_poly(y.id, w.id)
+            self.column(w.id)
         return elements
 
     # -- canonical bases in the T-basis ----------------------------------------
@@ -252,13 +254,8 @@ class KLTable:
         cached = self._cdot_cache.get(wid)
         if cached is not None:
             return cached
-        sys = self.system
-        scale = v_pow(-sys.length_of(wid))
-        out = {}
-        for el in sys.enumerate_up_to_length(sys.length_of(wid)):
-            p = self.kl_poly_ids(el.id, wid)
-            if not p.is_zero:
-                out[el.id] = p * scale
+        scale = v_pow(-self.system.length_of(wid))
+        out = {yid: _spread(p, 2) * scale for yid, p in self.column(wid).items()}
         self._cdot_cache[wid] = out
         return out
 
@@ -267,16 +264,8 @@ class KLTable:
         cached = self._cprime_cache.get(wid)
         if cached is not None:
             return cached
-        sys = self.system
-        scale = v_pow(-2 * sys.length_of(wid))
-        out = {}
-        for el in sys.enumerate_up_to_length(sys.length_of(wid)):
-            p = self._pq_poly(el.id, wid)
-            if p:
-                coeffs = [0] * (4 * len(p) - 3)
-                for i, c in enumerate(p):
-                    coeffs[4 * i] = c
-                out[el.id] = LaurentPoly(coeffs, 0) * scale
+        scale = v_pow(-2 * self.system.length_of(wid))
+        out = {yid: _spread(p, 4) * scale for yid, p in self.column(wid).items()}
         self._cprime_cache[wid] = out
         return out
 

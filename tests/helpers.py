@@ -41,7 +41,7 @@ def hecke_selfbar_column(kl, wid):
 
 def cells_by_t_basis(system, kl):
     """Two-sided cells from raw T-basis product supports (no mu shortcut)."""
-    alg = HeckeAlgebra(system, 2)
+    alg = HeckeAlgebra(system)
     ids = system.all_ids()
     edges = {wid: set() for wid in ids}
     for wid in ids:

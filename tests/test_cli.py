@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -80,13 +81,13 @@ def test_kl_command(capsys):
 
 def test_max_length_filter(capsys, monkeypatch):
     built = []
-    install = CanonicalBasis._install
+    column_recursive = CanonicalBasis.column_recursive
 
-    def recording_install(self, wid, col):
+    def recording_column(self, wid):
         built.append(self.system.length_of(wid))
-        install(self, wid, col)
+        return column_recursive(self, wid)
 
-    monkeypatch.setattr(CanonicalBasis, "_install", recording_install)
+    monkeypatch.setattr(CanonicalBasis, "column_recursive", recording_column)
     code, out, _ = run_cli(
         capsys, "table", "--type", "A3", "--max-length", "1"
     )
@@ -189,3 +190,43 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("y_word,w_word,poly")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "kl --type A3",
+            "022f7712d274ba4ff2b73e0ee509d900c38169c0296789a076be8b7b3f327d5a",
+        ),
+        (
+            "kl --type B3 --format csv",
+            "bb0367a120d7633b44befdb89820acc922894df4d71a3fe94400ea4e01932687",
+        ),
+        (
+            "kl --type A3 --max-length 2 --format text",
+            "49ffde24136eafbc021a5badb48457ddc1b36b4dc869407629148442e9733813",
+        ),
+        (
+            "cells --type A3",
+            "41b4defb4b0fce28f0e7345b270eb77120248e64ca4162d062d70da53a1e95c9",
+        ),
+        (
+            "cells --type B3 --format text",
+            "4f9c7285ff670e3c0348c3d1e22f5deab2e8ca2edaf0fcb3b37f6f8b7491c522",
+        ),
+        (
+            "table --type B3 --classic",
+            "e1073b804eb9b973b9ccafb26e510f85465eae9c9f1fb9fec791a3d97b1815e6",
+        ),
+        (
+            "kl --type I2(5)xA2 --experimental",
+            "fcea756eb9f9ace6652080bc80511364f593ea5908a7b09e9ff9e6ba9dc1bbc0",
+        ),
+    ],
+)
+def test_golden_output_digests(capsys, argv, digest):
+    """Whole stdout is pinned by its sha256, so any output change is deliberate."""
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -197,11 +197,20 @@ def test_specialization_coherence(a2_module):
 @pytest.mark.parametrize(
     "label, delta",
     [
+        ("A1", None),
+        ("A2", None),
         ("A3", None),
+        ("A4", None),
+        ("B2", None),
         ("B3", None),
+        ("D4", None),
+        ("G2", None),
         ("F4", None),
         ("I2(5)", None),
         ("H3", None),
+        pytest.param("A2", (1, 0), id="A2-twisted"),
+        pytest.param("A3", (2, 1, 0), id="A3-twisted"),
+        pytest.param("D4", (0, 1, 3, 2), id="D4-twisted"),
         pytest.param("A5", (4, 3, 2, 1, 0), id="A5-twisted"),
         pytest.param("D5", (0, 1, 2, 4, 3), id="D5-twisted"),
         pytest.param("E6", (5, 1, 4, 3, 2, 0), id="E6-twisted"),

@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from invkl import build_system
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, v_pow
@@ -26,7 +28,7 @@ def test_mu_values(a2, a2_kl):
 
 
 def test_degree_bound_positivity_and_small_gaps():
-    for label in ("A1", "A2", "A3", "B2", "G2"):
+    for label in ("A1", "A2", "A3", "B2", "G2", "B3", "I2(5)"):
         system = build_system(label)
         kl = KLTable(system)
         ids = system.all_ids()
@@ -35,12 +37,32 @@ def test_degree_bound_positivity_and_small_gaps():
             if not system.bruhat_leq_ids(y, w):
                 assert p.is_zero
                 continue
+            # with the zero check above, this pins each column's support
+            # to the Bruhat interval below w
+            assert p.coeff(0) == 1
             assert all(c > 0 for _, c in p.terms())
             gap = system.length_of(w) - system.length_of(y)
             if y != w:
                 assert p.max_exp <= gap - 1  # u-degree <= (gap-1)/2
             if gap <= 2:
                 assert p == ONE
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "I2(5)xA2"])
+def test_mu_rows_match_polynomials(label):
+    system = build_system(label)
+    kl = KLTable(system)
+    ids = system.all_ids()
+    for w in ids:
+        expected = set()
+        for y in ids:
+            gap = system.length_of(w) - system.length_of(y)
+            if gap > 0 and gap % 2:
+                mu = kl.kl_poly_ids(y, w).coeff(gap - 1)  # u-degree (gap-1)/2
+                if mu:
+                    expected.add((y, mu))
+        assert len(kl.mu_row(w)) == len(expected)
+        assert set(kl.mu_row(w)) == expected
 
 
 def test_columns_are_bar_invariant():

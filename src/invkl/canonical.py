@@ -18,9 +18,11 @@ this triangularity, which gives two independent construction routes:
 
 Both produce identical tables; the test and verification suites insist on it.
 Every T_s case (commuting, ascending, partner) is read from
-``InvolutionModule.action_case``, the length layers from
-``InvolutionModule.layers``, and the involutions x < top with s a left
-descent of x are memoized per (s, top).
+``InvolutionModule.action_case`` and every Bruhat interval from
+``InvolutionModule.interval``: ``column(z)`` is built lazily over the rows
+y <= z only, and for an ascent s of w the involutions x with sx < x that
+can enter the recursion are memoized per (s, w).  Only ``column_barfix``
+scans every shorter involution and decides y <= w through the group.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ class CanonicalBasis:
     def __init__(self, module):
         self.module = module
         self.system = module.system
-        self._columns = {}   # wid -> {yid: pi poly}
-        self._built_length = -1
+        self._columns = {}   # wid -> {yid: pi poly}, over y <= w
         self._a_vectors = {}
-        self._intervals = {}  # (s, top) -> involutions x < top with sx < x
+        self._descents = {}  # (s, w) -> _descent_interval(s, w)
 
     # -- table management -------------------------------------------------------
 
@@ -62,46 +63,38 @@ class CanonicalBasis:
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        length = self.system.length_of
         for layer in self.module.layers:
-            length = self.system.length_of(layer[0])
-            if max_length is not None and length > max_length:
+            if max_length is not None and length(layer[0]) > max_length:
                 break
-            if length <= self._built_length:
-                continue
             for wid in layer:
-                if wid not in self._columns:
-                    self._columns[wid] = self.column_recursive(wid)
-            self._built_length = length
+                self.column(wid)
         return self
 
-    def _ensure(self, wid):
-        if wid not in self._columns:
-            self.build(max_length=self.system.length_of(wid))
+    def column(self, wid):
+        """Column w as {y: pi(y, w)} over the y <= w, built on first use."""
+        col = self._columns.get(wid)
+        if col is None:
+            col = self._columns[wid] = self.column_recursive(wid)
+        return col
 
-    def _rows_below(self, wid):
-        """The involutions shorter than w, longest first, by word within a length."""
-        length = self.system.length_of
-        lw = length(wid)
-        return [
-            yid
-            for layer in reversed(self.module.layers)
-            if length(layer[0]) < lw
-            for yid in layer
-        ]
+    def _descent_interval(self, s, wid):
+        """For an ascent s of w: the x <= partner_s(w) with l(x) <= l(w), sx < x.
 
-    def _descent_interval(self, s, top):
-        """The involutions x < top with s a left descent of x, longest first.
-
-        ``top`` may be any group element; the result is memoized per (s, top).
+        This holds every x < sw with sx < x.  Any other member x (there are
+        some only when sw != w delta(s)) has x and sx outside [1, w], by
+        lifting in W, so its mu' terms and ``ms_constant`` are zero.  In
+        ``involution_ids`` order, memoized per (s, w).
         """
-        key = (s, top)
-        cached = self._intervals.get(key)
+        key = (s, wid)
+        cached = self._descents.get(key)
         if cached is None:
-            sys = self.system
-            cached = self._intervals[key] = tuple(
+            mod = self.module
+            length = self.system.length_of
+            cached = self._descents[key] = tuple(
                 x
-                for x in self._rows_below(top)
-                if sys.is_left_descent(s, x) and sys.bruhat_leq_ids(x, top)
+                for x in mod.interval(mod.action_case(s, wid)[2])
+                if length(x) <= length(wid) and not mod.action_case(s, x)[1]
             )
         return cached
 
@@ -111,10 +104,9 @@ class CanonicalBasis:
         """pi(y, w) = v^{l(y)-l(w)} P(y, w); zero unless both are involutions, y <= w."""
         sys = self.system
         yid, wid = sys._id_of(y), sys._id_of(w)
-        if wid not in self.system._tw_inv_set or yid not in self.system._tw_inv_set:
+        if wid not in sys._tw_inv_set or yid not in sys._tw_inv_set:
             return ZERO
-        self._ensure(wid)
-        return self._columns[wid].get(yid, ZERO)
+        return self.column(wid).get(yid, ZERO)
 
     def sigma_kl(self, y, w):
         """The polynomial P(y, w) in u attached to a pair of involutions."""
@@ -141,7 +133,6 @@ class CanonicalBasis:
         """
         sys = self.system
         yid, wid = sys._id_of(y), sys._id_of(w)
-        self._ensure(wid)
         known = self._ms_known_part(s, yid, wid)
         commuting, _up, sw = self.module.action_case(s, wid)
         if commuting and not (sys.length_of(yid) - sys.length_of(wid)) % 2:
@@ -149,10 +140,10 @@ class CanonicalBasis:
         return known
 
     def _mu_convolution(self, s, yid, wid):
-        sys = self.system
+        # pi(y, x) is zero unless y <= x, so no Bruhat test is needed
         total = 0
         for xid in self._descent_interval(s, wid):
-            if xid != yid and sys.bruhat_leq_ids(yid, xid):
+            if xid != yid:
                 total += self.mu_prime(yid, xid) * self.mu_prime(xid, wid)
         return total
 
@@ -181,8 +172,15 @@ class CanonicalBasis:
     def column_barfix(self, wid):
         """Solve bar(A_w) = A_w row by row, top down."""
         sys = self.system
+        lw = sys.length_of(wid)
         col = {wid: ONE}
-        for yid in self._rows_below(wid):
+        rows = [
+            yid
+            for layer in reversed(self.module.layers)
+            if sys.length_of(layer[0]) < lw
+            for yid in layer
+        ]
+        for yid in rows:
             q = ZERO
             for xid, pi_xw in col.items():
                 rho = self._rho(yid, xid)
@@ -208,7 +206,7 @@ class CanonicalBasis:
 
     def _case_term(self, s, yid, wid):
         """Column-w data entering the row-y equation for the target column."""
-        col_w = self._columns.get(wid, {})
+        col_w = self.column(wid)
         commuting, up, other = self.module.action_case(s, yid)
         pi_y = col_w.get(yid, ZERO)
         pi_other = col_w.get(other, ZERO)
@@ -221,16 +219,17 @@ class CanonicalBasis:
         return pi_other + pi_y * _V2
 
     def column_recursive(self, zid):
-        """Build column z from strictly shorter columns via the smallest descent."""
+        """Build column z from strictly shorter columns via the smallest descent.
+
+        The rows are the y < z, top down.
+        """
         sys = self.system
         if zid == 0:
             return {0: ONE}
-        if self._built_length < sys.length_of(zid) - 1:
-            self.build(max_length=sys.length_of(zid) - 1)
         s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
         commuting, _up, wid = self.module.action_case(s, zid)
-        ids_below = self._rows_below(zid)
-        x_range = self._descent_interval(s, sys.lmul(s, wid))
+        ids_below = reversed(self.module.interval(zid)[:-1])
+        x_range = self._descent_interval(s, wid)
         col = {zid: ONE}
         mu1 = {zid: 0}
         if commuting:
@@ -257,25 +256,23 @@ class CanonicalBasis:
                     mu = pi_yz.coeff(-1)
                 self._store_row(col, mu1, yid, zid, pi_yz, mu)
         else:
-            ms = {x: self.ms_constant(s, x, wid) for x in x_range}
+            ms = {}
+            for xid in x_range:
+                m = self.ms_constant(s, xid, wid)
+                if not m.is_zero:
+                    ms[xid] = m
             for yid in ids_below:
                 acc = self._case_term(s, yid, wid)
-                for xid in x_range:
+                for xid, m in ms.items():
                     pi_yx = self.pi(yid, xid)
                     if not pi_yx.is_zero:
-                        acc = acc - ms[xid] * pi_yx
+                        acc = acc - m * pi_yx
                 self._store_row(col, mu1, yid, zid, acc, acc.coeff(-1))
         return col
 
     def _store_row(self, col, mu1, yid, zid, pi_yz, mu):
-        sys = self.system
         if pi_yz.is_zero:
             return
-        if not sys.bruhat_leq_ids(yid, zid):
-            raise RecurrenceInconsistent(
-                "nonzero coefficient outside the Bruhat interval at "
-                f"{sys.word_of(yid)}, {sys.word_of(zid)}"
-            )
         self._validate_pi(yid, zid, pi_yz)
         col[yid] = pi_yz
         mu1[yid] = mu
@@ -362,11 +359,10 @@ class CanonicalBasis:
         cached = self._a_vectors.get(wid)
         if cached is not None:
             return cached
-        self._ensure(wid)
         vec = MVector(
             {
                 yid: pi * v_pow(-sys.length_of(yid))
-                for yid, pi in self._columns[wid].items()
+                for yid, pi in self.column(wid).items()
             }
         )
         self._a_vectors[wid] = vec
@@ -405,7 +401,7 @@ class CanonicalBasis:
             expected[wid] = _V2PVINV2
         else:
             expected[other] = _VPV if commuting else ONE
-            for zid in self._descent_interval(s, sys.lmul(s, wid)):
+            for zid in self._descent_interval(s, wid):
                 mz = self.ms_constant(s, zid, wid)
                 if not mz.is_zero:
                     expected[zid] = mz

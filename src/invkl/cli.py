@@ -146,14 +146,12 @@ def _csv_lines(header, rows):
 
 def _involution_pairs(system, module, max_length):
     """Comparable involution pairs (y, w), both in (length, word) order."""
-    pairs = []
-    for wid in module.involution_ids:
-        if max_length is not None and system.length_of(wid) > max_length:
-            continue
-        for yid in module.involution_ids:
-            if system.bruhat_leq_ids(yid, wid):
-                pairs.append((yid, wid))
-    return pairs
+    return [
+        (yid, wid)
+        for wid in module.involution_ids
+        if max_length is None or system.length_of(wid) <= max_length
+        for yid in module.interval(wid)
+    ]
 
 
 def cmd_table(args):

@@ -719,10 +719,6 @@ class CoxeterSystem:
             self.element(wid) for layer in self._layers for wid in layer
         ]
 
-    def element_count(self):
-        self._extend_layers(None)
-        return sum(len(layer) for layer in self._layers)
-
     def all_ids(self):
         self._extend_layers(None)
         return [wid for layer in self._layers for wid in layer]
@@ -779,10 +775,6 @@ class CoxeterSystem:
         """
         self.twisted_involution_ids()
         return self._tw_action
-
-    def is_twisted_involution(self, wid):
-        self.twisted_involution_ids()
-        return wid in self._tw_inv_set
 
     def twisted_involutions(self):
         return [self.element(wid) for wid in self.twisted_involution_ids()]

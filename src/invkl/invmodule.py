@@ -13,14 +13,18 @@ which satisfies (T_s+1)(T_s-u^2) = 0 and the braid relations.  Which case
 applies, and the partner sw or s w s*, is decided once per (s, w) by the
 involution enumeration (``CoxeterSystem.involution_action``); this module,
 the canonical basis, the verify suites and the u=1 module all read that
-table through ``InvolutionModule.action_case``.  The module is defined over
-Z[u, u^-1]; every coefficient produced here must have even v-support, and
-the bar operations assert that.
+table through ``InvolutionModule.action_case``.  Bruhat order on the
+involutions is read from the same table: ``InvolutionModule.interval(w)``
+lists the y <= w by the lifting property, without leaving the involutions.
+The module is defined over Z[u, u^-1]; every coefficient produced here must
+have even v-support, and the bar operations assert that.
 
 The bar involution is the unique Z-linear map with bar(u^n m) = u^-n bar(m),
 bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  It is computed by
-recursion over left descents; a windowed linear solve over the same
-defining constraints serves as an independent cross-check on small ranks.
+recursion over left descents, and each bar(a_w) is checked to have
+diagonal u^-l(w) and support in ``interval(w)``; a windowed linear solve
+over the same defining constraints serves as an independent cross-check on
+small ranks.
 """
 
 from __future__ import annotations
@@ -73,9 +77,6 @@ class MVector:
 
     def get(self, wid):
         return self.entries.get(wid, ZERO)
-
-    def support(self):
-        return set(self.entries)
 
     def __add__(self, other):
         out = dict(self.entries)
@@ -131,17 +132,20 @@ class InvolutionModule:
     The whole module structure is the system's T_s case table
     (:meth:`CoxeterSystem.involution_action`), read through
     :meth:`action_case`.  ``layers`` groups the involutions by length, in
-    ``involution_ids`` order.
+    ``involution_ids`` order, and :meth:`interval` gives the Bruhat interval
+    below an involution, read from the same table.
     """
 
     def __init__(self, system):
         self.system = system
         self.involution_ids = system.twisted_involution_ids()
         self._action = system.involution_action()
+        self._position = {w: i for i, w in enumerate(self.involution_ids)}
         by_length = {}
         for wid in self.involution_ids:
             by_length.setdefault(system.length_of(wid), []).append(wid)
         self.layers = list(by_length.values())
+        self._intervals = {0: (0,)}
         self._bar_cache = {}
 
     # -- case analysis -------------------------------------------------------
@@ -149,6 +153,26 @@ class InvolutionModule:
     def action_case(self, s, wid):
         """(commuting, ascending, partner) for the T_s action on a_w."""
         return self._action[wid][s]
+
+    def interval(self, wid):
+        """The involutions y <= w in Bruhat order, in ``involution_ids`` order.
+
+        Decided inside the involution graph by the lifting property for
+        twisted involutions (Richardson-Springer 1990; Hultman, Adv. Math.
+        2005): with s the smallest left descent of w and x its partner, the
+        y <= w are the y <= x together with their s-partners.  Memoized.
+        """
+        cached = self._intervals.get(wid)
+        if cached is None:
+            cases = self._action[wid]
+            s = next(s for s, case in enumerate(cases) if not case[1])
+            below = self.interval(cases[s][2])
+            members = set(below)
+            members.update(self._action[y][s][2] for y in below)
+            cached = self._intervals[wid] = tuple(
+                sorted(members, key=self._position.__getitem__)
+            )
+        return cached
 
     def basis(self, wid):
         if wid not in self.system._tw_inv_set:
@@ -242,8 +266,9 @@ class InvolutionModule:
             raise InvariantError(
                 f"bar(a_w) diagonal coefficient is not u^-l(w) at {sys.word_of(wid)}"
             )
+        below = set(self.interval(wid))
         for yid in result.entries:
-            if yid not in sys._tw_inv_set or not sys.bruhat_leq_ids(yid, wid):
+            if yid not in below:
                 raise InvariantError(
                     f"bar(a_w) support leaves the Bruhat interval at "
                     f"{sys.word_of(wid)}: offending term {sys.word_of(yid)}"

@@ -169,33 +169,31 @@ class SpecializedModule:
             cls for cls in self.system.conjugacy_classes() if cls[0] in inv
         ]
 
-    def centralizer(self, wid):
-        sys = self.system
-        return [g for g in sys.all_ids() if sys.conjugate(g, wid) == wid]
+    def induced_character_sum(self, x):
+        """Sum over the involution classes C of Ind_{Z(w)}^W epsilon(., w) at x.
 
-    def induced_character_value(self, wid, x):
-        """Frobenius formula for the character induced from epsilon on Z(w)."""
+        w is the representative of C.  In Frobenius' formula
+        |Z(w)|^-1 sum_g epsilon(g^-1 x g, w) over g with g^-1 x g in Z(w),
+        each c in the class cl(x) is hit |Z(x)| times, so the value is
+        |C| / |cl(x)| times the sum of epsilon(c, w) over the c in cl(x)
+        with c w c^-1 = w; a non-integer value raises TheoremMismatch.
+        """
         sys = self.system
         xid = sys._id_of(x)
-        centralizer = set(self.centralizer(wid))
+        cl_x = next(cls for cls in sys.conjugacy_classes() if xid in cls)
         total = 0
-        for g in sys.all_ids():
-            c = sys.conjugate(sys.inverse_id(g), xid)
-            if c in centralizer:
-                total += self.epsilon(c, wid)
-        if total % len(centralizer):
-            raise TheoremMismatch(
-                "induced character value is not an integer at "
-                f"w={sys.word_of(wid)}, x={sys.word_of(xid)}"
+        for cls in self.involution_classes():
+            wid = cls[0]
+            value = len(cls) * sum(
+                self.epsilon(c, wid) for c in cl_x if sys.conjugate(c, wid) == wid
             )
-        return total // len(centralizer)
-
-    def induced_character_sum(self, x):
-        """Sum of the induced characters over involution classes, at x."""
-        return sum(
-            self.induced_character_value(cls[0], x)
-            for cls in self.involution_classes()
-        )
+            if value % len(cl_x):
+                raise TheoremMismatch(
+                    "induced character value is not an integer at "
+                    f"w={sys.word_of(wid)}, x={sys.word_of(xid)}"
+                )
+            total += value // len(cl_x)
+        return total
 
     def class_function_report(self):
         """Per conjugacy class: representative, size, both character routes."""

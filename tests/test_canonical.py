@@ -185,3 +185,36 @@ def test_parallel_build_matches_serial():
     parallel = CanonicalBasis(InvolutionModule(build_system("B3"))).build(jobs=4)
     for wid in module.involution_ids:
         assert serial._columns[wid] == parallel._columns[wid]
+
+
+def test_descent_interval_covers_the_bruhat_set():
+    """For every ascent s of w, _descent_interval(s, w) holds every x < sw
+    with sx < x; each extra member has ms_constant zero."""
+    for label, delta in [
+        ("B3", None),
+        ("D4", None),
+        ("I2(5)xA2", None),
+        ("A3", [2, 1, 0]),
+        ("D4", [0, 1, 3, 2]),
+        ("A5", [4, 3, 2, 1, 0]),
+    ]:
+        system, module, basis = make(label, delta)
+        extras = 0
+        for wid in module.involution_ids:
+            for s in range(system.rank):
+                if system.is_left_descent(s, wid):
+                    continue
+                sw = system.lmul(s, wid)
+                got = basis._descent_interval(s, wid)
+                old = [
+                    x
+                    for x in module.involution_ids
+                    if system.is_left_descent(s, x)
+                    and system.length_of(x) < system.length_of(sw)
+                    and system.bruhat_leq_ids(x, sw)
+                ]
+                assert set(old) <= set(got), (label, wid, s)
+                for xid in set(got) - set(old):
+                    assert basis.ms_constant(s, xid, wid).is_zero
+                    extras += 1
+        assert extras > 0, label  # the extra members do occur

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
-from invkl import cli
+from invkl import build_system, cli
 from invkl.canonical import CanonicalBasis
 from invkl.cli import main
+from invkl.coxeter import CoxeterSystem
+from invkl.verify import SUITE_NAMES, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +225,26 @@ def test_console_script_runs():
             "kl --type I2(5)xA2 --experimental",
             "fcea756eb9f9ace6652080bc80511364f593ea5908a7b09e9ff9e6ba9dc1bbc0",
         ),
+        (
+            "table --type A4 --format csv",
+            "222f1f8a487e984258d98312ef04b2cf905deffd4ebbe76a3c699ade8ee17fc9",
+        ),
+        (
+            "table --type A3 --twisted 2,1,0",
+            "9119d57ac3ca7505237d9f39a18e49709a7396b7a73187d2004bea6f5458c142",
+        ),
+        (
+            "table --type D4 --max-length 5 --format text",
+            "830808bd6d78960b692e2de13794825cf8f656e08554d14e096c60cfbad77374",
+        ),
+        (
+            "verify --type A3",
+            "c9accb7f5a3eb7887b1f24fad9cba56c04ed469a9f9efa9a8018d6eb47b229b1",
+        ),
+        (
+            "verify --type A3 --twisted 2,1,0 --format text",
+            "3933800b9ce0d0010a5024dcfea88e4b6f181f16f76842c8de4b43d701de0a26",
+        ),
     ],
 )
 def test_golden_output_digests(capsys, argv, digest):
@@ -230,3 +252,19 @@ def test_golden_output_digests(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_bruhat_order_is_read_from_the_involution_graph(capsys, monkeypatch):
+    """table and every suite but canonical-oracle (whose column_barfix is
+    the oracle) run without deciding Bruhat order in the group."""
+    def no_group_bruhat(self, yid, wid):
+        raise AssertionError("bruhat_leq_ids called outside the oracles")
+
+    monkeypatch.setattr(CoxeterSystem, "bruhat_leq_ids", no_group_bruhat)
+    names = [n for n in SUITE_NAMES if n != "canonical-oracle"]
+    for label, delta in [("B3", None), ("D4", "0,1,3,2")]:
+        argv = ["table", "--type", label] + (["--twisted", delta] if delta else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["entries"]
+        results = run_suites(build_system(label, delta=delta), names)
+        assert all(r.ok() for r in results), label

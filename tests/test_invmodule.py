@@ -231,3 +231,30 @@ def test_action_table_matches_products(label, delta):
             commuting = sw == system.rmul(wid, ds)
             partner = sw if commuting else system.rmul(sw, ds)
             assert module.action_case(s, wid) == (commuting, up, partner)
+
+
+@pytest.mark.parametrize(
+    "label, delta",
+    [
+        ("A3", None),
+        ("B3", None),
+        ("D4", None),
+        ("F4", None),
+        ("G2", None),
+        ("H3", None),
+        ("I2(5)", None),
+        ("I2(5)xA2", None),
+        pytest.param("A3", (2, 1, 0), id="A3-twisted"),
+        pytest.param("A5", (4, 3, 2, 1, 0), id="A5-twisted"),
+        pytest.param("D4", (0, 1, 3, 2), id="D4-twisted"),
+        pytest.param("D5", (0, 1, 2, 4, 3), id="D5-twisted"),
+    ],
+)
+def test_interval_matches_bruhat_oracle(label, delta):
+    """The involution-graph intervals against Bruhat order decided in W."""
+    system = build_system(label, delta=delta)
+    module = InvolutionModule(system)
+    ids = module.involution_ids
+    for wid in ids:
+        expected = tuple(y for y in ids if system.bruhat_leq_ids(y, wid))
+        assert module.interval(wid) == expected, system.word_of(wid)

@@ -17,12 +17,19 @@ this triangularity, which gives two independent construction routes:
   z = s w delta(s) (then each row is a closed formula over shorter columns).
 
 Both produce identical tables; the test and verification suites insist on it.
-Every T_s case (commuting, ascending, partner) is read from
-``InvolutionModule.action_case`` and every Bruhat interval from
-``InvolutionModule.interval``: ``column(z)`` is built lazily over the rows
-y <= z only, and for an ascent s of w the involutions x with sx < x that
-can enter the recursion are memoized per (s, w).  Only ``column_barfix``
-scans every shorter involution and decides y <= w through the group.
+
+The recursion pushes whole columns instead of pulling single entries, as
+du Cloux's Coxeter 3 does for classical KL (Experiment. Math. 11, 2002).
+Each column w keeps a sparse mu' row {x: mu'(x, w) != 0}.  For an ascent s
+of w, the part of ms_constant(s, x, w) known before column sw exists is
+computed once from these rows and memoized per (s, w); a new column z then
+starts from an accumulator holding -k_x * column(x) for every x with a
+nonzero known part k_x, the commuting branch adds mu'(x, z) * column(x)
+as soon as row x is solved, and row y is its case term plus its
+accumulator entry.  Every T_s case (commuting, ascending, partner) is read
+from ``InvolutionModule.action_case`` and every Bruhat interval from
+``InvolutionModule.interval``; only ``column_barfix`` scans every shorter
+involution and decides y <= w through the group.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ class CanonicalBasis:
         self.module = module
         self.system = module.system
         self._columns = {}   # wid -> {yid: pi poly}, over y <= w
+        self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
+        self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
         self._a_vectors = {}
         self._descents = {}  # (s, w) -> _descent_interval(s, w)
 
@@ -72,11 +81,27 @@ class CanonicalBasis:
         return self
 
     def column(self, wid):
-        """Column w as {y: pi(y, w)} over the y <= w, built on first use."""
+        """Column w as {y: pi(y, w)} over the y <= w, built on first use.
+
+        Empty when w is not a (twisted) involution.
+        """
         col = self._columns.get(wid)
         if col is None:
+            if wid not in self.system._tw_inv_set:
+                return {}
             col = self._columns[wid] = self.column_recursive(wid)
         return col
+
+    def mu_row(self, wid):
+        """{x: mu'(x, w)} over the x with mu'(x, w) != 0, read off column w."""
+        row = self._mu_rows.get(wid)
+        if row is None:
+            row = self._mu_rows[wid] = {
+                xid: mu
+                for xid, pi in self.column(wid).items()
+                if (mu := pi.coeff(-1))
+            }
+        return row
 
     def _descent_interval(self, s, wid):
         """For an ascent s of w: the x <= partner_s(w) with l(x) <= l(w), sx < x.
@@ -103,25 +128,24 @@ class CanonicalBasis:
     def pi(self, y, w):
         """pi(y, w) = v^{l(y)-l(w)} P(y, w); zero unless both are involutions, y <= w."""
         sys = self.system
-        yid, wid = sys._id_of(y), sys._id_of(w)
-        if wid not in sys._tw_inv_set or yid not in sys._tw_inv_set:
-            return ZERO
-        return self.column(wid).get(yid, ZERO)
+        return self.column(sys._id_of(w)).get(sys._id_of(y), ZERO)
 
     def sigma_kl(self, y, w):
         """The polynomial P(y, w) in u attached to a pair of involutions."""
         sys = self.system
         yid, wid = sys._id_of(y), sys._id_of(w)
-        p = self.pi(yid, wid)
+        p = self.column(wid).get(yid, ZERO)
         if p.is_zero:
             return ZERO
         return p * v_pow(sys.length_of(wid) - sys.length_of(yid))
 
     def mu_prime(self, y, w):
-        return self.pi(y, w).coeff(-1)
+        sys = self.system
+        return self.column(sys._id_of(w)).get(sys._id_of(y), ZERO).coeff(-1)
 
     def mu_double_prime(self, y, w):
-        return self.pi(y, w).coeff(-2)
+        sys = self.system
+        return self.column(sys._id_of(w)).get(sys._id_of(y), ZERO).coeff(-2)
 
     # -- structure constants -----------------------------------------------------
 
@@ -130,34 +154,70 @@ class CanonicalBasis:
 
         Parity of l(y) and l(w) selects between an integer combination of
         mu'' and mu' convolutions and the multiple mu'(y,w) (v + v^-1).
+        Zero unless y lies in ``_descent_interval(s, w)``.
         """
         sys = self.system
-        yid, wid = sys._id_of(y), sys._id_of(w)
-        known = self._ms_known_part(s, yid, wid)
+        return self._ms_constants(s, sys._id_of(w)).get(sys._id_of(y), ZERO)
+
+    def _ms_constants(self, s, wid):
+        """{x: ms_constant(s, x, w)} over the x where it is nonzero.
+
+        The known parts are memoized; the commuting case subtracts
+        mu'(x, sw), read from the mu' row of the finished column sw.
+        """
+        known = self._known_parts(s, wid)
         commuting, _up, sw = self.module.action_case(s, wid)
-        if commuting and not (sys.length_of(yid) - sys.length_of(wid)) % 2:
-            known = known - LaurentPoly((self.mu_prime(yid, sw),), 0)
-        return known
-
-    def _mu_convolution(self, s, yid, wid):
-        # pi(y, x) is zero unless y <= x, so no Bruhat test is needed
-        total = 0
+        if not commuting:
+            return known
+        length = self.system.length_of
+        mu_sw = self.mu_row(sw)
+        out = {}
         for xid in self._descent_interval(s, wid):
-            if xid != yid:
-                total += self.mu_prime(yid, xid) * self.mu_prime(xid, wid)
-        return total
+            m = known.get(xid, ZERO)
+            if not (length(xid) - length(wid)) % 2:
+                m = m - mu_sw.get(xid, 0)
+            if not m.is_zero:
+                out[xid] = m
+        return out
 
-    def _ms_known_part(self, s, xid, wid):
-        """ms_constant with the still-unknown mu'(x, sw) term left out."""
-        sys = self.system
-        if (sys.length_of(xid) - sys.length_of(wid)) % 2:
-            return self.mu_prime(xid, wid) * _VPV
-        total = self.mu_double_prime(xid, wid)
-        total -= self._mu_convolution(s, xid, wid)
-        commuting, _up, sx = self.module.action_case(s, xid)
-        if commuting:
-            total += self.mu_prime(sx, wid)
-        return LaurentPoly((total,), 0)
+    def _known_parts(self, s, wid):
+        """ms_constant(s, x, w) less its mu'(x, sw) term, over the descent interval.
+
+        Only the nonzero values are kept, memoized per (s, w).  An odd gap
+        l(w) - l(x) gives mu'(x, w) (v + v^-1); an even gap gives the
+        integer mu''(x, w) - sum_{x'} mu'(x, x') mu'(x', w) + mu'(sx, w), the
+        last term only when sx = x delta(s).  The convolution over the x' of
+        the descent interval is pushed from the mu' rows of w and of x'.
+        """
+        key = (s, wid)
+        known = self._known.get(key)
+        if known is not None:
+            return known
+        length = self.system.length_of
+        col_w = self.column(wid)
+        mu_w = self.mu_row(wid)
+        descents = self._descent_interval(s, wid)
+        convolution = {}
+        for x2 in descents:
+            m = mu_w.get(x2)
+            if m:
+                for xid, m2 in self.mu_row(x2).items():
+                    convolution[xid] = convolution.get(xid, 0) + m2 * m
+        known = {}
+        for xid in descents:
+            if (length(xid) - length(wid)) % 2:
+                m = mu_w.get(xid)
+                if m:
+                    known[xid] = m * _VPV
+                continue
+            total = col_w.get(xid, ZERO).coeff(-2) - convolution.get(xid, 0)
+            commuting, _up, sx = self.module.action_case(s, xid)
+            if commuting:
+                total += mu_w.get(sx, 0)
+            if total:
+                known[xid] = LaurentPoly((total,), 0)
+        self._known[key] = known
+        return known
 
     # -- construction: bar-fixing against the rescaled bar matrix -------------------
 
@@ -204,9 +264,8 @@ class CanonicalBasis:
 
     # -- construction: the descent recursion -----------------------------------------
 
-    def _case_term(self, s, yid, wid):
+    def _case_term(self, s, yid, col_w):
         """Column-w data entering the row-y equation for the target column."""
-        col_w = self.column(wid)
         commuting, up, other = self.module.action_case(s, yid)
         pi_y = col_w.get(yid, ZERO)
         pi_other = col_w.get(other, ZERO)
@@ -221,61 +280,41 @@ class CanonicalBasis:
     def column_recursive(self, zid):
         """Build column z from strictly shorter columns via the smallest descent.
 
-        The rows are the y < z, top down.
+        With s the smallest left descent of z and w its s-partner, c_s A_w
+        is A_z (times v + v^-1 in the commuting case) plus the ms_constant
+        multiples of the A_x, x in ``_descent_interval(s, w)``.  The
+        accumulator starts as -k_x * column(x) summed over the nonzero
+        known parts k_x; the rows y < z are then solved top down, each from
+        its case term plus its accumulator entry.  In the commuting case
+        row y of the descent interval also carries the unknown mu'(y, z),
+        which ``_solve_with_unknown`` pins; once it is known, mu'(y, z) *
+        column(y) is added into the accumulator for the rows below y.
         """
         sys = self.system
         if zid == 0:
             return {0: ONE}
         s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
         commuting, _up, wid = self.module.action_case(s, zid)
-        ids_below = reversed(self.module.interval(zid)[:-1])
-        x_range = self._descent_interval(s, wid)
+        col_w = self.column(wid)
+        pending = {}
+        for xid, k in self._known_parts(s, wid).items():
+            _add_column(pending, -k, self.column(xid))
+        descents = set(self._descent_interval(s, wid)) if commuting else ()
         col = {zid: ONE}
-        mu1 = {zid: 0}
-        if commuting:
-            known = {x: self._ms_known_part(s, x, wid) for x in x_range}
-            for yid in ids_below:
-                acc = self._case_term(s, yid, wid)
-                has_self = False
-                for xid in x_range:
-                    if xid == yid:
-                        has_self = True  # unknown mu'(y, z) handled below
-                        continue
-                    pi_yx = self.pi(yid, xid)
-                    if pi_yx.is_zero:
-                        continue
-                    acc = acc - known[xid] * pi_yx
-                    m = mu1.get(xid, 0)
-                    if m:
-                        acc = acc + m * pi_yx
-                if has_self:
-                    acc = acc - known[yid]  # pi(y, y) = 1
-                    pi_yz, mu = self._solve_with_unknown(acc, yid, zid)
-                else:
-                    pi_yz = self._divide_row(acc, yid, zid)
-                    mu = pi_yz.coeff(-1)
-                self._store_row(col, mu1, yid, zid, pi_yz, mu)
-        else:
-            ms = {}
-            for xid in x_range:
-                m = self.ms_constant(s, xid, wid)
-                if not m.is_zero:
-                    ms[xid] = m
-            for yid in ids_below:
-                acc = self._case_term(s, yid, wid)
-                for xid, m in ms.items():
-                    pi_yx = self.pi(yid, xid)
-                    if not pi_yx.is_zero:
-                        acc = acc - m * pi_yx
-                self._store_row(col, mu1, yid, zid, acc, acc.coeff(-1))
+        for yid in reversed(self.module.interval(zid)[:-1]):
+            acc = self._case_term(s, yid, col_w) + pending.get(yid, ZERO)
+            if not commuting:
+                pi_yz = acc
+            elif yid in descents:
+                pi_yz, mu = self._solve_with_unknown(acc, yid, zid)
+                if mu:
+                    _add_column(pending, mu, self.column(yid))
+            else:
+                pi_yz = self._divide_row(acc, yid, zid)
+            if not pi_yz.is_zero:
+                self._validate_pi(yid, zid, pi_yz)
+                col[yid] = pi_yz
         return col
-
-    def _store_row(self, col, mu1, yid, zid, pi_yz, mu):
-        if pi_yz.is_zero:
-            return
-        self._validate_pi(yid, zid, pi_yz)
-        col[yid] = pi_yz
-        mu1[yid] = mu
 
     def _validate_pi(self, yid, wid, pi):
         sys = self.system
@@ -401,10 +440,7 @@ class CanonicalBasis:
             expected[wid] = _V2PVINV2
         else:
             expected[other] = _VPV if commuting else ONE
-            for zid in self._descent_interval(s, wid):
-                mz = self.ms_constant(s, zid, wid)
-                if not mz.is_zero:
-                    expected[zid] = mz
+            expected.update(self._ms_constants(s, wid))
         if got != expected:
             raise TheoremMismatch(
                 f"c_s A_w expansion mismatch at s={s}, w={sys.word_of(wid)}: "
@@ -412,3 +448,9 @@ class CanonicalBasis:
                 f"expected { {sys.word_of(k): str(v) for k, v in expected.items()} }"
             )
         return got
+
+
+def _add_column(pending, k, column):
+    """pending[y] += k * column[y] for every row y of ``column``."""
+    for yid, pi in column.items():
+        pending[yid] = pending.get(yid, ZERO) + k * pi

@@ -5,7 +5,7 @@ code path it is meant to check.
 """
 
 from invkl.klclassic import HeckeAlgebra
-from invkl.laurent import ONE, ZERO, v_pow
+from invkl.laurent import LaurentPoly, ONE, ZERO, v_pow
 
 
 def subword_bruhat(system, yid, wid):
@@ -26,6 +26,30 @@ def brute_twisted_involutions(system):
     ]
     hits.sort(key=lambda el: (el.length, el.word))
     return [el.id for el in hits]
+
+
+def ms_constant_by_scan(basis, s, xid, wid):
+    """ms_constant(s, x, w) by the pull formula, one mu' lookup per pair.
+
+    An odd gap l(w) - l(x) gives mu'(x, w) (v + v^-1).  An even gap gives
+    mu''(x, w) minus the mu' convolution over the whole descent interval,
+    plus mu'(sx, w) when sx = x delta(s), minus mu'(x, sw) when
+    sw = w delta(s).
+    """
+    system, module = basis.system, basis.module
+    if (system.length_of(xid) - system.length_of(wid)) % 2:
+        return basis.mu_prime(xid, wid) * (v_pow(1) + v_pow(-1))
+    total = basis.mu_double_prime(xid, wid)
+    for x2 in basis._descent_interval(s, wid):
+        if x2 != xid:
+            total -= basis.mu_prime(xid, x2) * basis.mu_prime(x2, wid)
+    commuting, _up, sx = module.action_case(s, xid)
+    if commuting:
+        total += basis.mu_prime(sx, wid)
+    commuting, _up, sw = module.action_case(s, wid)
+    if commuting:
+        total -= basis.mu_prime(xid, sw)
+    return LaurentPoly((total,), 0)
 
 
 def hecke_selfbar_column(kl, wid):

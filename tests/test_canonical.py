@@ -6,6 +6,8 @@ from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, v_pow
 
+from helpers import ms_constant_by_scan
+
 
 def make(label, delta=None):
     system = build_system(label, delta=delta)
@@ -38,8 +40,15 @@ def test_two_routes_agree():
         ("B2", None),
         ("A3", None),
         ("G2", None),
+        ("B3", None),
+        ("H3", None),
+        ("I2(5)", None),
+        ("I2(8)", None),
+        ("I2(5)xA2", None),
         ("A3", [2, 1, 0]),
         ("D4", [0, 1, 3, 2]),
+        ("A4", [3, 2, 1, 0]),
+        ("A5", [4, 3, 2, 1, 0]),
     ]:
         system, module, basis = make(label, delta)
         for wid in module.involution_ids:
@@ -218,3 +227,36 @@ def test_descent_interval_covers_the_bruhat_set():
                     assert basis.ms_constant(s, xid, wid).is_zero
                     extras += 1
         assert extras > 0, label  # the extra members do occur
+
+
+def test_mu_rows_and_ms_constants_match_the_pair_scan():
+    """Each mu' row equals a scan of mu_prime over the Bruhat interval, and
+    ms_constant equals the pull formula on every ascent and descent member."""
+    for label, delta in [
+        ("B3", None),
+        ("D4", None),
+        ("H3", None),
+        ("I2(5)xA2", None),
+        ("A3", [2, 1, 0]),
+        ("D4", [0, 1, 3, 2]),
+        ("A5", [4, 3, 2, 1, 0]),
+    ]:
+        system, module, basis = make(label, delta)
+        nonzero = 0
+        for wid in module.involution_ids:
+            scan = {
+                xid: mu
+                for xid in module.interval(wid)
+                if (mu := basis.mu_prime(xid, wid))
+            }
+            assert basis.mu_row(wid) == scan, (label, wid)
+            for s in range(system.rank):
+                if system.is_left_descent(s, wid):
+                    continue
+                for xid in basis._descent_interval(s, wid):
+                    m = basis.ms_constant(s, xid, wid)
+                    assert m == ms_constant_by_scan(basis, s, xid, wid), (
+                        label, s, xid, wid
+                    )
+                    nonzero += not m.is_zero
+        assert nonzero > 0, label

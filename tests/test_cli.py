@@ -10,6 +10,7 @@ from invkl import build_system, cli
 from invkl.canonical import CanonicalBasis
 from invkl.cli import main
 from invkl.coxeter import CoxeterSystem
+from invkl.invmodule import InvolutionModule
 from invkl.verify import SUITE_NAMES, run_suites
 
 
@@ -245,6 +246,26 @@ def test_console_script_runs():
             "verify --type A3 --twisted 2,1,0 --format text",
             "3933800b9ce0d0010a5024dcfea88e4b6f181f16f76842c8de4b43d701de0a26",
         ),
+        (
+            "table --type A5 --twisted 4,3,2,1,0",
+            "3ce5ee4b65489b651a1458eb1740a84d6d0ee848b552566fb59b2f4f3b31e504",
+        ),
+        (
+            "table --type H3 --experimental",
+            "43cfcadd9b73242424cab83c1c74ed3c76840025ffb89577eb556b4fdcd2cf8d",
+        ),
+        (
+            "table --type I2(8) --experimental",
+            "6e1187ef5620e6de4803319e5e451c44df36f25ea745b671566dc76c3a2c1f77",
+        ),
+        (
+            "table --type B4 --format csv",
+            "80e0a23c333571a4ed39d40c9b9ba4b126e4930b7bc81f005bc254e07eb690ac",
+        ),
+        (
+            "table --type D4 --twisted 0,1,3,2 --format text",
+            "eba07e1d89a36e647ea0a260a8cd51263b8074e9b5a79fd36a3043ddb934ae67",
+        ),
     ],
 )
 def test_golden_output_digests(capsys, argv, digest):
@@ -268,3 +289,19 @@ def test_bruhat_order_is_read_from_the_involution_graph(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["entries"]
         results = run_suites(build_system(label, delta=delta), names)
         assert all(r.ok() for r in results), label
+
+
+def test_columns_are_built_without_pair_lookups(capsys, monkeypatch):
+    """Column construction pushes whole columns: it never reads a single
+    entry through pi or mu_prime."""
+    def no_pair_lookup(self, y, w):
+        raise AssertionError("pair lookup inside column construction")
+
+    monkeypatch.setattr(CanonicalBasis, "pi", no_pair_lookup)
+    monkeypatch.setattr(CanonicalBasis, "mu_prime", no_pair_lookup)
+    for label, delta in [("B3", None), ("D4", [0, 1, 3, 2]), ("H3", None)]:
+        module = InvolutionModule(build_system(label, delta=delta))
+        basis = CanonicalBasis(module).build()
+        assert len(basis._columns) == len(module.involution_ids), label
+    code, out, _ = run_cli(capsys, "table", "--type", "B3")
+    assert code == 0 and json.loads(out)["entries"]

@@ -2,19 +2,22 @@
 
 Exit codes: 0 on success, 2 on configuration or usage errors, 3 when a
 mathematical invariant fails (the message names the violated identity and
-the first counterexample is serialized to stderr).  Output is assembled
-after all computation finishes.  Every build runs in one thread; --jobs is
-validated (at least 1) and kept for scripts, and has no effect on output.
-Each command accepts only the options it reads: --max-length (at least 0)
-belongs to table and kl, and verify writes json or text but not csv.
+the first counterexample is serialized to stderr).  Each command finishes
+everything that can raise before the first byte is written, then streams
+its rows through one writer, so a failure leaves stdout empty and creates
+no --out file, and no command holds its whole table or its whole output
+text.  Each command accepts only the options it reads: --max-length (at
+least 0) belongs to table and kl, and verify writes json or text but not
+csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .canonical import CanonicalBasis
 from .cells import DEFAULT_CELL_CAP, compute_cells, involutions_per_cell
@@ -22,6 +25,7 @@ from .coxeter import build_system
 from .errors import InvariantError
 from .invmodule import InvolutionModule
 from .klclassic import KLTable
+from .laurent import spread
 from .specialize import SpecializedModule
 from .verify import run_suites
 
@@ -61,10 +65,6 @@ def build_parser():
         help="diagram involution as a permutation of generator indices",
     )
     common.add_argument(
-        "--jobs", type=int, default=1,
-        help="must be at least 1; builds run serially and output does not depend on it",
-    )
-    common.add_argument(
         "--experimental", action="store_true",
         help="allow non-crystallographic types such as I2(5) or H3",
     )
@@ -102,8 +102,6 @@ def build_parser():
 
 
 def _make_system(args):
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
     system = build_system(args.type, delta=args.twisted)
     if not system.crystallographic and not args.experimental:
         raise ValueError(
@@ -112,57 +110,143 @@ def _make_system(args):
     return system
 
 
-def _system_header(system):
-    return {
+def _head(command, system, **keys):
+    """The json keys written before a command's list."""
+    header = {
         "type": system.type_label,
         "rank": system.rank,
         "delta": list(system.delta) if system.is_twisted else None,
     }
+    return {"command": command, "system": header, **keys}
 
 
 def _word_str(word):
     return ".".join(str(s) for s in word) if word else "e"
 
 
-def _emit(args, text):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _json(value, depth):
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at nesting ``depth``.
+
+    Covers the shapes the commands emit: dicts with string keys, lists,
+    strings, ints, booleans and None.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        parts = [
+            f"{encode_basestring_ascii(k)}: {_json(v, depth + 1)}"
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "}"
+    parts = [_json(v, depth + 1) for v in value]
+    return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "]"
+
+
+def _json_chunks(head, key, items, tail):
+    """The text of ``json.dumps(doc, indent=2) + "\\n"``, one item at a time.
+
+    ``doc`` holds the keys of ``head``, then ``key`` mapped to the list of
+    ``items``, then the keys of ``tail``.
+    """
+    yield "{"
+    for k, v in head.items():
+        yield f"\n  {encode_basestring_ascii(k)}: {_json(v, 1)},"
+    yield f"\n  {encode_basestring_ascii(key)}: ["
+    empty = True
+    for item in items:
+        yield ("\n    " if empty else ",\n    ") + _json(item, 2)
+        empty = False
+    yield "]" if empty else "\n  ]"
+    for k, v in tail.items():
+        yield f",\n  {encode_basestring_ascii(k)}: {_json(v, 1)}"
+    yield "\n}\n"
+
+
+def _write(args, rows, *, head, key, item, title, line, header=None,
+           fields=None, tail=None, footer=None):
+    """Write ``rows`` in ``args.format`` to ``--out`` or stdout, row by row.
+
+    json: the keys of ``head``, the list ``key`` of ``item(row)``, then the
+    keys of ``tail``.  csv: the ``header`` names, then ``fields(row)`` per
+    row, comma-separated.  text: ``title``, ``line(row)`` per row, then
+    ``footer`` if given.  The output is opened only here, after every
+    computation that can raise has finished.
+    """
+    if args.format == "json":
+        chunks = _json_chunks(head, key, map(item, rows), tail or {})
+    elif args.format == "csv":
+        lines = chain([header], map(fields, rows))
+        chunks = (",".join(map(str, values)) + "\n" for values in lines)
     else:
-        sys.stdout.write(text)
+        lines = chain([title], map(line, rows), [footer] if footer else [])
+        chunks = (text + "\n" for text in lines)
+    handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        for chunk in chunks:
+            handle.write(chunk)
+    finally:
+        if args.out:
+            handle.close()
 
 
-def _dump_json(payload):
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
-def _csv_lines(header, rows):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(str(x) for x in row) + "\n")
-    return buf.getvalue()
+def _involutions(system, module, max_length):
+    """Involutions of length at most ``max_length``, in (length, word) order."""
+    return [
+        wid for wid in module.involution_ids
+        if max_length is None or system.length_of(wid) <= max_length
+    ]
 
 
 def _involution_pairs(system, module, max_length):
     """Comparable involution pairs (y, w), both in (length, word) order."""
-    return [
+    return (
         (yid, wid)
-        for wid in module.involution_ids
-        if max_length is None or system.length_of(wid) <= max_length
+        for wid in _involutions(system, module, max_length)
         for yid in module.interval(wid)
-    ]
+    )
+
+
+def _pair_renderers(poly_key):
+    """Renderers of a row (y word, w word, polynomial, classical P or None)."""
+
+    def item(row):
+        y, w, poly, classic = row
+        entry = {"y_word": list(y), "w_word": list(w), poly_key: poly.to_json_obj()}
+        if classic is not None:
+            entry["classic_poly"] = classic.to_json_obj()
+        return entry
+
+    def fields(row):
+        y, w, poly, classic = row
+        out = [_word_str(y), _word_str(w), poly.pair_string()]
+        return out if classic is None else out + [classic.pair_string()]
+
+    def line(row):
+        y, w, poly, classic = row
+        text = f"P[{_word_str(y)}, {_word_str(w)}] = {poly}"
+        return text if classic is None else text + f"  (classical {classic})"
+
+    return {"item": item, "fields": fields, "line": line}
 
 
 def cmd_table(args):
     system = _make_system(args)
     module = InvolutionModule(system)
-    basis = CanonicalBasis(module).build(
-        jobs=args.jobs, max_length=args.max_length
-    )
-    kl = KLTable(system) if args.classic else None
-    # one pass over the pairs; each format below consumes it once, so no
-    # second copy of the table is held while the output is assembled
+    basis = CanonicalBasis(module).build(max_length=args.max_length)
+    kl = None
+    if args.classic:
+        kl = KLTable(system)
+        for wid in _involutions(system, module, args.max_length):
+            kl.column(wid)
     rows = (
         (
             system.word_of(yid),
@@ -172,117 +256,62 @@ def cmd_table(args):
         )
         for yid, wid in _involution_pairs(system, module, args.max_length)
     )
-    if args.format == "json":
-        entries = []
-        for y, w, sigma, classic in rows:
-            entry = {
-                "y_word": list(y),
-                "w_word": list(w),
-                "sigma_poly": sigma.to_json_obj(),
-            }
-            if classic is not None:
-                entry["classic_poly"] = classic.to_json_obj()
-            entries.append(entry)
-        _emit(args, _dump_json(
-            {"command": "table", "system": _system_header(system), "entries": entries}
-        ))
-    elif args.format == "csv":
-        header = ["y_word", "w_word", "poly"] + (
-            ["classic_poly"] if kl is not None else []
-        )
-        table = [
-            [_word_str(y), _word_str(w), sigma.pair_string()]
-            + ([classic.pair_string()] if classic is not None else [])
-            for y, w, sigma, classic in rows
-        ]
-        _emit(args, _csv_lines(header, table))
-    else:
-        lines = [f"involution table for {system!r}"]
-        for y, w, sigma, classic in rows:
-            line = f"P[{_word_str(y)}, {_word_str(w)}] = {sigma}"
-            if classic is not None:
-                line += f"  (classical {classic})"
-            lines.append(line)
-        _emit(args, "\n".join(lines) + "\n")
+    header = ["y_word", "w_word", "poly"] + (["classic_poly"] if args.classic else [])
+    _write(
+        args, rows, head=_head("table", system), key="entries", header=header,
+        title=f"involution table for {system!r}", **_pair_renderers("sigma_poly"),
+    )
     return 0
 
 
 def cmd_kl(args):
     system = _make_system(args)
     kl = KLTable(system)
-    elements = kl.build_full(jobs=args.jobs, max_length=args.max_length)
+    elements = kl.build_full(max_length=args.max_length)
     # elements are in (length, word) order, so the pairs come out sorted
-    pairs = []
-    for w in elements:
-        column = kl.column(w.id)
-        pairs.extend((y, w) for y in elements if y.id in column)
-    if args.format == "json":
-        entries = [
-            {
-                "y_word": list(y.word),
-                "w_word": list(w.word),
-                "poly": kl.kl_poly_ids(y.id, w.id).to_json_obj(),
-            }
-            for y, w in pairs
-        ]
-        _emit(args, _dump_json(
-            {"command": "kl", "system": _system_header(system), "entries": entries}
-        ))
-    elif args.format == "csv":
-        rows = [
-            [
-                _word_str(y.word),
-                _word_str(w.word),
-                kl.kl_poly_ids(y.id, w.id).pair_string(),
-            ]
-            for y, w in pairs
-        ]
-        _emit(args, _csv_lines(["y_word", "w_word", "poly"], rows))
-    else:
-        lines = [f"classical table for {system!r}"]
-        lines += [
-            f"P[{_word_str(y.word)}, {_word_str(w.word)}] = "
-            f"{kl.kl_poly_ids(y.id, w.id)}"
-            for y, w in pairs
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    def rows():
+        for w in elements:
+            column = kl.column(w.id)
+            for y in elements:
+                if y.id in column:
+                    yield y.word, w.word, spread(column[y.id], 2), None
+
+    _write(
+        args, rows(), head=_head("kl", system), key="entries",
+        header=["y_word", "w_word", "poly"],
+        title=f"classical table for {system!r}", **_pair_renderers("poly"),
+    )
     return 0
 
 
 def cmd_verify(args):
     system = _make_system(args)
-    results = run_suites(system, jobs=args.jobs)
-    payload = {
-        "command": "verify",
-        "system": _system_header(system),
-        "suites": [
-            {
-                "name": r.name,
-                "checks": r.checks,
-                "failures": len(r.failures),
-                "advisory": r.advisory,
-                "skipped": r.skipped or None,
-            }
-            for r in results
-        ],
-    }
+    results = run_suites(system)
     hard_failures = [r for r in results if not r.ok() and not r.advisory]
-    payload["ok"] = not hard_failures
-    if args.format == "json":
-        _emit(args, _dump_json(payload))
-    else:
-        lines = [f"verification of {system!r}"]
-        for r in results:
-            if r.skipped:
-                status = f"skipped ({r.skipped})"
-            elif r.ok():
-                status = f"{r.checks} checks passed"
-            else:
-                kind = "advisory " if r.advisory else ""
-                status = f"{r.checks} checks, {len(r.failures)} {kind}FAILURES"
-            lines.append(f"  {r.name:<20} {status}")
-        lines.append("result: " + ("PASS" if payload["ok"] else "FAIL"))
-        _emit(args, "\n".join(lines) + "\n")
+
+    def line(r):
+        if r.skipped:
+            status = f"skipped ({r.skipped})"
+        elif r.ok():
+            status = f"{r.checks} checks passed"
+        else:
+            kind = "advisory " if r.advisory else ""
+            status = f"{r.checks} checks, {len(r.failures)} {kind}FAILURES"
+        return f"  {r.name:<20} {status}"
+
+    _write(
+        args, results, head=_head("verify", system), key="suites",
+        item=lambda r: {
+            "name": r.name,
+            "checks": r.checks,
+            "failures": len(r.failures),
+            "advisory": r.advisory,
+            "skipped": r.skipped or None,
+        },
+        tail={"ok": not hard_failures},
+        title=f"verification of {system!r}", line=line,
+        footer="result: " + ("FAIL" if hard_failures else "PASS"),
+    )
     if hard_failures:
         first = hard_failures[0]
         sys.stderr.write(
@@ -301,38 +330,24 @@ def cmd_character(args):
     spec = SpecializedModule(InvolutionModule(system))
     rows = spec.class_function_report()
     mismatch = [r for r in rows if r["chi_m1"] != r["chi_induced"]]
-    if args.format == "json":
-        _emit(args, _dump_json(
-            {
-                "command": "character",
-                "system": _system_header(system),
-                "dimension": len(spec.basis),
-                "classes": rows,
-                "induced_matches": not mismatch,
-            }
-        ))
-    elif args.format == "csv":
-        table = [
-            [
-                _word_str(tuple(r["class_rep_word"])),
-                r["class_size"],
-                r["chi_m1"],
-                r["chi_induced"],
-            ]
-            for r in rows
-        ]
-        _emit(args, _csv_lines(
-            ["class_rep_word", "class_size", "chi_m1", "chi_induced"], table
-        ))
-    else:
-        lines = [f"u=1 characters for {system!r} (dimension {len(spec.basis)})"]
-        for r in rows:
-            lines.append(
-                f"  class {_word_str(tuple(r['class_rep_word'])):<12} "
-                f"size {r['class_size']:<4} chi={r['chi_m1']} "
-                f"induced={r['chi_induced']}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+    _write(
+        args, rows,
+        head=_head("character", system, dimension=len(spec.basis)),
+        key="classes", item=lambda r: r, tail={"induced_matches": not mismatch},
+        header=["class_rep_word", "class_size", "chi_m1", "chi_induced"],
+        fields=lambda r: [
+            _word_str(r["class_rep_word"]),
+            r["class_size"],
+            r["chi_m1"],
+            r["chi_induced"],
+        ],
+        title=f"u=1 characters for {system!r} (dimension {len(spec.basis)})",
+        line=lambda r: (
+            f"  class {_word_str(r['class_rep_word']):<12} "
+            f"size {r['class_size']:<4} chi={r['chi_m1']} "
+            f"induced={r['chi_induced']}"
+        ),
+    )
     if mismatch:
         sys.stderr.write(
             "invariant violated: induced character sum differs at class "
@@ -347,48 +362,33 @@ def cmd_cells(args):
     system = _make_system(args)
     kl = KLTable(system)
     partition = compute_cells(kl, cap=args.max_elements)
-    module = InvolutionModule(system)
-    counts = involutions_per_cell(partition, module)
-    cells_payload = []
-    for cell, count in zip(partition.cells, counts):
+    counts = involutions_per_cell(partition, InvolutionModule(system))
+
+    def representatives(cell):
         min_length = min(system.length_of(w) for w in cell)
-        reps = sorted(
+        return sorted(
             system.word_of(w) for w in cell if system.length_of(w) == min_length
         )
-        cells_payload.append(
-            {
-                "size": len(cell),
-                "involution_count": count,
-                "representatives": [list(w) for w in reps],
-            }
-        )
-    if args.format == "json":
-        _emit(args, _dump_json(
-            {
-                "command": "cells",
-                "system": _system_header(system),
-                "cells": cells_payload,
-            }
-        ))
-    elif args.format == "csv":
-        rows = [
-            [
-                c["size"],
-                c["involution_count"],
-                ";".join(_word_str(tuple(w)) for w in c["representatives"]),
-            ]
-            for c in cells_payload
-        ]
-        _emit(args, _csv_lines(["size", "involution_count", "representatives"], rows))
-    else:
-        lines = [f"two-sided cells of {system!r}"]
-        for c in cells_payload:
-            reps = " ".join(_word_str(tuple(w)) for w in c["representatives"])
-            lines.append(
-                f"  size {c['size']:<5} involutions {c['involution_count']:<4} "
-                f"minimal members: {reps}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+
+    rows = (
+        (len(cell), count, representatives(cell))
+        for cell, count in zip(partition.cells, counts)
+    )
+    _write(
+        args, rows, head=_head("cells", system), key="cells",
+        item=lambda r: {
+            "size": r[0],
+            "involution_count": r[1],
+            "representatives": [list(w) for w in r[2]],
+        },
+        header=["size", "involution_count", "representatives"],
+        fields=lambda r: [r[0], r[1], ";".join(_word_str(w) for w in r[2])],
+        title=f"two-sided cells of {system!r}",
+        line=lambda r: (
+            f"  size {r[0]:<5} involutions {r[1]:<4} "
+            f"minimal members: {' '.join(_word_str(w) for w in r[2])}"
+        ),
+    )
     return 0
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .laurent import LaurentPoly, ONE, ZERO, u_pow, v_pow
+from .laurent import LaurentPoly, ONE, ZERO, spread, u_pow, v_pow
 
 __all__ = ["MVector", "InvolutionModule", "bar_table_dense_solve"]
 
@@ -294,15 +294,6 @@ class InvolutionModule:
 # independent oracle: solve the defining constraints of bar as linear systems
 
 
-def _interleave_even(coeffs):
-    """Spread u-coefficients onto even v-exponents."""
-    if not coeffs:
-        return ()
-    out = [0] * (2 * len(coeffs) - 1)
-    out[::2] = coeffs
-    return out
-
-
 def _solve_exact(rows, rhs):
     """Solve an overdetermined exact linear system; None if inconsistent."""
     n = len(rows[0]) if rows else 0
@@ -403,10 +394,7 @@ def bar_table_dense_solve(module, pad=2):
                         "bar linear solve produced a non-integer coefficient"
                     )
                 coeffs.append(int(val))
-            poly = LaurentPoly(coeffs, 0)
-            poly = LaurentPoly(
-                _interleave_even(poly.coeffs), 2 * (poly.min_exp + lo)
-            )
+            poly = spread(coeffs, 2, 2 * lo)
             if not poly.is_zero:
                 entries[yid] = poly
         table[wid] = MVector(entries)

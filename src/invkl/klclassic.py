@@ -16,7 +16,7 @@ by pair; the interval itself falls out of the recursion.
 from __future__ import annotations
 
 from .errors import InvariantError
-from .laurent import LaurentPoly, ONE, ZERO, v_pow
+from .laurent import ONE, ZERO, spread, v_pow
 
 __all__ = ["KLTable", "HeckeAlgebra"]
 
@@ -51,14 +51,6 @@ def _q_trim(p):
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def _spread(p, step):
-    """The q-coefficients p as a Laurent polynomial in v, with q = v^step."""
-    coeffs = [0] * (step * (len(p) - 1) + 1) if p else []
-    for i, c in enumerate(p):
-        coeffs[step * i] = c
-    return LaurentPoly(coeffs, 0)
 
 
 class HeckeAlgebra:
@@ -224,7 +216,7 @@ class KLTable:
 
         Zero unless y <= w.
         """
-        return _spread(self.column(wid).get(yid, ()), 2)
+        return spread(self.column(wid).get(yid, ()), 2)
 
     def mu_ids(self, yid, wid):
         """mu(y, w), read from the mu row of w (0 when it is not listed)."""
@@ -255,7 +247,7 @@ class KLTable:
         if cached is not None:
             return cached
         scale = v_pow(-self.system.length_of(wid))
-        out = {yid: _spread(p, 2) * scale for yid, p in self.column(wid).items()}
+        out = {yid: spread(p, 2) * scale for yid, p in self.column(wid).items()}
         self._cdot_cache[wid] = out
         return out
 
@@ -265,7 +257,7 @@ class KLTable:
         if cached is not None:
             return cached
         scale = v_pow(-2 * self.system.length_of(wid))
-        out = {yid: _spread(p, 4) * scale for yid, p in self.column(wid).items()}
+        out = {yid: spread(p, 4) * scale for yid, p in self.column(wid).items()}
         self._cprime_cache[wid] = out
         return out
 

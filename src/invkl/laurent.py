@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import NotDivisible
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow"]
+__all__ = ["LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow", "spread"]
 
 
 class LaurentPoly:
@@ -251,6 +251,16 @@ def v_pow(n):
 def u_pow(n):
     """The monomial u**n = v**(2n)."""
     return LaurentPoly((1,), 2 * n)
+
+
+def spread(p, step, min_exp=0):
+    """The q-coefficients p as a Laurent polynomial in v, with q = v^step.
+
+    ``p[i]`` becomes the coefficient of ``v^(min_exp + step*i)``.
+    """
+    coeffs = [0] * (step * (len(p) - 1) + 1) if p else []
+    coeffs[::step] = p
+    return LaurentPoly(coeffs, min_exp)
 
 
 ZERO = LaurentPoly()

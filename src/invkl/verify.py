@@ -364,9 +364,9 @@ _SUITES = {
 }
 
 
-def run_suites(system, names=None, jobs=1):
+def run_suites(system, names=None):
     """Run the requested suites; every InvariantError becomes a failure record."""
-    ctx = VerificationContext(system, jobs=jobs)
+    ctx = VerificationContext(system)
     results = []
     for name in names or SUITE_NAMES:
         suite = _SUITES[name]

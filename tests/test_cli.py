@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,9 @@ from invkl import build_system, cli
 from invkl.canonical import CanonicalBasis
 from invkl.cli import main
 from invkl.coxeter import CoxeterSystem
+from invkl.errors import InvariantError
 from invkl.invmodule import InvolutionModule
+from invkl.klclassic import KLTable
 from invkl.verify import SUITE_NAMES, run_suites
 
 
@@ -160,27 +163,87 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "character", "--type", "A2", "--max-length", "1")[0] == 2
     assert run_cli(capsys, "cells", "--type", "A2", "--max-length", "1")[0] == 2
     assert run_cli(capsys, "verify", "--type", "A2", "--format", "csv")[0] == 2
+    assert run_cli(capsys, "table", "--type", "A2", "--jobs", "2")[0] == 2
 
 
 def test_output_file(tmp_path, capsys):
+    """--out receives exactly the bytes the command writes to stdout."""
     target = tmp_path / "out.json"
     code, out, _ = run_cli(
         capsys, "table", "--type", "A2", "--out", str(target)
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "table"
+    for argv in [
+        "table --type A3",
+        "table --type A3 --classic --format csv",
+        "table --type B3 --format text",
+        "kl --type A3",
+        "cells --type B3 --format csv",
+        "character --type A3 --format text",
+        "verify --type A2",
+    ]:
+        code, out, _ = run_cli(capsys, *argv.split(), "--out", str(target))
+        assert code == 0 and out == ""
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0 and target.read_bytes() == out.encode("utf-8"), argv
 
 
-def test_jobs_determinism(tmp_path, capsys):
+def test_table_output_is_deterministic(tmp_path, capsys):
     blobs = []
-    for jobs in ("1", "4", "8"):
-        target = tmp_path / f"t{jobs}.json"
-        code, _, _ = run_cli(
-            capsys, "table", "--type", "A3", "--jobs", jobs, "--out", str(target)
-        )
+    for run in range(2):
+        target = tmp_path / f"t{run}.json"
+        code, _, _ = run_cli(capsys, "table", "--type", "A3", "--out", str(target))
         assert code == 0
         blobs.append(target.read_bytes())
-    assert blobs[0] == blobs[1] == blobs[2]
+    code, out, _ = run_cli(capsys, "table", "--type", "A3")
+    assert code == 0 and blobs[0] == blobs[1] == out.encode("utf-8")
+
+
+def test_failure_writes_nothing(tmp_path, capsys, monkeypatch):
+    """An invariant failure in a late classical column of table --classic
+    exits 3 before the first byte: stdout stays empty and no --out file is
+    created."""
+    column = KLTable.column
+
+    def failing_column(self, wid):
+        if self.system.length_of(wid) == 9:  # the longest element of B3
+            raise InvariantError("injected failure")
+        return column(self, wid)
+
+    monkeypatch.setattr(KLTable, "column", failing_column)
+    for fmt in ("json", "csv", "text"):
+        argv = ["table", "--type", "B3", "--classic", "--format", fmt]
+        target = tmp_path / f"out.{fmt}"
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 3 and out == "" and "injected failure" in err
+        assert not target.exists()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+
+
+def test_output_is_streamed(tmp_path):
+    """kl writes row by row: its traced peak allocation stays below the size
+    of the output it writes, so no whole table or output text is held."""
+    target = tmp_path / "kl.json"
+    tracemalloc.start()
+    try:
+        code = main(["kl", "--type", "D4", "--out", str(target)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size
+
+
+def test_json_writer_matches_json_dumps():
+    head = {"command": "x", "system": {"delta": None, "rank": 0, "words": []}}
+    tail = {"ok": False, "note": "caf\u00e9 \"q\"\n", "empty": {}}
+    items = [{"a": [], "b": True, "c": -12, "d": {"1": "-3"}}, [[1], []], "s"]
+    for listed in (items, []):
+        doc = {**head, "entries": listed, **tail}
+        text = "".join(cli._json_chunks(head, "entries", iter(listed), tail))
+        assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_console_script_runs():
@@ -265,6 +328,38 @@ def test_console_script_runs():
         (
             "table --type D4 --twisted 0,1,3,2 --format text",
             "eba07e1d89a36e647ea0a260a8cd51263b8074e9b5a79fd36a3043ddb934ae67",
+        ),
+        (
+            "character --type A4",
+            "43e1cbb1aeafade4609cb8cc6a1d6fcd8c920d9f7e81a6019f3a275c3e4d0a9b",
+        ),
+        (
+            "character --type A4 --format csv",
+            "8f3fa18e76e66a4eaf8d17bb7b5b419baf18a8f65e62b4ebc49ad9375327caa0",
+        ),
+        (
+            "character --type A4 --format text",
+            "31026ed26a528a5e20fa0766fa8f45adfa6e7de328762f858566f5d7d48f61ef",
+        ),
+        (
+            "cells --type B3 --format csv",
+            "1f1dafbbac1b989ffc5c54d6750326122770e31ecf419c433a0b46c4f1066667",
+        ),
+        (
+            "table --type A3 --max-length 0",
+            "ed8d965458ebf0cd01138c8c87f1b7a020b9ce54778a2b361574bc595a722e02",
+        ),
+        (
+            "kl --type A3 --max-length 0",
+            "ed943ffbfd5d7cbd0ab7542de2440e293b6079b31d50a183f021c4bdf0a4630f",
+        ),
+        (
+            "verify --type B3 --format text",
+            "741a408f94a1c367bea5701103fe9801289e31788f972a6577424b859fcbcec0",
+        ),
+        (
+            "kl --type B3 --format text",
+            "36cd0dfb0e8b7697068f1c2e676bbfa244c18b3bcf19a7a0b227f0b99d915565",
         ),
     ],
 )

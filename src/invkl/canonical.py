@@ -10,43 +10,65 @@ at most (l(w)-l(y)-1)/2.  Columns are characterized by bar invariance and
 this triangularity, which gives two independent construction routes:
 
 * ``column_barfix`` solves the fixed-point condition against the rescaled
-  bar matrix directly (the reference implementation);
+  bar matrix directly, in ``LaurentPoly`` arithmetic on pi (the reference
+  implementation);
 * ``column_recursive`` runs the descent recursion: with s the smallest left
-  descent of the target z, either z = sw with sw = w delta(s) (then a
-  coefficient recurrence with one unknown integer per row is solved), or
-  z = s w delta(s) (then each row is a closed formula over shorter columns).
+  descent of the target z, either z = sw with sw = w delta(s) (then each row
+  is divided by 1 + u, one row per descent carrying the unknown mu'(y, z)),
+  or z = s w delta(s) (then each row is a closed formula over shorter
+  columns).
 
 Both produce identical tables; the test and verification suites insist on it.
 
+A column is stored as ``KLTable`` stores one, after du Cloux's Coxeter 3
+(Experiment. Math. 11, 2002): {y: P(y, w) as a tuple of u-coefficients}
+over the y <= w, built with the q-tuple kernel of ``laurent``.  Row y of
+target z is the equation for pi(y, z) times v^{l(z)-l(y)}, times one more v
+when z = sw, so every coefficient is in Z[u]: the T_s case of y gives a
+fixed combination such as (1+u) P(y, w) + (u^2-u) P(sy, w), and a shorter
+column x enters as an integer times a u-shift, times 1 + u when l(w) - l(x)
+is odd.  A commuting target then solves (1 + u) P(y, z) = row +
+mu'(y, z) u^((gap+1)/2) by one upward division under the degree bound
+floor((gap-1)/2), where the mu' term is allowed only on the rows of the
+descent interval; anything else left over raises ``RecurrenceInconsistent``.
+``LaurentPoly`` values are built only at the API boundary (``pi``,
+``sigma_kl``, ``a_vector``, ``ms_constant`` and the c_s action check).
+
 The recursion pushes whole columns instead of pulling single entries, as
-du Cloux's Coxeter 3 does for classical KL (Experiment. Math. 11, 2002).
-Each column w keeps a sparse mu' row {x: mu'(x, w) != 0}.  For an ascent s
-of w, the part of ms_constant(s, x, w) known before column sw exists is
-computed once from these rows and memoized per (s, w); a new column z then
-starts from an accumulator holding -k_x * column(x) for every x with a
-nonzero known part k_x, the commuting branch adds mu'(x, z) * column(x)
-as soon as row x is solved, and row y is its case term plus its
-accumulator entry.  Every T_s case (commuting, ascending, partner) is read
-from ``InvolutionModule.action_case`` and every Bruhat interval from
-``InvolutionModule.interval``; only ``column_barfix`` scans every shorter
-involution and decides y <= w through the group.
+Coxeter 3 does for classical KL.  Each column w keeps a sparse mu' row
+{x: mu'(x, w) != 0}.  For an ascent s of w, the part of ms_constant(s, x, w)
+known before column sw exists is computed once from these rows and memoized
+per (s, w); a new column z then starts from an accumulator holding
+-k_x * column(x) for every x with a nonzero known part k_x, the commuting
+branch adds mu'(x, z) * column(x) as soon as row x is solved, and row y is
+its case term plus its accumulator entry.  Every T_s case (commuting,
+ascending, partner) is read from ``InvolutionModule.action_case`` and every
+Bruhat interval from ``InvolutionModule.interval``; only ``column_barfix``
+scans every shorter involution and decides y <= w through the group.
 """
 
 from __future__ import annotations
 
-from .errors import InconsistentBar, NotDivisible, RecurrenceInconsistent, TheoremMismatch
+from .errors import InconsistentBar, RecurrenceInconsistent, TheoremMismatch
 from .invmodule import MVector
-from .laurent import LaurentPoly, ONE, ZERO, v_pow
+from .klclassic import expand_unitriangular
+from .laurent import (
+    LaurentPoly, ONE, ZERO, q_addmul, q_divmod, q_mu, q_shift, spread, v_pow,
+)
 
 __all__ = ["CanonicalBasis"]
 
 _VPV = v_pow(1) + v_pow(-1)      # v + v^-1
-_VMV = v_pow(1) - v_pow(-1)      # v - v^-1
-_CASE_UP_COMM = ONE + v_pow(-2)  # 1 + v^-2
-_V2_M1 = v_pow(2) - ONE          # v^2 - 1
-_V2 = v_pow(2)
-_VINV2 = v_pow(-2)
 _V2PVINV2 = v_pow(2) + v_pow(-2)
+
+# The scaled row y of a target column: the u-coefficients multiplying
+# P(y, w) and P(partner of y, w), by the T_s case (commuting, up) of y.
+_CASE_TERMS = {
+    (True, True): ((1, 1), (0, -1, 1)),    # (1+u) P(y,w) + (u^2-u) P(sy,w)
+    (True, False): ((0, -1, 1), (1, 1)),   # (u^2-u) P(y,w) + (1+u) P(sy,w)
+    (False, True): ((1,), (0, 0, 1)),      # P(y,w) + u^2 P(sy delta(s),w)
+    (False, False): ((0, 0, 1), (1,)),     # u^2 P(y,w) + P(sy delta(s),w)
+}
 
 
 class CanonicalBasis:
@@ -55,7 +77,7 @@ class CanonicalBasis:
     def __init__(self, module):
         self.module = module
         self.system = module.system
-        self._columns = {}   # wid -> {yid: pi poly}, over y <= w
+        self._columns = {}   # wid -> {yid: P(y, w) as u-coefficients}, over y <= w
         self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
         self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
         self._a_vectors = {}
@@ -81,9 +103,9 @@ class CanonicalBasis:
         return self
 
     def column(self, wid):
-        """Column w as {y: pi(y, w)} over the y <= w, built on first use.
+        """Column w as {y: P(y, w) as a tuple of u-coefficients} over the y <= w.
 
-        Empty when w is not a (twisted) involution.
+        Built on first use; empty when w is not a (twisted) involution.
         """
         col = self._columns.get(wid)
         if col is None:
@@ -96,10 +118,12 @@ class CanonicalBasis:
         """{x: mu'(x, w)} over the x with mu'(x, w) != 0, read off column w."""
         row = self._mu_rows.get(wid)
         if row is None:
+            length = self.system.length_of
+            lw = length(wid)
             row = self._mu_rows[wid] = {
                 xid: mu
-                for xid, pi in self.column(wid).items()
-                if (mu := pi.coeff(-1))
+                for xid, p in self.column(wid).items()
+                if (mu := q_mu(p, lw - length(xid)))
             }
         return row
 
@@ -125,27 +149,30 @@ class CanonicalBasis:
 
     # -- lookups ------------------------------------------------------------------
 
+    def _entry(self, y, w):
+        """P(y, w) as u-coefficients (empty unless y <= w) and l(w) - l(y)."""
+        sys = self.system
+        yid, wid = sys._id_of(y), sys._id_of(w)
+        gap = sys.length_of(wid) - sys.length_of(yid)
+        return self.column(wid).get(yid, ()), gap
+
     def pi(self, y, w):
         """pi(y, w) = v^{l(y)-l(w)} P(y, w); zero unless both are involutions, y <= w."""
-        sys = self.system
-        return self.column(sys._id_of(w)).get(sys._id_of(y), ZERO)
+        p, gap = self._entry(y, w)
+        return spread(p, 2, -gap)
 
     def sigma_kl(self, y, w):
         """The polynomial P(y, w) in u attached to a pair of involutions."""
-        sys = self.system
-        yid, wid = sys._id_of(y), sys._id_of(w)
-        p = self.column(wid).get(yid, ZERO)
-        if p.is_zero:
-            return ZERO
-        return p * v_pow(sys.length_of(wid) - sys.length_of(yid))
+        return spread(self._entry(y, w)[0], 2)
 
     def mu_prime(self, y, w):
-        sys = self.system
-        return self.column(sys._id_of(w)).get(sys._id_of(y), ZERO).coeff(-1)
+        """mu'(y, w), the coefficient of v^-1 in pi(y, w)."""
+        return q_mu(*self._entry(y, w))
 
     def mu_double_prime(self, y, w):
-        sys = self.system
-        return self.column(sys._id_of(w)).get(sys._id_of(y), ZERO).coeff(-2)
+        """mu''(y, w), the coefficient of v^-2 in pi(y, w)."""
+        p, gap = self._entry(y, w)
+        return q_mu(p, gap - 1)
 
     # -- structure constants -----------------------------------------------------
 
@@ -167,27 +194,29 @@ class CanonicalBasis:
         """
         known = self._known_parts(s, wid)
         commuting, _up, sw = self.module.action_case(s, wid)
-        if not commuting:
-            return known
+        mu_sw = self.mu_row(sw) if commuting else {}
         length = self.system.length_of
-        mu_sw = self.mu_row(sw)
         out = {}
         for xid in self._descent_interval(s, wid):
-            m = known.get(xid, ZERO)
-            if not (length(xid) - length(wid)) % 2:
-                m = m - mu_sw.get(xid, 0)
-            if not m.is_zero:
-                out[xid] = m
+            m = known.get(xid, 0)
+            if (length(wid) - length(xid)) % 2:
+                if m:
+                    out[xid] = m * _VPV
+                continue
+            m -= mu_sw.get(xid, 0)
+            if m:
+                out[xid] = LaurentPoly((m,))
         return out
 
     def _known_parts(self, s, wid):
         """ms_constant(s, x, w) less its mu'(x, sw) term, over the descent interval.
 
-        Only the nonzero values are kept, memoized per (s, w).  An odd gap
-        l(w) - l(x) gives mu'(x, w) (v + v^-1); an even gap gives the
-        integer mu''(x, w) - sum_{x'} mu'(x, x') mu'(x', w) + mu'(sx, w), the
-        last term only when sx = x delta(s).  The convolution over the x' of
-        the descent interval is pushed from the mu' rows of w and of x'.
+        Only the nonzero values are kept, as integers k, memoized per (s, w).
+        An odd gap l(w) - l(x) stands for k (v + v^-1) with k = mu'(x, w); an
+        even gap gives the integer mu''(x, w) - sum_{x'} mu'(x, x')
+        mu'(x', w) + mu'(sx, w), the last term only when sx = x delta(s).
+        The convolution over the x' of the descent interval is pushed from
+        the mu' rows of w and of x'.
         """
         key = (s, wid)
         known = self._known.get(key)
@@ -205,17 +234,18 @@ class CanonicalBasis:
                     convolution[xid] = convolution.get(xid, 0) + m2 * m
         known = {}
         for xid in descents:
-            if (length(xid) - length(wid)) % 2:
+            gap = length(wid) - length(xid)
+            if gap % 2:
                 m = mu_w.get(xid)
                 if m:
-                    known[xid] = m * _VPV
+                    known[xid] = m
                 continue
-            total = col_w.get(xid, ZERO).coeff(-2) - convolution.get(xid, 0)
+            total = q_mu(col_w.get(xid, ()), gap - 1) - convolution.get(xid, 0)
             commuting, _up, sx = self.module.action_case(s, xid)
             if commuting:
                 total += mu_w.get(sx, 0)
             if total:
-                known[xid] = LaurentPoly((total,), 0)
+                known[xid] = total
         self._known[key] = known
         return known
 
@@ -230,10 +260,15 @@ class CanonicalBasis:
         return r * v_pow(sys.length_of(xid) + sys.length_of(yid))
 
     def column_barfix(self, wid):
-        """Solve bar(A_w) = A_w row by row, top down."""
+        """Solve bar(A_w) = A_w row by row, top down, in ``LaurentPoly`` arithmetic.
+
+        Returns the column in the layout of ``column``; each pi(y, w) goes
+        through the checked conversion ``_p_of_pi``.
+        """
         sys = self.system
         lw = sys.length_of(wid)
         col = {wid: ONE}
+        out = {wid: (1,)}
         rows = [
             yid
             for layer in reversed(self.module.layers)
@@ -258,171 +293,114 @@ class CanonicalBasis:
                         "nonzero coefficient outside the Bruhat interval at "
                         f"{sys.word_of(yid)}, {sys.word_of(wid)}"
                     )
-                self._validate_pi(yid, wid, pi_yw)
+                out[yid] = self._p_of_pi(yid, wid, pi_yw)
                 col[yid] = pi_yw
-        return col
+        return out
+
+    def _p_of_pi(self, yid, wid, pi):
+        """P(y, w) as u-coefficients from pi(y, w) = v^{l(y)-l(w)} P(y, w), y < w.
+
+        Raises ``RecurrenceInconsistent`` unless P has even support, no
+        negative power and u-degree at most (l(w)-l(y)-1)/2.
+        """
+        sys = self.system
+        gap = sys.length_of(wid) - sys.length_of(yid)
+        p = pi * v_pow(gap)
+        if p.min_exp < 0 or p.max_exp > gap - 1 or not p.is_even_support():
+            raise RecurrenceInconsistent(
+                f"coefficient {pi} at pair {sys.word_of(yid)}, "
+                f"{sys.word_of(wid)} violates the degree or parity bounds"
+            )
+        return (0,) * (p.min_exp // 2) + p.coeffs[::2]
 
     # -- construction: the descent recursion -----------------------------------------
-
-    def _case_term(self, s, yid, col_w):
-        """Column-w data entering the row-y equation for the target column."""
-        commuting, up, other = self.module.action_case(s, yid)
-        pi_y = col_w.get(yid, ZERO)
-        pi_other = col_w.get(other, ZERO)
-        if commuting:
-            if up:
-                return pi_y * _CASE_UP_COMM + pi_other * _VMV
-            return pi_other * _VPV + pi_y * _V2_M1
-        if up:
-            return pi_y * _VINV2 + pi_other
-        return pi_other + pi_y * _V2
 
     def column_recursive(self, zid):
         """Build column z from strictly shorter columns via the smallest descent.
 
         With s the smallest left descent of z and w its s-partner, c_s A_w
         is A_z (times v + v^-1 in the commuting case) plus the ms_constant
-        multiples of the A_x, x in ``_descent_interval(s, w)``.  The
-        accumulator starts as -k_x * column(x) summed over the nonzero
-        known parts k_x; the rows y < z are then solved top down, each from
-        its case term plus its accumulator entry.  In the commuting case
-        row y of the descent interval also carries the unknown mu'(y, z),
-        which ``_solve_with_unknown`` pins; once it is known, mu'(y, z) *
-        column(y) is added into the accumulator for the rows below y.
+        multiples of the A_x, x in ``_descent_interval(s, w)``.  Row y is
+        scaled by v^(l(z)-l(y)), by one more v in the commuting case, so
+        that all of it is in Z[u].  The accumulator starts as -k_x *
+        column(x) summed over the nonzero known parts k_x; the rows y < z
+        are then solved top down by ``_solve_row``, each from its
+        ``_CASE_TERMS`` combination plus its accumulator entry.  In the
+        commuting case a row of the descent interval also gives mu'(y, z),
+        and mu'(y, z) * column(y) is added into the accumulator for the rows
+        below y.
         """
         sys = self.system
         if zid == 0:
-            return {0: ONE}
+            return {0: (1,)}
+        length = sys.length_of
         s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
         commuting, _up, wid = self.module.action_case(s, zid)
         col_w = self.column(wid)
+        lift = length(zid) + 1 if commuting else length(zid)  # row y: v^(lift-l(y))
         pending = {}
         for xid, k in self._known_parts(s, wid).items():
-            _add_column(pending, -k, self.column(xid))
+            e = lift - length(xid)
+            mult = q_shift((-k, -k) if e % 2 else (-k,), e // 2)
+            _add_column(pending, mult, self.column(xid))
         descents = set(self._descent_interval(s, wid)) if commuting else ()
-        col = {zid: ONE}
+        den = (1, 1) if commuting else (1,)
+        col = {zid: (1,)}
         for yid in reversed(self.module.interval(zid)[:-1]):
-            acc = self._case_term(s, yid, col_w) + pending.get(yid, ZERO)
-            if not commuting:
-                pi_yz = acc
-            elif yid in descents:
-                pi_yz, mu = self._solve_with_unknown(acc, yid, zid)
-                if mu:
-                    _add_column(pending, mu, self.column(yid))
-            else:
-                pi_yz = self._divide_row(acc, yid, zid)
-            if not pi_yz.is_zero:
-                self._validate_pi(yid, zid, pi_yz)
-                col[yid] = pi_yz
+            commuting_y, up, other = self.module.action_case(s, yid)
+            c_y, c_other = _CASE_TERMS[commuting_y, up]
+            row = q_addmul(pending.get(yid, ()), c_y, col_w.get(yid, ()))
+            row = q_addmul(row, c_other, col_w.get(other, ()))
+            p, mu = self._solve_row(row, yid, zid, den, yid in descents)
+            if mu:
+                mult = q_shift((mu,), (lift - length(yid)) // 2)
+                _add_column(pending, mult, self.column(yid))
+            if p:
+                col[yid] = p
         return col
 
-    def _validate_pi(self, yid, wid, pi):
-        sys = self.system
-        gap = sys.length_of(wid) - sys.length_of(yid)
-        if (
-            pi.max_exp > -1
-            or pi.min_exp < -gap
-            or any((e + gap) % 2 for e, _ in pi.terms())
-        ):
-            raise RecurrenceInconsistent(
-                f"coefficient {pi} at pair {sys.word_of(yid)}, "
-                f"{sys.word_of(wid)} violates the degree or parity bounds"
-            )
+    def _solve_row(self, row, yid, zid, den, unknown):
+        """Solve den * P(y, z) = row + mu u^(d+1) for P(y, z) and mu.
 
-    def _divide_row(self, acc, yid, zid):
-        if acc.is_zero:
-            return ZERO
-        try:
-            pi = acc.exact_div(_VPV)
-        except NotDivisible as exc:
-            raise RecurrenceInconsistent(
-                f"row {self.system.word_of(yid)} of column "
-                f"{self.system.word_of(zid)}: {exc}"
-            ) from exc
-        if pi.max_exp > -1:
-            raise RecurrenceInconsistent(
-                f"row {self.system.word_of(yid)} of column "
-                f"{self.system.word_of(zid)} is not strictly triangular"
-            )
-        return pi
-
-    def _solve_with_unknown(self, spade, yid, zid):
-        """Solve (v + v^-1) pi - mu = spade with pi in v^-1 Z[v^-1], mu = [v^-1] pi.
-
-        Writing pi = sum_{n>=1} c_n v^-n, the coefficient chain is
-        c_2 = [v^-1] spade, c_{n+1} + c_{n-1} = [v^-n] spade, and finite
-        support pins the odd chain from the tail.
+        ``den`` is 1 + u for a commuting target and 1 otherwise, and
+        d = floor((gap-1)/2) bounds the u-degree of P(y, z), gap being
+        l(z) - l(y).  One upward division gives P; the remainder must be
+        zero, except that with ``unknown`` (a row of the descent interval
+        of a commuting target) it may be -mu u^(d+1) with mu = mu'(y, z), the
+        top coefficient of P when the gap is odd.  Returns (P, mu).
         """
-        def fail(msg):
+        sys = self.system
+        gap = sys.length_of(zid) - sys.length_of(yid)
+        d = (gap - 1) // 2
+        p, rest = q_divmod(row, den, d)
+        mu = q_mu(p, gap) if unknown else 0
+        if rest != (q_shift((-mu,), d + 1) if mu else ()):
             raise RecurrenceInconsistent(
-                f"row {self.system.word_of(yid)} of column "
-                f"{self.system.word_of(zid)}: {msg} (spade {spade})"
+                f"row {sys.word_of(yid)} of column {sys.word_of(zid)}: "
+                f"u-coefficients {rest} are left over dividing {row} by {den} "
+                f"under the degree bound {d}"
             )
-
-        if spade.is_zero:
-            return ZERO, 0
-        if spade.max_exp > 0 or spade.coeff(0) != 0:
-            fail("known side has forbidden nonnegative terms")
-        depth = -spade.min_exp
-        c = {0: 0}
-        # even-index coefficients, driven forward
-        j = 1
-        while j <= depth:
-            c[j + 1] = spade.coeff(-j) - c[j - 1]
-            j += 2
-        last_even = j - 1  # the topmost driven even index
-        if c.get(last_even, 0) != 0:
-            fail("even coefficient chain does not terminate")
-        # odd-index coefficients, driven backward from the finite-support tail
-        j = depth if depth % 2 == 0 else depth + 1
-        while j >= 2:
-            c[j - 1] = spade.coeff(-j) - c.get(j + 1, 0)
-            j -= 2
-        coeffs = {}
-        for n, val in c.items():
-            if n >= 1 and val:
-                coeffs[-n] = val
-        pi = ZERO
-        for e in sorted(coeffs):
-            pi = pi + LaurentPoly((coeffs[e],), e)
-        if (_VPV * pi - pi.coeff(-1)) != spade:
-            fail("recurrence solution does not satisfy the equation")
-        return pi, pi.coeff(-1)
+        return p, mu
 
     # -- the basis as module elements, and the generator action ----------------------
 
     def a_vector(self, w):
-        """A_w as an element of the module in the plain a-basis."""
+        """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module."""
         sys = self.system
         wid = sys._id_of(w)
         cached = self._a_vectors.get(wid)
-        if cached is not None:
-            return cached
-        vec = MVector(
-            {
-                yid: pi * v_pow(-sys.length_of(yid))
-                for yid, pi in self.column(wid).items()
-            }
-        )
-        self._a_vectors[wid] = vec
-        return vec
+        if cached is None:
+            lw = sys.length_of(wid)
+            cached = self._a_vectors[wid] = MVector(
+                {yid: spread(p, 2, -lw) for yid, p in self.column(wid).items()}
+            )
+        return cached
 
     def expand_in_A(self, m):
         """Rewrite a module element in the canonical basis (unitriangular)."""
-        sys = self.system
-        work = dict(m.entries)
-        out = {}
-        while work:
-            top = max(work, key=lambda w: (sys.length_of(w), sys.word_of(w)))
-            coeff = work[top] * v_pow(sys.length_of(top))
-            out[top] = coeff
-            for yid, f in self.a_vector(top).entries.items():
-                g = work.get(yid, ZERO) - coeff * f
-                if g.is_zero:
-                    work.pop(yid, None)
-                else:
-                    work[yid] = g
-        return out
+        return expand_unitriangular(
+            self.system, m.entries, lambda wid: self.a_vector(wid).entries
+        )
 
     def cs_action_on_A(self, s, w):
         """Expand c_s A_w in the canonical basis and check the closed form.
@@ -450,7 +428,7 @@ class CanonicalBasis:
         return got
 
 
-def _add_column(pending, k, column):
-    """pending[y] += k * column[y] for every row y of ``column``."""
-    for yid, pi in column.items():
-        pending[yid] = pending.get(yid, ZERO) + k * pi
+def _add_column(pending, mult, column):
+    """pending[y] += mult * column[y] for every row y of ``column``."""
+    for yid, p in column.items():
+        pending[yid] = q_addmul(pending.get(yid, ()), mult, p)

@@ -216,24 +216,25 @@ def _involution_pairs(system, module, max_length):
 
 
 def _pair_renderers(poly_key):
-    """Renderers of a row (y word, w word, polynomial, classical P or None)."""
+    """Renderers of a row (y word, w word, u-coefficients, classical ones or None)."""
 
     def item(row):
-        y, w, poly, classic = row
-        entry = {"y_word": list(y), "w_word": list(w), poly_key: poly.to_json_obj()}
+        y, w, p, classic = row
+        entry = {"y_word": list(y), "w_word": list(w)}
+        entry[poly_key] = spread(p, 2).to_json_obj()
         if classic is not None:
-            entry["classic_poly"] = classic.to_json_obj()
+            entry["classic_poly"] = spread(classic, 2).to_json_obj()
         return entry
 
     def fields(row):
-        y, w, poly, classic = row
-        out = [_word_str(y), _word_str(w), poly.pair_string()]
-        return out if classic is None else out + [classic.pair_string()]
+        y, w, p, classic = row
+        out = [_word_str(y), _word_str(w), spread(p, 2).pair_string()]
+        return out if classic is None else out + [spread(classic, 2).pair_string()]
 
     def line(row):
-        y, w, poly, classic = row
-        text = f"P[{_word_str(y)}, {_word_str(w)}] = {poly}"
-        return text if classic is None else text + f"  (classical {classic})"
+        y, w, p, classic = row
+        text = f"P[{_word_str(y)}, {_word_str(w)}] = {spread(p, 2)}"
+        return text if classic is None else text + f"  (classical {spread(classic, 2)})"
 
     return {"item": item, "fields": fields, "line": line}
 
@@ -251,8 +252,8 @@ def cmd_table(args):
         (
             system.word_of(yid),
             system.word_of(wid),
-            basis.sigma_kl(yid, wid),
-            kl.kl_poly_ids(yid, wid) if kl is not None else None,
+            basis.column(wid).get(yid, ()),
+            kl.column(wid).get(yid, ()) if kl is not None else None,
         )
         for yid, wid in _involution_pairs(system, module, args.max_length)
     )
@@ -268,13 +269,14 @@ def cmd_kl(args):
     system = _make_system(args)
     kl = KLTable(system)
     elements = kl.build_full(max_length=args.max_length)
-    # elements are in (length, word) order, so the pairs come out sorted
+    order = {w.id: i for i, w in enumerate(elements)}
+
+    # elements are in (length, word) order, and so are the rows of each column
     def rows():
         for w in elements:
             column = kl.column(w.id)
-            for y in elements:
-                if y.id in column:
-                    yield y.word, w.word, spread(column[y.id], 2), None
+            for yid in sorted(column, key=order.__getitem__):
+                yield system.word_of(yid), w.word, column[yid], None
 
     _write(
         args, rows(), head=_head("kl", system), key="entries",

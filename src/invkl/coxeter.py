@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantError
+from .laurent import q_addmul, q_div, q_shift
 
 __all__ = [
     "CoxeterSystem",
@@ -90,31 +91,14 @@ def _rational_rank(rows):
 # the real cyclotomic field Q(2cos(pi/N)), used only to build the root system
 
 
-def _int_poly_divmod(num, den):
-    num = list(num)
-    d = len(den) - 1
-    q = [0] * (len(num) - d)
-    for k in range(len(num) - d - 1, -1, -1):
-        q[k], rem = divmod(num[k + d], den[-1])
-        if rem:
-            raise InvariantError("non-exact cyclotomic division")
-        if q[k]:
-            for j in range(d + 1):
-                num[k + j] -= q[k] * den[j]
-    if any(num):
-        raise InvariantError("non-exact cyclotomic division")
-    return q
-
-
-def _cyclotomic(n, cache={1: [-1, 1]}):
+def _cyclotomic(n, cache={1: (-1, 1)}):
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
     if n in cache:
         return cache[n]
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
+    num = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            num = _int_poly_divmod(num, _cyclotomic(d))
+            num = q_div(num, _cyclotomic(d))
     cache[n] = num
     return num
 
@@ -129,13 +113,11 @@ class _CycloField:
         # minimal polynomial of c from the palindromic cyclotomic polynomial:
         # Phi_{2N}(x)/x^d = phi[d] + sum_j phi[d+j] (x^j + x^-j)
         # and x^j + x^-j = p_j(c) with p_0=2, p_1=c, p_{j+1}=c*p_j - p_{j-1}.
-        p_prev, p_cur = [2], [0, 1]
-        psi = [phi[d]]
-        psi = self._poly_add(psi, [phi[d + 1] * c for c in p_cur])
+        p_prev, p_cur = (2,), (0, 1)
+        psi = q_addmul((phi[d],), (phi[d + 1],), p_cur)
         for j in range(2, d + 1):
-            p_next = self._poly_sub([0] + p_cur, p_prev)
-            p_prev, p_cur = p_cur, p_next
-            psi = self._poly_add(psi, [phi[d + j] * c for c in p_cur])
+            p_prev, p_cur = p_cur, q_addmul(q_shift(p_cur, 1), (-1,), p_prev)
+            psi = q_addmul(psi, (phi[d + j],), p_cur)
         if len(psi) != d + 1 or psi[-1] != 1:
             raise InvariantError(f"2cos(pi/{n_denom}) has no monic minimal polynomial")
         self.degree = d
@@ -156,22 +138,6 @@ class _CycloField:
                 cur = [x + top * r for x, r in zip(cur, reductions[0])]
             reductions.append(tuple(cur))
         self._reductions = reductions
-
-    @staticmethod
-    def _poly_add(a, b):
-        n = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-            for i in range(n)
-        ]
-
-    @staticmethod
-    def _poly_sub(a, b):
-        n = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-            for i in range(n)
-        ]
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -775,9 +741,6 @@ class CoxeterSystem:
         """
         self.twisted_involution_ids()
         return self._tw_action
-
-    def twisted_involutions(self):
-        return [self.element(wid) for wid in self.twisted_involution_ids()]
 
     # -- conjugacy classes -------------------------------------------------------
 

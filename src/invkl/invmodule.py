@@ -17,7 +17,7 @@ table through ``InvolutionModule.action_case``.  Bruhat order on the
 involutions is read from the same table: ``InvolutionModule.interval(w)``
 lists the y <= w by the lifting property, without leaving the involutions.
 The module is defined over Z[u, u^-1]; every coefficient produced here must
-have even v-support, and the bar operations assert that.
+have even v-support, and the bar operations check that.
 
 The bar involution is the unique Z-linear map with bar(u^n m) = u^-n bar(m),
 bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  It is computed by

@@ -16,9 +16,11 @@ by pair; the interval itself falls out of the recursion.
 from __future__ import annotations
 
 from .errors import InvariantError
-from .laurent import ONE, ZERO, spread, v_pow
+from .laurent import (
+    ONE, ZERO, q_add, q_addmul, q_mu, q_shift, q_trim, spread, v_pow,
+)
 
-__all__ = ["KLTable", "HeckeAlgebra"]
+__all__ = ["KLTable", "HeckeAlgebra", "expand_unitriangular"]
 
 _U = v_pow(2)
 _U_MINUS_ONE = _U - ONE
@@ -26,31 +28,28 @@ _U_INV = v_pow(-2)
 _U_INV_MINUS_ONE = _U_INV - ONE
 
 
-def _q_shift(p, k):
-    return (0,) * k + tuple(p) if p else ()
+def expand_unitriangular(system, elem, column):
+    """Rewrite ``elem`` ({id: coefficient}) in a unitriangular basis.
 
-
-def _q_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
-
-
-def _q_sub_scaled(a, b, c):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) - c * (b[i] if i < len(b) else 0)
-        for i in range(n)
-    )
-
-
-def _q_trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
+    ``column(w)`` is the basis element of w as {y: coefficient} over y <= w,
+    with coefficient v^-l(w) at w itself (the cdot basis of the Hecke
+    algebra, the A basis of the involution module).  The top entry by
+    (length, word) is scaled by v^l(top) and its column subtracted, until
+    nothing is left.
+    """
+    work = dict(elem)
+    out = {}
+    while work:
+        top = max(work, key=lambda w: (system.length_of(w), system.word_of(w)))
+        coeff = work[top] * v_pow(system.length_of(top))
+        out[top] = coeff
+        for yid, f in column(top).items():
+            g = work.get(yid, ZERO) - coeff * f
+            if g.is_zero:
+                work.pop(yid, None)
+            else:
+                work[yid] = g
+    return out
 
 
 class HeckeAlgebra:
@@ -175,19 +174,19 @@ class KLTable:
         for x, p in self.column(vid).items():
             sx = sys.lmul(s, x)
             if length(sx) < length(x):
-                p = _q_shift(p, 1)
-            acc[x] = _q_add(acc[x], p) if x in acc else p
-            acc[sx] = _q_add(acc[sx], p) if sx in acc else p
+                p = q_shift(p, 1)
+            acc[x] = q_add(acc[x], p) if x in acc else p
+            acc[sx] = q_add(acc[sx], p) if sx in acc else p
         lw = length(wid)
         for zid, m in self.mu_row(vid):
             if sys.is_left_descent(s, zid):
                 shift = (lw - length(zid)) // 2
                 for x, p in self.column(zid).items():
-                    acc[x] = _q_sub_scaled(acc[x], _q_shift(p, shift), m)
+                    acc[x] = q_addmul(acc[x], q_shift((-m,), shift), p)
         col = {}
         row = []
         for x, p in acc.items():
-            p = _q_trim(p)
+            p = q_trim(p)
             if any(c < 0 for c in p):
                 raise InvariantError(
                     f"negative Kazhdan-Lusztig coefficient at pair "
@@ -200,8 +199,9 @@ class KLTable:
                     f"{sys.word_of(x)}, {sys.word_of(wid)}"
                 )
             col[x] = p
-            if gap % 2 and len(p) == (gap + 1) // 2:
-                row.append((x, p[-1]))
+            mu = q_mu(p, gap)
+            if mu:
+                row.append((x, mu))
         self._columns[wid] = col
         self._mu_rows[wid] = tuple(row)
         return col
@@ -246,8 +246,8 @@ class KLTable:
         cached = self._cdot_cache.get(wid)
         if cached is not None:
             return cached
-        scale = v_pow(-self.system.length_of(wid))
-        out = {yid: spread(p, 2) * scale for yid, p in self.column(wid).items()}
+        lw = self.system.length_of(wid)
+        out = {yid: spread(p, 2, -lw) for yid, p in self.column(wid).items()}
         self._cdot_cache[wid] = out
         return out
 
@@ -256,29 +256,14 @@ class KLTable:
         cached = self._cprime_cache.get(wid)
         if cached is not None:
             return cached
-        scale = v_pow(-2 * self.system.length_of(wid))
-        out = {yid: spread(p, 4) * scale for yid, p in self.column(wid).items()}
+        lw = self.system.length_of(wid)
+        out = {yid: spread(p, 4, -2 * lw) for yid, p in self.column(wid).items()}
         self._cprime_cache[wid] = out
         return out
 
     def expand_in_cdot(self, elem):
         """Rewrite a T-basis dict (u-algebra) in the cdot basis."""
-        sys = self.system
-        work = dict(elem)
-        out = {}
-        while work:
-            top = max(
-                work, key=lambda w: (sys.length_of(w), sys.word_of(w))
-            )
-            coeff = work[top] * v_pow(sys.length_of(top))
-            out[top] = coeff
-            for wid, f in self.cdot(top).items():
-                g = work.get(wid, ZERO) - coeff * f
-                if g.is_zero:
-                    work.pop(wid, None)
-                else:
-                    work[wid] = g
-        return out
+        return expand_unitriangular(self.system, elem, self.cdot)
 
     def c_basis_product(self, z, w):
         """Expansion of cdot_z * cdot_w in the cdot basis (memoized)."""

@@ -1,8 +1,13 @@
-"""Exact integer Laurent polynomials in the indeterminate v.
+"""Exact integer Laurent polynomials in the indeterminate v, and the q-tuple kernel.
 
 Every scalar in this package lives in Z[v, v^-1].  The ring Z[u, u^-1] with
 u = v^2 is embedded as the polynomials with even support; callers that need
 u-membership test it with :meth:`LaurentPoly.is_even_support`.
+
+The tables themselves (classical P and P-sigma) are polynomials in one
+variable q with no negative powers, stored as plain coefficient tuples
+``(c_0, c_1, ...)``.  The ``q_*`` functions are the one kernel that builds
+them; ``spread`` turns a tuple into a ``LaurentPoly`` at the API boundary.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -15,7 +20,11 @@ from fractions import Fraction
 
 from .errors import NotDivisible
 
-__all__ = ["LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow", "spread"]
+__all__ = [
+    "LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow", "spread",
+    "q_shift", "q_add", "q_addmul", "q_trim", "q_divmod", "q_div",
+    "q_mu",
+]
 
 
 class LaurentPoly:
@@ -261,6 +270,86 @@ def spread(p, step, min_exp=0):
     coeffs = [0] * (step * (len(p) - 1) + 1) if p else []
     coeffs[::step] = p
     return LaurentPoly(coeffs, min_exp)
+
+
+def q_shift(p, k):
+    """q^k p; the empty tuple stays empty."""
+    return (0,) * k + tuple(p) if p else ()
+
+
+def q_add(a, b):
+    """a + b, untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return tuple(out)
+
+
+def q_addmul(a, b, c):
+    """a + b c, untrimmed; b is the short factor, its zero coefficients are skipped."""
+    if not b or not c:
+        return a
+    out = list(a)
+    n = len(b) + len(c) - 1
+    if n > len(out):
+        out.extend([0] * (n - len(out)))
+    for i, bi in enumerate(b):
+        if bi:
+            for j, cj in enumerate(c, i):
+                out[j] += bi * cj
+    return tuple(out)
+
+
+def q_trim(p):
+    """p without its trailing zeros."""
+    n = len(p)
+    while n and not p[n - 1]:
+        n -= 1
+    return tuple(p[:n])
+
+
+def q_divmod(p, den, deg):
+    """Divide p by den upward from the constant term, as power series.
+
+    Returns the trimmed q of degree at most ``deg`` for which p - den q
+    vanishes in degrees 0..deg, and that remainder, trimmed.  Raises
+    :class:`NotDivisible` when a quotient coefficient is not an integer.
+    """
+    rest = list(p)
+    n = deg + len(den)
+    if n > len(rest):
+        rest.extend([0] * (n - len(rest)))
+    lead = den[0]
+    q = [0] * (deg + 1)
+    for k in range(deg + 1):
+        c, r = divmod(rest[k], lead)
+        if r:
+            raise NotDivisible(f"{tuple(p)} is not divisible by {tuple(den)}")
+        if c:
+            q[k] = c
+            for j, d in enumerate(den, k):
+                rest[j] -= c * d
+    return q_trim(q), q_trim(rest)
+
+
+def q_div(p, den):
+    """The exact quotient p / den; :class:`NotDivisible` when den does not divide p."""
+    q, rest = q_divmod(p, den, len(p) - len(den))
+    if rest:
+        raise NotDivisible(f"{tuple(p)} is not divisible by {tuple(den)}")
+    return q
+
+
+def q_mu(p, gap):
+    """The coefficient of q^((gap-1)/2) in p, or 0 when gap is even.
+
+    For p = P(y, w) with gap = l(w) - l(y) this is mu(y, w); for P-sigma it
+    is mu'(y, w), and ``q_mu(p, gap - 1)`` is mu''(y, w).  The degree bound
+    deg P <= (gap-1)/2 makes it the top coefficient whenever it is nonzero.
+    """
+    return p[-1] if p and 2 * len(p) == gap + 1 else 0
 
 
 ZERO = LaurentPoly()

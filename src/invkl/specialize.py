@@ -60,7 +60,6 @@ class SpecializedModule:
         self.module = module
         self.system = module.system
         self.basis = module.involution_ids
-        self._basis_pos = {w: i for i, w in enumerate(self.basis)}
         self._matrices = None
         self._h = None
 

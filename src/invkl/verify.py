@@ -339,18 +339,6 @@ def suite_specialize(ctx):
     return res
 
 
-SUITE_NAMES = [
-    "quadratic",
-    "braid",
-    "bar",
-    "bar-oracle",
-    "canonical-oracle",
-    "parity",
-    "descent-stability",
-    "cs-action",
-    "specialize-u1",
-]
-
 _SUITES = {
     "quadratic": suite_quadratic,
     "braid": suite_braid,
@@ -362,6 +350,8 @@ _SUITES = {
     "cs-action": suite_cs_action,
     "specialize-u1": suite_specialize,
 }
+
+SUITE_NAMES = list(_SUITES)
 
 
 def run_suites(system, names=None):

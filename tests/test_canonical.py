@@ -1,7 +1,10 @@
 import itertools
 
+import pytest
+
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
+from invkl.errors import RecurrenceInconsistent
 from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, v_pow
@@ -18,8 +21,8 @@ def make(label, delta=None):
 def test_base_columns():
     system, module, basis = make("A1")
     s = system.element_id_from_word([0])
-    assert basis._columns[0] == {0: ONE}
-    assert basis._columns[s] == {s: ONE, 0: v_pow(-1)}
+    assert {y: basis.pi(y, 0) for y in basis.column(0)} == {0: ONE}
+    assert {y: basis.pi(y, s) for y in basis.column(s)} == {s: ONE, 0: v_pow(-1)}
     assert basis.sigma_kl(0, s) == ONE
 
 
@@ -27,7 +30,7 @@ def test_a2_longest_column(a2, a2_canonical):
     sts = a2.element_id_from_word([0, 1, 0])
     s = a2.element_id_from_word([0])
     t = a2.element_id_from_word([1])
-    col = a2_canonical._columns[sts]
+    col = {y: a2_canonical.pi(y, sts) for y in a2_canonical.column(sts)}
     assert col == {sts: ONE, s: v_pow(-2), t: v_pow(-2), 0: v_pow(-3)}
     for y in (0, s, t):
         assert a2_canonical.sigma_kl(y, sts) == ONE
@@ -52,7 +55,7 @@ def test_two_routes_agree():
     ]:
         system, module, basis = make(label, delta)
         for wid in module.involution_ids:
-            assert basis.column_barfix(wid) == basis._columns[wid], (label, wid)
+            assert basis.column_barfix(wid) == basis.column(wid), (label, wid)
 
 
 def test_columns_bar_invariant_unitriangular_bounded():
@@ -61,7 +64,7 @@ def test_columns_bar_invariant_unitriangular_bounded():
         for wid in module.involution_ids:
             vec = basis.a_vector(wid)
             assert module.bar_extended(vec) == vec
-            col = basis._columns[wid]
+            col = {y: basis.pi(y, wid) for y in basis.column(wid)}
             assert col[wid] == ONE
             for yid, pi in col.items():
                 if yid == wid:
@@ -72,6 +75,52 @@ def test_columns_bar_invariant_unitriangular_bounded():
                 p = basis.sigma_kl(yid, wid)
                 assert p.is_even_support() and p.min_exp >= 0
                 assert p.max_exp <= gap - 1  # u-degree <= (gap-1)/2
+
+
+def test_columns_hold_int_tuples():
+    for label, delta in [("B3", None), ("A3", [2, 1, 0]), ("I2(5)", None)]:
+        system, module, basis = make(label, delta)
+        for wid in module.involution_ids:
+            for p in basis.column(wid).values():
+                assert type(p) is tuple and p and p[-1]
+                assert all(type(c) is int for c in p)
+
+
+def test_row_division_by_one_plus_u(a2, a2_canonical):
+    """(1+u) P = row + mu u^(d+1): the mu term only on descent rows of odd gap."""
+    basis = a2_canonical
+    s = a2.element_id_from_word([0])
+    sts = a2.element_id_from_word([0, 1, 0])
+    # gap 3, so deg P <= 1: (1+u)(1+2u) = 1 + 3u + 2u^2
+    assert basis._solve_row((1, 3, 2), 0, sts, (1, 1), False) == ((1, 2), 0)
+    # on a descent row the unknown top term comes back as mu'
+    assert basis._solve_row((1, 3), 0, sts, (1, 1), True) == ((1, 2), 2)
+    for row, unknown in [
+        ((1, 3, 2, 5), False),  # residual above the allowed degree
+        ((1, 3, 2, 0), True),   # a descent row has no u^2 term of its own
+        ((1, 3), False),        # the mu' term off the descent interval
+        ((1, 3, 1), True),      # a residual that is not -mu' u^2
+    ]:
+        with pytest.raises(RecurrenceInconsistent):
+            basis._solve_row(row, 0, sts, (1, 1), unknown)
+    # gap 2 has no mu', even on a descent row
+    assert basis._solve_row((1, 1), s, sts, (1, 1), True) == ((1,), 0)
+    with pytest.raises(RecurrenceInconsistent):
+        basis._solve_row((1,), s, sts, (1, 1), True)
+    # a non-commuting target divides by 1: the row is P, under the bound
+    assert basis._solve_row((1, 2, 0), 0, sts, (1,), False) == ((1, 2), 0)
+    with pytest.raises(RecurrenceInconsistent):
+        basis._solve_row((1, 2, 3), 0, sts, (1,), False)
+
+
+def test_pi_to_p_conversion_is_checked(a2, a2_canonical):
+    sts = a2.element_id_from_word([0, 1, 0])
+    convert = a2_canonical._p_of_pi
+    assert convert(0, sts, v_pow(-3)) == (1,)
+    assert convert(0, sts, v_pow(-1) + 2 * v_pow(-3)) == (2, 1)
+    for bad in [v_pow(-2), v_pow(1), v_pow(-5), v_pow(-1) + v_pow(-2)]:
+        with pytest.raises(RecurrenceInconsistent):  # parity, degree, negative power
+            convert(0, sts, bad)
 
 
 def test_mu_readouts(a2, a2_canonical):
@@ -180,7 +229,7 @@ def test_nontrivial_entries_appear_in_rank_four():
     system, module, basis = make("A4")
     nontrivial = set()
     for wid in module.involution_ids:
-        for yid, pi in basis._columns[wid].items():
+        for yid in basis.column(wid):
             p = basis.sigma_kl(yid, wid)
             if not p.is_zero and p != ONE:
                 nontrivial.add(str(p))
@@ -193,7 +242,7 @@ def test_parallel_build_matches_serial():
     serial = CanonicalBasis(module).build(jobs=1)
     parallel = CanonicalBasis(InvolutionModule(build_system("B3"))).build(jobs=4)
     for wid in module.involution_ids:
-        assert serial._columns[wid] == parallel._columns[wid]
+        assert serial.column(wid) == parallel.column(wid)
 
 
 def test_descent_interval_covers_the_bruhat_set():

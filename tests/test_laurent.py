@@ -3,7 +3,10 @@ import random
 import pytest
 
 from invkl.errors import NotDivisible
-from invkl.laurent import LaurentPoly, ONE, U, V, ZERO, u_pow, v_pow
+from invkl.laurent import (
+    LaurentPoly, ONE, U, V, ZERO, q_add, q_addmul, q_div, q_divmod, q_mu,
+    q_shift, q_trim, spread, u_pow, v_pow,
+)
 
 
 def rand_poly(rng, width=6, span=4):
@@ -92,3 +95,65 @@ def test_json_round_trip():
     for _ in range(50):
         f = rand_poly(rng)
         assert LaurentPoly.from_json_obj(f.to_json_obj()) == f
+
+
+def rand_q(rng):
+    """A coefficient tuple: short or long, small or over 64 bits, maybe zero-padded."""
+    n = rng.choice([0, 1, 2, 3, 5, 9, 17])
+    bound = rng.choice([1, 5, 2**70])
+    p = [rng.randint(-bound, bound) for _ in range(n)]
+    return tuple(p + [0] * rng.randint(0, 2))
+
+
+def as_poly(p):
+    """The tuple p as a LaurentPoly in q = v."""
+    return spread(p, 1)
+
+
+def as_tuple(f):
+    """A LaurentPoly without negative powers as its trimmed coefficient tuple."""
+    return (0,) * f.min_exp + f.coeffs
+
+
+def test_q_kernel_against_laurent_poly():
+    """Every q_* function agrees with LaurentPoly arithmetic in q = v."""
+    rng = random.Random(1109)
+    one_plus_u = ONE + V
+    for _ in range(400):
+        a, b, c = rand_q(rng), rand_q(rng), rand_q(rng)
+        k = rng.randint(-2**66, 2**66)
+        shift = rng.randint(0, 4)
+        assert as_poly(q_add(a, b)) == as_poly(a) + as_poly(b)
+        assert as_poly(q_addmul(a, (-k,), b)) == as_poly(a) - k * as_poly(b)
+        assert as_poly(q_addmul(a, b, c)) == as_poly(a) + as_poly(b) * as_poly(c)
+        assert as_poly(q_shift(a, shift)) == as_poly(a) * v_pow(shift)
+        assert q_trim(a) == as_tuple(as_poly(a))
+        # exact division by 1 + u, of a multiple and of an arbitrary tuple
+        product = as_tuple(one_plus_u * as_poly(b))
+        assert q_div(product, (1, 1)) == q_trim(b)
+        try:
+            expected = as_tuple(as_poly(a).exact_div(one_plus_u))
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                q_div(a, (1, 1))
+        else:
+            assert q_div(a, (1, 1)) == expected
+        # the upward division: a = (1 + u) q + rest, rest zero up to the degree bound
+        deg = rng.randint(-1, 6)
+        q, rest = q_divmod(a, (1, 1), deg)
+        assert len(q) <= deg + 1 and all(not c for c in rest[: deg + 1])
+        assert as_poly(a) == one_plus_u * as_poly(q) + as_poly(rest)
+        assert q == q_trim(q) and rest == q_trim(rest)
+
+
+def test_q_div_examples():
+    assert q_div((1, 2, 1), (1, 1)) == (1, 1)
+    assert q_div((-1, 0, 1), (-1, 1)) == (1, 1)
+    assert q_div((), (1, 1)) == ()
+    for bad in [(1,), (1, 1, 1), (0, 1)]:
+        with pytest.raises(NotDivisible):
+            q_div(bad, (1, 1))
+    with pytest.raises(NotDivisible):
+        q_div((1, 1), (2, 1))  # a quotient coefficient 1/2
+    assert q_mu((1, 3), 3) == 3 and q_mu((1, 3), 4) == 0 and q_mu((1,), 3) == 0
+    assert q_mu((), -1) == 0

@@ -6,9 +6,11 @@ the first counterexample is serialized to stderr).  Each command finishes
 everything that can raise before the first byte is written, then streams
 its rows through one writer, so a failure leaves stdout empty and creates
 no --out file, and no command holds its whole table or its whole output
-text.  Each command accepts only the options it reads: --max-length (at
-least 0) belongs to table and kl, and verify writes json or text but not
-csv.
+text.  A table or kl row is joined from texts rendered once per command:
+each element's word and each distinct polynomial is formatted on first
+sight and reused by every later row that holds it.  Each command accepts
+only the options it reads: --max-length (at least 0) belongs to table and
+kl, and verify writes json or text but not csv.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import json
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from .canonical import CanonicalBasis
 from .cells import DEFAULT_CELL_CAP, compute_cells, involutions_per_cell
@@ -125,49 +126,28 @@ def _word_str(word):
 
 
 def _json(value, depth):
-    """``value`` as ``json.dumps(..., indent=2)`` writes it at nesting ``depth``.
-
-    Covers the shapes the commands emit: dicts with string keys, lists,
-    strings, ints, booleans and None.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
-        parts = [
-            f"{encode_basestring_ascii(k)}: {_json(v, depth + 1)}"
-            for k, v in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "}"
-    parts = [_json(v, depth + 1) for v in value]
-    return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * depth + "]"
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at nesting ``depth``."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def _json_chunks(head, key, items, tail):
     """The text of ``json.dumps(doc, indent=2) + "\\n"``, one item at a time.
 
     ``doc`` holds the keys of ``head``, then ``key`` mapped to the list of
-    ``items``, then the keys of ``tail``.
+    entries that ``items`` yields, each already rendered as text at nesting
+    depth 2, then the keys of ``tail``.
     """
     yield "{"
     for k, v in head.items():
-        yield f"\n  {encode_basestring_ascii(k)}: {_json(v, 1)},"
-    yield f"\n  {encode_basestring_ascii(key)}: ["
+        yield f"\n  {json.dumps(k)}: {_json(v, 1)},"
+    yield f"\n  {json.dumps(key)}: ["
     empty = True
     for item in items:
-        yield ("\n    " if empty else ",\n    ") + _json(item, 2)
+        yield ("\n    " if empty else ",\n    ") + item
         empty = False
     yield "]" if empty else "\n  ]"
     for k, v in tail.items():
-        yield f",\n  {encode_basestring_ascii(k)}: {_json(v, 1)}"
+        yield f",\n  {json.dumps(k)}: {_json(v, 1)}"
     yield "\n}\n"
 
 
@@ -175,11 +155,11 @@ def _write(args, rows, *, head, key, item, title, line, header=None,
            fields=None, tail=None, footer=None):
     """Write ``rows`` in ``args.format`` to ``--out`` or stdout, row by row.
 
-    json: the keys of ``head``, the list ``key`` of ``item(row)``, then the
-    keys of ``tail``.  csv: the ``header`` names, then ``fields(row)`` per
-    row, comma-separated.  text: ``title``, ``line(row)`` per row, then
-    ``footer`` if given.  The output is opened only here, after every
-    computation that can raise has finished.
+    json: the keys of ``head``, the list ``key`` of the entry texts
+    ``item(row)``, then the keys of ``tail``.  csv: the ``header`` names,
+    then ``fields(row)`` per row, comma-separated.  text: ``title``,
+    ``line(row)`` per row, then ``footer`` if given.  The output is opened
+    only here, after every computation that can raise has finished.
     """
     if args.format == "json":
         chunks = _json_chunks(head, key, map(item, rows), tail or {})
@@ -215,26 +195,55 @@ def _involution_pairs(system, module, max_length):
     )
 
 
-def _pair_renderers(poly_key):
-    """Renderers of a row (y word, w word, u-coefficients, classical ones or None)."""
+class _Texts(dict):
+    """Texts rendered on first lookup: ``texts[key]`` is ``render(key)``.
+
+    A dict subscript, not a ``functools.cache`` call: this lookup runs
+    several times per row and the subscript is the cheaper of the two.
+    """
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _pair_renderers(system, poly_key):
+    """Renderers of a row (y id, w id, u-coefficients, classical ones or None).
+
+    Each element's word and each distinct polynomial is rendered once per
+    form, on first sight, and every row is joined from those cached texts,
+    so no row builds a ``LaurentPoly`` or encodes a word.
+    """
+    word_json = _Texts(lambda wid: _json(list(system.word_of(wid)), 3))
+    word_text = _Texts(lambda wid: _word_str(system.word_of(wid)))
+    poly_json = _Texts(lambda p: _json(spread(p, 2).to_json_obj(), 3))
+    poly_pairs = _Texts(lambda p: spread(p, 2).pair_string())
+    poly_text = _Texts(lambda p: str(spread(p, 2)))
+    poly_field = f",\n      {json.dumps(poly_key)}: "
 
     def item(row):
         y, w, p, classic = row
-        entry = {"y_word": list(y), "w_word": list(w)}
-        entry[poly_key] = spread(p, 2).to_json_obj()
+        text = (
+            '{\n      "y_word": ' + word_json[y] + ',\n      "w_word": '
+            + word_json[w] + poly_field + poly_json[p]
+        )
         if classic is not None:
-            entry["classic_poly"] = spread(classic, 2).to_json_obj()
-        return entry
+            text += ',\n      "classic_poly": ' + poly_json[classic]
+        return text + "\n    }"
 
     def fields(row):
         y, w, p, classic = row
-        out = [_word_str(y), _word_str(w), spread(p, 2).pair_string()]
-        return out if classic is None else out + [spread(classic, 2).pair_string()]
+        out = [word_text[y], word_text[w], poly_pairs[p]]
+        return out if classic is None else out + [poly_pairs[classic]]
 
     def line(row):
         y, w, p, classic = row
-        text = f"P[{_word_str(y)}, {_word_str(w)}] = {spread(p, 2)}"
-        return text if classic is None else text + f"  (classical {spread(classic, 2)})"
+        text = f"P[{word_text[y]}, {word_text[w]}] = {poly_text[p]}"
+        return text if classic is None else text + f"  (classical {poly_text[classic]})"
 
     return {"item": item, "fields": fields, "line": line}
 
@@ -250,9 +259,7 @@ def cmd_table(args):
             kl.column(wid)
     rows = (
         (
-            system.word_of(yid),
-            system.word_of(wid),
-            basis.column(wid).get(yid, ()),
+            yid, wid, basis.column(wid).get(yid, ()),
             kl.column(wid).get(yid, ()) if kl is not None else None,
         )
         for yid, wid in _involution_pairs(system, module, args.max_length)
@@ -260,7 +267,8 @@ def cmd_table(args):
     header = ["y_word", "w_word", "poly"] + (["classic_poly"] if args.classic else [])
     _write(
         args, rows, head=_head("table", system), key="entries", header=header,
-        title=f"involution table for {system!r}", **_pair_renderers("sigma_poly"),
+        title=f"involution table for {system!r}",
+        **_pair_renderers(system, "sigma_poly"),
     )
     return 0
 
@@ -276,12 +284,12 @@ def cmd_kl(args):
         for w in elements:
             column = kl.column(w.id)
             for yid in sorted(column, key=order.__getitem__):
-                yield system.word_of(yid), w.word, column[yid], None
+                yield yid, w.id, column[yid], None
 
     _write(
         args, rows(), head=_head("kl", system), key="entries",
         header=["y_word", "w_word", "poly"],
-        title=f"classical table for {system!r}", **_pair_renderers("poly"),
+        title=f"classical table for {system!r}", **_pair_renderers(system, "poly"),
     )
     return 0
 
@@ -303,13 +311,13 @@ def cmd_verify(args):
 
     _write(
         args, results, head=_head("verify", system), key="suites",
-        item=lambda r: {
+        item=lambda r: _json({
             "name": r.name,
             "checks": r.checks,
             "failures": len(r.failures),
             "advisory": r.advisory,
             "skipped": r.skipped or None,
-        },
+        }, 2),
         tail={"ok": not hard_failures},
         title=f"verification of {system!r}", line=line,
         footer="result: " + ("FAIL" if hard_failures else "PASS"),
@@ -335,7 +343,8 @@ def cmd_character(args):
     _write(
         args, rows,
         head=_head("character", system, dimension=len(spec.basis)),
-        key="classes", item=lambda r: r, tail={"induced_matches": not mismatch},
+        key="classes", item=lambda r: _json(r, 2),
+        tail={"induced_matches": not mismatch},
         header=["class_rep_word", "class_size", "chi_m1", "chi_induced"],
         fields=lambda r: [
             _word_str(r["class_rep_word"]),
@@ -378,11 +387,11 @@ def cmd_cells(args):
     )
     _write(
         args, rows, head=_head("cells", system), key="cells",
-        item=lambda r: {
+        item=lambda r: _json({
             "size": r[0],
             "involution_count": r[1],
             "representatives": [list(w) for w in r[2]],
-        },
+        }, 2),
         header=["size", "involution_count", "representatives"],
         fields=lambda r: [r[0], r[1], ";".join(_word_str(w) for w in r[2])],
         title=f"two-sided cells of {system!r}",

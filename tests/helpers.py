@@ -4,8 +4,10 @@ Everything here recomputes a quantity from first principles, avoiding the
 code path it is meant to check.
 """
 
+import json
+
 from invkl.klclassic import HeckeAlgebra
-from invkl.laurent import LaurentPoly, ONE, ZERO, v_pow
+from invkl.laurent import LaurentPoly, ONE, ZERO, spread, v_pow
 
 
 def subword_bruhat(system, yid, wid):
@@ -108,3 +110,29 @@ def s_gen_id(system, s):
 
 def alternating_word(s, t, count):
     return tuple(s if i % 2 == 0 else t for i in range(count))
+
+
+def pair_texts_per_pair(system, poly_key, row):
+    """The json item, csv fields and text line of a table or kl row.
+
+    ``row`` is (y id, w id, u-coefficients, classical ones or None).  Every
+    call builds a ``LaurentPoly`` per polynomial and joins both words anew,
+    and the entry dict goes through ``json.dumps(indent=2)`` at its depth
+    in the document, so no cache and no entry template of the CLI is used.
+    """
+    yid, wid, p, classic = row
+    y, w = system.word_of(yid), system.word_of(wid)
+    polys = [spread(p, 2)] + ([] if classic is None else [spread(classic, 2)])
+    entry = {"y_word": list(y), "w_word": list(w), poly_key: polys[0].to_json_obj()}
+    if classic is not None:
+        entry["classic_poly"] = polys[1].to_json_obj()
+    item = json.dumps(entry, indent=2).replace("\n", "\n    ")
+
+    def dotted(word):
+        return ".".join(str(s) for s in word) if word else "e"
+
+    fields = [dotted(y), dotted(w)] + [lp.pair_string() for lp in polys]
+    line = f"P[{dotted(y)}, {dotted(w)}] = {polys[0]}"
+    if classic is not None:
+        line += f"  (classical {polys[1]})"
+    return item, fields, line

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from helpers import pair_texts_per_pair
 
 from invkl import build_system, cli
 from invkl.canonical import CanonicalBasis
@@ -242,7 +245,8 @@ def test_json_writer_matches_json_dumps():
     items = [{"a": [], "b": True, "c": -12, "d": {"1": "-3"}}, [[1], []], "s"]
     for listed in (items, []):
         doc = {**head, "entries": listed, **tail}
-        text = "".join(cli._json_chunks(head, "entries", iter(listed), tail))
+        texts = (cli._json(item, 2) for item in listed)
+        text = "".join(cli._json_chunks(head, "entries", texts, tail))
         assert text == json.dumps(doc, indent=2) + "\n"
 
 
@@ -400,3 +404,94 @@ def test_columns_are_built_without_pair_lookups(capsys, monkeypatch):
         assert len(basis._columns) == len(module.involution_ids), label
     code, out, _ = run_cli(capsys, "table", "--type", "B3")
     assert code == 0 and json.loads(out)["entries"]
+
+
+def test_pair_renderers_match_the_per_pair_oracle():
+    """Rows joined from cached word and polynomial texts read exactly as
+    rows rendered pair by pair, for the json item, csv fields and text line."""
+    system = build_system("B3")
+    rng = random.Random(11)
+    ids = system.all_ids()
+    identity = system.element_id_from_word([])
+    polys = [(), (1,), (0, 1), (1, -1, 2), (-3,), (2**64 + 1, 0, -(2**70))]
+    polys += [
+        tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
+        for _ in range(20)
+    ]
+    for poly_key in ("sigma_poly", "poly"):
+        render = cli._pair_renderers(system, poly_key)
+        for _ in range(300):
+            y, w = rng.choice([identity, rng.choice(ids)]), rng.choice(ids)
+            classic = rng.choice([None, rng.choice(polys)])
+            row = (y, w, rng.choice(polys), classic)
+            item, fields, line = pair_texts_per_pair(system, poly_key, row)
+            assert render["item"](row) == item, row
+            assert render["fields"](row) == fields, row
+            assert render["line"](row) == line, row
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --type B3",
+        "table --type B3 --classic",
+        "table --type D4 --twisted 0,1,3,2",
+        "table --type H3 --experimental",
+        "table --type A3 --max-length 0",
+        "kl --type A3",
+        "kl --type I2(5) --experimental",
+        "cells --type B3",
+        "character --type A4",
+        "verify --type A3",
+    ],
+)
+def test_json_output_round_trips(capsys, argv):
+    """Every json document reads back to itself through the stdlib encoder."""
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_rows_are_joined_from_texts_rendered_once(capsys, monkeypatch):
+    """table and kl build at most one LaurentPoly per distinct u-tuple and
+    join or encode each word and each polynomial at most once, per format."""
+    spreads, joins, encoded = [], [], []
+    spread, word_str, to_json = cli.spread, cli._word_str, cli._json
+
+    def counting_spread(p, step, *rest):
+        spreads.append(tuple(p))
+        return spread(p, step, *rest)
+
+    def counting_word_str(word):
+        joins.append(tuple(word))
+        return word_str(word)
+
+    def counting_json(value, depth):
+        encoded.append(repr(value))
+        return to_json(value, depth)
+
+    monkeypatch.setattr(cli, "spread", counting_spread)
+    monkeypatch.setattr(cli, "_word_str", counting_word_str)
+    monkeypatch.setattr(cli, "_json", counting_json)
+    for argv in ("table --type B3 --classic", "kl --type B4"):
+        for fmt in ("json", "csv", "text"):
+            for calls in (spreads, joins, encoded):
+                calls.clear()
+            code, out, _ = run_cli(capsys, *argv.split(), "--format", fmt)
+            assert code == 0 and len(out.splitlines()) > 100
+            assert spreads and len(spreads) == len(set(spreads)), (argv, fmt)
+            words = encoded if fmt == "json" else joins
+            assert words and len(words) == len(set(words)), (argv, fmt)
+
+
+def test_benchmark_commands_keep_their_digests(capsys):
+    """The commands of bench/expected.json write the stdout it records."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    expected = json.loads(path.read_text())["commands"]
+    for argv, want in expected.items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0, argv
+        data = out.encode("utf-8")
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (
+            want["sha256"], want["bytes"]
+        ), argv

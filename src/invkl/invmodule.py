@@ -22,9 +22,15 @@ have even v-support, and the bar operations check that.
 The bar involution is the unique Z-linear map with bar(u^n m) = u^-n bar(m),
 bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  It is computed by
 recursion over left descents, and each bar(a_w) is checked to have
-diagonal u^-l(w) and support in ``interval(w)``; a windowed linear solve
-over the same defining constraints serves as an independent cross-check on
-small ranks.
+diagonal u^-l(w) and support in ``interval(w)``.  Its semilinear extension
+``bar_extended`` adds every product of coefficient terms into one
+exponent map per row and builds each row's polynomial once.
+
+``bar_table_dense_solve`` is an independent cross-check on small ranks: it
+solves the same defining constraints as exact linear systems, one Gauss-Jordan
+elimination per column w whose matrix (phi-bar shifted over a window of
+u-exponents, for each defining equation) is shared by every row y, each y
+being one right-hand side of that elimination.
 """
 
 from __future__ import annotations
@@ -282,11 +288,24 @@ class InvolutionModule:
 
     def bar_extended(self, m):
         """The same semilinear bar on the v-extended module (odd powers allowed)."""
-        out = {}
+        rows = {}
         for wid, f in m.entries.items():
-            fb = f.bar()
+            f_terms = f.bar().terms()
             for yid, g in self.bar_basis(wid).entries.items():
-                _accumulate(out, yid, g * fb)
+                row = rows.setdefault(yid, {})
+                for ge, gc in g.terms():
+                    for fe, fc in f_terms:
+                        e = ge + fe
+                        row[e] = row.get(e, 0) + gc * fc
+        out = {}
+        for yid, row in rows.items():
+            lo = min(row)
+            coeffs = [0] * (max(row) - lo + 1)
+            for e, c in row.items():
+                coeffs[e - lo] = c
+            poly = LaurentPoly(coeffs, lo)
+            if not poly.is_zero:
+                out[yid] = poly
         return MVector._raw(out)
 
 
@@ -294,36 +313,61 @@ class InvolutionModule:
 # independent oracle: solve the defining constraints of bar as linear systems
 
 
-def _solve_exact(rows, rhs):
-    """Solve an overdetermined exact linear system; None if inconsistent."""
-    n = len(rows[0]) if rows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
+_UNSOLVABLE = "bar constraints are not uniquely solvable"
+_NON_INTEGER = "bar linear solve produced a non-integer coefficient"
+
+
+def _solve_columns(rows, width, keys):
+    """Solve A x = b_key exactly for every key by one Gauss-Jordan elimination.
+
+    ``rows`` lists the rows of A with their right-hand sides, as pairs
+    (``width`` coefficients, dict key -> entry of b_key; absent keys read 0).
+    The rows are consumed.  Returns ``(solutions, failures)``: each key of
+    ``keys`` is mapped either by ``solutions`` to its integer solution x or by
+    ``failures`` to the reason it has none.  Fewer pivots than unknowns fails
+    every key; a nonzero right-hand side on a row that eliminates to zero, or
+    a non-integer solution, fails that key only.
+    """
     r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+    for col in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
+        rows[r], rows[piv] = rows[piv], rows[r]
+        coef, rhs = rows[r]
+        pv = coef[col]
+        if pv != 1:
+            coef = [Fraction(x) / pv for x in coef]
+            rhs = {key: Fraction(c) / pv for key, c in rhs.items()}
+            rows[r] = (coef, rhs)
+        for i, (other, other_rhs) in enumerate(rows):
+            f = other[col]
+            if i == r or not f:
+                continue
+            for key, c in rhs.items():
+                c = other_rhs.get(key, 0) - f * c
+                if c:
+                    other_rhs[key] = c
+                else:
+                    del other_rhs[key]
+            rows[i] = ([x - f * y for x, y in zip(other, coef)], other_rhs)
         r += 1
-        if r == len(aug):
-            break
-    for i in range(r, len(aug)):
-        if aug[i][n]:
-            return None
-    if len(pivots) < n:
-        return None  # underdetermined
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
+    if r < width:
+        return {}, dict.fromkeys(keys, _UNSOLVABLE)
+    inconsistent = {
+        key for _coef, rhs in rows[width:] for key, c in rhs.items() if c
+    }
+    solutions, failures = {}, {}
+    for key in keys:
+        if key in inconsistent:
+            failures[key] = _UNSOLVABLE
+            continue
+        sol = [rhs.get(key, 0) for _coef, rhs in rows[:width]]
+        if any(x.denominator != 1 for x in sol):
+            failures[key] = _NON_INTEGER
+        else:
+            solutions[key] = [int(x) for x in sol]
+    return solutions, failures
 
 
 def bar_table_dense_solve(module, pad=2):
@@ -331,9 +375,13 @@ def bar_table_dense_solve(module, pad=2):
 
     Unknowns are the coefficients of bar(a_w) over a window of u-exponents;
     equations come from bar((T_t+1) a_x) = u^-2 (T_t+1) bar(a_x) for every
-    generator t and every involution x whose image contains a_w.  Columns are
-    solved in length order using previously solved columns only, never the
-    production recursion.
+    generator t and every involution x whose image contains a_w.  The
+    coefficient rows of column w are phi-bar shifted over the window, the
+    same for every row y, so each column is one exact elimination with every
+    y of length at most l(w) as its own right-hand side; a y whose target has
+    a term outside the window meets a zero row with a nonzero right-hand side.
+    Columns are solved in length order using previously solved columns only,
+    never the production recursion.
     """
     sys = module.system
     table = {0: MVector.basis(0)}
@@ -344,7 +392,8 @@ def bar_table_dense_solve(module, pad=2):
         lw = sys.length_of(wid)
         lo, hi = -lw - pad, pad  # window of u-exponents
         width = hi - lo + 1
-        equations = []  # (phi_w, known_rhs) with rhs an MVector
+        ys = [yid for yid in ids if sys.length_of(yid) <= lw]
+        rows = {}  # (x, t, v-exponent) -> (coefficients, rhs by y)
         for xid in ids:
             lx = sys.length_of(xid)
             if lx not in (lw - 1, lw - 2):
@@ -353,48 +402,37 @@ def bar_table_dense_solve(module, pad=2):
                 commuting, up, other = module.action_case(t, xid)
                 if not up or other != wid:
                     continue
-                phi = _U1 if commuting else ONE
+                phi_bar = (_U1 if commuting else ONE).bar()
                 bx = table[xid]
                 rhs = (module.ts_action(t, bx) + bx).scaled(_UINV2)
-                rhs = rhs - bx.scaled(phi.bar())
-                equations.append((phi.bar(), rhs))
-        if not equations:
+                rhs = rhs - bx.scaled(phi_bar)
+                for e in range(lo + phi_bar.min_exp // 2,
+                               hi + phi_bar.max_exp // 2 + 1):
+                    rows[xid, t, 2 * e] = (
+                        [phi_bar.coeff(2 * (e - lo - k)) for k in range(width)],
+                        {},
+                    )
+                for yid, target in rhs.entries.items():
+                    if sys.length_of(yid) > lw:
+                        continue
+                    for ex, c in target.terms():
+                        row = rows.get((xid, t, ex))
+                        if row is None:
+                            row = rows[xid, t, ex] = ([0] * width, {})
+                        row[1][yid] = c
+        if not rows:
             raise InvariantError(
                 f"no defining constraints reach column {sys.word_of(wid)}"
             )
+        solutions, failures = _solve_columns(list(rows.values()), width, ys)
         entries = {}
-        for yid in ids:
-            if sys.length_of(yid) > lw:
-                continue
-            rows, rhs_vals = [], []
-            for phi_bar, rhs in equations:
-                target = rhs.get(yid)
-                support = set(
-                    e // 2 for e, _ in target.terms()
-                )
-                exps = set(range(lo + phi_bar.min_exp // 2,
-                                 hi + phi_bar.max_exp // 2 + 1))
-                exps |= support
-                for e in sorted(exps):
-                    row = [0] * width
-                    for k in range(width):
-                        row[k] = phi_bar.coeff(2 * (e - (lo + k)))
-                    rows.append(row)
-                    rhs_vals.append(target.coeff(2 * e))
-            sol = _solve_exact(rows, rhs_vals)
-            if sol is None:
+        for yid in ys:
+            if yid in failures:
                 raise InvariantError(
-                    "bar constraints are not uniquely solvable at column "
-                    f"{sys.word_of(wid)}, row {sys.word_of(yid)}"
+                    f"{failures[yid]} at column {sys.word_of(wid)}, "
+                    f"row {sys.word_of(yid)}"
                 )
-            coeffs = []
-            for val in sol:
-                if val.denominator != 1:
-                    raise InvariantError(
-                        "bar linear solve produced a non-integer coefficient"
-                    )
-                coeffs.append(int(val))
-            poly = spread(coeffs, 2, 2 * lo)
+            poly = spread(solutions[yid], 2, 2 * lo)
             if not poly.is_zero:
                 entries[yid] = poly
         table[wid] = MVector(entries)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .canonical import CanonicalBasis
 from .errors import InvariantError
@@ -309,8 +310,6 @@ def suite_specialize(ctx):
                 {"kind": "cocycle", "x": _word(sys, x), "y": _word(sys, y)}
             )
     # specialization coherence at a generic rational point: u = t^2
-    from fractions import Fraction
-
     t_val = Fraction(3, 2)
     for wid in ctx.module.involution_ids:
         for s in range(sys.rank):

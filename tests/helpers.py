@@ -5,9 +5,12 @@ code path it is meant to check.
 """
 
 import json
+from fractions import Fraction
 
+from invkl.errors import InvariantError
+from invkl.invmodule import MVector
 from invkl.klclassic import HeckeAlgebra
-from invkl.laurent import LaurentPoly, ONE, ZERO, spread, v_pow
+from invkl.laurent import LaurentPoly, ONE, ZERO, spread, u_pow, v_pow
 
 
 def subword_bruhat(system, yid, wid):
@@ -136,3 +139,116 @@ def pair_texts_per_pair(system, poly_key, row):
     if classic is not None:
         line += f"  (classical {polys[1]})"
     return item, fields, line
+
+
+def bar_extended_pairwise(module, m):
+    """bar(sum f_w a_w) = sum bar(f_w) bar(a_w), one ``g * bar(f_w)`` product
+    and one add per (w, y) pair."""
+    out = {}
+    for wid, f in m.entries.items():
+        fb = f.bar()
+        for yid, g in module.bar_basis(wid).entries.items():
+            h = out.get(yid, ZERO) + g * fb
+            if h.is_zero:
+                out.pop(yid, None)
+            else:
+                out[yid] = h
+    return MVector(out)
+
+
+def solve_exact(rows, rhs):
+    """Solve an overdetermined exact linear system; None if inconsistent."""
+    n = len(rows[0]) if rows else 0
+    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][col]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(aug):
+            break
+    for i in range(r, len(aug)):
+        if aug[i][n]:
+            return None
+    if len(pivots) < n:
+        return None  # underdetermined
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][n]
+    return sol
+
+
+def bar_table_per_pair(module, pad=2):
+    """The bar table from its defining constraints, one solve per (y, w).
+
+    The same unknowns and equations as ``bar_table_dense_solve``, but the
+    rows are rebuilt for every y and each pair gets its own ``Fraction``
+    Gauss-Jordan elimination (``solve_exact``).
+    """
+    sys = module.system
+    u1 = u_pow(1) + ONE
+    table = {0: MVector.basis(0)}
+    ids = module.involution_ids
+    for wid in ids:
+        if wid == 0:
+            continue
+        lw = sys.length_of(wid)
+        lo, hi = -lw - pad, pad
+        width = hi - lo + 1
+        equations = []
+        for xid in ids:
+            if sys.length_of(xid) not in (lw - 1, lw - 2):
+                continue
+            for t in range(sys.rank):
+                commuting, up, other = module.action_case(t, xid)
+                if not up or other != wid:
+                    continue
+                phi = u1 if commuting else ONE
+                bx = table[xid]
+                rhs = (module.ts_action(t, bx) + bx).scaled(u_pow(-2))
+                rhs = rhs - bx.scaled(phi.bar())
+                equations.append((phi.bar(), rhs))
+        if not equations:
+            raise InvariantError(
+                f"no defining constraints reach column {sys.word_of(wid)}"
+            )
+        entries = {}
+        for yid in ids:
+            if sys.length_of(yid) > lw:
+                continue
+            rows, rhs_vals = [], []
+            for phi_bar, rhs in equations:
+                target = rhs.get(yid)
+                exps = set(range(lo + phi_bar.min_exp // 2,
+                                 hi + phi_bar.max_exp // 2 + 1))
+                exps |= {e // 2 for e, _ in target.terms()}
+                for e in sorted(exps):
+                    rows.append(
+                        [phi_bar.coeff(2 * (e - (lo + k))) for k in range(width)]
+                    )
+                    rhs_vals.append(target.coeff(2 * e))
+            sol = solve_exact(rows, rhs_vals)
+            if sol is None:
+                raise InvariantError(
+                    "bar constraints are not uniquely solvable at column "
+                    f"{sys.word_of(wid)}, row {sys.word_of(yid)}"
+                )
+            if any(val.denominator != 1 for val in sol):
+                raise InvariantError(
+                    "bar linear solve produced a non-integer coefficient"
+                )
+            poly = spread([int(val) for val in sol], 2, 2 * lo)
+            if not poly.is_zero:
+                entries[yid] = poly
+        table[wid] = MVector(entries)
+    return table

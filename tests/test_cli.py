@@ -365,6 +365,18 @@ def test_console_script_runs():
             "kl --type B3 --format text",
             "36cd0dfb0e8b7697068f1c2e676bbfa244c18b3bcf19a7a0b227f0b99d915565",
         ),
+        (
+            "verify --type B3",
+            "3b46737bdc3109df09c3463e12469aa17c22218c9622c87ad82f0c86ee668fc6",
+        ),
+        (
+            "verify --type A3 --twisted 2,1,0",
+            "1b04778be41c5d2c8f7b1e5b0e71d1316fcfb54ab7b36de800efd17833fd6b16",
+        ),
+        (
+            "verify --type H3 --experimental",
+            "481054950870631c388220382f4e3fd1d0bd5fc436a135587cdd5f811f0d1248",
+        ),
     ],
 )
 def test_golden_output_digests(capsys, argv, digest):

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from helpers import bar_extended_pairwise, bar_table_per_pair
 
-from invkl import build_system
+from invkl import build_system, invmodule
 from invkl.errors import InvariantError
 from invkl.invmodule import InvolutionModule, MVector, bar_table_dense_solve
 from invkl.laurent import LaurentPoly, ONE, ZERO, u_pow
@@ -152,6 +153,8 @@ def test_bar_input_must_live_over_u(a2_module):
 
 
 def test_dense_solve_oracle_matches():
+    """One elimination per column gives the table of the per-pair solve and
+    of the recursion."""
     for label, delta in [
         ("A1", None),
         ("A2", None),
@@ -159,13 +162,110 @@ def test_dense_solve_oracle_matches():
         ("G2", None),
         ("A3", None),
         ("B3", None),
+        ("H3", None),
+        ("I2(5)", None),
         ("A3", [2, 1, 0]),
+        ("D4", None),
     ]:
         system = build_system(label, delta=delta)
         module = InvolutionModule(system)
         table = bar_table_dense_solve(module)
+        per_pair = bar_table_per_pair(module)
         for wid in module.involution_ids:
-            assert table[wid] == module.bar_basis(wid), (label, wid)
+            assert table[wid] == per_pair[wid] == module.bar_basis(wid), (label, wid)
+
+
+def test_dense_solve_never_reads_the_recursion(monkeypatch):
+    """The oracle never calls bar_basis and runs exactly one elimination per
+    non-identity column."""
+    module = InvolutionModule(build_system("B3"))
+    widths = []
+    solve_columns = invmodule._solve_columns
+
+    def counting_solve(rows, width, keys):
+        widths.append(width)
+        return solve_columns(rows, width, keys)
+
+    def no_recursion(self, wid, choice=None):
+        raise AssertionError("bar_basis read by the dense solve")
+
+    monkeypatch.setattr(InvolutionModule, "bar_basis", no_recursion)
+    monkeypatch.setattr(invmodule, "_solve_columns", counting_solve)
+    table = bar_table_dense_solve(module)
+    monkeypatch.undo()
+    assert len(widths) == len(module.involution_ids) - 1
+    for wid in module.involution_ids:
+        assert table[wid] == module.bar_basis(wid)
+
+
+def test_dense_solve_window_too_small_fails_like_the_per_pair_solve():
+    """With the window cut below the support of bar(a_s), both routes
+    report the same column and row."""
+    module = InvolutionModule(build_system("B3"))
+    messages = []
+    for solve in (bar_table_dense_solve, bar_table_per_pair):
+        with pytest.raises(InvariantError) as err:
+            solve(module, pad=-1)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("bar constraints are not uniquely solvable at column")
+
+
+def test_solve_columns_inconsistent_rhs_fails_that_key_only():
+    rows = [
+        ([1, 0], {"a": 1, "b": 2}),
+        ([1, 1], {"a": 3, "b": 5, "c": 1}),
+        ([0, 1], {"a": 2, "b": 4, "c": 1}),  # b: x1 = 3 above, 4 here
+        ([0, 0], {"c": 1}),  # a term no unknown can reach
+    ]
+    solutions, failures = invmodule._solve_columns(rows, 2, ["a", "b", "c", "d"])
+    assert solutions == {"a": [1, 2], "d": [0, 0]}
+    assert failures == dict.fromkeys("bc", invmodule._UNSOLVABLE)
+
+
+def test_solve_columns_rank_deficient_fails_every_key():
+    rows = [([1, 1], {"a": 2}), ([2, 2], {"a": 4, "b": 1}), ([3, 3], {})]
+    solutions, failures = invmodule._solve_columns(rows, 2, ["a", "b", "c"])
+    assert solutions == {}
+    assert failures == dict.fromkeys("abc", invmodule._UNSOLVABLE)
+
+
+def test_solve_columns_rejects_a_non_integer_solution():
+    rows = [([2, 1], {"a": 1, "b": 4}), ([0, 1], {"b": 2})]
+    solutions, failures = invmodule._solve_columns(rows, 2, ["a", "b"])
+    assert solutions == {"b": [1, 2]}
+    assert failures == {"a": invmodule._NON_INTEGER}
+
+
+def _v_extended_poly(rng):
+    """Odd and even exponents, negative and above-2^64 coefficients."""
+    p = ZERO
+    for _ in range(rng.randint(1, 4)):
+        big = rng.choice((1, -1)) * rng.randint(2**64, 2**70)
+        c = rng.choice([rng.randint(-5, 5), big])
+        p = p + LaurentPoly((c,), rng.randint(-7, 7))
+    return p
+
+
+@pytest.mark.parametrize(
+    "label, delta", [("B3", None), pytest.param("A3", (2, 1, 0), id="A3-twisted")]
+)
+def test_bar_extended_matches_the_pairwise_oracle(label, delta):
+    """One accumulation pass per row gives the pairwise sum, and stores no
+    entry whose terms cancel to zero."""
+    module = InvolutionModule(build_system(label, delta=delta))
+    ids = module.involution_ids
+    rng = random.Random(4606)
+    for trial in range(40):
+        x = MVector(
+            {w: _v_extended_poly(rng) for w in rng.sample(ids, rng.randint(1, 3))}
+        )
+        # bar(bar(x)) = x, so every row outside x's support cancels to zero
+        for m in (x, bar_extended_pairwise(module, x)):
+            got = module.bar_extended(m)
+            assert got == bar_extended_pairwise(module, m), (label, trial)
+            assert all(not f.is_zero for f in got.entries.values())
+        assert module.bar_extended(bar_extended_pairwise(module, x)) == x
 
 
 def test_specialization_coherence(a2_module):

@@ -349,7 +349,7 @@ def _solve_columns(rows, width, keys):
                 if c:
                     other_rhs[key] = c
                 else:
-                    del other_rhs[key]
+                    other_rhs.pop(key, None)
             rows[i] = ([x - f * y for x, y in zip(other, coef)], other_rhs)
         r += 1
     if r < width:

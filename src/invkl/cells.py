@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RelationViolated
-from .invmodule import MVector, _accumulate
-from .laurent import ZERO
+from .invmodule import MVector
+from .laurent import ZERO, add_into
 
 __all__ = ["CellPartition", "compute_cells", "involutions_per_cell", "check_hf_relation"]
 
@@ -168,7 +168,7 @@ def check_hf_relation(z, w, kl, canonical):
     acted = {}
     for yid, coeff in kl.cprime(zid).items():
         for x, f in module.tw_action(yid, a_w).entries.items():
-            _accumulate(acted, x, f * coeff)
+            add_into(acted, x, f * coeff)
     f_exp = canonical.expand_in_A(MVector._raw(acted))
 
     involutions = set(module.involution_ids)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantError
-from .laurent import q_addmul, q_div, q_shift
+from .laurent import q_add, q_addmul, q_div, q_shift
 
 __all__ = [
     "CoxeterSystem",
@@ -127,39 +127,18 @@ class _CycloField:
             Fraction(1 if i == 0 else 0) for i in range(d)
         )
         # reductions of c^k for k = d .. 2d-2
-        reductions = []
-        cur = [Fraction(-a) for a in psi[:-1]]
-        reductions.append(tuple(cur))
+        reductions = [tuple(Fraction(-a) for a in psi[:-1])]
         for _ in range(d - 2):
-            shifted = [Fraction(0)] + cur
-            top = shifted[d]
-            cur = shifted[:d]
-            if top:
-                cur = [x + top * r for x, r in zip(cur, reductions[0])]
-            reductions.append(tuple(cur))
+            shifted = q_shift(reductions[-1], 1)
+            reductions.append(q_addmul(shifted[:d], (shifted[d],), reductions[0]))
         self._reductions = reductions
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
     def mul(self, a, b):
-        d = self.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                red = self._reductions[k - d]
-                out = [x + c * r for x, r in zip(out, red)]
-        return tuple(out)
-
-    def scale(self, a, q):
-        return tuple(x * q for x in a)
+        conv = q_addmul((), a, b)
+        out = conv[:self.degree]
+        for c, red in zip(conv[self.degree:], self._reductions):
+            out = q_addmul(out, (c,), red)
+        return out
 
     def two_cos_pi_over(self, m):
         """The element 2cos(pi/m), for m dividing N (or m == 2 -> 0)."""
@@ -184,10 +163,7 @@ class _CycloField:
             p_cur = (Fraction(-self.minpoly[0], self.minpoly[1]),)
         c_elt = p_cur
         for _ in range(k - 1):
-            p_next = tuple(
-                x - y for x, y in zip(self.mul(c_elt, p_cur), p_prev)
-            )
-            p_prev, p_cur = p_cur, p_next
+            p_prev, p_cur = p_cur, q_addmul(self.mul(c_elt, p_cur), (-1,), p_prev)
         return p_cur
 
 
@@ -225,10 +201,10 @@ class _RootEngine:
 
         def reflect(s, root):
             # s(v) = v + (sum_{j != s} 2cos(pi/m_sj) v_j - 2 v_s) alpha_s
-            acc = field.scale(root[s], -1)
+            acc = q_addmul((), (-1,), root[s])
             for j, c in links[s]:
                 if any(root[j]):
-                    acc = field.add(acc, field.mul(c, root[j]))
+                    acc = q_add(acc, field.mul(c, root[j]))
             return root[:s] + (acc,) + root[s + 1:]
 
         # s permutes the positive roots other than alpha_s, so closing the

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantError
-from .laurent import LaurentPoly, ONE, ZERO, spread, u_pow, v_pow
+from .laurent import LaurentPoly, ONE, ZERO, add_into, spread, u_pow, v_pow
 
 __all__ = ["MVector", "InvolutionModule", "bar_table_dense_solve"]
 
@@ -87,22 +87,11 @@ class MVector:
     def __add__(self, other):
         out = dict(self.entries)
         for w, f in other.entries.items():
-            g = out.get(w, ZERO) + f
-            if g.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = g
+            add_into(out, w, f)
         return MVector._raw(out)
 
     def __sub__(self, other):
-        out = dict(self.entries)
-        for w, f in other.entries.items():
-            g = out.get(w, ZERO) - f
-            if g.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = g
-        return MVector._raw(out)
+        return self + (-other)
 
     def __neg__(self):
         return MVector._raw({w: -f for w, f in self.entries.items()})
@@ -122,14 +111,6 @@ class MVector:
             f"{w}: {f}" for w, f in sorted(self.entries.items())
         )
         return f"MVector({{{items}}})"
-
-
-def _accumulate(out, wid, f):
-    g = out.get(wid, ZERO) + f
-    if g.is_zero:
-        out.pop(wid, None)
-    else:
-        out[wid] = g
 
 
 class InvolutionModule:
@@ -193,16 +174,16 @@ class InvolutionModule:
         for wid, f in m.entries.items():
             commuting, up, other = self.action_case(s, wid)
             if commuting and up:
-                _accumulate(out, wid, f * _U)
-                _accumulate(out, other, f * _U1)
+                add_into(out, wid, f * _U)
+                add_into(out, other, f * _U1)
             elif commuting:
-                _accumulate(out, wid, f * _UU_MU_M1)
-                _accumulate(out, other, f * _UU_MU)
+                add_into(out, wid, f * _UU_MU_M1)
+                add_into(out, other, f * _UU_MU)
             elif up:
-                _accumulate(out, other, f)
+                add_into(out, other, f)
             else:
-                _accumulate(out, wid, f * _UU_M1)
-                _accumulate(out, other, f * _UU)
+                add_into(out, wid, f * _UU_M1)
+                add_into(out, other, f * _UU)
         return MVector._raw(out)
 
     def tw_action(self, x, m):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import InvariantError
 from .laurent import (
-    ONE, ZERO, q_add, q_addmul, q_mu, q_shift, q_trim, spread, v_pow,
+    ONE, add_into, q_add, q_addmul, q_mu, q_shift, q_trim, spread, v_pow,
 )
 
 __all__ = ["KLTable", "HeckeAlgebra", "expand_unitriangular"]
@@ -44,11 +44,7 @@ def expand_unitriangular(system, elem, column):
         coeff = work[top] * v_pow(system.length_of(top))
         out[top] = coeff
         for yid, f in column(top).items():
-            g = work.get(yid, ZERO) - coeff * f
-            if g.is_zero:
-                work.pop(yid, None)
-            else:
-                work[yid] = g
+            add_into(work, yid, -coeff * f)
     return out
 
 
@@ -67,19 +63,11 @@ class HeckeAlgebra:
         for wid, f in elem.items():
             ws = sys.rmul(wid, s)
             if sys.length_of(ws) > sys.length_of(wid):
-                out[ws] = out.get(ws, ZERO) + f
+                add_into(out, ws, f)
             else:
-                g = out.get(wid, ZERO) + f * _U_MINUS_ONE
-                if g.is_zero:
-                    out.pop(wid, None)
-                else:
-                    out[wid] = g
-                g = out.get(ws, ZERO) + f * _U
-                if g.is_zero:
-                    out.pop(ws, None)
-                else:
-                    out[ws] = g
-        return {w: f for w, f in out.items() if not f.is_zero}
+                add_into(out, wid, f * _U_MINUS_ONE)
+                add_into(out, ws, f * _U)
+        return out
 
     def rmul_element(self, elem, xid):
         """elem * T_x, folding the reduced word of x from the left."""
@@ -91,24 +79,15 @@ class HeckeAlgebra:
         """Product of two T-basis dicts: sum_y b_y * (a * T_y)."""
         out = {}
         for yid, g in b.items():
-            part = self.rmul_element(dict(a), yid)
-            for wid, f in part.items():
-                acc = out.get(wid, ZERO) + f * g
-                if acc.is_zero:
-                    out.pop(wid, None)
-                else:
-                    out[wid] = acc
+            for wid, f in self.rmul_element(a, yid).items():
+                add_into(out, wid, f * g)
         return out
 
     def rmul_gen_inverse(self, elem, s):
         """elem * T_s^{-1}, using T_s^{-1} = u^{-1} T_s + (u^{-1} - 1)."""
         out = {w: f * _U_INV for w, f in self.rmul_gen(elem, s).items()}
         for wid, f in elem.items():
-            g = out.get(wid, ZERO) + f * _U_INV_MINUS_ONE
-            if g.is_zero:
-                out.pop(wid, None)
-            else:
-                out[wid] = g
+            add_into(out, wid, f * _U_INV_MINUS_ONE)
         return out
 
     def bar_t(self, wid):
@@ -124,11 +103,7 @@ class HeckeAlgebra:
         for wid, f in elem.items():
             fb = f.bar()
             for xid, g in self.bar_t(wid).items():
-                acc = out.get(xid, ZERO) + fb * g
-                if acc.is_zero:
-                    out.pop(xid, None)
-                else:
-                    out[xid] = acc
+                add_into(out, xid, fb * g)
         return out
 
 

@@ -4,14 +4,20 @@ Every scalar in this package lives in Z[v, v^-1].  The ring Z[u, u^-1] with
 u = v^2 is embedded as the polynomials with even support; callers that need
 u-membership test it with :meth:`LaurentPoly.is_even_support`.
 
-The tables themselves (classical P and P-sigma) are polynomials in one
-variable q with no negative powers, stored as plain coefficient tuples
-``(c_0, c_1, ...)``.  The ``q_*`` functions are the one kernel that builds
-them; ``spread`` turns a tuple into a ``LaurentPoly`` at the API boundary.
+The ``q_*`` functions work on plain coefficient tuples ``(c_0, c_1, ...)``
+of a polynomial in one variable q with no negative powers, and they are the
+only place where polynomial arithmetic is written down.  ``LaurentPoly``
+adds, multiplies and divides its coefficient tuple through them and keeps
+only the ``min_exp`` bookkeeping; the classical P and P-sigma tables are
+stored as such tuples and built by them directly (``spread`` turns a tuple
+into a ``LaurentPoly`` at the API boundary); and the root-system field
+Q(2cos(pi/N)) of ``coxeter`` runs its arithmetic on them too.  Sparse sums
+of ``LaurentPoly`` values keyed by element or involution id go through
+``add_into``, which never stores a zero.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
-values are immutable, so instances can be shared freely between threads.
+values are immutable.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import NotDivisible
 __all__ = [
     "LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow", "spread",
     "q_shift", "q_add", "q_addmul", "q_trim", "q_divmod", "q_div",
-    "q_mu",
+    "q_mu", "add_into",
 ]
 
 
@@ -103,14 +109,9 @@ class LaurentPoly:
             return other
         if other.is_zero:
             return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp + i - lo] += c
-        return LaurentPoly(out, lo)
+        a, b = (self, other) if self.min_exp <= other.min_exp else (other, self)
+        shifted = q_shift(b.coeffs, b.min_exp - a.min_exp)
+        return LaurentPoly(q_add(a.coeffs, shifted), a.min_exp)
 
     __radd__ = __add__
 
@@ -133,15 +134,9 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ZERO
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return LaurentPoly(out, self.min_exp + other.min_exp)
+        return LaurentPoly(
+            q_addmul((), self.coeffs, other.coeffs), self.min_exp + other.min_exp
+        )
 
     __rmul__ = __mul__
 
@@ -166,32 +161,12 @@ class LaurentPoly:
         """Return q with q*g == self, or raise :class:`NotDivisible`.
 
         Failure of exact division is used as a runtime theorem check, so the
-        exception carries both operands.
+        exception carries both coefficient tuples.
         """
         g = self._coerce(g)
         if g is None or g.is_zero:
             raise ZeroDivisionError("division of Laurent polynomial by zero")
-        if self.is_zero:
-            return ZERO
-        fc = list(self.coeffs)
-        gc = g.coeffs
-        n, m = len(fc), len(gc)
-        if n < m:
-            raise NotDivisible(f"({self}) is not divisible by ({g})")
-        glead = gc[-1]
-        q = [0] * (n - m + 1)
-        for k in range(n - m, -1, -1):
-            c = fc[k + m - 1]
-            if c % glead:
-                raise NotDivisible(f"({self}) is not divisible by ({g})")
-            qk = c // glead
-            q[k] = qk
-            if qk:
-                for j in range(m):
-                    fc[k + j] -= qk * gc[j]
-        if any(fc):
-            raise NotDivisible(f"({self}) is not divisible by ({g})")
-        return LaurentPoly(q, self.min_exp - g.min_exp)
+        return LaurentPoly(q_div(self.coeffs, g.coeffs), self.min_exp - g.min_exp)
 
     def positive_part(self):
         """The truncation f^+ keeping exponents >= 0 only."""
@@ -350,6 +325,17 @@ def q_mu(p, gap):
     deg P <= (gap-1)/2 makes it the top coefficient whenever it is nonzero.
     """
     return p[-1] if p and 2 * len(p) == gap + 1 else 0
+
+
+def add_into(out, key, f):
+    """out[key] += f on a sparse dict of LaurentPoly values; a zero sum is dropped."""
+    g = out.get(key)
+    if g is not None:
+        f = g + f
+    if f.is_zero:
+        out.pop(key, None)
+    else:
+        out[key] = f
 
 
 ZERO = LaurentPoly()

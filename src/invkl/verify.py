@@ -259,18 +259,13 @@ def suite_specialize(ctx):
     sys = ctx.system
     spec = SpecializedModule(ctx.module)
     mats = spec.m1_matrices()
-    n = len(mats.basis)
-    for s, mat in mats.gen_matrices.items():
-        sq = [
-            [
-                sum(mat[i][k] * mat[k][j] for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+    # m1_matrices builds its columns from apply_gen, so squaring each basis
+    # vector's image checks that every generator matrix squares to Id.
+    for s in mats.gen_matrices:
         res.checks += 1
         if any(
-            sq[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)
+            spec.apply_gen(s, spec.apply_gen(s, {w: 1})) != {w: 1}
+            for w in mats.basis
         ):
             res.fail({"kind": "involution_matrix", "s": s})
     for cls in sys.conjugacy_classes():

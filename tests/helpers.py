@@ -7,7 +7,7 @@ code path it is meant to check.
 import json
 from fractions import Fraction
 
-from invkl.errors import InvariantError
+from invkl.errors import InvariantError, NotDivisible
 from invkl.invmodule import MVector
 from invkl.klclassic import HeckeAlgebra
 from invkl.laurent import LaurentPoly, ONE, ZERO, spread, u_pow, v_pow
@@ -252,3 +252,63 @@ def bar_table_per_pair(module, pad=2):
                 entries[yid] = poly
         table[wid] = MVector(entries)
     return table
+
+
+# Schoolbook Laurent arithmetic over (coeffs, min_exp) pairs, the
+# coefficient loops ``LaurentPoly`` ran before it moved onto the q kernel.
+# Results are untrimmed; ``LaurentPoly(*result)`` trims them.
+
+
+def schoolbook_add(f, g):
+    """f + g: both coefficient lists added into one exponent window."""
+    (fc, fe), (gc, ge) = f, g
+    if not fc:
+        return list(gc), ge
+    if not gc:
+        return list(fc), fe
+    lo = min(fe, ge)
+    out = [0] * (max(fe + len(fc), ge + len(gc)) - lo)
+    for i, c in enumerate(fc):
+        out[fe + i - lo] += c
+    for i, c in enumerate(gc):
+        out[ge + i - lo] += c
+    return out, lo
+
+
+def schoolbook_mul(f, g):
+    """f g: every pair of coefficients multiplied into its exponent."""
+    (fc, fe), (gc, ge) = f, g
+    if not fc or not gc:
+        return [], 0
+    out = [0] * (len(fc) + len(gc) - 1)
+    for i, a in enumerate(fc):
+        for j, b in enumerate(gc):
+            out[i + j] += a * b
+    return out, fe + ge
+
+
+def schoolbook_div(f, g):
+    """f / g by long division from the top coefficient down.
+
+    f and g are trimmed (first and last coefficient nonzero) and g is not
+    zero; raises :class:`NotDivisible` unless the quotient is exact and
+    integral.
+    """
+    (fc, fe), (gc, ge) = f, g
+    if not fc:
+        return [], 0
+    rest = list(fc)
+    n, m = len(fc), len(gc)
+    if n < m:
+        raise NotDivisible(f"{f} is not divisible by {g}")
+    q = [0] * (n - m + 1)
+    for k in range(n - m, -1, -1):
+        c, r = divmod(rest[k + m - 1], gc[-1])
+        if r:
+            raise NotDivisible(f"{f} is not divisible by {g}")
+        q[k] = c
+        for j in range(m):
+            rest[k + j] -= c * gc[j]
+    if any(rest):
+        raise NotDivisible(f"{f} is not divisible by {g}")
+    return q, fe - ge

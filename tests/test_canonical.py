@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from invkl import build_system

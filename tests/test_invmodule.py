@@ -358,3 +358,30 @@ def test_interval_matches_bruhat_oracle(label, delta):
     for wid in ids:
         expected = tuple(y for y in ids if system.bruhat_leq_ids(y, wid))
         assert module.interval(wid) == expected, system.word_of(wid)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_cancelling_sums_store_no_zero(label):
+    """Sums whose terms cancel drop the entry instead of storing a zero.
+
+    For a commuting ascent s of w with partner x = sw,
+    T_s((1 - u) a_w + a_x) = -u a_x: the a_w terms cancel.
+    """
+    system = build_system(label)
+    module = InvolutionModule(system)
+    rng = random.Random(3)
+    m = rand_vector(module, rng)
+    half = MVector({w: f for w, f in m.entries.items() if w % 2})
+    assert (m + (-m)).entries == {} and (m - m).entries == {}
+    assert (m - half).entries == {
+        w: f for w, f in m.entries.items() if not w % 2
+    }
+    cases = 0
+    for w in module.involution_ids:
+        for s in range(system.rank):
+            commuting, up, x = module.action_case(s, w)
+            if commuting and up:
+                m = MVector({w: ONE - U, x: ONE})
+                assert module.ts_action(s, m).entries == {x: -U}
+                cases += 1
+    assert cases

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from invkl import build_system
-from invkl.klclassic import KLTable
+from invkl.klclassic import HeckeAlgebra, KLTable
 from invkl.laurent import ONE, ZERO, v_pow
 
 from helpers import hecke_selfbar_column, s_gen_id
@@ -123,3 +123,21 @@ def test_parallel_build_matches_serial():
             assert serial.kl_poly_ids(ya.id, wa.id) == parallel.kl_poly_ids(
                 yb.id, wb.id
             )
+
+
+def test_cancelling_sums_store_no_zero(a3):
+    """Hecke sums whose terms cancel drop the entry instead of storing a zero."""
+    alg = HeckeAlgebra(a3)
+    kl = KLTable(a3)
+    u, u_inv = v_pow(2), v_pow(-2)
+    for s in range(a3.rank):
+        sid = s_gen_id(a3, s)
+        # T_s T_s = (u - 1) T_s + u: the T_s terms cancel
+        assert alg.rmul_gen({0: ONE - u, sid: ONE}, s) == {0: u}
+        assert alg.product({sid: ONE}, {0: ONE - u, sid: ONE}) == {0: u}
+        # T_s^-1 = u^-1 T_s + u^-1 - 1: the constant terms cancel
+        assert alg.rmul_gen_inverse({0: ONE, sid: ONE - u_inv}, s) == {sid: u_inv}
+        assert alg.bar_element({sid: ONE, 0: ONE - u}) == {sid: u_inv}
+    for w in a3.all_ids():
+        # every term of the work dict cancels as its column is subtracted
+        assert kl.expand_in_cdot(kl.cdot(w)) == {w: ONE}

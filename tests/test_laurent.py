@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import schoolbook_add, schoolbook_div, schoolbook_mul
 
 from invkl.errors import NotDivisible
 from invkl.laurent import (
@@ -98,11 +99,37 @@ def test_json_round_trip():
 
 
 def rand_q(rng):
-    """A coefficient tuple: short or long, small or over 64 bits, maybe zero-padded."""
-    n = rng.choice([0, 1, 2, 3, 5, 9, 17])
+    """A coefficient tuple of length 0-17, small or over 64 bits, maybe zero-padded."""
     bound = rng.choice([1, 5, 2**70])
-    p = [rng.randint(-bound, bound) for _ in range(n)]
+    p = [rng.randint(-bound, bound) for _ in range(rng.randint(0, 17))]
     return tuple(p + [0] * rng.randint(0, 2))
+
+
+def rand_laurent(rng):
+    return LaurentPoly(rand_q(rng), rng.randint(-6, 6))
+
+
+def cancelling(rng, f):
+    """-f, or -f with the terms on one side of a random cut replaced."""
+    neg = [-c for c in f.coeffs]
+    cut = rng.randint(0, len(neg))
+    other = [rng.randint(-2**70, 2**70) for _ in range(rng.randint(0, 4))]
+    case = rng.randrange(3)
+    if case == 0:
+        return LaurentPoly(neg, f.min_exp)
+    if case == 1:  # cancels the terms of f below the cut
+        return LaurentPoly(neg[:cut] + other, f.min_exp)
+    return LaurentPoly(other + neg[cut:], f.min_exp + cut - len(other))
+
+
+def rand_divisor(rng):
+    """A trimmed q-tuple with nonzero constant term, as ``q_div`` divides by."""
+    p = q_trim(rand_q(rng)[:5])
+    return (rng.choice([-2, -1, 1, 3]),) + p
+
+
+def pair(f):
+    return f.coeffs, f.min_exp
 
 
 def as_poly(p):
@@ -115,35 +142,86 @@ def as_tuple(f):
     return (0,) * f.min_exp + f.coeffs
 
 
-def test_q_kernel_against_laurent_poly():
-    """Every q_* function agrees with LaurentPoly arithmetic in q = v."""
+def school(result):
+    """A schoolbook (coeffs, min_exp) result as a LaurentPoly."""
+    return LaurentPoly(*result)
+
+
+def test_q_kernel_against_schoolbook():
+    """Every q_* function agrees with the schoolbook loops in q = v."""
     rng = random.Random(1109)
-    one_plus_u = ONE + V
+    raised = 0
     for _ in range(400):
-        a, b, c = rand_q(rng), rand_q(rng), rand_q(rng)
+        a, c = rand_q(rng), rand_q(rng)
+        b = rng.choice([rand_q(rng), tuple(-x for x in a)])
         k = rng.randint(-2**66, 2**66)
         shift = rng.randint(0, 4)
-        assert as_poly(q_add(a, b)) == as_poly(a) + as_poly(b)
-        assert as_poly(q_addmul(a, (-k,), b)) == as_poly(a) - k * as_poly(b)
-        assert as_poly(q_addmul(a, b, c)) == as_poly(a) + as_poly(b) * as_poly(c)
-        assert as_poly(q_shift(a, shift)) == as_poly(a) * v_pow(shift)
-        assert q_trim(a) == as_tuple(as_poly(a))
-        # exact division by 1 + u, of a multiple and of an arbitrary tuple
-        product = as_tuple(one_plus_u * as_poly(b))
-        assert q_div(product, (1, 1)) == q_trim(b)
-        try:
-            expected = as_tuple(as_poly(a).exact_div(one_plus_u))
-        except NotDivisible:
-            with pytest.raises(NotDivisible):
-                q_div(a, (1, 1))
-        else:
-            assert q_div(a, (1, 1)) == expected
+        assert as_poly(q_add(a, b)) == school(schoolbook_add((a, 0), (b, 0)))
+        assert as_poly(q_addmul(a, (-k,), b)) == school(
+            schoolbook_add((a, 0), schoolbook_mul(((-k,), 0), (b, 0)))
+        )
+        assert as_poly(q_addmul(a, b, c)) == school(
+            schoolbook_add((a, 0), schoolbook_mul((b, 0), (c, 0)))
+        )
+        assert as_poly(q_shift(a, shift)) == school(
+            schoolbook_mul((a, 0), ((1,), shift))
+        )
+        assert q_trim(a) == as_tuple(LaurentPoly(a, 0))
+        # exact division, by 1 + u and by a random divisor, of a multiple
+        # and of an arbitrary tuple; both routes raise on the same inputs
+        for den in [(1, 1), rand_divisor(rng)]:
+            product, _ = schoolbook_mul((b, 0), (den, 0))
+            assert q_div(tuple(product), den) == q_trim(b)
+            try:
+                expected = school(schoolbook_div(pair(as_poly(a)), (den, 0)))
+            except NotDivisible:
+                raised += 1
+                with pytest.raises(NotDivisible):
+                    q_div(a, den)
+            else:
+                assert q_div(a, den) == as_tuple(expected)
         # the upward division: a = (1 + u) q + rest, rest zero up to the degree bound
         deg = rng.randint(-1, 6)
         q, rest = q_divmod(a, (1, 1), deg)
         assert len(q) <= deg + 1 and all(not c for c in rest[: deg + 1])
-        assert as_poly(a) == one_plus_u * as_poly(q) + as_poly(rest)
+        assert as_poly(a) == school(
+            schoolbook_add(schoolbook_mul(((1, 1), 0), (q, 0)), (rest, 0))
+        )
         assert q == q_trim(q) and rest == q_trim(rest)
+    assert raised > 100
+
+
+def test_laurent_poly_against_schoolbook():
+    """LaurentPoly's +, -, * and exact_div agree with the schoolbook loops.
+
+    Inputs have negative exponents, up to 17 terms and coefficients over
+    64 bits; half the sums cancel to zero or at one end.  Each product is
+    divided back, and so is the product plus a monomial, which both routes
+    must reject with NotDivisible or both divide alike.
+    """
+    rng = random.Random(4606)
+    raised = divided = 0
+    for _ in range(400):
+        f = rand_laurent(rng)
+        for g in [rand_laurent(rng), cancelling(rng, f)]:
+            assert f + g == school(schoolbook_add(pair(f), pair(g)))
+            assert f - g == school(schoolbook_add(pair(f), pair(-g)))
+            product = school(schoolbook_mul(pair(f), pair(g)))
+            assert f * g == product
+            if g.is_zero:
+                continue
+            assert product.exact_div(g) == f
+            bumped = school(schoolbook_add(pair(product), ((1,), rng.randint(-8, 8))))
+            try:
+                expected = school(schoolbook_div(pair(bumped), pair(g)))
+            except NotDivisible:
+                raised += 1
+                with pytest.raises(NotDivisible):
+                    bumped.exact_div(g)
+            else:
+                divided += 1
+                assert bumped.exact_div(g) == expected
+    assert raised > 100 and divided > 10
 
 
 def test_q_div_examples():

@@ -16,7 +16,7 @@ f_n = h_n (mod 2); in particular f != 0 forces h != 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RelationViolated
 from .invmodule import MVector
@@ -27,8 +27,7 @@ __all__ = ["CellPartition", "compute_cells", "involutions_per_cell", "check_hf_r
 DEFAULT_CELL_CAP = 400
 
 
-@dataclass(frozen=True)
-class CellPartition:
+class CellPartition(NamedTuple):
     """Two-sided cells (id tuples) plus the partial order on cell indices."""
 
     cells: tuple

@@ -10,7 +10,10 @@ text.  A table or kl row is joined from texts rendered once per command:
 each element's word and each distinct polynomial is formatted on first
 sight and reused by every later row that holds it.  Each command accepts
 only the options it reads: --max-length (at least 0) belongs to table and
-kl, and verify writes json or text but not csv.
+kl, --max-elements (at least 1) to cells, and verify writes json or text
+but not csv.  Each command imports only the layers it runs, inside its
+``cmd_*`` function, so ``kl`` never loads the involution module and no
+command loads the verification suites but ``verify``.
 """
 
 from __future__ import annotations
@@ -20,30 +23,28 @@ import json
 import sys
 from itertools import chain
 
-from .canonical import CanonicalBasis
-from .cells import DEFAULT_CELL_CAP, compute_cells, involutions_per_cell
 from .coxeter import build_system
 from .errors import InvariantError
-from .invmodule import InvolutionModule
-from .klclassic import KLTable
 from .laurent import spread
-from .specialize import SpecializedModule
-from .verify import run_suites
 
 __all__ = ["main", "build_parser"]
 
 _FORMATS = ("json", "csv", "text")
 
 
-def _length_cap(text):
-    """Parse --max-length: an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(minimum):
+    """An argparse type: an integer of at least ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser():
@@ -77,7 +78,7 @@ def build_parser():
         p.add_argument("--format", choices=formats, default="json")
         if max_length:
             p.add_argument(
-                "--max-length", type=_length_cap, default=None,
+                "--max-length", type=_int_at_least(0), default=None,
                 help="build and print only columns of at most this length",
             )
         return p
@@ -96,7 +97,7 @@ def build_parser():
     command("character", "u=1 characters per class")
     p_cells = command("cells", "two-sided cells")
     p_cells.add_argument(
-        "--max-elements", type=int, default=DEFAULT_CELL_CAP,
+        "--max-elements", type=_int_at_least(1), default=None,
         help="element-count gate for the cell computation",
     )
     return parser
@@ -249,6 +250,10 @@ def _pair_renderers(system, poly_key):
 
 
 def cmd_table(args):
+    from .canonical import CanonicalBasis
+    from .invmodule import InvolutionModule
+    from .klclassic import KLTable
+
     system = _make_system(args)
     module = InvolutionModule(system)
     basis = CanonicalBasis(module).build(max_length=args.max_length)
@@ -274,6 +279,8 @@ def cmd_table(args):
 
 
 def cmd_kl(args):
+    from .klclassic import KLTable
+
     system = _make_system(args)
     kl = KLTable(system)
     elements = kl.build_full(max_length=args.max_length)
@@ -295,6 +302,8 @@ def cmd_kl(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suites
+
     system = _make_system(args)
     results = run_suites(system)
     hard_failures = [r for r in results if not r.ok() and not r.advisory]
@@ -336,6 +345,9 @@ def cmd_verify(args):
 
 
 def cmd_character(args):
+    from .invmodule import InvolutionModule
+    from .specialize import SpecializedModule
+
     system = _make_system(args)
     spec = SpecializedModule(InvolutionModule(system))
     rows = spec.class_function_report()
@@ -370,9 +382,13 @@ def cmd_character(args):
 
 
 def cmd_cells(args):
+    from .cells import compute_cells, involutions_per_cell
+    from .invmodule import InvolutionModule
+    from .klclassic import KLTable
+
     system = _make_system(args)
-    kl = KLTable(system)
-    partition = compute_cells(kl, cap=args.max_elements)
+    cap = {} if args.max_elements is None else {"cap": args.max_elements}
+    partition = compute_cells(KLTable(system), **cap)
     counts = involutions_per_cell(partition, InvolutionModule(system))
 
     def representatives(cell):

@@ -9,7 +9,10 @@ One element engine serves every finite type, crystallographic or not: the
 group acts on its root system in the geometric representation by
 permutations of root numbers (Casselman, *Computation in Coxeter groups I*,
 2002).  The positive roots are found once, by closing the simple roots under
-the generators with exact coordinates over Q(2cos(pi/N)); that closure is
+the generators with exact coordinates in the integer ring Z[2cos(pi/N)]: the
+minimal polynomial of 2cos(pi/N) is monic and every 2cos(pi/m) with m
+dividing N lies in that ring, so a coordinate is a tuple of Python ints over
+the power basis and no ``Fraction`` or division is involved.  That closure is
 the only field arithmetic.  An element is stored as the root numbers of
 w(alpha_s) and w^-1(alpha_s), so a product with a generator is a lookup per
 simple root, a descent is a sign test on one root number, and elements are
@@ -21,8 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvariantError
@@ -46,8 +47,7 @@ class GroupElement(NamedTuple):
     length: int
 
 
-@dataclass(frozen=True)
-class ReflectionRep:
+class ReflectionRep(NamedTuple):
     """Generator matrices of the reflection representation (exact integers)."""
 
     matrices: dict
@@ -65,30 +65,30 @@ def _matmul(a, b, n):
 
 
 def _rational_rank(rows):
-    """Rank of an integer matrix via fraction-free style elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
+
+    After the k-th pivot every entry below it is a (k+1)-minor of the input,
+    so dividing by the previous pivot is exact and every entry stays an int.
+    """
+    mat = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][col]
+        top = mat[rank]
+        pv = top[col]
         for r in range(rank + 1, len(mat)):
-            f = mat[r][col] / pv
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+            f = mat[r][col]
+            mat[r] = [(pv * a - f * b) // prev for a, b in zip(mat[r], top)]
+        prev = pv
         rank += 1
     return rank
 
 
 # ---------------------------------------------------------------------------
-# the real cyclotomic field Q(2cos(pi/N)), used only to build the root system
+# the ring Z[2cos(pi/N)], used only to build the root system
 
 
 def _cyclotomic(n, cache={1: (-1, 1)}):
@@ -104,7 +104,10 @@ def _cyclotomic(n, cache={1: (-1, 1)}):
 
 
 class _CycloField:
-    """Arithmetic in Q(c) where c = 2cos(pi/N), as vectors over a power basis."""
+    """Arithmetic in Z[c] where c = 2cos(pi/N), as int vectors over a power basis.
+
+    The minimal polynomial of c is monic, so reducing c^k needs no division.
+    """
 
     def __init__(self, n_denom):
         self.n_denom = n_denom
@@ -122,12 +125,10 @@ class _CycloField:
             raise InvariantError(f"2cos(pi/{n_denom}) has no monic minimal polynomial")
         self.degree = d
         self.minpoly = tuple(psi)
-        self.zero = (Fraction(0),) * d
-        self.one = tuple(
-            Fraction(1 if i == 0 else 0) for i in range(d)
-        )
+        self.zero = (0,) * d
+        self.one = (1,) + (0,) * (d - 1)
         # reductions of c^k for k = d .. 2d-2
-        reductions = [tuple(Fraction(-a) for a in psi[:-1])]
+        reductions = [tuple(-a for a in psi[:-1])]
         for _ in range(d - 2):
             shifted = q_shift(reductions[-1], 1)
             reductions.append(q_addmul(shifted[:d], (shifted[d],), reductions[0]))
@@ -150,17 +151,12 @@ class _CycloField:
                 f"Coxeter entry {m} does not divide the field conductor {self.n_denom}"
             )
         # p_k(c) = 2cos(k*pi/N)
-        p_prev = tuple(
-            Fraction(2 if i == 0 else 0) for i in range(self.degree)
-        )
-        if k == 0:
-            return p_prev
-        p_cur = tuple(
-            Fraction(1 if i == 1 else 0) for i in range(self.degree)
-        )
+        p_prev = (2,) + (0,) * (self.degree - 1)
         if self.degree == 1:
-            # degree-1 field: c itself is rational, encoded in minpoly
-            p_cur = (Fraction(-self.minpoly[0], self.minpoly[1]),)
+            # c is the root of the monic minpoly c + minpoly[0]
+            p_cur = (-self.minpoly[0],)
+        else:
+            p_cur = (0, 1) + (0,) * (self.degree - 2)
         c_elt = p_cur
         for _ in range(k - 1):
             p_prev, p_cur = p_cur, q_addmul(self.mul(c_elt, p_cur), (-1,), p_prev)
@@ -357,10 +353,17 @@ def _block_diag(blocks, fill):
 def _parse_delta(delta, rank, cox):
     if delta is None:
         return tuple(range(rank))
+    text = delta
     if isinstance(delta, str):
         body = delta.split("=", 1)[1] if "=" in delta else delta
-        delta = [int(tok) for tok in body.split(",") if tok.strip() != ""]
-    delta = tuple(int(x) for x in delta)
+        delta = [tok for tok in body.split(",") if tok.strip() != ""]
+    try:
+        delta = tuple(int(x) for x in delta)
+    except ValueError:
+        raise ValueError(
+            "delta must be a comma-separated list of generator indices, "
+            f"got {text!r}"
+        ) from None
     if sorted(delta) != list(range(rank)):
         raise ValueError("delta is not a permutation of the generators")
     if any(delta[delta[i]] != i for i in range(rank)):

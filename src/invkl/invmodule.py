@@ -35,8 +35,6 @@ being one right-hand side of that elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InvariantError
 from .laurent import LaurentPoly, ONE, ZERO, add_into, spread, u_pow, v_pow
 
@@ -309,6 +307,8 @@ def _solve_columns(rows, width, keys):
     every key; a nonzero right-hand side on a row that eliminates to zero, or
     a non-integer solution, fails that key only.
     """
+    from fractions import Fraction
+
     r = 0
     for col in range(width):
         piv = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)

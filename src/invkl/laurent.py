@@ -10,10 +10,10 @@ only place where polynomial arithmetic is written down.  ``LaurentPoly``
 adds, multiplies and divides its coefficient tuple through them and keeps
 only the ``min_exp`` bookkeeping; the classical P and P-sigma tables are
 stored as such tuples and built by them directly (``spread`` turns a tuple
-into a ``LaurentPoly`` at the API boundary); and the root-system field
-Q(2cos(pi/N)) of ``coxeter`` runs its arithmetic on them too.  Sparse sums
-of ``LaurentPoly`` values keyed by element or involution id go through
-``add_into``, which never stores a zero.
+into a ``LaurentPoly`` at the API boundary); and the root-system ring
+Z[2cos(pi/N)] of ``coxeter`` runs its int arithmetic on them too, with no
+``Fraction``.  Sparse sums of ``LaurentPoly`` values keyed by element or
+involution id go through ``add_into``, which never stores a zero.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -21,8 +21,6 @@ values are immutable.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import NotDivisible
 
@@ -176,6 +174,8 @@ class LaurentPoly:
 
     def specialize(self, value):
         """Evaluate at v = value (a Fraction, int, or float-free rational)."""
+        from fractions import Fraction
+
         value = Fraction(value)
         if value == 0 and self.min_exp < 0:
             raise ZeroDivisionError("cannot specialize at v=0: negative exponents")

@@ -19,8 +19,7 @@ Everything in this module requires the untwisted case (delta = identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import TheoremMismatch
 from .coxeter import build_system
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WModuleM1:
+class WModuleM1(NamedTuple):
     """Integer generator matrices of the u=1 module, basis ordered as given."""
 
     basis: tuple
@@ -103,7 +101,7 @@ class SpecializedModule:
                     val = f.specialize(1)
                     if val:
                         spec[y] = val
-                if spec != {y: Fraction(c) for y, c in img.items()}:
+                if spec != img:
                     raise TheoremMismatch(
                         "u=1 case formulas disagree with the specialized "
                         f"generic action at s={s}, w={self.system.word_of(wid)}"

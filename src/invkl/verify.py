@@ -10,7 +10,6 @@ statements whose twisted variants are expected but not load-bearing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .canonical import CanonicalBasis
@@ -25,13 +24,15 @@ __all__ = ["SuiteResult", "VerificationContext", "run_suites", "SUITE_NAMES"]
 _RNG_SEED = 987654321
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list = field(default_factory=list)
-    advisory: bool = False
-    skipped: str = ""
+    """One suite's outcome: checks run, failure records, advisory, skip reason."""
+
+    def __init__(self, name, advisory=False):
+        self.name = name
+        self.checks = 0
+        self.failures = []
+        self.advisory = advisory
+        self.skipped = ""
 
     def ok(self):
         return not self.failures

@@ -7,10 +7,13 @@ code path it is meant to check.
 import json
 from fractions import Fraction
 
+from invkl.coxeter import _cyclotomic
 from invkl.errors import InvariantError, NotDivisible
 from invkl.invmodule import MVector
 from invkl.klclassic import HeckeAlgebra
-from invkl.laurent import LaurentPoly, ONE, ZERO, spread, u_pow, v_pow
+from invkl.laurent import (
+    LaurentPoly, ONE, ZERO, q_addmul, q_shift, spread, u_pow, v_pow,
+)
 
 
 def subword_bruhat(system, yid, wid):
@@ -312,3 +315,78 @@ def schoolbook_div(f, g):
     if any(rest):
         raise NotDivisible(f"{f} is not divisible by {g}")
     return q, fe - ge
+
+
+# The root-system field and the rank over Q as ``coxeter`` computed them
+# before its coordinates became plain ints: every coordinate a ``Fraction``,
+# the rank by ``Fraction`` Gauss elimination.
+
+
+class FractionCycloField:
+    """Arithmetic in Q(c) where c = 2cos(pi/N), as Fraction vectors over a power basis."""
+
+    def __init__(self, n_denom):
+        self.n_denom = n_denom
+        phi = _cyclotomic(2 * n_denom)
+        d = (len(phi) - 1) // 2
+        p_prev, p_cur = (2,), (0, 1)
+        psi = q_addmul((phi[d],), (phi[d + 1],), p_cur)
+        for j in range(2, d + 1):
+            p_prev, p_cur = p_cur, q_addmul(q_shift(p_cur, 1), (-1,), p_prev)
+            psi = q_addmul(psi, (phi[d + j],), p_cur)
+        if len(psi) != d + 1 or psi[-1] != 1:
+            raise InvariantError(f"2cos(pi/{n_denom}) has no monic minimal polynomial")
+        self.degree = d
+        self.minpoly = tuple(psi)
+        self.zero = (Fraction(0),) * d
+        self.one = tuple(Fraction(1 if i == 0 else 0) for i in range(d))
+        reductions = [tuple(Fraction(-a) for a in psi[:-1])]
+        for _ in range(d - 2):
+            shifted = q_shift(reductions[-1], 1)
+            reductions.append(q_addmul(shifted[:d], (shifted[d],), reductions[0]))
+        self._reductions = reductions
+
+    def mul(self, a, b):
+        conv = q_addmul((), a, b)
+        out = conv[:self.degree]
+        for c, red in zip(conv[self.degree:], self._reductions):
+            out = q_addmul(out, (c,), red)
+        return out
+
+    def two_cos_pi_over(self, m):
+        if m == 2:
+            return self.zero
+        k, rem = divmod(self.n_denom, m)
+        if rem:
+            raise ValueError(
+                f"Coxeter entry {m} does not divide the field conductor {self.n_denom}"
+            )
+        p_prev = tuple(Fraction(2 if i == 0 else 0) for i in range(self.degree))
+        if k == 0:
+            return p_prev
+        p_cur = tuple(Fraction(1 if i == 1 else 0) for i in range(self.degree))
+        if self.degree == 1:
+            p_cur = (Fraction(-self.minpoly[0], self.minpoly[1]),)
+        c_elt = p_cur
+        for _ in range(k - 1):
+            p_prev, p_cur = p_cur, q_addmul(self.mul(c_elt, p_cur), (-1,), p_prev)
+        return p_cur
+
+
+def fraction_rank(rows):
+    """Rank of an integer matrix by Gauss elimination over ``Fraction``."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pv = mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] / pv
+            if f:
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank

@@ -159,6 +159,7 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "table")[0] == 2  # missing --type
     assert run_cli(capsys, "character", "--type", "A2", "--twisted", "delta=1,0")[0] == 2
     assert run_cli(capsys, "cells", "--type", "A3", "--max-elements", "5")[0] == 2
+    assert run_cli(capsys, "cells", "--type", "A5")[0] == 2  # 720 > the default cap
     # each command accepts only the options it reads
     assert run_cli(capsys, "table", "--type", "A2", "--max-length", "-3")[0] == 2
     assert run_cli(capsys, "kl", "--type", "A2", "--max-length", "-1")[0] == 2
@@ -167,6 +168,13 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "cells", "--type", "A2", "--max-length", "1")[0] == 2
     assert run_cli(capsys, "verify", "--type", "A2", "--format", "csv")[0] == 2
     assert run_cli(capsys, "table", "--type", "A2", "--jobs", "2")[0] == 2
+    # malformed values fail at parse time with a message naming the rule
+    for cap in ("-1", "0", "x"):
+        code, out, err = run_cli(capsys, "cells", "--type", "A3", "--max-elements", cap)
+        assert code == 2 and out == "" and "argument --max-elements" in err
+    code, out, err = run_cli(capsys, "table", "--type", "A3", "--twisted", "a,b,c")
+    assert code == 2 and out == ""
+    assert "comma-separated list of generator indices" in err
 
 
 def test_output_file(tmp_path, capsys):

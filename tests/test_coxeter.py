@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import invkl
-from invkl import build_system
-from invkl.coxeter import _matmul
+from invkl import build_system, coxeter
+from invkl.coxeter import _CycloField, _matmul, _rational_rank
 
-from helpers import brute_twisted_involutions, subword_bruhat
+from helpers import (
+    FractionCycloField, brute_twisted_involutions, fraction_rank, subword_bruhat,
+)
 
 
 def test_classification_examples():
@@ -287,6 +291,78 @@ def test_field_checks_survive_optimize():
     )
     assert proc.returncode != 0
     assert "ValueError" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A3", "B3", "G2", "F4", "E6", "H3", "H4", "I2(5)", "I2(8)", "I2(7)xA2"],
+)
+def test_integer_root_ring_matches_the_fraction_field(label, monkeypatch):
+    """Int coordinates give the root numbering that Fraction ones gave.
+
+    Every root coordinate is a field constant or a ``q_add``/``q_addmul``
+    result (the simple roots are ``one``/``zero``, and reflecting replaces
+    one coordinate by such a sum), so recording those results sees them all.
+    """
+    outputs = []
+
+    def recording(fn):
+        def call(*args):
+            out = fn(*args)
+            outputs.append(out)
+            return out
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(coxeter, "q_add", recording(coxeter.q_add))
+        m.setattr(coxeter, "q_addmul", recording(coxeter.q_addmul))
+        system = build_system(label)
+    assert outputs
+    field = _CycloField(coxeter._conductor(system.coxeter_matrix))
+    outputs += [field.zero, field.one]
+    assert all(type(x) is int for out in outputs for x in out)
+    engine = system._engine
+    monkeypatch.setattr(coxeter, "_CycloField", FractionCycloField)
+    oracle = build_system(label)._engine
+    assert (engine.npos, engine.perms, engine.refl) == (
+        oracle.npos, oracle.perms, oracle.refl,
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10, 12])
+def test_two_cos_pi_over_evaluates_to_the_cosine(n):
+    field = _CycloField(n)
+    c = 2 * math.cos(math.pi / n)
+    for m in range(1, n + 1):
+        if n % m == 0:
+            coords = field.two_cos_pi_over(m)
+            assert all(type(x) is int for x in coords)
+            value = sum(x * c ** i for i, x in enumerate(coords))
+            assert abs(value - 2 * math.cos(math.pi / m)) < 1e-9, (n, m)
+
+
+def test_integer_rank_matches_fraction_elimination():
+    rng = random.Random(20110921)
+    deficient = 0
+    for trial in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        bound = 10 ** rng.choice((1, 3, 20))
+        if trial % 3 == 0 and rows and cols:
+            # a product through a thin middle has rank at most its width
+            k = rng.randint(0, min(rows, cols) - 1)
+            left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(k)]
+            mat = [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                if k else [0] * cols
+                for row in left
+            ]
+        else:
+            mat = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        rank = _rational_rank(mat)
+        assert rank == fraction_rank(mat), mat
+        deficient += rank < min(rows, cols)
+    assert deficient >= 50
 
 
 def test_element_cap():

@@ -1,12 +1,19 @@
-"""Every imported name is used: an ``ast`` pass over the package and the tests.
+"""Imports: every imported name is used, and each command loads only its layers.
 
+The first check is an ``ast`` pass over the package and the tests.
 ``__init__.py`` files re-export by importing, so they are exempt; elsewhere a
 name counts as used when the module references it or lists it in
-``__all__``.
+``__all__``.  The second runs each command in a fresh interpreter and lists
+the modules it adds to ``sys.modules``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted(
@@ -52,3 +59,68 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+# What each command adds to sys.modules in a fresh interpreter, run as
+# ``python -m invkl`` runs it: the package, then ``cli.main``.
+_ADDED = """
+import sys
+before = set(sys.modules)
+{body}
+sys.stdout.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+_RUN = "from invkl.cli import main\nassert main({argv!r}) == 0"
+# the stdlib modules the package modules import at module level, and what a
+# parser loads on first use (argparse's gettext imports locale)
+_STDLIB = (
+    "import __future__, argparse, itertools, json, math, re, typing\n"
+    "argparse.ArgumentParser()"
+)
+_BASE = {"invkl", "invkl.cli", "invkl.coxeter", "invkl.errors", "invkl.laurent"}
+_LAYERS = {
+    "table --type A3": {"invkl.invmodule", "invkl.canonical", "invkl.klclassic"},
+    "table --type A3 --classic": {
+        "invkl.invmodule", "invkl.canonical", "invkl.klclassic",
+    },
+    "kl --type A3": {"invkl.klclassic"},
+    "cells --type A3": {"invkl.cells", "invkl.klclassic", "invkl.invmodule"},
+    "character --type A3": {"invkl.invmodule", "invkl.specialize"},
+    "verify --type A2": {
+        "invkl.verify", "invkl.invmodule", "invkl.canonical", "invkl.klclassic",
+        "invkl.specialize",
+    },
+}
+
+
+def added_modules(body):
+    """The names that running ``body`` adds to ``sys.modules``, fresh interpreter."""
+    src = str(ROOT / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _ADDED.format(body=body)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def stdlib_deps():
+    return added_modules(_STDLIB)
+
+
+@pytest.mark.parametrize("command", sorted(_LAYERS))
+def test_each_command_imports_only_its_layers(command, stdlib_deps):
+    argv = command.split() + ["--out", os.devnull]
+    added = added_modules(_RUN.format(argv=argv))
+    assert "dataclasses" not in added
+    if not command.startswith("verify"):
+        assert "fractions" not in added
+    assert {m for m in added if m.startswith("invkl")} == _BASE | _LAYERS[command]
+    if command.startswith("kl "):
+        assert added - stdlib_deps == _BASE | _LAYERS[command]
+
+
+def test_building_a_system_imports_no_dataclasses_or_fractions():
+    added = added_modules('import invkl\ninvkl.build_system("H3")')
+    assert not added & {"dataclasses", "fractions"}

@@ -1,6 +1,6 @@
 """Canonical bases and Kazhdan-Lusztig tables for involution modules of Hecke algebras."""
 
-from .coxeter import CoxeterSystem, GroupElement, ReflectionRep, build_system
+from .coxeter import CoxeterSystem, GroupElement, build_system
 from .errors import (
     InconsistentBar,
     InvariantError,
@@ -14,7 +14,6 @@ from .laurent import LaurentPoly
 __all__ = [
     "CoxeterSystem",
     "GroupElement",
-    "ReflectionRep",
     "build_system",
     "LaurentPoly",
     "InvariantError",

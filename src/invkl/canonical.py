@@ -89,7 +89,7 @@ class CanonicalBasis:
         """Fill all columns of length at most ``max_length``, bottom-up.
 
         ``jobs`` must be at least 1 and has no effect on the result: columns
-        are built one at a time by the descent recursion, in (length, word)
+        are built one at a time by the descent recursion, in ShortLex
         order.
         """
         if jobs < 1:
@@ -149,12 +149,10 @@ class CanonicalBasis:
 
     # -- lookups ------------------------------------------------------------------
 
-    def _entry(self, y, w):
+    def _entry(self, yid, wid):
         """P(y, w) as u-coefficients (empty unless y <= w) and l(w) - l(y)."""
-        sys = self.system
-        yid, wid = sys._id_of(y), sys._id_of(w)
-        gap = sys.length_of(wid) - sys.length_of(yid)
-        return self.column(wid).get(yid, ()), gap
+        length = self.system.length_of
+        return self.column(wid).get(yid, ()), length(wid) - length(yid)
 
     def pi(self, y, w):
         """pi(y, w) = v^{l(y)-l(w)} P(y, w); zero unless both are involutions, y <= w."""
@@ -183,8 +181,7 @@ class CanonicalBasis:
         mu'' and mu' convolutions and the multiple mu'(y,w) (v + v^-1).
         Zero unless y lies in ``_descent_interval(s, w)``.
         """
-        sys = self.system
-        return self._ms_constants(s, sys._id_of(w)).get(sys._id_of(y), ZERO)
+        return self._ms_constants(s, w).get(y, ZERO)
 
     def _ms_constants(self, s, wid):
         """{x: ms_constant(s, x, w)} over the x where it is nonzero.
@@ -384,13 +381,11 @@ class CanonicalBasis:
 
     # -- the basis as module elements, and the generator action ----------------------
 
-    def a_vector(self, w):
+    def a_vector(self, wid):
         """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module."""
-        sys = self.system
-        wid = sys._id_of(w)
         cached = self._a_vectors.get(wid)
         if cached is None:
-            lw = sys.length_of(wid)
+            lw = self.system.length_of(wid)
             cached = self._a_vectors[wid] = MVector(
                 {yid: spread(p, 2, -lw) for yid, p in self.column(wid).items()}
             )
@@ -402,7 +397,7 @@ class CanonicalBasis:
             self.system, m.entries, lambda wid: self.a_vector(wid).entries
         )
 
-    def cs_action_on_A(self, s, w):
+    def cs_action_on_A(self, s, wid):
         """Expand c_s A_w in the canonical basis and check the closed form.
 
         The expected right-hand side is (v^2 + v^-2) A_w when sw < w,
@@ -410,7 +405,6 @@ class CanonicalBasis:
         plus ms_constant corrections over z with sz < z < sw.
         """
         sys = self.system
-        wid = sys._id_of(w)
         got = self.expand_in_A(self.module.cs_action(s, self.a_vector(wid)))
         expected = {}
         commuting, up, other = self.module.action_case(s, wid)

@@ -180,7 +180,7 @@ def _write(args, rows, *, head, key, item, title, line, header=None,
 
 
 def _involutions(system, module, max_length):
-    """Involutions of length at most ``max_length``, in (length, word) order."""
+    """Involutions of length at most ``max_length``, in ShortLex order."""
     return [
         wid for wid in module.involution_ids
         if max_length is None or system.length_of(wid) <= max_length
@@ -188,7 +188,7 @@ def _involutions(system, module, max_length):
 
 
 def _involution_pairs(system, module, max_length):
-    """Comparable involution pairs (y, w), both in (length, word) order."""
+    """Comparable involution pairs (y, w), both in ShortLex order."""
     return (
         (yid, wid)
         for wid in _involutions(system, module, max_length)
@@ -283,15 +283,15 @@ def cmd_kl(args):
 
     system = _make_system(args)
     kl = KLTable(system)
-    elements = kl.build_full(max_length=args.max_length)
-    order = {w.id: i for i, w in enumerate(elements)}
+    ids = kl.build_full(max_length=args.max_length)
+    order = {wid: i for i, wid in enumerate(ids)}
 
-    # elements are in (length, word) order, and so are the rows of each column
+    # ids are in ShortLex order, and so are the rows of each column
     def rows():
-        for w in elements:
-            column = kl.column(w.id)
+        for wid in ids:
+            column = kl.column(wid)
             for yid in sorted(column, key=order.__getitem__):
-                yield yid, w.id, column[yid], None
+                yield yid, wid, column[yid], None
 
     _write(
         args, rows(), head=_head("kl", system), key="entries",

@@ -1,9 +1,13 @@
 """Finite Coxeter and Weyl groups with interned elements.
 
-Group elements are identified by dense integer ids (0 is the identity).
-The canonical form of an element is its ShortLex-minimal reduced word,
-obtained by repeatedly splitting off the smallest left descent.  Interned
-handles make memo tables over pairs of elements cheap.
+An element is a dense integer id (0 is the identity), and every layer of
+the package names elements by these ids alone, as du Cloux's Coxeter 3
+does (Experiment. Math. 11, 2002); ids make memo tables over pairs of
+elements cheap.  The canonical form of an element is its ShortLex-minimal
+reduced word, obtained by repeatedly splitting off the smallest left
+descent, and ``CoxeterSystem.shortlex_key`` is the one place where the
+order (length, word) on elements is written down.  ``max_elements`` caps
+the number of interned elements, checked where an element is interned.
 
 One element engine serves every finite type, crystallographic or not: the
 group acts on its root system in the geometric representation by
@@ -32,7 +36,6 @@ from .laurent import q_add, q_addmul, q_div, q_shift
 __all__ = [
     "CoxeterSystem",
     "GroupElement",
-    "ReflectionRep",
     "build_system",
 ]
 
@@ -40,17 +43,11 @@ _CRYSTAL_WEIGHT = {2: 0, 3: 1, 4: 2, 6: 3}  # m(s,t) -> c(s,t)*c(t,s)
 
 
 class GroupElement(NamedTuple):
-    """An interned element: stable id, canonical reduced word, length."""
+    """A read-only view of an element: id, canonical reduced word, length."""
 
     id: int
     word: tuple
     length: int
-
-
-class ReflectionRep(NamedTuple):
-    """Generator matrices of the reflection representation (exact integers)."""
-
-    matrices: dict
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,10 @@ def build_system(spec, delta=None, *, finite=None, max_elements=10 ** 6):
     from the classification; a raw matrix must be declared finite by the
     caller with ``finite=True``, and a matrix of an infinite group then fails
     with ``ValueError`` once its root system passes ``max_elements`` roots.
-    Enumeration of elements and involutions stops at the same cap.
+    The same cap bounds the elements the system interns: any call that
+    would intern more than ``max_elements`` of them (enumerating the group
+    or its involutions, or a product reaching a new element) raises
+    ``ValueError``.
     """
     if isinstance(spec, str):
         tokens = [t for t in re.split(r"[×xX*]", spec) if t.strip()]
@@ -421,11 +421,14 @@ def build_system(spec, delta=None, *, finite=None, max_elements=10 ** 6):
 class CoxeterSystem:
     """A Coxeter presentation plus the interned element universe.
 
-    Elements are interned lazily, on the first product that reaches them,
-    through one root-permutation engine for every finite type.  Lengths,
-    descents, products and inverses never need the whole group.  The
-    integer reflection representation (``reflection_rep``, ``h_value``)
-    exists for crystallographic types only.
+    Elements are integer ids, interned lazily, on the first product that
+    reaches them, through one root-permutation engine for every finite
+    type, and at most ``max_elements`` of them.  Lengths, descents,
+    products and inverses never need the whole group.  Every method takes
+    and returns ids; ``element`` and ``enumerate_all`` wrap ids in a
+    read-only :class:`GroupElement` view.  The integer reflection
+    representation (``reflection_rep``, ``h_value``) exists for
+    crystallographic types only.
     """
 
     def __init__(
@@ -458,7 +461,6 @@ class CoxeterSystem:
         self._lmul = []
         self._rmul = []
         self._inv = []
-        self._delta_img = []
         self._layers = None  # list of id lists, grouped by length
         self._complete = False
         self._bruhat_memo = {}
@@ -470,19 +472,19 @@ class CoxeterSystem:
     # -- interning ----------------------------------------------------------
 
     def _register(self, payload, length, word=None):
-        key = payload[0]
-        wid = self._index.get(key)
-        if wid is not None:
-            return wid
+        """Intern a new element; raise ValueError past ``max_elements``."""
         wid = len(self._payloads)
+        if wid >= self.max_elements:
+            raise ValueError(
+                f"interning exceeds the element cap ({self.max_elements})"
+            )
         self._payloads.append(payload)
         self._lengths.append(length)
         self._words.append(word)
         self._lmul.append([None] * self.rank)
         self._rmul.append([None] * self.rank)
         self._inv.append(None)
-        self._delta_img.append(None)
-        self._index[key] = wid
+        self._index[payload[0]] = wid
         return wid
 
     # -- element arithmetic ---------------------------------------------------
@@ -531,11 +533,6 @@ class CoxeterSystem:
             s for s in range(self.rank) if self.is_left_descent(s, wid)
         )
 
-    def right_descents(self, wid):
-        return tuple(
-            s for s in range(self.rank) if self.is_right_descent(wid, s)
-        )
-
     def word_of(self, wid):
         word = self._words[wid]
         if word is not None:
@@ -568,17 +565,10 @@ class CoxeterSystem:
         self._inv[xid] = wid
         return xid
 
-    def delta_gen(self, s):
-        return self.delta[s]
-
     def delta_id(self, wid):
-        cached = self._delta_img[wid]
-        if cached is not None:
-            return cached
         xid = 0
         for s in self.word_of(wid):
             xid = self.rmul(xid, self.delta[s])
-        self._delta_img[wid] = xid
         return xid
 
     @property
@@ -592,6 +582,10 @@ class CoxeterSystem:
                 raise ValueError(f"generator index {s} out of range")
             xid = self.rmul(xid, int(s))
         return xid
+
+    def shortlex_key(self, wid):
+        """The sort key of the ShortLex order on elements: (length, word)."""
+        return (self._lengths[wid], self.word_of(wid))
 
     def conjugate_by_gen(self, s, wid):
         return self.lmul(s, self.rmul(wid, s))
@@ -641,37 +635,29 @@ class CoxeterSystem:
             if not nxt:
                 self._complete = True
                 return
-            total = sum(len(layer) for layer in self._layers) + len(nxt)
-            if total > self.max_elements:
-                raise ValueError(
-                    f"enumeration exceeds the element cap ({self.max_elements})"
-                )
-            self._layers.append(sorted(nxt, key=self.word_of))
+            self._layers.append(sorted(nxt, key=self.shortlex_key))
 
     def element(self, wid):
         return GroupElement(wid, self.word_of(wid), self._lengths[wid])
 
-    def enumerate_up_to_length(self, max_length):
-        self._extend_layers(max_length)
-        out = []
-        for layer in self._layers[: max_length + 1]:
-            out.extend(self.element(wid) for wid in layer)
-        return out
-
     def enumerate_all(self):
-        self._extend_layers(None)
-        return [
-            self.element(wid) for layer in self._layers for wid in layer
-        ]
+        return [self.element(wid) for wid in self.all_ids()]
 
-    def all_ids(self):
-        self._extend_layers(None)
-        return [wid for layer in self._layers for wid in layer]
+    def all_ids(self, max_length=None):
+        """Ids of all elements, or of those of length at most ``max_length``.
+
+        In ShortLex order; only the layers up to ``max_length`` are built.
+        """
+        self._extend_layers(max_length)
+        layers = self._layers
+        if max_length is not None:
+            layers = layers[: max_length + 1]
+        return [wid for layer in layers for wid in layer]
 
     # -- involutions ------------------------------------------------------------
 
     def twisted_involution_ids(self):
-        """Ids of all w with delta(w) = w^-1, sorted by (length, word).
+        """Ids of all w with delta(w) = w^-1, in ShortLex order.
 
         Enumerated by closing {1} under the ascents w -> sw (when
         sw = w delta(s)) and w -> s w delta(s); both moves stay inside the
@@ -700,12 +686,8 @@ class CoxeterSystem:
                         nxt.add(z)
                     action[wid][s] = (commuting, True, z)
                     action[z][s] = (commuting, False, wid)
-            if len(action) > self.max_elements:
-                raise ValueError(
-                    f"involution enumeration exceeds the cap ({self.max_elements})"
-                )
             frontier = sorted(nxt)
-        ids = sorted(action, key=lambda w: (self._lengths[w], self.word_of(w)))
+        ids = sorted(action, key=self.shortlex_key)
         self._tw_action = action
         self._tw_inv = tuple(ids)
         self._tw_inv_set = frozenset(ids)
@@ -724,14 +706,17 @@ class CoxeterSystem:
     # -- conjugacy classes -------------------------------------------------------
 
     def conjugacy_classes(self):
-        """All conjugacy classes as sorted id tuples, deterministic order."""
+        """All conjugacy classes as id tuples, each in ShortLex order.
+
+        Seeds are taken in ShortLex order, so each class starts with its
+        seed and the classes come out ordered by their first elements.
+        """
         if self._classes is not None:
             return self._classes
-        remaining = set(self.all_ids())
+        ids = self.all_ids()
+        remaining = set(ids)
         classes = []
-        for seed in sorted(
-            remaining, key=lambda w: (self._lengths[w], self.word_of(w))
-        ):
+        for seed in ids:
             if seed not in remaining:
                 continue
             orbit = {seed}
@@ -746,28 +731,19 @@ class CoxeterSystem:
                             nxt.append(c)
                 frontier = nxt
             remaining -= orbit
-            classes.append(
-                tuple(
-                    sorted(
-                        orbit,
-                        key=lambda w: (self._lengths[w], self.word_of(w)),
-                    )
-                )
-            )
-        classes.sort(
-            key=lambda cls: (self._lengths[cls[0]], self.word_of(cls[0]))
-        )
+            classes.append(tuple(sorted(orbit, key=self.shortlex_key)))
         self._classes = classes
         return classes
 
     # -- reflection representation ------------------------------------------------
 
     def reflection_rep(self):
+        """{s: integer matrix of s} in the reflection representation."""
         if not self.crystallographic:
             raise ValueError(
                 "reflection representation over Q requires a crystallographic type"
             )
-        return ReflectionRep(matrices=dict(enumerate(self._gen_mats)))
+        return dict(enumerate(self._gen_mats))
 
     def h_value(self, wid):
         """dim ker(M_w + Id): the fixed space of -w in the reflection rep."""
@@ -782,37 +758,6 @@ class CoxeterSystem:
             for i in range(n)
         ]
         return n - _rational_rank(k)
-
-    # -- public wrappers over GroupElement handles ---------------------------------
-
-    @staticmethod
-    def _id_of(w):
-        return w.id if isinstance(w, GroupElement) else int(w)
-
-    def mult_gen(self, w, s, side="left"):
-        wid = self._id_of(w)
-        if not 0 <= s < self.rank:
-            raise ValueError(f"generator index {s} out of range")
-        xid = self.lmul(s, wid) if side == "left" else self.rmul(wid, s)
-        return self.element(xid)
-
-    def length(self, w):
-        return self._lengths[self._id_of(w)]
-
-    def inverse(self, w):
-        return self.element(self.inverse_id(self._id_of(w)))
-
-    def descents(self, w, side="left"):
-        wid = self._id_of(w)
-        if side == "left":
-            return self.left_descents(wid)
-        return self.right_descents(wid)
-
-    def bruhat_leq(self, y, w):
-        return self.bruhat_leq_ids(self._id_of(y), self._id_of(w))
-
-    def element_from_word(self, word):
-        return self.element(self.element_id_from_word(word))
 
     def __repr__(self):
         label = self.type_label or f"rank-{self.rank} matrix"

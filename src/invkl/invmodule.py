@@ -184,9 +184,8 @@ class InvolutionModule:
                 add_into(out, other, f * _UU)
         return MVector._raw(out)
 
-    def tw_action(self, x, m):
+    def tw_action(self, xid, m):
         """T_x applied along a reduced word; independent of the word chosen."""
-        xid = self.system._id_of(x)
         for s in reversed(self.system.word_of(xid)):
             m = self.ts_action(s, m)
         return m

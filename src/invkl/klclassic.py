@@ -33,14 +33,14 @@ def expand_unitriangular(system, elem, column):
 
     ``column(w)`` is the basis element of w as {y: coefficient} over y <= w,
     with coefficient v^-l(w) at w itself (the cdot basis of the Hecke
-    algebra, the A basis of the involution module).  The top entry by
-    (length, word) is scaled by v^l(top) and its column subtracted, until
-    nothing is left.
+    algebra, the A basis of the involution module).  The ShortLex-last
+    entry is scaled by v^l(top) and its column subtracted, until nothing is
+    left.
     """
     work = dict(elem)
     out = {}
     while work:
-        top = max(work, key=lambda w: (system.length_of(w), system.word_of(w)))
+        top = max(work, key=system.shortlex_key)
         coeff = work[top] * v_pow(system.length_of(top))
         out[top] = coeff
         for yid, f in column(top).items():
@@ -125,8 +125,6 @@ class KLTable:
         self._h2 = HeckeAlgebra(system)
         self._cdot_cache = {}
         self._cprime_cache = {}
-        self._cdot_product_cache = {}
-        self._pair_raw_cache = {}
 
     # -- the column recursion -------------------------------------------------
 
@@ -198,21 +196,17 @@ class KLTable:
         return dict(self.mu_row(wid)).get(yid, 0)
 
     def build_full(self, jobs=1, max_length=None):
-        """Build every column of length at most ``max_length``, in enumeration order.
+        """Build every column of length at most ``max_length``, in ShortLex order.
 
-        Returns the enumerated elements.  ``jobs`` must be at least 1 and has
-        no effect on the result.
+        Returns the ids of those columns, in that order.  ``jobs`` must be at
+        least 1 and has no effect on the result.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        sys = self.system
-        if max_length is None:
-            elements = sys.enumerate_all()
-        else:
-            elements = sys.enumerate_up_to_length(max_length)
-        for w in elements:
-            self.column(w.id)
-        return elements
+        ids = self.system.all_ids(max_length)
+        for wid in ids:
+            self.column(wid)
+        return ids
 
     # -- canonical bases in the T-basis ----------------------------------------
 
@@ -240,31 +234,21 @@ class KLTable:
         """Rewrite a T-basis dict (u-algebra) in the cdot basis."""
         return expand_unitriangular(self.system, elem, self.cdot)
 
-    def c_basis_product(self, z, w):
-        """Expansion of cdot_z * cdot_w in the cdot basis (memoized)."""
+    def c_basis_product(self, zid, wid):
+        """Expansion of cdot_z * cdot_w in the cdot basis."""
         sys = self.system
-        zid, wid = sys._id_of(z), sys._id_of(w)
-        key = (zid, wid)
-        cached = self._cdot_product_cache.get(key)
-        if cached is None:
-            raw = self._h2.product(self.cdot(zid), self.cdot(wid))
-            cached = self.expand_in_cdot(raw)
-            for w2, f in cached.items():
-                if any(c < 0 for _, c in f.terms()):
-                    raise InvariantError(
-                        "negative structure constant in cdot_z * cdot_w at "
-                        f"{sys.word_of(zid)}, {sys.word_of(wid)}, {sys.word_of(w2)}"
-                    )
-            self._cdot_product_cache[key] = cached
-        return cached
+        out = self.expand_in_cdot(self._h2.product(self.cdot(zid), self.cdot(wid)))
+        for w2, f in out.items():
+            if any(c < 0 for _, c in f.terms()):
+                raise InvariantError(
+                    "negative structure constant in cdot_z * cdot_w at "
+                    f"{sys.word_of(zid)}, {sys.word_of(wid)}, {sys.word_of(w2)}"
+                )
+        return out
 
-    def h_constants(self, z, w):
+    def h_constants(self, zid, wid):
         """Coefficients of cdot_z cdot_w cdot_{z^-1} in the cdot basis."""
-        sys = self.system
-        zid, wid = sys._id_of(z), sys._id_of(w)
-        pair = self._pair_raw_cache.get((zid, wid))
-        if pair is None:
-            pair = self._h2.product(self.cdot(zid), self.cdot(wid))
-            self._pair_raw_cache[(zid, wid)] = pair
-        triple = self._h2.product(pair, self.cdot(sys.inverse_id(zid)))
+        h2 = self._h2
+        pair = h2.product(self.cdot(zid), self.cdot(wid))
+        triple = h2.product(pair, self.cdot(self.system.inverse_id(zid)))
         return self.expand_in_cdot(triple)

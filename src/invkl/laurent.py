@@ -27,7 +27,7 @@ from .errors import NotDivisible
 __all__ = [
     "LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow", "spread",
     "q_shift", "q_add", "q_addmul", "q_trim", "q_divmod", "q_div",
-    "q_mu", "add_into",
+    "q_mu", "add_into", "domination_failure",
 ]
 
 
@@ -336,6 +336,20 @@ def add_into(out, key, f):
         out.pop(key, None)
     else:
         out[key] = f
+
+
+def domination_failure(f, g):
+    """The smallest v-exponent e where |f_e| <= g_e or f_e = g_e (mod 2) fails.
+
+    None when g dominates f with the same parity at every exponent; in
+    particular f must vanish wherever g does.  This is the coefficientwise
+    comparison of P-sigma with classical P and of f- with h-constants.
+    """
+    for e in sorted({e for e, _ in f.terms()} | {e for e, _ in g.terms()}):
+        a, b = g.coeff(e), f.coeff(e)
+        if abs(b) > a or (a - b) % 2:
+            return e
+    return None
 
 
 ZERO = LaurentPoly()

@@ -19,25 +19,15 @@ Everything in this module requires the untwisted case (delta = identity).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import TheoremMismatch
 from .coxeter import build_system
 from .invmodule import InvolutionModule
 
 __all__ = [
-    "WModuleM1",
     "SpecializedModule",
     "model_check_typeA",
     "partition_count",
 ]
-
-
-class WModuleM1(NamedTuple):
-    """Integer generator matrices of the u=1 module, basis ordered as given."""
-
-    basis: tuple
-    gen_matrices: dict
 
 
 def partition_count(n):
@@ -83,7 +73,7 @@ class SpecializedModule:
         return vec
 
     def m1_matrices(self):
-        """Integer matrices of the generator action, checked two ways.
+        """{s: integer matrix of s} over ``basis``, checked two ways.
 
         The direct case formulas must agree entrywise with the v = 1
         specialization of the generic T_s action.
@@ -113,32 +103,29 @@ class SpecializedModule:
                 for i in range(n)
             )
             mats[s] = mat
-        self._matrices = WModuleM1(basis=self.basis, gen_matrices=mats)
-        return self._matrices
+        self._matrices = mats
+        return mats
 
     # -- characters ----------------------------------------------------------------
 
-    def character_m1(self, x):
+    def character_m1(self, xid):
         """Trace of x on the u=1 module."""
-        xid = self.system._id_of(x)
         word = self.system.word_of(xid)
         total = 0
         for wid in self.basis:
             total += self.apply_word(word, {wid: 1}).get(wid, 0)
         return total
 
-    def epsilon(self, x, w):
+    def epsilon(self, xid, wid):
         """The sign with which x maps the graded basis vector of w.
 
         Multiplicative along reduced words through the conjugation cocycle;
         a generator contributes -1 exactly when sw = ws < w, and otherwise
         moves w to its partner sws (which is w itself when sw = ws).
         """
-        sys = self.system
-        xid, wid = sys._id_of(x), sys._id_of(w)
         sign = 1
         cur = wid
-        for s in reversed(sys.word_of(xid)):
+        for s in reversed(self.system.word_of(xid)):
             commuting, up, other = self.module.action_case(s, cur)
             if commuting:
                 if not up:
@@ -147,10 +134,9 @@ class SpecializedModule:
                 cur = other
         return sign
 
-    def character_gr_m1(self, x):
+    def character_gr_m1(self, xid):
         """Trace of x on the graded module: sum of epsilon over fixed basis points."""
         sys = self.system
-        xid = sys._id_of(x)
         total = 0
         for wid in self.basis:
             if sys.conjugate(xid, wid) == wid:
@@ -166,7 +152,7 @@ class SpecializedModule:
             cls for cls in self.system.conjugacy_classes() if cls[0] in inv
         ]
 
-    def induced_character_sum(self, x):
+    def induced_character_sum(self, xid):
         """Sum over the involution classes C of Ind_{Z(w)}^W epsilon(., w) at x.
 
         w is the representative of C.  In Frobenius' formula
@@ -176,7 +162,6 @@ class SpecializedModule:
         with c w c^-1 = w; a non-integer value raises TheoremMismatch.
         """
         sys = self.system
-        xid = sys._id_of(x)
         cl_x = next(cls for cls in sys.conjugacy_classes() if xid in cls)
         total = 0
         for cls in self.involution_classes():

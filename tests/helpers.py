@@ -26,14 +26,12 @@ def subword_bruhat(system, yid, wid):
 
 
 def brute_twisted_involutions(system):
-    """Filter the full group for delta(w) = w^-1, sorted by (length, word)."""
-    hits = [
-        el
-        for el in system.enumerate_all()
-        if system.delta_id(el.id) == system.inverse_id(el.id)
+    """Filter the full group, in ShortLex order, for delta(w) = w^-1."""
+    return [
+        wid
+        for wid in system.all_ids()
+        if system.delta_id(wid) == system.inverse_id(wid)
     ]
-    hits.sort(key=lambda el: (el.length, el.word))
-    return [el.id for el in hits]
 
 
 def ms_constant_by_scan(basis, s, xid, wid):

@@ -164,7 +164,7 @@ def test_criterion_7_u1_module():
     ok = True
     for label in ("A2", "A3", "A4", "B2", "B3"):
         spec = SpecializedModule(module_for(label))
-        mats = spec.m1_matrices().gen_matrices
+        mats = spec.m1_matrices()
         n = len(spec.basis)
         ident = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)

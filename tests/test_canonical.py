@@ -210,10 +210,10 @@ def test_descent_stability():
                     if not system.bruhat_leq_ids(yid, wid):
                         continue
                     sy = system.lmul(s, yid)
-                    if sy == system.rmul(yid, system.delta_gen(s)):
+                    if sy == system.rmul(yid, system.delta[s]):
                         other = sy
                     else:
-                        other = system.rmul(sy, system.delta_gen(s))
+                        other = system.rmul(sy, system.delta[s])
                     assert basis.sigma_kl(yid, wid) == basis.sigma_kl(other, wid)
 
 

@@ -43,20 +43,19 @@ def test_build_errors():
         )
 
 
-def test_mult_gen_and_lengths(a2):
-    identity = a2.element(0)
-    s = a2.mult_gen(identity, 0)
-    assert s.word == (0,) and s.length == 1
-    st = a2.mult_gen(s, 1, side="right")
-    assert st.word == (0, 1)
+def test_lmul_rmul_and_lengths(a2):
+    s = a2.lmul(0, 0)
+    assert a2.word_of(s) == (0,) and a2.length_of(s) == 1
+    st = a2.rmul(s, 1)
+    assert a2.word_of(st) == (0, 1)
     # cancellation: s * (st) = t
-    t = a2.mult_gen(st, 0, side="left")
-    assert t.word == (1,)
-    sts = a2.mult_gen(st, 0, side="right")
-    assert sts.length == 3
-    for el in a2.enumerate_all():
+    t = a2.lmul(0, st)
+    assert a2.word_of(t) == (1,)
+    sts = a2.rmul(st, 0)
+    assert a2.length_of(sts) == 3
+    for wid in a2.all_ids():
         for g in range(2):
-            assert abs(a2.mult_gen(el, g).length - el.length) == 1
+            assert abs(a2.length_of(a2.lmul(g, wid)) - a2.length_of(wid)) == 1
 
 
 def test_defining_relations_exhaustive():
@@ -79,14 +78,14 @@ def test_defining_relations_exhaustive():
 
 
 def test_inverse_descents(a2, b2):
-    sts = a2.element_from_word([0, 1, 0])
-    assert a2.inverse(sts) == sts
-    assert a2.descents(sts, "left") == (0, 1)
-    assert a2.descents(a2.element(0), "left") == ()
-    assert a2.length(a2.element(0)) == 0
-    w0 = b2.element_from_word([0, 1, 0, 1])
-    assert w0.length == 4
-    assert b2.inverse(w0) == w0
+    sts = a2.element_id_from_word([0, 1, 0])
+    assert a2.inverse_id(sts) == sts
+    assert a2.left_descents(sts) == (0, 1)
+    assert a2.left_descents(0) == ()
+    assert a2.length_of(0) == 0
+    w0 = b2.element_id_from_word([0, 1, 0, 1])
+    assert b2.length_of(w0) == 4
+    assert b2.inverse_id(w0) == w0
 
 
 def test_shortlex_words():
@@ -109,13 +108,13 @@ def _all_reduced_words(system, wid):
 
 
 def test_bruhat_examples(a2):
-    s = a2.element_from_word([0])
-    t = a2.element_from_word([1])
-    sts = a2.element_from_word([0, 1, 0])
-    for el in a2.enumerate_all():
-        assert a2.bruhat_leq(a2.element(0), el)
-    assert a2.bruhat_leq(s, sts)
-    assert not a2.bruhat_leq(s, t)
+    s = a2.element_id_from_word([0])
+    t = a2.element_id_from_word([1])
+    sts = a2.element_id_from_word([0, 1, 0])
+    for wid in a2.all_ids():
+        assert a2.bruhat_leq_ids(0, wid)
+    assert a2.bruhat_leq_ids(s, sts)
+    assert not a2.bruhat_leq_ids(s, t)
 
 
 def test_bruhat_matches_subword_criterion():
@@ -140,8 +139,9 @@ def test_enumeration_counts():
     assert len(build_system("A2").enumerate_all()) == 6
     assert len(build_system("A3").enumerate_all()) == 24
     assert len(build_system("A2×A1").enumerate_all()) == 12
-    up2 = build_system("A3").enumerate_up_to_length(2)
-    assert [e.length for e in up2] == sorted(e.length for e in up2)
+    a3 = build_system("A3")
+    up2 = [a3.length_of(w) for w in a3.all_ids(2)]
+    assert up2 == sorted(up2)
     assert len(up2) == 1 + 3 + 5
 
 
@@ -170,7 +170,7 @@ def test_involutions_closed_under_twisting():
         members = set(system.twisted_involution_ids())
         for wid in members:
             for s in range(system.rank):
-                z = system.rmul(system.lmul(s, wid), system.delta_gen(s))
+                z = system.rmul(system.lmul(s, wid), system.delta[s])
                 assert z in members
 
 
@@ -182,12 +182,12 @@ def test_reflection_rep_invariants():
         ident = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        for s, mat in rep.matrices.items():
+        for s, mat in rep.items():
             assert _matmul(mat, mat, n) == ident
             for t in range(n):
                 if t == s:
                     continue
-                prod = _matmul(mat, rep.matrices[t], n)
+                prod = _matmul(mat, rep[t], n)
                 power = prod
                 order = 1
                 while power != ident:
@@ -262,7 +262,7 @@ def test_root_engine_matches_reflection_matrices():
     """Descents and lengths against root signs in the integer representation."""
     for label in ("A3", "B3", "D4", "G2", "F4"):
         system = build_system(label)
-        mats = system.reflection_rep().matrices
+        mats = system.reflection_rep()
         n = system.rank
         for el in system.enumerate_all():
             assert system.length_of(el.id) == len(system.word_of(el.id))
@@ -368,3 +368,11 @@ def test_integer_rank_matches_fraction_elimination():
 def test_element_cap():
     with pytest.raises(ValueError):
         build_system("A3", max_elements=10).enumerate_all()
+
+
+def test_element_cap_bounds_interning():
+    """The cap counts interned elements, so involution enumeration, which
+    interns non-involutions on the way, stops at it too."""
+    with pytest.raises(ValueError, match="element cap"):
+        build_system("A3", max_elements=12).twisted_involution_ids()
+    assert len(build_system("A3", max_elements=24).twisted_involution_ids()) == 10

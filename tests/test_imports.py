@@ -3,8 +3,10 @@
 The first check is an ``ast`` pass over the package and the tests.
 ``__init__.py`` files re-export by importing, so they are exempt; elsewhere a
 name counts as used when the module references it or lists it in
-``__all__``.  The second runs each command in a fresh interpreter and lists
-the modules it adds to ``sys.modules``.
+``__all__``.  The same kind of pass finds every ``assert`` statement in the
+package, where none may stand: ``python -O`` strips them, so no check of the
+package may depend on one.  The second runs each command in a fresh
+interpreter and lists the modules it adds to ``sys.modules``.
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "invkl").glob("*.py"))
 CHECKED = sorted(
     path
     for folder in (ROOT / "src" / "invkl", ROOT / "tests")
@@ -59,6 +62,32 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def assert_lines(source):
+    """The line numbers of the ``assert`` statements in ``source``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+def test_asserts_are_found():
+    source = (
+        "def f(x):\n    assert x, 'x'\n    return x\n"
+        "class C:\n    def g(self):\n        assert self\n"
+    )
+    assert assert_lines(source) == [2, 6]
+    assert assert_lines("def f(x):\n    if not x:\n        raise ValueError\n") == []
+
+
+def test_no_asserts_in_the_package():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in PACKAGE
+        for line in assert_lines(path.read_text())
+    ]
+    assert PACKAGE and not found, "assert statements:\n" + "\n".join(found)
 
 
 # What each command adds to sys.modules in a fresh interpreter, run as

@@ -327,7 +327,7 @@ def test_action_table_matches_products(label, delta):
         for s in range(system.rank):
             sw = system.lmul(s, wid)
             up = system.length_of(sw) > system.length_of(wid)
-            ds = system.delta_gen(s)
+            ds = system.delta[s]
             commuting = sw == system.rmul(wid, ds)
             partner = sw if commuting else system.rmul(sw, ds)
             assert module.action_case(s, wid) == (commuting, up, partner)

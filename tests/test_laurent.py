@@ -5,8 +5,8 @@ from helpers import schoolbook_add, schoolbook_div, schoolbook_mul
 
 from invkl.errors import NotDivisible
 from invkl.laurent import (
-    LaurentPoly, ONE, U, V, ZERO, q_add, q_addmul, q_div, q_divmod, q_mu,
-    q_shift, q_trim, spread, u_pow, v_pow,
+    LaurentPoly, ONE, U, V, ZERO, domination_failure, q_add, q_addmul, q_div,
+    q_divmod, q_mu, q_shift, q_trim, spread, u_pow, v_pow,
 )
 
 
@@ -235,3 +235,28 @@ def test_q_div_examples():
         q_div((1, 1), (2, 1))  # a quotient coefficient 1/2
     assert q_mu((1, 3), 3) == 3 and q_mu((1, 3), 4) == 0 and q_mu((1,), 3) == 0
     assert q_mu((), -1) == 0
+
+
+def test_domination_failure_on_hand_made_pairs():
+    """The smallest v-exponent where |f_e| <= g_e or f_e = g_e (mod 2) fails."""
+    g = LaurentPoly((3, 0, 1), -2)                          # 3v^-2 + 1
+    # dominated pairs, a negative f coefficient included
+    assert domination_failure(LaurentPoly((1, 0, 1), -2), g) is None
+    assert domination_failure(LaurentPoly((-3, 0, -1), -2), g) is None
+    assert domination_failure(ZERO, LaurentPoly((2, 0, 4), -1)) is None
+    assert domination_failure(ZERO, ZERO) is None
+    assert domination_failure(g, g) is None
+    # a negative g coefficient fails even where f vanishes
+    assert domination_failure(ZERO, LaurentPoly((2, 0, -2), 0)) == 2
+    # a negative f coefficient larger than g in absolute value
+    assert domination_failure(LaurentPoly((-5,), -2), g) == -2
+    # an odd difference
+    assert domination_failure(ONE, LaurentPoly((2,), 0)) == 0
+    assert domination_failure(LaurentPoly((1, 0, 0), -2), g) == 0
+    # f nonzero where g is zero
+    assert domination_failure(LaurentPoly((2,), 3), LaurentPoly((2,), 0)) == 3
+    assert domination_failure(V, ZERO) == 1
+    # several failures: the smallest exponent is named
+    f = v_pow(-4) + LaurentPoly((2,), 2)
+    assert domination_failure(f, v_pow(2)) == -4
+    assert domination_failure(LaurentPoly((2,), 2), 2 * v_pow(-4) + v_pow(2)) == 2

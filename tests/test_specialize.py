@@ -22,13 +22,13 @@ def test_partition_count():
 def test_a1_generator_matrix():
     spec = spec_for("A1")
     m = spec.m1_matrices()
-    assert m.gen_matrices[0] == ((1, 0), (2, -1))
+    assert m[0] == ((1, 0), (2, -1))
 
 
 def test_matrices_are_involutions_satisfying_braid():
     for label in ("A2", "A3", "B2"):
         spec = spec_for(label)
-        mats = spec.m1_matrices().gen_matrices
+        mats = spec.m1_matrices()
         n = len(spec.basis)
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -55,7 +55,7 @@ def test_matrices_are_involutions_satisfying_braid():
 
 def test_a2_trace_of_generator():
     spec = spec_for("A2")
-    mat = spec.m1_matrices().gen_matrices[0]
+    mat = spec.m1_matrices()[0]
     assert sum(mat[i][i] for i in range(4)) == 0
 
 

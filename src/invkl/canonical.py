@@ -21,18 +21,23 @@ this triangularity, which gives two independent construction routes:
 Both produce identical tables; the test and verification suites insist on it.
 
 A column is stored as ``KLTable`` stores one, after du Cloux's Coxeter 3
-(Experiment. Math. 11, 2002): {y: P(y, w) as a tuple of u-coefficients}
-over the y <= w, built with the q-tuple kernel of ``laurent``.  Row y of
-target z is the equation for pi(y, z) times v^{l(z)-l(y)}, times one more v
-when z = sw, so every coefficient is in Z[u]: the T_s case of y gives a
-fixed combination such as (1+u) P(y, w) + (u^2-u) P(sy, w), and a shorter
-column x enters as an integer times a u-shift, times 1 + u when l(w) - l(x)
-is odd.  A commuting target then solves (1 + u) P(y, z) = row +
-mu'(y, z) u^((gap+1)/2) by one upward division under the degree bound
-floor((gap-1)/2), where the mu' term is allowed only on the rows of the
-descent interval; anything else left over raises ``RecurrenceInconsistent``.
-``LaurentPoly`` values are built only at the API boundary (``pi``,
-``sigma_kl``, ``a_vector``, ``ms_constant`` and the c_s action check).
+(Experiment. Math. 11, 2002): {y: P(y, w) packed} over the y <= w, each
+P(y, w) being the one int P(2^64) of the ``packed`` kernel, a 64-bit
+slot per u-coefficient.  Row y of target z is the equation for pi(y, z)
+times v^{l(z)-l(y)}, times one more v when z = sw, so every coefficient is
+in Z[u] and the whole row is one int: the T_s case of y gives a fixed
+combination such as (1+u) P(y, w) + (u^2-u) P(sy, w), an int product per
+term, and a shorter column x enters as an integer times a u-shift, times
+1 + u when l(w) - l(x) is odd.  A commuting target then solves
+(1 + u) P(y, z) = row + mu'(y, z) u^((gap+1)/2) under the degree bound
+floor((gap-1)/2) by ``solve_one_plus_u`` (one residue and one exact
+division by 2^64 + 1), where the mu' term is allowed only on the rows of the
+descent interval; anything else raises ``RecurrenceInconsistent``.  Stored
+coefficients stay signed ``COEFF_BITS``-bit numbers and each column's
+multipliers stay within ``BUDGET``, so no slot carries into the next; past
+either bound the build raises ``InvariantError``.  ``LaurentPoly`` values
+are built only at the API boundary (``pi``, ``sigma_kl``, ``a_vector``,
+``ms_constant`` and the c_s action check), each by one ``unpack``.
 
 The recursion pushes whole columns instead of pulling single entries, as
 Coxeter 3 does for classical KL.  Each column w keeps a sparse mu' row
@@ -49,11 +54,15 @@ scans every shorter involution and decides y <= w through the group.
 
 from __future__ import annotations
 
-from .errors import InconsistentBar, RecurrenceInconsistent, TheoremMismatch
+from .errors import (
+    InconsistentBar, InvariantError, RecurrenceInconsistent, TheoremMismatch,
+)
 from .invmodule import MVector
 from .klclassic import expand_unitriangular
-from .laurent import (
-    LaurentPoly, ONE, ZERO, q_addmul, q_divmod, q_mu, q_shift, spread, v_pow,
+from .laurent import LaurentPoly, ONE, ZERO, spread, v_pow
+from .packed import (
+    SLOT, check_budget, degree_at_most, in_slots, mu_at, pack,
+    solve_one_plus_u, unpack,
 )
 
 __all__ = ["CanonicalBasis"]
@@ -61,13 +70,17 @@ __all__ = ["CanonicalBasis"]
 _VPV = v_pow(1) + v_pow(-1)      # v + v^-1
 _V2PVINV2 = v_pow(2) + v_pow(-2)
 
-# The scaled row y of a target column: the u-coefficients multiplying
+_ONE_PLUS_U = pack((1, 1))
+_U2_MINUS_U = pack((0, -1, 1))
+_U2 = pack((0, 0, 1))
+
+# The scaled row y of a target column: the packed polynomials multiplying
 # P(y, w) and P(partner of y, w), by the T_s case (commuting, up) of y.
 _CASE_TERMS = {
-    (True, True): ((1, 1), (0, -1, 1)),    # (1+u) P(y,w) + (u^2-u) P(sy,w)
-    (True, False): ((0, -1, 1), (1, 1)),   # (u^2-u) P(y,w) + (1+u) P(sy,w)
-    (False, True): ((1,), (0, 0, 1)),      # P(y,w) + u^2 P(sy delta(s),w)
-    (False, False): ((0, 0, 1), (1,)),     # u^2 P(y,w) + P(sy delta(s),w)
+    (True, True): (_ONE_PLUS_U, _U2_MINUS_U),    # (1+u) P(y,w) + (u^2-u) P(sy,w)
+    (True, False): (_U2_MINUS_U, _ONE_PLUS_U),   # (u^2-u) P(y,w) + (1+u) P(sy,w)
+    (False, True): (1, _U2),                     # P(y,w) + u^2 P(sy delta(s),w)
+    (False, False): (_U2, 1),                    # u^2 P(y,w) + P(sy delta(s),w)
 }
 
 
@@ -77,7 +90,7 @@ class CanonicalBasis:
     def __init__(self, module):
         self.module = module
         self.system = module.system
-        self._columns = {}   # wid -> {yid: P(y, w) as u-coefficients}, over y <= w
+        self._columns = {}   # wid -> {yid: P(y, w) packed}, over y <= w
         self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
         self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
         self._a_vectors = {}
@@ -85,31 +98,28 @@ class CanonicalBasis:
 
     # -- table management -------------------------------------------------------
 
-    def build(self, jobs=1, max_length=None):
-        """Fill all columns of length at most ``max_length``, bottom-up.
+    def build(self, jobs=1):
+        """Fill the column of every involution of the module, bottom-up.
 
         ``jobs`` must be at least 1 and has no effect on the result: columns
         are built one at a time by the descent recursion, in ShortLex
-        order.
+        order.  A module built with ``max_length`` bounds the columns.
         """
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        length = self.system.length_of
-        for layer in self.module.layers:
-            if max_length is not None and length(layer[0]) > max_length:
-                break
-            for wid in layer:
-                self.column(wid)
+        for wid in self.module.involution_ids:
+            self.column(wid)
         return self
 
     def column(self, wid):
-        """Column w as {y: P(y, w) as a tuple of u-coefficients} over the y <= w.
+        """Column w as {y: P(y, w) packed} over the y <= w.
 
-        Built on first use; empty when w is not a (twisted) involution.
+        Built on first use; empty when w is not a (twisted) involution of
+        the module.
         """
         col = self._columns.get(wid)
         if col is None:
-            if wid not in self.system._tw_inv_set:
+            if not self.module.is_involution(wid):
                 return {}
             col = self._columns[wid] = self.column_recursive(wid)
         return col
@@ -123,7 +133,7 @@ class CanonicalBasis:
             row = self._mu_rows[wid] = {
                 xid: mu
                 for xid, p in self.column(wid).items()
-                if (mu := q_mu(p, lw - length(xid)))
+                if (mu := mu_at(p, lw - length(xid)))
             }
         return row
 
@@ -150,27 +160,27 @@ class CanonicalBasis:
     # -- lookups ------------------------------------------------------------------
 
     def _entry(self, yid, wid):
-        """P(y, w) as u-coefficients (empty unless y <= w) and l(w) - l(y)."""
+        """P(y, w) packed (0 unless y <= w) and l(w) - l(y)."""
         length = self.system.length_of
-        return self.column(wid).get(yid, ()), length(wid) - length(yid)
+        return self.column(wid).get(yid, 0), length(wid) - length(yid)
 
     def pi(self, y, w):
         """pi(y, w) = v^{l(y)-l(w)} P(y, w); zero unless both are involutions, y <= w."""
         p, gap = self._entry(y, w)
-        return spread(p, 2, -gap)
+        return spread(unpack(p), 2, -gap)
 
     def sigma_kl(self, y, w):
         """The polynomial P(y, w) in u attached to a pair of involutions."""
-        return spread(self._entry(y, w)[0], 2)
+        return spread(unpack(self._entry(y, w)[0]), 2)
 
     def mu_prime(self, y, w):
         """mu'(y, w), the coefficient of v^-1 in pi(y, w)."""
-        return q_mu(*self._entry(y, w))
+        return mu_at(*self._entry(y, w))
 
     def mu_double_prime(self, y, w):
         """mu''(y, w), the coefficient of v^-2 in pi(y, w)."""
         p, gap = self._entry(y, w)
-        return q_mu(p, gap - 1)
+        return mu_at(p, gap - 1)
 
     # -- structure constants -----------------------------------------------------
 
@@ -237,7 +247,7 @@ class CanonicalBasis:
                 if m:
                     known[xid] = m
                 continue
-            total = q_mu(col_w.get(xid, ()), gap - 1) - convolution.get(xid, 0)
+            total = mu_at(col_w.get(xid, 0), gap - 1) - convolution.get(xid, 0)
             commuting, _up, sx = self.module.action_case(s, xid)
             if commuting:
                 total += mu_w.get(sx, 0)
@@ -265,7 +275,7 @@ class CanonicalBasis:
         sys = self.system
         lw = sys.length_of(wid)
         col = {wid: ONE}
-        out = {wid: (1,)}
+        out = {wid: 1}
         rows = [
             yid
             for layer in reversed(self.module.layers)
@@ -295,10 +305,11 @@ class CanonicalBasis:
         return out
 
     def _p_of_pi(self, yid, wid, pi):
-        """P(y, w) as u-coefficients from pi(y, w) = v^{l(y)-l(w)} P(y, w), y < w.
+        """P(y, w) packed, from pi(y, w) = v^{l(y)-l(w)} P(y, w), y < w.
 
         Raises ``RecurrenceInconsistent`` unless P has even support, no
-        negative power and u-degree at most (l(w)-l(y)-1)/2.
+        negative power and u-degree at most (l(w)-l(y)-1)/2, and
+        ``InvariantError`` when a coefficient leaves the slot bound.
         """
         sys = self.system
         gap = sys.length_of(wid) - sys.length_of(yid)
@@ -308,7 +319,10 @@ class CanonicalBasis:
                 f"coefficient {pi} at pair {sys.word_of(yid)}, "
                 f"{sys.word_of(wid)} violates the degree or parity bounds"
             )
-        return (0,) * (p.min_exp // 2) + p.coeffs[::2]
+        packed = pack((0,) * (p.min_exp // 2) + p.coeffs[::2])
+        if not in_slots(packed, (gap + 1) // 2):
+            raise self._overflow(yid, wid)
+        return packed
 
     # -- construction: the descent recursion -----------------------------------------
 
@@ -318,66 +332,89 @@ class CanonicalBasis:
         With s the smallest left descent of z and w its s-partner, c_s A_w
         is A_z (times v + v^-1 in the commuting case) plus the ms_constant
         multiples of the A_x, x in ``_descent_interval(s, w)``.  Row y is
-        scaled by v^(l(z)-l(y)), by one more v in the commuting case, so
-        that all of it is in Z[u].  The accumulator starts as -k_x *
-        column(x) summed over the nonzero known parts k_x; the rows y < z
-        are then solved top down by ``_solve_row``, each from its
-        ``_CASE_TERMS`` combination plus its accumulator entry.  In the
-        commuting case a row of the descent interval also gives mu'(y, z),
-        and mu'(y, z) * column(y) is added into the accumulator for the rows
-        below y.
+        scaled by v^(lift-l(y)), lift being l(z) plus one in the commuting
+        case, so that all of it is in Z[u] and packs into one int.  The
+        accumulator starts as -k_x * column(x) summed over the nonzero known
+        parts k_x; the rows y < z are then solved top down by
+        ``_solve_row``, each from its ``_CASE_TERMS`` combination plus its
+        accumulator entry.  In the commuting case a row of the descent
+        interval also gives mu'(y, z), and mu'(y, z) * column(y) is added
+        into the accumulator for the rows below y.  The multipliers are
+        weighed against ``BUDGET`` before they are used: a row sums at most
+        ``spent`` stored entries, counted with their multipliers, and its
+        division by 1 + u multiplies that by at most 3d + 4.
         """
         sys = self.system
         if zid == 0:
-            return {0: (1,)}
+            return {0: 1}
         length = sys.length_of
         s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
         commuting, _up, wid = self.module.action_case(s, zid)
         col_w = self.column(wid)
         lift = length(zid) + 1 if commuting else length(zid)  # row y: v^(lift-l(y))
+        known = self._known_parts(s, wid)
+        weight = 3 * (length(zid) // 2) + 4
+        spent = 4 + 2 * sum(map(abs, known.values()))
+        check_budget(spent * weight, f"column {sys.word_of(zid)}")
         pending = {}
-        for xid, k in self._known_parts(s, wid).items():
+        for xid, k in known.items():
             e = lift - length(xid)
-            mult = q_shift((-k, -k) if e % 2 else (-k,), e // 2)
+            mult = (-k * _ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
             _add_column(pending, mult, self.column(xid))
         descents = set(self._descent_interval(s, wid)) if commuting else ()
-        den = (1, 1) if commuting else (1,)
-        col = {zid: (1,)}
+        col = {zid: 1}
         for yid in reversed(self.module.interval(zid)[:-1]):
             commuting_y, up, other = self.module.action_case(s, yid)
             c_y, c_other = _CASE_TERMS[commuting_y, up]
-            row = q_addmul(pending.get(yid, ()), c_y, col_w.get(yid, ()))
-            row = q_addmul(row, c_other, col_w.get(other, ()))
-            p, mu = self._solve_row(row, yid, zid, den, yid in descents)
+            row = (
+                pending.get(yid, 0) + c_y * col_w.get(yid, 0)
+                + c_other * col_w.get(other, 0)
+            )
+            p, mu = self._solve_row(row, yid, zid, commuting, yid in descents)
             if mu:
-                mult = q_shift((mu,), (lift - length(yid)) // 2)
+                spent += abs(mu)
+                check_budget(spent * weight, f"column {sys.word_of(zid)}")
+                mult = mu << (SLOT * ((lift - length(yid)) // 2))
                 _add_column(pending, mult, self.column(yid))
             if p:
                 col[yid] = p
         return col
 
-    def _solve_row(self, row, yid, zid, den, unknown):
-        """Solve den * P(y, z) = row + mu u^(d+1) for P(y, z) and mu.
+    def _solve_row(self, row, yid, zid, commuting, unknown):
+        """Solve P(y, z) from its packed row: (1 + u) P = row + mu u^(d+1), or P = row.
 
-        ``den`` is 1 + u for a commuting target and 1 otherwise, and
-        d = floor((gap-1)/2) bounds the u-degree of P(y, z), gap being
-        l(z) - l(y).  One upward division gives P; the remainder must be
-        zero, except that with ``unknown`` (a row of the descent interval
-        of a commuting target) it may be -mu u^(d+1) with mu = mu'(y, z), the
-        top coefficient of P when the gap is odd.  Returns (P, mu).
+        The first equation is a commuting target's, the second any other
+        target's; d = floor((gap-1)/2) bounds the u-degree of P(y, z), gap
+        being l(z) - l(y).  The mu term is allowed only with ``unknown`` (a
+        row of the descent interval of a commuting target) and an odd gap,
+        and then mu = mu'(y, z) is the top coefficient of P.  Returns
+        (P, mu); raises ``RecurrenceInconsistent`` when the row has no such
+        solution and ``InvariantError`` when P leaves the slot bound.
         """
         sys = self.system
         gap = sys.length_of(zid) - sys.length_of(yid)
         d = (gap - 1) // 2
-        p, rest = q_divmod(row, den, d)
-        mu = q_mu(p, gap) if unknown else 0
-        if rest != (q_shift((-mu,), d + 1) if mu else ()):
+        if commuting:
+            solved = solve_one_plus_u(row, d, unknown and gap % 2 == 1)
+        else:
+            solved = (row, 0) if degree_at_most(row, d) else None
+        if solved is None:
             raise RecurrenceInconsistent(
                 f"row {sys.word_of(yid)} of column {sys.word_of(zid)}: "
-                f"u-coefficients {rest} are left over dividing {row} by {den} "
-                f"under the degree bound {d}"
+                f"u-coefficients {unpack(row)} have no solution "
+                + ("divided by 1 + u" if commuting else "as they stand")
+                + f" under the degree bound {d}"
             )
-        return p, mu
+        if not in_slots(solved[0], d + 1):
+            raise self._overflow(yid, zid)
+        return solved
+
+    def _overflow(self, yid, zid):
+        sys = self.system
+        return InvariantError(
+            f"P({sys.word_of(yid)}, {sys.word_of(zid)}) has a coefficient of "
+            "more than the packed table's signed bits"
+        )
 
     # -- the basis as module elements, and the generator action ----------------------
 
@@ -387,7 +424,7 @@ class CanonicalBasis:
         if cached is None:
             lw = self.system.length_of(wid)
             cached = self._a_vectors[wid] = MVector(
-                {yid: spread(p, 2, -lw) for yid, p in self.column(wid).items()}
+                {yid: spread(unpack(p), 2, -lw) for yid, p in self.column(wid).items()}
             )
         return cached
 
@@ -425,4 +462,4 @@ class CanonicalBasis:
 def _add_column(pending, mult, column):
     """pending[y] += mult * column[y] for every row y of ``column``."""
     for yid, p in column.items():
-        pending[yid] = q_addmul(pending.get(yid, ()), mult, p)
+        pending[yid] = pending.get(yid, 0) + mult * p

@@ -6,9 +6,11 @@ the first counterexample is serialized to stderr).  Each command finishes
 everything that can raise before the first byte is written, then streams
 its rows through one writer, so a failure leaves stdout empty and creates
 no --out file, and no command holds its whole table or its whole output
-text.  A table or kl row is joined from texts rendered once per command:
-each element's word and each distinct polynomial is formatted on first
-sight and reused by every later row that holds it.  Each command accepts
+text: the writer joins the rows into blocks of at least 64 KiB, one
+``write`` each.  A table or kl row is joined from texts rendered once per
+command: each element's word and each distinct polynomial (keyed by its
+packed int) is formatted on first sight and reused by every later row that
+holds it.  Each command accepts
 only the options it reads: --max-length (at least 0) belongs to table and
 kl, --max-elements (at least 1) to cells, and verify writes json or text
 but not csv.  Each command imports only the layers it runs, inside its
@@ -30,6 +32,7 @@ from .laurent import spread
 __all__ = ["main", "build_parser"]
 
 _FORMATS = ("json", "csv", "text")
+_BLOCK = 1 << 16  # characters per write; every block but the last holds at least this
 
 
 def _int_at_least(minimum):
@@ -172,27 +175,33 @@ def _write(args, rows, *, head, key, item, title, line, header=None,
         chunks = (text + "\n" for text in lines)
     handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for chunk in chunks:
-            handle.write(chunk)
+        for block in _blocks(chunks):
+            handle.write(block)
     finally:
         if args.out:
             handle.close()
 
 
-def _involutions(system, module, max_length):
-    """Involutions of length at most ``max_length``, in ShortLex order."""
-    return [
-        wid for wid in module.involution_ids
-        if max_length is None or system.length_of(wid) <= max_length
-    ]
+def _blocks(chunks):
+    """The chunks joined into blocks of at least ``_BLOCK`` characters.
+
+    Only the last block may be shorter.
+    """
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    if block:
+        yield "".join(block)
 
 
-def _involution_pairs(system, module, max_length):
-    """Comparable involution pairs (y, w), both in ShortLex order."""
+def _involution_pairs(module):
+    """Comparable involution pairs (y, w) of the module, both in ShortLex order."""
     return (
-        (yid, wid)
-        for wid in _involutions(system, module, max_length)
-        for yid in module.interval(wid)
+        (yid, wid) for wid in module.involution_ids for yid in module.interval(wid)
     )
 
 
@@ -213,17 +222,20 @@ class _Texts(dict):
 
 
 def _pair_renderers(system, poly_key):
-    """Renderers of a row (y id, w id, u-coefficients, classical ones or None).
+    """Renderers of a row (y id, w id, packed P, packed classical P or None).
 
     Each element's word and each distinct polynomial is rendered once per
     form, on first sight, and every row is joined from those cached texts,
-    so no row builds a ``LaurentPoly`` or encodes a word.
+    so no row unpacks a polynomial, builds a ``LaurentPoly`` or encodes a
+    word.
     """
+    from .packed import unpack
+
     word_json = _Texts(lambda wid: _json(list(system.word_of(wid)), 3))
     word_text = _Texts(lambda wid: _word_str(system.word_of(wid)))
-    poly_json = _Texts(lambda p: _json(spread(p, 2).to_json_obj(), 3))
-    poly_pairs = _Texts(lambda p: spread(p, 2).pair_string())
-    poly_text = _Texts(lambda p: str(spread(p, 2)))
+    poly_json = _Texts(lambda p: _json(spread(unpack(p), 2).to_json_obj(), 3))
+    poly_pairs = _Texts(lambda p: spread(unpack(p), 2).pair_string())
+    poly_text = _Texts(lambda p: str(spread(unpack(p), 2)))
     poly_field = f",\n      {json.dumps(poly_key)}: "
 
     def item(row):
@@ -255,19 +267,19 @@ def cmd_table(args):
     from .klclassic import KLTable
 
     system = _make_system(args)
-    module = InvolutionModule(system)
-    basis = CanonicalBasis(module).build(max_length=args.max_length)
+    module = InvolutionModule(system, args.max_length)
+    basis = CanonicalBasis(module).build()
     kl = None
     if args.classic:
         kl = KLTable(system)
-        for wid in _involutions(system, module, args.max_length):
+        for wid in module.involution_ids:
             kl.column(wid)
     rows = (
         (
-            yid, wid, basis.column(wid).get(yid, ()),
-            kl.column(wid).get(yid, ()) if kl is not None else None,
+            yid, wid, basis.column(wid).get(yid, 0),
+            kl.column(wid).get(yid, 0) if kl is not None else None,
         )
-        for yid, wid in _involution_pairs(system, module, args.max_length)
+        for yid, wid in _involution_pairs(module)
     )
     header = ["y_word", "w_word", "poly"] + (["classic_poly"] if args.classic else [])
     _write(

@@ -118,13 +118,16 @@ class InvolutionModule:
     (:meth:`CoxeterSystem.involution_action`), read through
     :meth:`action_case`.  ``layers`` groups the involutions by length, in
     ``involution_ids`` order, and :meth:`interval` gives the Bruhat interval
-    below an involution, read from the same table.
+    below an involution, read from the same table.  With ``max_length``
+    the module holds only the involutions of at most that length (the
+    Bruhat interval below each of them lies among them), and the walk that
+    finds them stops there.
     """
 
-    def __init__(self, system):
+    def __init__(self, system, max_length=None):
         self.system = system
-        self.involution_ids = system.twisted_involution_ids()
-        self._action = system.involution_action()
+        self.involution_ids = system.twisted_involution_ids(max_length)
+        self._action = system.involution_action(max_length)
         self._position = {w: i for i, w in enumerate(self.involution_ids)}
         by_length = {}
         for wid in self.involution_ids:
@@ -134,6 +137,10 @@ class InvolutionModule:
         self._bar_cache = {}
 
     # -- case analysis -------------------------------------------------------
+
+    def is_involution(self, wid):
+        """True iff w is a twisted involution of this module."""
+        return wid in self._position
 
     def action_case(self, s, wid):
         """(commuting, ascending, partner) for the T_s action on a_w."""
@@ -160,7 +167,7 @@ class InvolutionModule:
         return cached
 
     def basis(self, wid):
-        if wid not in self.system._tw_inv_set:
+        if not self.is_involution(wid):
             raise ValueError(f"id {wid} is not a twisted involution")
         return MVector.basis(wid)
 

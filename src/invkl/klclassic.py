@@ -11,14 +11,23 @@ P_{y,w} for exactly the y <= w, beside a sparse mu row of the z with
 mu(z, w) != 0 (the layout of du Cloux's Coxeter 3).  Column w is built
 from column sw and the mu row of sw, so Bruhat order is never tested pair
 by pair; the interval itself falls out of the recursion.
+
+Each P_{y,w} is stored by the kernel of ``packed``: the one int
+P_{y,w}(2^64), a 64-bit slot per q-coefficient, so the recursion is int
+shifts, sums and products.  Every entry is checked as it is stored, by one
+AND with the mask ``forbidden(d + 1)``: P >= 0 with no bit set at or above
+``COEFF_BITS`` in any slot (non-negativity, and the bound that keeps slots
+from carrying), and P >> 64(d+1) == 0 with d = (l(w)-l(y)-1)/2 (the degree
+bound).  The mu multipliers of a column are weighed against ``BUDGET``
+before they are used.  Polynomials are unpacked only at the API boundary (``kl_poly_ids``,
+``cdot``, ``cprime`` and the CLI renderers).
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError
-from .laurent import (
-    ONE, add_into, q_add, q_addmul, q_mu, q_shift, q_trim, spread, v_pow,
-)
+from .laurent import ONE, add_into, spread, v_pow
+from .packed import SLOT, check_budget, forbidden, mu_at, unpack
 
 __all__ = ["KLTable", "HeckeAlgebra", "expand_unitriangular"]
 
@@ -110,17 +119,16 @@ class HeckeAlgebra:
 class KLTable:
     """Classical Kazhdan-Lusztig data as columns over Bruhat intervals.
 
-    ``_columns[w]`` maps exactly the y <= w to P_{y,w} as a tuple of
-    q-coefficients, and ``_mu_rows[w]`` lists the (z, mu(z, w)) with
-    mu(z, w) != 0.  Column w is built from column v = sw, where s is the
-    smallest left descent of w, and from the columns of v's mu row; every
-    reader (polynomials, mu, the cdot and c bases, cells, the CLI) looks
+    ``_columns[w]`` maps exactly the y <= w to P_{y,w} packed, and
+    ``_mu_rows[w]`` lists the (z, mu(z, w)) with mu(z, w) != 0.  Column w
+    is built from column v = sw, where s is the smallest left descent of w,
+    and from the columns of v's mu row; every reader (polynomials, mu, the cdot and c bases, cells, the CLI) looks
     the data up here.
     """
 
     def __init__(self, system):
         self.system = system
-        self._columns = {0: {0: (1,)}}  # w_id -> {y_id: tuple of q-coefficients}
+        self._columns = {0: {0: 1}}  # w_id -> {y_id: P_{y,w} packed}
         self._mu_rows = {0: ()}  # w_id -> ((z_id, mu(z, w)), ...), mu != 0
         self._h2 = HeckeAlgebra(system)
         self._cdot_cache = {}
@@ -129,12 +137,14 @@ class KLTable:
     # -- the column recursion -------------------------------------------------
 
     def column(self, wid):
-        """{y: P_{y,w} as q-coefficients} over exactly the y <= w (memoized).
+        """{y: P_{y,w} packed} over exactly the y <= w (memoized).
 
         With s the smallest left descent of w and v = sw, every x <= v adds
         q^[sx<x] P_{x,v} at x and at sx (this is C'_s C'_v), and then
         mu(z, v) q^((l(w)-l(z))/2) P_{., z} is subtracted for each z in v's
-        mu row with sz < z.
+        mu row with sz < z.  A coefficient of the sum is at most 2 + the sum
+        of those |mu(z, v)| stored coefficients, which is what the budget
+        weighs.
         """
         col = self._columns.get(wid)
         if col is not None:
@@ -147,37 +157,45 @@ class KLTable:
         for x, p in self.column(vid).items():
             sx = sys.lmul(s, x)
             if length(sx) < length(x):
-                p = q_shift(p, 1)
-            acc[x] = q_add(acc[x], p) if x in acc else p
-            acc[sx] = q_add(acc[sx], p) if sx in acc else p
+                p <<= SLOT
+            acc[x] = acc.get(x, 0) + p
+            acc[sx] = acc.get(sx, 0) + p
         lw = length(wid)
-        for zid, m in self.mu_row(vid):
-            if sys.is_left_descent(s, zid):
-                shift = (lw - length(zid)) // 2
-                for x, p in self.column(zid).items():
-                    acc[x] = q_addmul(acc[x], q_shift((-m,), shift), p)
-        col = {}
+        subtracted = [
+            (zid, m) for zid, m in self.mu_row(vid) if sys.is_left_descent(s, zid)
+        ]
+        check_budget(
+            2 + sum(abs(m) for _, m in subtracted), f"column {sys.word_of(wid)}"
+        )
+        for zid, m in subtracted:
+            mult = -m << (SLOT * ((lw - length(zid)) // 2))
+            for x, p in self.column(zid).items():
+                acc[x] += mult * p
+        masks = [forbidden((gap + 1) // 2 or 1) for gap in range(lw + 1)]
         row = []
         for x, p in acc.items():
-            p = q_trim(p)
-            if any(c < 0 for c in p):
-                raise InvariantError(
-                    f"negative Kazhdan-Lusztig coefficient at pair "
-                    f"{sys.word_of(x)}, {sys.word_of(wid)}"
-                )
             gap = lw - length(x)
-            if x != wid and len(p) - 1 > (gap - 1) // 2:
-                raise InvariantError(
-                    f"Kazhdan-Lusztig degree bound violated at pair "
-                    f"{sys.word_of(x)}, {sys.word_of(wid)}"
-                )
-            col[x] = p
-            mu = q_mu(p, gap)
-            if mu:
+            if p & masks[gap]:
+                self._reject(x, wid, p)
+            if gap & 1 and (mu := mu_at(p, gap)):
                 row.append((x, mu))
-        self._columns[wid] = col
+        self._columns[wid] = acc
         self._mu_rows[wid] = tuple(row)
-        return col
+        return acc
+
+    def _reject(self, x, wid, p):
+        """Raise the ``InvariantError`` that names why P_{x,w} failed its check."""
+        sys = self.system
+        coeffs = unpack(p)
+        if any(c < 0 for c in coeffs):
+            problem = "negative Kazhdan-Lusztig coefficient"
+        elif x != wid and 2 * len(coeffs) > sys.length_of(wid) - sys.length_of(x) + 1:
+            problem = "Kazhdan-Lusztig degree bound violated"
+        else:
+            problem = "Kazhdan-Lusztig coefficient beyond the packed slot bound"
+        raise InvariantError(
+            f"{problem} at pair {sys.word_of(x)}, {sys.word_of(wid)}"
+        )
 
     def mu_row(self, wid):
         """The pairs (z, mu(z, w)) with mu(z, w) != 0, in column order."""
@@ -189,7 +207,7 @@ class KLTable:
 
         Zero unless y <= w.
         """
-        return spread(self.column(wid).get(yid, ()), 2)
+        return spread(unpack(self.column(wid).get(yid, 0)), 2)
 
     def mu_ids(self, yid, wid):
         """mu(y, w), read from the mu row of w (0 when it is not listed)."""
@@ -216,7 +234,7 @@ class KLTable:
         if cached is not None:
             return cached
         lw = self.system.length_of(wid)
-        out = {yid: spread(p, 2, -lw) for yid, p in self.column(wid).items()}
+        out = {yid: spread(unpack(p), 2, -lw) for yid, p in self.column(wid).items()}
         self._cdot_cache[wid] = out
         return out
 
@@ -226,7 +244,9 @@ class KLTable:
         if cached is not None:
             return cached
         lw = self.system.length_of(wid)
-        out = {yid: spread(p, 4, -2 * lw) for yid, p in self.column(wid).items()}
+        out = {
+            yid: spread(unpack(p), 4, -2 * lw) for yid, p in self.column(wid).items()
+        }
         self._cprime_cache[wid] = out
         return out
 

@@ -5,15 +5,19 @@ u = v^2 is embedded as the polynomials with even support; callers that need
 u-membership test it with :meth:`LaurentPoly.is_even_support`.
 
 The ``q_*`` functions work on plain coefficient tuples ``(c_0, c_1, ...)``
-of a polynomial in one variable q with no negative powers, and they are the
-only place where polynomial arithmetic is written down.  ``LaurentPoly``
+of a polynomial in one variable q with no negative powers.  ``LaurentPoly``
 adds, multiplies and divides its coefficient tuple through them and keeps
-only the ``min_exp`` bookkeeping; the classical P and P-sigma tables are
-stored as such tuples and built by them directly (``spread`` turns a tuple
-into a ``LaurentPoly`` at the API boundary); and the root-system ring
-Z[2cos(pi/N)] of ``coxeter`` runs its int arithmetic on them too, with no
-``Fraction``.  Sparse sums of ``LaurentPoly`` values keyed by element or
-involution id go through ``add_into``, which never stores a zero.
+only the ``min_exp`` bookkeeping, and the root-system ring Z[2cos(pi/N)] of
+``coxeter`` runs its int arithmetic on them too, with no ``Fraction``.
+Sparse sums of ``LaurentPoly`` values keyed by element or involution id go
+through ``add_into``, which never stores a zero.
+
+The classical P and P-sigma tables do not store ``LaurentPoly`` values or
+tuples: each entry is one Kronecker-packed int, built by the kernel of
+``packed``, and ``spread(unpack(p), ...)`` turns it into a ``LaurentPoly``
+at the API boundary.  ``LaurentPoly`` itself stays on tuples: packing its
+storage too left the verify B3 suites where they were (0.17-0.20 s), since
+its values are short and built term by term.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -27,7 +31,7 @@ from .errors import NotDivisible
 __all__ = [
     "LaurentPoly", "ZERO", "ONE", "V", "U", "v_pow", "u_pow", "spread",
     "q_shift", "q_add", "q_addmul", "q_trim", "q_divmod", "q_div",
-    "q_mu", "add_into", "domination_failure",
+    "add_into", "domination_failure",
 ]
 
 
@@ -315,16 +319,6 @@ def q_div(p, den):
     if rest:
         raise NotDivisible(f"{tuple(p)} is not divisible by {tuple(den)}")
     return q
-
-
-def q_mu(p, gap):
-    """The coefficient of q^((gap-1)/2) in p, or 0 when gap is even.
-
-    For p = P(y, w) with gap = l(w) - l(y) this is mu(y, w); for P-sigma it
-    is mu'(y, w), and ``q_mu(p, gap - 1)`` is mu''(y, w).  The degree bound
-    deg P <= (gap-1)/2 makes it the top coefficient whenever it is nonzero.
-    """
-    return p[-1] if p and 2 * len(p) == gap + 1 else 0
 
 
 def add_into(out, key, f):

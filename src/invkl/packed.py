@@ -1,0 +1,153 @@
+"""Packed polynomials: a table entry P(u) is stored as the one int P(2^64).
+
+This is Kronecker substitution, as in FLINT's ``fmpz_poly`` (Harvey,
+J. Symbolic Comput. 2009): each 64-bit slot of the int holds one
+u-coefficient.  Evaluation at u = 2^64 is a ring homomorphism, so adding a
+multiple of a column is ``pending[y] += mult * p``, a product of
+polynomials is an int product and a u-shift is a left shift.  Slots are
+balanced: a coefficient c borrows from the slot above when negative, and
+``unpack`` and ``coeff_at`` read it back as long as every coefficient lies
+in (-2^63, 2^63).  ``mu_at`` is the one rule for mu, mu' and mu'', and
+``solve_one_plus_u`` the checked division by 1 + u of the canonical
+recursion.
+
+A carry between slots would change a table silently.  So the tables keep
+every stored coefficient below COEFF_BITS bits (``forbidden`` for the
+classical table, ``in_slots`` for P-sigma), and every column's weighted
+sum of multipliers under ``BUDGET`` (``check_budget``).  Together these
+keep every intermediate coefficient below 2^63 in absolute value, and
+anything outside raises ``InvariantError``.
+
+The kernel is a module of its own so that building a Coxeter system, which
+imports ``laurent``, does not compile it.
+"""
+
+from __future__ import annotations
+
+from functools import cache
+
+from .errors import InvariantError
+
+__all__ = [
+    "SLOT", "COEFF_BITS", "BUDGET", "pack", "unpack", "coeff_at", "mu_at",
+    "solve_one_plus_u", "degree_at_most", "forbidden", "in_slots",
+    "check_budget",
+]
+
+SLOT = 64                              # bits per u-coefficient
+COEFF_BITS = 32                        # bits of a stored coefficient
+BUDGET = 1 << (SLOT - 1 - COEFF_BITS)  # bound on a column's coefficient growth
+_HALF = 1 << (SLOT - 1)
+_MASK = (1 << SLOT) - 1
+_ONE_PLUS_U = (1 << SLOT) + 1
+
+
+def pack(coeffs):
+    """The u-coefficients ``(c_0, c_1, ...)`` as the int sum c_i 2^(64 i)."""
+    p = 0
+    for c in reversed(coeffs):
+        p = (p << SLOT) + c
+    return p
+
+
+def unpack(p):
+    """The balanced slots of p as a trimmed coefficient tuple; ``unpack(0) == ()``.
+
+    Each slot is read in [-2^63, 2^63), so ``unpack(pack(c)) == c`` for
+    every trimmed c whose coefficients lie in that range.
+    """
+    out = []
+    while p:
+        c = ((p + _HALF) & _MASK) - _HALF
+        out.append(c)
+        p = (p - c) >> SLOT
+    return tuple(out)
+
+
+def coeff_at(p, k):
+    """The balanced coefficient of u^k in p (k >= 0).
+
+    Rounding the lower slots away instead of unpacking them is exact while
+    each of them lies in (-2^63, 2^63).
+    """
+    if k:
+        p = ((p >> (SLOT * k - 1)) + 1) >> 1
+    return ((p + _HALF) & _MASK) - _HALF
+
+
+def mu_at(p, gap):
+    """The coefficient of u^((gap-1)/2) in p, or 0 unless gap is odd and positive.
+
+    For p = P(y, w) with gap = l(w) - l(y) this is mu(y, w); for P-sigma it
+    is mu'(y, w), and ``mu_at(p, gap - 1)`` is mu''(y, w).  The degree bound
+    deg P <= (gap-1)/2 makes it the top coefficient whenever it is nonzero.
+    """
+    return coeff_at(p, gap >> 1) if gap & 1 and gap > 0 else 0
+
+
+def solve_one_plus_u(row, d, top_is_mu):
+    """Solve (1 + u) P = row + mu u^(d+1) with deg P <= d; return (P, mu) or None.
+
+    At u = 2^64 the unknown term is mu (-1)^(d+1) modulo 2^64 + 1, so the
+    balanced residue r of row gives mu = (-1)^d r, and one exact division
+    gives P.  The degree bound is |P| < 2^(64(d+1)-1).  mu must be 0, or,
+    with ``top_is_mu``, the coefficient of u^d in P; anything else, and a
+    P over the degree bound, is a row with no solution and gives None.
+    """
+    r = row % _ONE_PLUS_U
+    if r > _HALF:
+        r -= _ONE_PLUS_U
+    mu = -r if d & 1 else r
+    p = (row + (mu << (SLOT * (d + 1)))) // _ONE_PLUS_U
+    if not degree_at_most(p, d) or mu != (coeff_at(p, d) if top_is_mu else 0):
+        return None
+    return p, mu
+
+
+def degree_at_most(p, d):
+    """The degree bound: |p| < 2^(64(d+1)-1), so p packs a degree-d polynomial.
+
+    Exact while every coefficient lies in (-2^63, 2^63).
+    """
+    return not (abs(p) << 1) >> (SLOT * (d + 1))
+
+
+@cache
+def _ones(n):
+    """1 + u + ... + u^(n-1), packed."""
+    return ((1 << (SLOT * n)) - 1) // _MASK
+
+
+@cache
+def forbidden(n):
+    """Every bit but the low COEFF_BITS of slots 0..n-1 (above them, all).
+
+    ``not p & forbidden(n)`` is ``p >= 0 and not p & TOPBITS and
+    p >> 64n == 0`` in one AND, TOPBITS being the bits of each slot at and
+    above COEFF_BITS: p packs a polynomial of degree < n with coefficients
+    in [0, 2^COEFF_BITS).  Exact while every coefficient of p lies in
+    (-2^63, 2^63).
+    """
+    return ~(((1 << COEFF_BITS) - 1) * _ones(n))
+
+
+def in_slots(p, n):
+    """True iff p packs a polynomial of degree < n whose coefficients lie in
+    [-2^(COEFF_BITS-1), 2^(COEFF_BITS-1)): the test of ``forbidden`` after
+    adding 2^(COEFF_BITS-1) to every slot.
+    """
+    return not (p + (_ones(n) << (COEFF_BITS - 1))) & forbidden(n)
+
+
+def check_budget(spent, where):
+    """Raise ``InvariantError`` unless ``spent < BUDGET``.
+
+    ``spent`` bounds the largest coefficient a column can form, in units of
+    2^COEFF_BITS; under ``BUDGET`` it stays below 2^63, so every slot reads
+    back exactly and no slot carries into its neighbour unseen.
+    """
+    if spent >= BUDGET:
+        raise InvariantError(
+            f"{where}: multipliers of weight {spent} could carry between the "
+            f"{SLOT}-bit slots of the packed table (bound {BUDGET})"
+        )

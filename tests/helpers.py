@@ -7,12 +7,14 @@ code path it is meant to check.
 import json
 from fractions import Fraction
 
+from invkl.canonical import CanonicalBasis
 from invkl.coxeter import _cyclotomic
-from invkl.errors import InvariantError, NotDivisible
+from invkl.errors import InvariantError, NotDivisible, RecurrenceInconsistent
 from invkl.invmodule import MVector
-from invkl.klclassic import HeckeAlgebra
+from invkl.klclassic import HeckeAlgebra, KLTable
 from invkl.laurent import (
-    LaurentPoly, ONE, ZERO, q_addmul, q_shift, spread, u_pow, v_pow,
+    LaurentPoly, ONE, ZERO, q_add, q_addmul, q_divmod, q_shift, q_trim,
+    spread, u_pow, v_pow,
 )
 
 
@@ -119,7 +121,7 @@ def alternating_word(s, t, count):
 def pair_texts_per_pair(system, poly_key, row):
     """The json item, csv fields and text line of a table or kl row.
 
-    ``row`` is (y id, w id, u-coefficients, classical ones or None).  Every
+    ``row`` is (y id, w id, u-coefficient tuple, classical one or None).  Every
     call builds a ``LaurentPoly`` per polynomial and joins both words anew,
     and the entry dict goes through ``json.dumps(indent=2)`` at its depth
     in the document, so no cache and no entry template of the CLI is used.
@@ -388,3 +390,188 @@ def fraction_rank(rows):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+# Oracles for the packed tables: the same column recursions with each entry
+# a tuple of u-coefficients, each column built by ``q_addmul`` and
+# ``q_divmod`` loops.  The packed tables must equal them, mu rows and
+# errors included.
+
+
+def q_mu(p, gap):
+    """The coefficient of q^((gap-1)/2) in the tuple p, or 0 when gap is even.
+
+    The tuple twin of ``laurent.mu_at``: mu(y, w), mu'(y, w), and with
+    ``gap - 1`` mu''(y, w).
+    """
+    return p[-1] if p and 2 * len(p) == gap + 1 else 0
+
+
+def solve_row_tuples(row, gap, den, unknown):
+    """Solve den * P = row + mu u^(d+1), d = floor((gap-1)/2), on tuples.
+
+    ``den`` is (1, 1) or (1,).  One upward division gives P; the remainder
+    must be zero, except that with ``unknown`` it may be -mu u^(d+1) with mu
+    the top coefficient of P when the gap is odd.  Returns (P, mu); raises
+    ``RecurrenceInconsistent`` otherwise.
+    """
+    d = (gap - 1) // 2
+    p, rest = q_divmod(row, den, d)
+    mu = q_mu(p, gap) if unknown else 0
+    if rest != (q_shift((-mu,), d + 1) if mu else ()):
+        raise RecurrenceInconsistent(
+            f"u-coefficients {rest} are left over dividing {row} by {den} "
+            f"under the degree bound {d}"
+        )
+    return p, mu
+
+
+_CASE_TUPLES = {
+    (True, True): ((1, 1), (0, -1, 1)),
+    (True, False): ((0, -1, 1), (1, 1)),
+    (False, True): ((1,), (0, 0, 1)),
+    (False, False): ((0, 0, 1), (1,)),
+}
+
+
+def _add_column_tuples(pending, mult, column):
+    for yid, p in column.items():
+        pending[yid] = q_addmul(pending.get(yid, ()), mult, p)
+
+
+class TupleCanonicalBasis(CanonicalBasis):
+    """The P-sigma columns on u-coefficient tuples: the descent recursion,
+    mu' rows and known parts of ``CanonicalBasis`` with tuple arithmetic in
+    place of packed ints.  Only the layout of ``column`` differs."""
+
+    def mu_row(self, wid):
+        row = self._mu_rows.get(wid)
+        if row is None:
+            length = self.system.length_of
+            lw = length(wid)
+            row = self._mu_rows[wid] = {
+                xid: mu
+                for xid, p in self.column(wid).items()
+                if (mu := q_mu(p, lw - length(xid)))
+            }
+        return row
+
+    def _known_parts(self, s, wid):
+        key = (s, wid)
+        known = self._known.get(key)
+        if known is not None:
+            return known
+        length = self.system.length_of
+        col_w = self.column(wid)
+        mu_w = self.mu_row(wid)
+        descents = self._descent_interval(s, wid)
+        convolution = {}
+        for x2 in descents:
+            m = mu_w.get(x2)
+            if m:
+                for xid, m2 in self.mu_row(x2).items():
+                    convolution[xid] = convolution.get(xid, 0) + m2 * m
+        known = {}
+        for xid in descents:
+            gap = length(wid) - length(xid)
+            if gap % 2:
+                m = mu_w.get(xid)
+                if m:
+                    known[xid] = m
+                continue
+            total = q_mu(col_w.get(xid, ()), gap - 1) - convolution.get(xid, 0)
+            commuting, _up, sx = self.module.action_case(s, xid)
+            if commuting:
+                total += mu_w.get(sx, 0)
+            if total:
+                known[xid] = total
+        self._known[key] = known
+        return known
+
+    def column_recursive(self, zid):
+        sys = self.system
+        if zid == 0:
+            return {0: (1,)}
+        length = sys.length_of
+        s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
+        commuting, _up, wid = self.module.action_case(s, zid)
+        col_w = self.column(wid)
+        lift = length(zid) + 1 if commuting else length(zid)
+        pending = {}
+        for xid, k in self._known_parts(s, wid).items():
+            e = lift - length(xid)
+            mult = q_shift((-k, -k) if e % 2 else (-k,), e // 2)
+            _add_column_tuples(pending, mult, self.column(xid))
+        descents = set(self._descent_interval(s, wid)) if commuting else ()
+        den = (1, 1) if commuting else (1,)
+        col = {zid: (1,)}
+        for yid in reversed(self.module.interval(zid)[:-1]):
+            commuting_y, up, other = self.module.action_case(s, yid)
+            c_y, c_other = _CASE_TUPLES[commuting_y, up]
+            row = q_addmul(pending.get(yid, ()), c_y, col_w.get(yid, ()))
+            row = q_addmul(row, c_other, col_w.get(other, ()))
+            p, mu = self._solve_row(row, yid, zid, den, yid in descents)
+            if mu:
+                mult = q_shift((mu,), (lift - length(yid)) // 2)
+                _add_column_tuples(pending, mult, self.column(yid))
+            if p:
+                col[yid] = p
+        return col
+
+    def _solve_row(self, row, yid, zid, den, unknown):
+        sys = self.system
+        gap = sys.length_of(zid) - sys.length_of(yid)
+        return solve_row_tuples(row, gap, den, unknown)
+
+
+class TupleKLTable(KLTable):
+    """Classical KL columns on q-coefficient tuples: ``KLTable.column``'s
+    recursion and checks with tuple arithmetic in place of packed ints."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self._columns = {0: {0: (1,)}}
+
+    def column(self, wid):
+        col = self._columns.get(wid)
+        if col is not None:
+            return col
+        sys = self.system
+        length = sys.length_of
+        s = sys.left_descents(wid)[0]
+        vid = sys.lmul(s, wid)
+        acc = {}
+        for x, p in self.column(vid).items():
+            sx = sys.lmul(s, x)
+            if length(sx) < length(x):
+                p = q_shift(p, 1)
+            acc[x] = q_add(acc[x], p) if x in acc else p
+            acc[sx] = q_add(acc[sx], p) if sx in acc else p
+        lw = length(wid)
+        for zid, m in self.mu_row(vid):
+            if sys.is_left_descent(s, zid):
+                shift = (lw - length(zid)) // 2
+                for x, p in self.column(zid).items():
+                    acc[x] = q_addmul(acc[x], q_shift((-m,), shift), p)
+        col = {}
+        row = []
+        for x, p in acc.items():
+            p = q_trim(p)
+            if any(c < 0 for c in p):
+                raise InvariantError(
+                    f"negative Kazhdan-Lusztig coefficient at pair "
+                    f"{sys.word_of(x)}, {sys.word_of(wid)}"
+                )
+            gap = lw - length(x)
+            if x != wid and len(p) - 1 > (gap - 1) // 2:
+                raise InvariantError(
+                    f"Kazhdan-Lusztig degree bound violated at pair "
+                    f"{sys.word_of(x)}, {sys.word_of(wid)}"
+                )
+            col[x] = p
+            mu = q_mu(p, gap)
+            if mu:
+                row.append((x, mu))
+        self._columns[wid] = col
+        self._mu_rows[wid] = tuple(row)
+        return col

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
-from invkl.errors import RecurrenceInconsistent
+from invkl.errors import InvariantError, RecurrenceInconsistent
 from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
-from invkl.laurent import ONE, ZERO, v_pow
+from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
+from invkl.packed import pack, unpack
 
-from helpers import ms_constant_by_scan
+from helpers import TupleCanonicalBasis, ms_constant_by_scan, solve_row_tuples
 
 
 def make(label, delta=None):
@@ -75,47 +78,66 @@ def test_columns_bar_invariant_unitriangular_bounded():
                 assert p.max_exp <= gap - 1  # u-degree <= (gap-1)/2
 
 
-def test_columns_hold_int_tuples():
+def test_columns_hold_packed_ints():
     for label, delta in [("B3", None), ("A3", [2, 1, 0]), ("I2(5)", None)]:
         system, module, basis = make(label, delta)
         for wid in module.involution_ids:
-            for p in basis.column(wid).values():
-                assert type(p) is tuple and p and p[-1]
-                assert all(type(c) is int for c in p)
+            for yid, p in basis.column(wid).items():
+                gap = system.length_of(wid) - system.length_of(yid)
+                coeffs = unpack(p)
+                assert type(p) is int and p and pack(coeffs) == p
+                assert coeffs[0] == 1 and 2 * len(coeffs) <= gap + 1 or gap == 0
 
 
 def test_row_division_by_one_plus_u(a2, a2_canonical):
-    """(1+u) P = row + mu u^(d+1): the mu term only on descent rows of odd gap."""
+    """(1+u) P = row + mu u^(d+1): the mu term only on descent rows of odd gap.
+
+    Each case runs on the packed route (``_solve_row``) and on the tuple
+    oracle (``solve_row_tuples``), which must agree, errors included.
+    """
     basis = a2_canonical
     s = a2.element_id_from_word([0])
     sts = a2.element_id_from_word([0, 1, 0])
+    gaps = {0: 3, s: 2}
+
+    def both(row, yid, commuting, unknown):
+        den = (1, 1) if commuting else (1,)
+        want = solve_row_tuples(row, gaps[yid], den, unknown)
+        got = basis._solve_row(pack(row), yid, sts, commuting, unknown)
+        assert got == (pack(want[0]), want[1])
+        return want
+
+    def rejected(row, yid, commuting, unknown):
+        den = (1, 1) if commuting else (1,)
+        with pytest.raises(RecurrenceInconsistent):
+            solve_row_tuples(row, gaps[yid], den, unknown)
+        with pytest.raises(RecurrenceInconsistent):
+            basis._solve_row(pack(row), yid, sts, commuting, unknown)
+
     # gap 3, so deg P <= 1: (1+u)(1+2u) = 1 + 3u + 2u^2
-    assert basis._solve_row((1, 3, 2), 0, sts, (1, 1), False) == ((1, 2), 0)
+    assert both((1, 3, 2), 0, True, False) == ((1, 2), 0)
     # on a descent row the unknown top term comes back as mu'
-    assert basis._solve_row((1, 3), 0, sts, (1, 1), True) == ((1, 2), 2)
+    assert both((1, 3), 0, True, True) == ((1, 2), 2)
     for row, unknown in [
         ((1, 3, 2, 5), False),  # residual above the allowed degree
         ((1, 3, 2, 0), True),   # a descent row has no u^2 term of its own
         ((1, 3), False),        # the mu' term off the descent interval
         ((1, 3, 1), True),      # a residual that is not -mu' u^2
     ]:
-        with pytest.raises(RecurrenceInconsistent):
-            basis._solve_row(row, 0, sts, (1, 1), unknown)
+        rejected(row, 0, True, unknown)
     # gap 2 has no mu', even on a descent row
-    assert basis._solve_row((1, 1), s, sts, (1, 1), True) == ((1,), 0)
-    with pytest.raises(RecurrenceInconsistent):
-        basis._solve_row((1,), s, sts, (1, 1), True)
+    assert both((1, 1), s, True, True) == ((1,), 0)
+    rejected((1,), s, True, True)
     # a non-commuting target divides by 1: the row is P, under the bound
-    assert basis._solve_row((1, 2, 0), 0, sts, (1,), False) == ((1, 2), 0)
-    with pytest.raises(RecurrenceInconsistent):
-        basis._solve_row((1, 2, 3), 0, sts, (1,), False)
+    assert both((1, 2, 0), 0, False, False) == ((1, 2), 0)
+    rejected((1, 2, 3), 0, False, False)
 
 
 def test_pi_to_p_conversion_is_checked(a2, a2_canonical):
     sts = a2.element_id_from_word([0, 1, 0])
     convert = a2_canonical._p_of_pi
-    assert convert(0, sts, v_pow(-3)) == (1,)
-    assert convert(0, sts, v_pow(-1) + 2 * v_pow(-3)) == (2, 1)
+    assert convert(0, sts, v_pow(-3)) == pack((1,))
+    assert convert(0, sts, v_pow(-1) + 2 * v_pow(-3)) == pack((2, 1))
     for bad in [v_pow(-2), v_pow(1), v_pow(-5), v_pow(-1) + v_pow(-2)]:
         with pytest.raises(RecurrenceInconsistent):  # parity, degree, negative power
             convert(0, sts, bad)
@@ -307,3 +329,82 @@ def test_mu_rows_and_ms_constants_match_the_pair_scan():
                     )
                     nonzero += not m.is_zero
         assert nonzero > 0, label
+
+
+ORACLE_TYPES = [
+    ("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
+    ("B2", None), ("B3", None), ("B4", None), ("D4", None), ("F4", None),
+    ("G2", None), ("H3", None), ("I2(5)", None), ("I2(8)", None),
+    ("A3", [2, 1, 0]), ("A5", [4, 3, 2, 1, 0]), ("D4", [0, 1, 3, 2]),
+    ("D5", [0, 1, 2, 4, 3]),
+]
+
+
+@pytest.mark.parametrize("label, delta", ORACLE_TYPES)
+def test_packed_columns_equal_the_tuple_oracle(label, delta):
+    """Every packed column and mu' row equals the q-tuple recursion's."""
+    system = build_system(label, delta=delta)
+    module = InvolutionModule(system)
+    packed = CanonicalBasis(module).build()
+    oracle = TupleCanonicalBasis(module).build()
+    for wid in module.involution_ids:
+        want = {yid: pack(p) for yid, p in oracle.column(wid).items()}
+        assert packed.column(wid) == want, (label, wid)
+        assert packed.mu_row(wid) == oracle.mu_row(wid), (label, wid)
+
+
+def test_corrupted_columns_fail_alike_on_both_routes():
+    """A perturbed finished column makes the packed and the tuple recursion
+    fail with the same error class, or agree on the rest of the table."""
+    rng = random.Random(17)
+    outcomes = set()
+    for label in ("B3", "A4", "D4"):
+        system = build_system(label)
+        module = InvolutionModule(system)
+        for _ in range(8):
+            wid = rng.choice([
+                w for w in module.involution_ids if 2 <= system.length_of(w) <= 4
+            ])
+            yid = rng.choice([y for y in module.interval(wid) if y != wid])
+            bump = q_shift((rng.choice([-1, 1, 2]),), rng.randint(0, 3))
+            results = []
+            for cls, read, write in (
+                (CanonicalBasis, unpack, pack),
+                (TupleCanonicalBasis, tuple, tuple),
+            ):
+                basis = cls(module)
+                col = basis.column(wid)
+                col[yid] = write(q_trim(q_add(read(col[yid]), bump)))
+                try:
+                    basis.build()
+                except InvariantError as exc:
+                    results.append(type(exc))
+                else:
+                    results.append({
+                        w: {y: read(p) for y, p in basis.column(w).items()}
+                        for w in module.involution_ids
+                    })
+            assert results[0] == results[1], (label, wid, yid, bump)
+            outcomes.add(results[0] if isinstance(results[0], type) else "table")
+    assert RecurrenceInconsistent in outcomes
+
+
+def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical):
+    """An oversized mu' or an oversized coefficient raises InvariantError:
+    the guard stops before a slot could carry into its neighbour."""
+    sts = a2.element_id_from_word([0, 1, 0])
+    # a solution with a coefficient beyond the signed slot bound
+    with pytest.raises(InvariantError, match="signed bits") as info:
+        a2_canonical._solve_row(pack((2**40,)), 0, sts, False, False)
+    assert not isinstance(info.value, RecurrenceInconsistent)
+    # known parts of ms_constant (mu' combinations) of 2^40 would push the
+    # next column past the budget
+    system, module, _ = make("B3")
+    basis = CanonicalBasis(module)
+    zid = module.layers[3][0]
+    s = system.left_descents(zid)[0]
+    wid = module.action_case(s, zid)[2]
+    basis._known[s, wid] = dict.fromkeys(basis._descent_interval(s, wid), 2**40)
+    assert basis._known[s, wid]
+    with pytest.raises(InvariantError, match="carry"):
+        basis.column(zid)

@@ -17,6 +17,7 @@ from invkl.coxeter import CoxeterSystem
 from invkl.errors import InvariantError
 from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
+from invkl.packed import pack
 from invkl.verify import SUITE_NAMES, run_suites
 
 
@@ -270,6 +271,22 @@ def test_console_script_runs():
     assert proc.stdout.startswith("y_word,w_word,poly")
 
 
+class HashingStdout:
+    """A stdout stand-in that hashes what is written and keeps each write's size."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.bytes = 0
+        self.writes = []
+
+    def write(self, text):
+        data = text.encode("utf-8")
+        self.sha.update(data)
+        self.bytes += len(data)
+        self.writes.append(len(data))
+        return len(text)
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -385,13 +402,48 @@ def test_console_script_runs():
             "verify --type H3 --experimental",
             "481054950870631c388220382f4e3fd1d0bd5fc436a135587cdd5f811f0d1248",
         ),
+        (
+            "table --type E6",
+            "032c1cd59b49d160e2257cf6a28f45ec217ad5c15e91982a10f372704439b83e",
+        ),
+        (
+            "table --type E6 --twisted 5,1,4,3,2,0",
+            "f3ae1244f10ee9c7b097b617b0a9b49372eacfffd98aa8b9db1f5f911c12770f",
+        ),
+        # --max-length walks the involutions only up to that length
+        (
+            "table --type D5 --max-length 3",
+            "d956a95fad55480476839a269da4a58ed92862365398e0adf22277d7c41823d8",
+        ),
+        (
+            "table --type D5 --twisted 0,1,2,4,3 --max-length 3",
+            "95f4ab2dc8a044a2d08510a3d12c3126660d5e28d0acafff664c4772412d2f65",
+        ),
+        (
+            "table --type D5 --twisted 0,1,2,4,3 --max-length 3"
+            " --format text --classic",
+            "4d5445db758f4441efd83ccb30e51df0824466f36a039fd61350dbd2fab5ae2d",
+        ),
+        (
+            "table --type E6 --twisted 5,1,4,3,2,0 --max-length 3",
+            "e2b767e662a48bf570a8a0b50820ee8d4060cc9f598ec7aef952648fd8eaa4dc",
+        ),
+        (
+            "table --type E6 --max-length 3 --format csv",
+            "bf414fab0c04f588f8b70f4f4d68960f58f60968d47ca8007d670ecbec1df073",
+        ),
     ],
 )
-def test_golden_output_digests(capsys, argv, digest):
-    """Whole stdout is pinned by its sha256, so any output change is deliberate."""
-    code, out, _ = run_cli(capsys, *argv.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+def test_golden_output_digests(monkeypatch, argv, digest):
+    """The whole stdout is pinned by its sha256, so any change is deliberate.
+
+    stdout is hashed as it is written, so the E6 tables (over 100 MB each)
+    are neither held in memory nor stored.
+    """
+    handle = HashingStdout()
+    monkeypatch.setattr(cli.sys, "stdout", handle)
+    assert main(argv.split()) == 0
+    assert handle.sha.hexdigest() == digest
 
 
 def test_bruhat_order_is_read_from_the_involution_graph(capsys, monkeypatch):
@@ -433,7 +485,7 @@ def test_pair_renderers_match_the_per_pair_oracle():
     rng = random.Random(11)
     ids = system.all_ids()
     identity = system.element_id_from_word([])
-    polys = [(), (1,), (0, 1), (1, -1, 2), (-3,), (2**64 + 1, 0, -(2**70))]
+    polys = [(), (1,), (0, 1), (1, -1, 2), (-3,), (2**31 - 1, 0, -(2**31))]
     polys += [
         tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
         for _ in range(20)
@@ -445,9 +497,10 @@ def test_pair_renderers_match_the_per_pair_oracle():
             classic = rng.choice([None, rng.choice(polys)])
             row = (y, w, rng.choice(polys), classic)
             item, fields, line = pair_texts_per_pair(system, poly_key, row)
-            assert render["item"](row) == item, row
-            assert render["fields"](row) == fields, row
-            assert render["line"](row) == line, row
+            packed = (y, w, pack(row[2]), None if classic is None else pack(classic))
+            assert render["item"](packed) == item, row
+            assert render["fields"](packed) == fields, row
+            assert render["line"](packed) == line, row
 
 
 @pytest.mark.parametrize(
@@ -515,3 +568,44 @@ def test_benchmark_commands_keep_their_digests(capsys):
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (
             want["sha256"], want["bytes"]
         ), argv
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            "table --type B3",
+            "9652593368c2e8e4dafbd93b421acf2f828c9e04845c9b503b2a1e3da85f8586",
+        ),
+        (
+            "table --type D5 --twisted 0,1,2,4,3",
+            "f1b67fe11ce343d2b6c9f2819dba052b0805eee8fcb0da21cbf99c6abb235ed9",
+        ),
+    ],
+)
+def test_output_leaves_in_64_kib_blocks(monkeypatch, argv, digest):
+    """The output is written unchanged in at most ceil(bytes / 65536) + 1
+    writes, each but the last of 64 KiB or more (B3 fits in one block, the
+    2.5 MB twisted D5 table takes many)."""
+    handle = HashingStdout()
+    monkeypatch.setattr(cli.sys, "stdout", handle)
+    assert main(argv.split()) == 0
+    assert handle.sha.hexdigest() == digest
+    assert len(handle.writes) <= -(-handle.bytes // 65536) + 1
+    assert all(size >= 65536 for size in handle.writes[:-1])
+
+
+def test_max_length_stops_the_involution_walk(capsys):
+    """table --max-length 1 on E8 and A20 interns a few hundred elements,
+    not the million of the whole walk, and prints the pairs of length <= 1."""
+    for label, rank in (("E8", 8), ("A20", 20)):
+        code, out, _ = run_cli(capsys, "table", "--type", label, "--max-length", "1",
+                               "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 1 + 2 * rank, label
+        system = build_system(label)
+        module = InvolutionModule(system, 1)
+        assert len(module.involution_ids) == 1 + rank
+        assert system.all_ids(1) == sorted(module.involution_ids)
+        assert len(system._lengths) < 4 * rank ** 3, label
+    assert not build_system("E8")._tw_walks

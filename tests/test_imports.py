@@ -107,16 +107,20 @@ _STDLIB = (
 )
 _BASE = {"invkl", "invkl.cli", "invkl.coxeter", "invkl.errors", "invkl.laurent"}
 _LAYERS = {
-    "table --type A3": {"invkl.invmodule", "invkl.canonical", "invkl.klclassic"},
-    "table --type A3 --classic": {
-        "invkl.invmodule", "invkl.canonical", "invkl.klclassic",
+    "table --type A3": {
+        "invkl.invmodule", "invkl.canonical", "invkl.klclassic", "invkl.packed",
     },
-    "kl --type A3": {"invkl.klclassic"},
-    "cells --type A3": {"invkl.cells", "invkl.klclassic", "invkl.invmodule"},
+    "table --type A3 --classic": {
+        "invkl.invmodule", "invkl.canonical", "invkl.klclassic", "invkl.packed",
+    },
+    "kl --type A3": {"invkl.klclassic", "invkl.packed"},
+    "cells --type A3": {
+        "invkl.cells", "invkl.klclassic", "invkl.invmodule", "invkl.packed",
+    },
     "character --type A3": {"invkl.invmodule", "invkl.specialize"},
     "verify --type A2": {
         "invkl.verify", "invkl.invmodule", "invkl.canonical", "invkl.klclassic",
-        "invkl.specialize",
+        "invkl.specialize", "invkl.packed",
     },
 }
 
@@ -153,3 +157,4 @@ def test_each_command_imports_only_its_layers(command, stdlib_deps):
 def test_building_a_system_imports_no_dataclasses_or_fractions():
     added = added_modules('import invkl\ninvkl.build_system("H3")')
     assert not added & {"dataclasses", "fractions"}
+    assert "invkl.packed" not in added  # the table kernel is not compiled at set-up

@@ -1,12 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from invkl import build_system
+from invkl.errors import InvariantError
 from invkl.klclassic import HeckeAlgebra, KLTable
-from invkl.laurent import ONE, ZERO, v_pow
+from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
+from invkl.packed import pack, unpack
 
-from helpers import hecke_selfbar_column, s_gen_id
+from helpers import TupleKLTable, hecke_selfbar_column, s_gen_id
 
 
 def test_normalization_and_support(a2, a2_kl):
@@ -141,3 +144,77 @@ def test_cancelling_sums_store_no_zero(a3):
     for w in a3.all_ids():
         # every term of the work dict cancels as its column is subtracted
         assert kl.expand_in_cdot(kl.cdot(w)) == {w: ONE}
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "F4", "G2", "H3",
+     "I2(5)", "I2(8)"],
+)
+def test_packed_columns_equal_the_tuple_oracle(label):
+    """Every packed column and mu row equals the q-tuple recursion's, over
+    the whole group."""
+    system = build_system(label)
+    packed, oracle = KLTable(system), TupleKLTable(system)
+    for wid in packed.build_full():
+        want = {yid: pack(p) for yid, p in oracle.column(wid).items()}
+        assert packed.column(wid) == want, (label, wid)
+        assert packed.mu_row(wid) == oracle.mu_row(wid), (label, wid)
+
+
+def test_corrupted_columns_fail_alike_on_both_routes():
+    """A perturbed column makes both recursions raise the same error (the
+    negativity or the degree check) or agree on the table built from it."""
+    rng = random.Random(5)
+    messages = set()
+    for label in ("A3", "B3"):
+        system = build_system(label)
+        ids = system.all_ids()
+        for _ in range(12):
+            wid = rng.choice([w for w in ids if 1 <= system.length_of(w) <= 4])
+            results = []
+            for cls, read, write in (
+                (KLTable, unpack, pack), (TupleKLTable, tuple, tuple),
+            ):
+                kl = cls(system)
+                col = kl.column(wid)
+                if not results:
+                    yid = rng.choice(list(col))
+                    bump = q_shift((rng.choice([-3, -1, 1]),), rng.randint(0, 3))
+                col[yid] = write(q_trim(q_add(read(col[yid]), bump)))
+                try:
+                    kl.build_full()
+                except InvariantError as exc:
+                    results.append(str(exc))
+                else:
+                    results.append([
+                        {y: read(p) for y, p in kl.column(w).items()} for w in ids
+                    ])
+            assert results[0] == results[1], (label, wid, yid, bump)
+            if isinstance(results[0], str):
+                messages.add(results[0].split(" at pair")[0])
+    assert messages == {
+        "negative Kazhdan-Lusztig coefficient",
+        "Kazhdan-Lusztig degree bound violated",
+    }
+
+
+def test_overflow_guard_raises_instead_of_carrying():
+    """An oversized mu or coefficient raises InvariantError before any slot
+    could carry into the next one."""
+    system = build_system("B3")
+    ids = system.all_ids()
+    top = ids[-1]
+    s = system.left_descents(top)[0]
+    vid = system.lmul(s, top)
+    kl = KLTable(system)
+    row = kl.mu_row(vid)
+    assert any(system.is_left_descent(s, z) for z, _ in row)
+    kl._mu_rows[vid] = tuple((z, 2**40) for z, _ in row)
+    with pytest.raises(InvariantError, match="carry"):
+        kl.column(top)
+    kl = KLTable(system)
+    col = kl.column(vid)
+    col[0] = pack((2**40,))
+    with pytest.raises(InvariantError, match="packed slot bound"):
+        kl.column(top)

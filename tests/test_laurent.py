@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from helpers import schoolbook_add, schoolbook_div, schoolbook_mul
+from helpers import q_mu, schoolbook_add, schoolbook_div, schoolbook_mul
 
 from invkl.errors import NotDivisible
 from invkl.laurent import (
     LaurentPoly, ONE, U, V, ZERO, domination_failure, q_add, q_addmul, q_div,
-    q_divmod, q_mu, q_shift, q_trim, spread, u_pow, v_pow,
+    q_divmod, q_shift, q_trim, spread, u_pow, v_pow,
 )
 
 

@@ -9,9 +9,10 @@ and P(y, w) = v^{l(w)-l(y)} pi(y, w) is a polynomial in u = v^2 of u-degree
 at most (l(w)-l(y)-1)/2.  Columns are characterized by bar invariance and
 this triangularity, which gives two independent construction routes:
 
-* ``column_barfix`` solves the fixed-point condition against the rescaled
-  bar matrix directly, in ``LaurentPoly`` arithmetic on pi (the reference
-  implementation);
+* ``column_barfix`` solves the fixed-point condition directly against the
+  packed bar table (``InvolutionModule.bar_column``), row by row: each row
+  is one int residue whose low slots are P(y, w) and whose high slots must
+  be its reflection u^gap P(y, w)(u^-1);
 * ``column_recursive`` runs the descent recursion: with s the smallest left
   descent of the target z, either z = sw with sw = w delta(s) (then each row
   is divided by 1 + u, one row per descent carrying the unknown mu'(y, z)),
@@ -256,73 +257,65 @@ class CanonicalBasis:
         self._known[key] = known
         return known
 
-    # -- construction: bar-fixing against the rescaled bar matrix -------------------
-
-    def _rho(self, yid, xid):
-        """bar(a'_x) coefficient at a'_y: v^{l(x)+l(y)} r(y, x)."""
-        sys = self.system
-        r = self.module.bar_basis(xid).get(yid)
-        if r.is_zero:
-            return ZERO
-        return r * v_pow(sys.length_of(xid) + sys.length_of(yid))
+    # -- construction: bar-fixing against the bar table ----------------------------
 
     def column_barfix(self, wid):
-        """Solve bar(A_w) = A_w row by row, top down, in ``LaurentPoly`` arithmetic.
+        """Solve bar(A_w) = A_w row by row, top down, on the packed bar table.
 
-        Returns the column in the layout of ``column``; each pi(y, w) goes
-        through the checked conversion ``_p_of_pi``.
+        With Prev_x = u^(l(w)-l(x)) P(x, w)(u^-1), the coefficient of a'_y
+        in bar(A_w) - bar(pi(y, w)) a'_y is v^-g Q_y, g = l(w) - l(y), where
+        Q_y sums Prev_x R(y, x) over the x > y (``bar_column``).  Each solved
+        row x pushes Prev_x R(., x) into the residues of the rows below it.
+        Bar invariance is Q_y = P - u^g P(u^-1), P = P(y, w): P is held in
+        slots 0..(g-1)/2 of Q_y, and the rest is the fixed-point check, which
+        makes Prev_y = P - Q_y.  The rows are every involution shorter than
+        w, and y <= w is decided through the group, so the route reads
+        nothing of ``column_recursive`` or ``interval``.  Stored P stay
+        signed ``COEFF_BITS``-bit numbers and the Prev weights stay within
+        ``BUDGET``, so every residue slot stays below 2^63.  Returns the
+        column in the layout of ``column``.
         """
-        sys = self.system
-        lw = sys.length_of(wid)
-        col = {wid: ONE}
+        mod, sys = self.module, self.system
+        residue = dict(mod.bar_column(wid))   # Prev_w = 1; ValueError off the module
+        length = sys.length_of
+        lw = length(wid)
+        del residue[wid]
         out = {wid: 1}
-        rows = [
-            yid
-            for layer in reversed(self.module.layers)
-            if sys.length_of(layer[0]) < lw
-            for yid in layer
-        ]
-        for yid in rows:
-            q = ZERO
-            for xid, pi_xw in col.items():
-                rho = self._rho(yid, xid)
-                if not rho.is_zero:
-                    q = q + pi_xw.bar() * rho
-            pi_yw = q - q.positive_part()
-            if q != pi_yw - pi_yw.bar():
-                raise InconsistentBar(
-                    "bar fixed-point defect at pair "
-                    f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue {q}"
-                )
-            if not pi_yw.is_zero:
+        spent = 1
+        for layer in reversed(mod.layers):
+            gap = lw - length(layer[0])
+            if gap <= 0:
+                continue
+            low = SLOT * ((gap + 1) // 2)   # bits of slots 0..(gap-1)/2
+            half = 1 << (low - 1)
+            mask = (1 << low) - 1
+            for yid in layer:
+                q = residue.pop(yid, 0)
+                if not q:
+                    continue
+                p = ((q + half) & mask) - half
+                coeffs = unpack(p)
+                prev = pack(coeffs[::-1]) << (SLOT * (gap + 1 - len(coeffs)))
+                if q != p - prev:
+                    raise InconsistentBar(
+                        "bar fixed-point defect at pair "
+                        f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue "
+                        f"{spread(unpack(q), 2, -gap)}"
+                    )
                 if not sys.bruhat_leq_ids(yid, wid):
                     raise InconsistentBar(
                         "nonzero coefficient outside the Bruhat interval at "
                         f"{sys.word_of(yid)}, {sys.word_of(wid)}"
                     )
-                out[yid] = self._p_of_pi(yid, wid, pi_yw)
-                col[yid] = pi_yw
+                if not in_slots(p, (gap + 1) // 2):
+                    raise self._overflow(yid, wid)
+                spent += sum(map(abs, coeffs))
+                check_budget(spent, f"bar-fixed column {sys.word_of(wid)}")
+                out[yid] = p
+                for zid, r in mod.bar_column(yid).items():
+                    if zid != yid:
+                        residue[zid] = residue.get(zid, 0) + prev * r
         return out
-
-    def _p_of_pi(self, yid, wid, pi):
-        """P(y, w) packed, from pi(y, w) = v^{l(y)-l(w)} P(y, w), y < w.
-
-        Raises ``RecurrenceInconsistent`` unless P has even support, no
-        negative power and u-degree at most (l(w)-l(y)-1)/2, and
-        ``InvariantError`` when a coefficient leaves the slot bound.
-        """
-        sys = self.system
-        gap = sys.length_of(wid) - sys.length_of(yid)
-        p = pi * v_pow(gap)
-        if p.min_exp < 0 or p.max_exp > gap - 1 or not p.is_even_support():
-            raise RecurrenceInconsistent(
-                f"coefficient {pi} at pair {sys.word_of(yid)}, "
-                f"{sys.word_of(wid)} violates the degree or parity bounds"
-            )
-        packed = pack((0,) * (p.min_exp // 2) + p.coeffs[::2])
-        if not in_slots(packed, (gap + 1) // 2):
-            raise self._overflow(yid, wid)
-        return packed
 
     # -- construction: the descent recursion -----------------------------------------
 

@@ -20,11 +20,22 @@ The module is defined over Z[u, u^-1]; every coefficient produced here must
 have even v-support, and the bar operations check that.
 
 The bar involution is the unique Z-linear map with bar(u^n m) = u^-n bar(m),
-bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  It is computed by
-recursion over left descents, and each bar(a_w) is checked to have
-diagonal u^-l(w) and support in ``interval(w)``.  Its semilinear extension
-``bar_extended`` adds every product of coefficient terms into one
-exponent map per row and builds each row's polynomial once.
+bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  Its table is
+stored as the P-sigma columns are, in the 64-bit balanced slots of
+``packed``: bar(a_w) = sum_y u^-l(w) R(y, w) a_y with R(y, w) in Z[u] of
+degree at most l(w) - l(y), and ``bar_column(w)`` is {y: R(y, w)(2^64)}.
+Since (T_s+1) a_y = c_y (a_y + a_p), p the s-partner of y and c_y one of
+1+u, u^2-u, 1 and u^2 by the case of y, a left descent s of w with partner
+x gives R_w = Sigma - u^2 R_x, or Sigma / (1+u) - u R_x when it commutes,
+Sigma being u^l(x) (T_s+1) bar(a_x): a column is a sum of int products,
+with one checked exact division by 2^64 + 1 per row when s commutes.  Each
+column is checked to have R(w, w) = 1, support in ``interval(w)`` and
+coefficients within the slot bound.  ``bar_basis(w)`` is the
+``LaurentPoly`` view of a column, built once per w.  The semilinear
+extension ``bar_extended`` adds bar(f_w) R(y, w) into row y as one int
+product per (w, y), in v-slots wide enough for the row's coefficient
+bound, and reads each row back as one polynomial.  ``packed`` is imported
+inside the bar-table code only, so the u=1 module does not load it.
 
 ``bar_table_dense_solve`` is an independent cross-check on small ranks: it
 solves the same defining constraints as exact linear systems, one Gauss-Jordan
@@ -35,7 +46,10 @@ being one right-hand side of that elimination.
 
 from __future__ import annotations
 
-from .errors import InvariantError
+import struct
+from functools import cache
+
+from .errors import InvariantError, NotDivisible
 from .laurent import LaurentPoly, ONE, ZERO, add_into, spread, u_pow, v_pow
 
 __all__ = ["MVector", "InvolutionModule", "bar_table_dense_solve"]
@@ -48,7 +62,6 @@ _UU_MU = _UU - _U              # u^2 - u
 _UU_MU_M1 = _UU - _U - ONE     # u^2 - u - 1
 _UINV2 = u_pow(-2)
 _VINV2 = v_pow(-2)
-_ONE_PLUS_UINV = ONE + u_pow(-1)
 
 
 class MVector:
@@ -134,13 +147,19 @@ class InvolutionModule:
             by_length.setdefault(system.length_of(wid), []).append(wid)
         self.layers = list(by_length.values())
         self._intervals = {0: (0,)}
-        self._bar_cache = {}
+        self._bar = {0: {0: 1}}   # wid -> bar_column(wid)
+        self._bar_views = {}      # wid -> bar_basis(wid)
+        self._bar_tops = {}       # wid -> _bar_top(wid)
 
     # -- case analysis -------------------------------------------------------
 
     def is_involution(self, wid):
         """True iff w is a twisted involution of this module."""
         return wid in self._position
+
+    def _require(self, wid):
+        if wid not in self._position:
+            raise ValueError(f"id {wid} is not a twisted involution")
 
     def action_case(self, s, wid):
         """(commuting, ascending, partner) for the T_s action on a_w."""
@@ -167,8 +186,7 @@ class InvolutionModule:
         return cached
 
     def basis(self, wid):
-        if not self.is_involution(wid):
-            raise ValueError(f"id {wid} is not a twisted involution")
+        self._require(wid)
         return MVector.basis(wid)
 
     # -- module structure -----------------------------------------------------
@@ -211,60 +229,124 @@ class InvolutionModule:
                     "leaves Z[u, u^-1]"
                 )
 
-    def bar_basis(self, wid, choice=None):
-        """bar(a_w) as a module element, memoized for the default descent.
+    def bar_column(self, wid):
+        """bar(a_w) as {y: R(y, w) packed}, R(y, w) = u^l(w) r(y, w); memoized.
 
-        ``choice`` overrides the generator used for the recursion step and is
-        meant for well-definedness checks; any left descent is admissible.
+        Built by ``_bar_step`` over the smallest left descent of w; a w that
+        is not an involution of the module raises ``ValueError``.
         """
-        if choice is None:
-            cached = self._bar_cache.get(wid)
-            if cached is not None:
-                return cached
-        sys = self.system
-        if wid == 0:
-            result = MVector.basis(0)
-        else:
-            descents = [
-                s for s in range(sys.rank) if sys.is_left_descent(s, wid)
-            ]
-            s = descents[0] if choice is None else choice
-            if s not in descents:
-                raise ValueError(
-                    f"generator {s} is not a left descent of {sys.word_of(wid)}"
-                )
-            commuting, _up, xid = self.action_case(s, wid)
-            bx = self.bar_basis(xid)
-            if commuting:
-                lifted = (self.ts_action(s, bx) + bx).scaled(_UINV2)
-                quotient = MVector._raw(
-                    {
-                        w: f.exact_div(_ONE_PLUS_UINV)
-                        for w, f in lifted.entries.items()
-                    }
-                )
-                result = quotient - bx
-            else:
-                result = (self.ts_action(s, bx) + bx).scaled(_UINV2) - bx
-            self._validate_bar(wid, result)
-        if choice is None:
-            self._bar_cache[wid] = result
-        return result
+        col = self._bar.get(wid)
+        if col is None:
+            self._require(wid)
+            s = next(s for s, case in enumerate(self._action[wid]) if not case[1])
+            col = self._bar[wid] = self._bar_step(wid, s)
+        return col
 
-    def _validate_bar(self, wid, result):
+    def _bar_step(self, wid, s):
+        """R(., w) from R(., x), x the s-partner of w, for a left descent s of w.
+
+        Row y of Sigma = u^l(x) (T_s + 1) bar(a_x) is c_y R(y, x) plus
+        c_p R(p, x), p the s-partner of y.  A non-commuting descent gives
+        R_w = Sigma - u^2 R_x, a commuting one R_w = Sigma / (1 + u) - u R_x;
+        both are pushed entry by entry with the multipliers of
+        ``_bar_terms``, and the division by 2^64 + 1 is checked to be exact.
+        The result is checked to have R(w, w) = 1, support in
+        ``interval(w)`` and, by ``in_slots``, u-degree at most l(w) - l(y)
+        with signed ``COEFF_BITS``-bit coefficients: together with the
+        bound on R_x this keeps every slot of the push below 2^63.
+        """
+        from .packed import SLOT, in_slots, unpack
+
         sys = self.system
-        if result.get(wid) != u_pow(-sys.length_of(wid)):
+        commuting, _up, xid = self._action[wid][s]
+        terms = _bar_terms(commuting)
+        action = self._action
+        pushed = {}
+        for yid, r in self.bar_column(xid).items():
+            commuting_y, up, pid = action[yid][s]
+            own, partner = terms[commuting_y, up]
+            pushed[yid] = pushed.get(yid, 0) + own * r
+            pushed[pid] = pushed.get(pid, 0) + partner * r
+        if commuting:
+            one_plus_u = (1 << SLOT) + 1
+            for yid, r in pushed.items():
+                q, rem = divmod(r, one_plus_u)
+                if rem:
+                    raise NotDivisible(
+                        f"bar(a_w) at {sys.word_of(wid)}, row {sys.word_of(yid)}: "
+                        f"u-coefficients {unpack(r)} are not divisible by 1 + u"
+                    )
+                pushed[yid] = q
+        col = {yid: r for yid, r in pushed.items() if r}
+        if col.get(wid) != 1:
             raise InvariantError(
                 f"bar(a_w) diagonal coefficient is not u^-l(w) at {sys.word_of(wid)}"
             )
         below = set(self.interval(wid))
-        for yid in result.entries:
+        lw = sys.length_of(wid)
+        for yid, r in col.items():
             if yid not in below:
                 raise InvariantError(
                     f"bar(a_w) support leaves the Bruhat interval at "
                     f"{sys.word_of(wid)}: offending term {sys.word_of(yid)}"
                 )
-        self._check_even(result, "bar involution")
+            if not in_slots(r, lw - sys.length_of(yid) + 1):
+                raise InvariantError(
+                    f"bar(a_w) at {sys.word_of(wid)}, row {sys.word_of(yid)}: "
+                    "u^l(w) r(y, w) leaves the packed table's degree or "
+                    "signed-bit bound"
+                )
+        return col
+
+    def bar_basis(self, wid, choice=None):
+        """bar(a_w) as a module element: a view of ``bar_column``, built once per w.
+
+        ``choice`` overrides the generator used for the recursion step and is
+        meant for well-definedness checks; any left descent is admissible.
+        """
+        if choice is None:
+            view = self._bar_views.get(wid)
+            if view is None:
+                view = self._bar_views[wid] = self._bar_view(
+                    wid, self.bar_column(wid)
+                )
+            return view
+        self._require(wid)
+        if choice not in [s for s, case in enumerate(self._action[wid]) if not case[1]]:
+            raise ValueError(
+                f"generator {choice} is not a left descent of "
+                f"{self.system.word_of(wid)}"
+            )
+        return self._bar_view(wid, self._bar_step(wid, choice))
+
+    def _bar_view(self, wid, col):
+        # a stored R(y, w) read in v-slots is R(y, w)(v^2)
+        lo = -2 * self.system.length_of(wid)
+        view = MVector._raw(
+            {yid: LaurentPoly(_unpack_slots(r, _VSLOT), lo) for yid, r in col.items()}
+        )
+        self._check_even(view, "bar involution")
+        return view
+
+    def _bar_top(self, wid):
+        """max |coefficient| over the column w, read off the ``bar_basis`` view."""
+        top = self._bar_tops.get(wid)
+        if top is None:
+            top = self._bar_tops[wid] = max(
+                abs(c) for f in self.bar_basis(wid).entries.values() for c in f.coeffs
+            )
+        return top
+
+    def _bar_vslots(self, wid, width):
+        """{y: R(y, w)(v^2) packed in width-bit v-slots}, from the ``bar_basis`` view.
+
+        At ``_VSLOT`` bits this is ``bar_column(w)`` itself.
+        """
+        shift = 2 * self.system.length_of(wid)
+        return {
+            yid: _pack_slots(f.coeffs, width) << (width * (f.min_exp + shift))
+            for yid, f in self.bar_basis(wid).entries.items()
+        }
 
     def bar_mvector(self, m):
         """Semilinear extension: bar(sum f_y a_y) = sum bar(f_y) bar(a_y)."""
@@ -272,26 +354,101 @@ class InvolutionModule:
         return self.bar_extended(m)
 
     def bar_extended(self, m):
-        """The same semilinear bar on the v-extended module (odd powers allowed)."""
+        """The same semilinear bar on the v-extended module (odd powers allowed).
+
+        bar(f_w) is v^-max(f_w) times f_w's coefficients reversed, so each
+        (w, y) adds one int product, bar(f_w) R(y, w), into row y, every
+        row packed in v-slots above the smallest exponent lo.  A row
+        coefficient is at most the sum over w of |f_w|_1 max|R_w|.  Below
+        2^30 the slots are ``_VSLOT`` = 32 bits, half a table slot, so
+        R(y, w)(v^2) is the stored int itself; otherwise they are wide
+        enough for that bound, and R is repacked from the view.  The balanced
+        read-back of each row into one ``LaurentPoly`` is then exact for
+        every input, and a row that cancels is not stored.
+        """
+        entries = m.entries.items()
+        if not entries:
+            return MVector._raw({})
+        length = self.system.length_of
+        lo = min(-2 * length(w) - f.max_exp for w, f in entries)
+        bound = sum(sum(map(abs, f.coeffs)) * self._bar_top(w) for w, f in entries)
+        width = _VSLOT if bound < 1 << (_VSLOT - 2) else bound.bit_length() + 2
         rows = {}
-        for wid, f in m.entries.items():
-            f_terms = f.bar().terms()
-            for yid, g in self.bar_basis(wid).entries.items():
-                row = rows.setdefault(yid, {})
-                for ge, gc in g.terms():
-                    for fe, fc in f_terms:
-                        e = ge + fe
-                        row[e] = row.get(e, 0) + gc * fc
-        out = {}
-        for yid, row in rows.items():
-            lo = min(row)
-            coeffs = [0] * (max(row) - lo + 1)
-            for e, c in row.items():
-                coeffs[e - lo] = c
-            poly = LaurentPoly(coeffs, lo)
-            if not poly.is_zero:
-                out[yid] = poly
-        return MVector._raw(out)
+        for wid, f in entries:
+            if width == _VSLOT:
+                col = self.bar_column(wid)
+            else:
+                col = self._bar_vslots(wid, width)
+            shift = width * (-2 * length(wid) - f.max_exp - lo)
+            mult = _pack_slots(f.coeffs[::-1], width)
+            for yid, r in col.items():
+                rows[yid] = rows.get(yid, 0) + (mult * r << shift)
+        return MVector._raw(
+            {
+                yid: LaurentPoly(_unpack_slots(p, width), lo)
+                for yid, p in rows.items()
+                if p
+            }
+        )
+
+
+_VSLOT = 32  # bits per v-coefficient of bar_extended's rows, when they fit
+
+# c_y of (T_s + 1) a_y = c_y (a_y + a_partner), by the T_s case (commuting, up)
+# of y, as u-coefficients
+_C_Y = {
+    (True, True): (1, 1),        # 1 + u
+    (True, False): (0, -1, 1),   # u^2 - u
+    (False, True): (1,),         # 1
+    (False, False): (0, 0, 1),   # u^2
+}
+
+
+@cache
+def _bar_terms(commuting):
+    """{case of y: (own, partner)}, packed: the multipliers of R(y, x) in rows y
+    and partner(y) of Sigma - (u + u^2 or u^2) R_x, for a commuting or other
+    descent step of ``InvolutionModule._bar_step``.  ``partner`` is c_y."""
+    from .packed import pack
+
+    drop = pack((0, 1, 1) if commuting else (0, 0, 1))
+    return {case: (pack(c) - drop, pack(c)) for case, c in _C_Y.items()}
+
+
+def _pack_slots(coeffs, width):
+    """``packed.pack`` with width-bit slots."""
+    p = 0
+    for c in reversed(coeffs):
+        p = (p << width) + c
+    return p
+
+
+def _unpack_slots(p, width):
+    """``packed.unpack`` with width-bit slots, trailing zeros allowed.
+
+    Adding 2^(width-1) to every slot leaves each an unsigned digit with no
+    borrow, and flipping each top bit then gives the two's complement of
+    the balanced digit, so ``_VSLOT``-bit slots are read by one ``struct``
+    call.  Wider slots are read one at a time.
+    """
+    if width == _VSLOT:
+        n = p.bit_length() // _VSLOT + 1
+        halves = _halves(n)
+        return struct.unpack(f"<{n}i", ((p + halves) ^ halves).to_bytes(4 * n, "little"))
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    out = []
+    while p:
+        c = ((p + half) & mask) - half
+        out.append(c)
+        p = (p - c) >> width
+    return out
+
+
+@cache
+def _halves(n):
+    """2^(_VSLOT-1) in each of n ``_VSLOT``-bit slots."""
+    return ((1 << (_VSLOT * n)) - 1) // ((1 << _VSLOT) - 1) << (_VSLOT - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ only the ``min_exp`` bookkeeping, and the root-system ring Z[2cos(pi/N)] of
 Sparse sums of ``LaurentPoly`` values keyed by element or involution id go
 through ``add_into``, which never stores a zero.
 
-The classical P and P-sigma tables do not store ``LaurentPoly`` values or
-tuples: each entry is one Kronecker-packed int, built by the kernel of
-``packed``, and ``spread(unpack(p), ...)`` turns it into a ``LaurentPoly``
-at the API boundary.  ``LaurentPoly`` itself stays on tuples: packing its
-storage too left the verify B3 suites where they were (0.17-0.20 s), since
-its values are short and built term by term.
+The classical P, P-sigma and bar tables do not store ``LaurentPoly``
+values or tuples: each entry is one Kronecker-packed int, built by the
+kernel of ``packed``, and ``spread(unpack(p), ...)`` or a read of its
+v-slots turns it into a ``LaurentPoly`` at the API boundary; the
+semilinear bar sums its int products in v-slots too.  ``LaurentPoly``
+itself stays on tuples: packing its storage too left the verify B3 suites
+where they were (0.17-0.20 s), since its values are short and built term
+by term.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -91,7 +93,7 @@ class LaurentPoly:
 
     def is_even_support(self):
         """True iff the polynomial lies in Z[u, u^-1], u = v^2."""
-        return all(e % 2 == 0 for e, _ in self.terms())
+        return self.min_exp % 2 == 0 and not any(self.coeffs[1::2])
 
     # -- ring operations --------------------------------------------------
 

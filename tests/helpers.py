@@ -9,13 +9,27 @@ from fractions import Fraction
 
 from invkl.canonical import CanonicalBasis
 from invkl.coxeter import _cyclotomic
-from invkl.errors import InvariantError, NotDivisible, RecurrenceInconsistent
+from invkl.errors import (
+    InconsistentBar, InvariantError, NotDivisible, RecurrenceInconsistent,
+)
 from invkl.invmodule import MVector
 from invkl.klclassic import HeckeAlgebra, KLTable
 from invkl.laurent import (
     LaurentPoly, ONE, ZERO, q_add, q_addmul, q_divmod, q_shift, q_trim,
     spread, u_pow, v_pow,
 )
+from invkl.packed import in_slots, pack
+
+
+# The types on which each packed table is compared with its oracle.
+ORACLE_TYPES = [
+    ("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
+    ("B2", None), ("B3", None), ("B4", None), ("D4", None), ("F4", None),
+    ("G2", None), ("H3", None), ("I2(5)", None), ("I2(8)", None),
+    ("A3", [2, 1, 0]), ("A5", [4, 3, 2, 1, 0]), ("D4", [0, 1, 3, 2]),
+    ("D5", [0, 1, 2, 4, 3]),
+]
+ORACLE_TYPES_BUT_F4 = [t for t in ORACLE_TYPES if t[0] != "F4"]
 
 
 def subword_bruhat(system, yid, wid):
@@ -157,6 +171,159 @@ def bar_extended_pairwise(module, m):
             else:
                 out[yid] = h
     return MVector(out)
+
+
+def bar_extended_exponent_map(source, m):
+    """bar(sum f_w a_w) with every product of coefficient terms added into
+    one exponent map per row, each row's polynomial built once.  ``source``
+    gives bar(a_w) through ``bar_basis`` (a module or a ``LaurentBar``)."""
+    rows = {}
+    for wid, f in m.entries.items():
+        f_terms = f.bar().terms()
+        for yid, g in source.bar_basis(wid).entries.items():
+            row = rows.setdefault(yid, {})
+            for ge, gc in g.terms():
+                for fe, fc in f_terms:
+                    e = ge + fe
+                    row[e] = row.get(e, 0) + gc * fc
+    out = {}
+    for yid, row in rows.items():
+        lo = min(row)
+        coeffs = [0] * (max(row) - lo + 1)
+        for e, c in row.items():
+            coeffs[e - lo] = c
+        poly = LaurentPoly(coeffs, lo)
+        if not poly.is_zero:
+            out[yid] = poly
+    return MVector._raw(out)
+
+
+class LaurentBar:
+    """The bar table by the ``LaurentPoly`` recursion over left descents:
+    bar(a_w) = u^-2 (T_s+1) bar(a_x) - bar(a_x), the first term divided by
+    1 + u^-1 first when s commutes, with the module's ``ts_action``.  Each
+    bar(a_w) is checked for diagonal u^-l(w), support in ``interval(w)``
+    and even support, as the packed table is."""
+
+    def __init__(self, module):
+        self.module = module
+        self._cache = {}
+
+    def bar_basis(self, wid, choice=None):
+        if choice is None and wid in self._cache:
+            return self._cache[wid]
+        mod, sys = self.module, self.module.system
+        if wid == 0:
+            result = MVector.basis(0)
+        else:
+            descents = [
+                s for s in range(sys.rank) if sys.is_left_descent(s, wid)
+            ]
+            s = descents[0] if choice is None else choice
+            if s not in descents:
+                raise ValueError(
+                    f"generator {s} is not a left descent of {sys.word_of(wid)}"
+                )
+            commuting, _up, xid = mod.action_case(s, wid)
+            bx = self.bar_basis(xid)
+            lifted = (mod.ts_action(s, bx) + bx).scaled(u_pow(-2))
+            if commuting:
+                lifted = MVector._raw({
+                    w: f.exact_div(ONE + u_pow(-1))
+                    for w, f in lifted.entries.items()
+                })
+            result = lifted - bx
+            if result.get(wid) != u_pow(-sys.length_of(wid)):
+                raise InvariantError(
+                    f"bar(a_w) diagonal coefficient is not u^-l(w) at "
+                    f"{sys.word_of(wid)}"
+                )
+            below = set(mod.interval(wid))
+            for yid, f in result.entries.items():
+                if yid not in below:
+                    raise InvariantError(
+                        f"bar(a_w) support leaves the Bruhat interval at "
+                        f"{sys.word_of(wid)}: offending term {sys.word_of(yid)}"
+                    )
+                if not all(e % 2 == 0 for e, _ in f.terms()):
+                    raise InvariantError(
+                        f"bar involution: coefficient {f} leaves Z[u, u^-1]"
+                    )
+        if choice is None:
+            self._cache[wid] = result
+        return result
+
+
+class LaurentBarfixBasis(CanonicalBasis):
+    """``column_barfix`` in ``LaurentPoly`` arithmetic on pi, against the
+    ``LaurentBar`` table: rows top down, each pi(y, w) the negative part of
+    the residue q, checked by q = pi - bar(pi) and converted by the checked
+    ``_p_of_pi``."""
+
+    def __init__(self, module):
+        super().__init__(module)
+        self._bar = LaurentBar(module)
+
+    def _rho(self, yid, xid):
+        """bar(a'_x) coefficient at a'_y: v^{l(x)+l(y)} r(y, x)."""
+        sys = self.system
+        r = self._bar.bar_basis(xid).get(yid)
+        if r.is_zero:
+            return ZERO
+        return r * v_pow(sys.length_of(xid) + sys.length_of(yid))
+
+    def column_barfix(self, wid):
+        sys = self.system
+        lw = sys.length_of(wid)
+        col = {wid: ONE}
+        out = {wid: 1}
+        rows = [
+            yid
+            for layer in reversed(self.module.layers)
+            if sys.length_of(layer[0]) < lw
+            for yid in layer
+        ]
+        for yid in rows:
+            q = ZERO
+            for xid, pi_xw in col.items():
+                rho = self._rho(yid, xid)
+                if not rho.is_zero:
+                    q = q + pi_xw.bar() * rho
+            pi_yw = q - q.positive_part()
+            if q != pi_yw - pi_yw.bar():
+                raise InconsistentBar(
+                    "bar fixed-point defect at pair "
+                    f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue {q}"
+                )
+            if not pi_yw.is_zero:
+                if not sys.bruhat_leq_ids(yid, wid):
+                    raise InconsistentBar(
+                        "nonzero coefficient outside the Bruhat interval at "
+                        f"{sys.word_of(yid)}, {sys.word_of(wid)}"
+                    )
+                out[yid] = self._p_of_pi(yid, wid, pi_yw)
+                col[yid] = pi_yw
+        return out
+
+    def _p_of_pi(self, yid, wid, pi):
+        """P(y, w) packed, from pi(y, w) = v^{l(y)-l(w)} P(y, w), y < w.
+
+        Raises ``RecurrenceInconsistent`` unless P has even support, no
+        negative power and u-degree at most (l(w)-l(y)-1)/2, and
+        ``InvariantError`` when a coefficient leaves the slot bound.
+        """
+        sys = self.system
+        gap = sys.length_of(wid) - sys.length_of(yid)
+        p = pi * v_pow(gap)
+        if p.min_exp < 0 or p.max_exp > gap - 1 or not p.is_even_support():
+            raise RecurrenceInconsistent(
+                f"coefficient {pi} at pair {sys.word_of(yid)}, "
+                f"{sys.word_of(wid)} violates the degree or parity bounds"
+            )
+        packed = pack((0,) * (p.min_exp // 2) + p.coeffs[::2])
+        if not in_slots(packed, (gap + 1) // 2):
+            raise self._overflow(yid, wid)
+        return packed
 
 
 def solve_exact(rows, rhs):

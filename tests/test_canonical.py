@@ -4,13 +4,16 @@ import pytest
 
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
-from invkl.errors import InvariantError, RecurrenceInconsistent
+from invkl.errors import InconsistentBar, InvariantError, RecurrenceInconsistent
 from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
 
-from helpers import TupleCanonicalBasis, ms_constant_by_scan, solve_row_tuples
+from helpers import (
+    ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBarfixBasis, TupleCanonicalBasis,
+    ms_constant_by_scan, solve_row_tuples,
+)
 
 
 def make(label, delta=None):
@@ -133,9 +136,10 @@ def test_row_division_by_one_plus_u(a2, a2_canonical):
     rejected((1, 2, 3), 0, False, False)
 
 
-def test_pi_to_p_conversion_is_checked(a2, a2_canonical):
+def test_pi_to_p_conversion_is_checked(a2, a2_module):
+    """The checked conversion of the LaurentPoly bar-fix oracle."""
     sts = a2.element_id_from_word([0, 1, 0])
-    convert = a2_canonical._p_of_pi
+    convert = LaurentBarfixBasis(a2_module)._p_of_pi
     assert convert(0, sts, v_pow(-3)) == pack((1,))
     assert convert(0, sts, v_pow(-1) + 2 * v_pow(-3)) == pack((2, 1))
     for bad in [v_pow(-2), v_pow(1), v_pow(-5), v_pow(-1) + v_pow(-2)]:
@@ -331,15 +335,6 @@ def test_mu_rows_and_ms_constants_match_the_pair_scan():
         assert nonzero > 0, label
 
 
-ORACLE_TYPES = [
-    ("A1", None), ("A2", None), ("A3", None), ("A4", None), ("A5", None),
-    ("B2", None), ("B3", None), ("B4", None), ("D4", None), ("F4", None),
-    ("G2", None), ("H3", None), ("I2(5)", None), ("I2(8)", None),
-    ("A3", [2, 1, 0]), ("A5", [4, 3, 2, 1, 0]), ("D4", [0, 1, 3, 2]),
-    ("D5", [0, 1, 2, 4, 3]),
-]
-
-
 @pytest.mark.parametrize("label, delta", ORACLE_TYPES)
 def test_packed_columns_equal_the_tuple_oracle(label, delta):
     """Every packed column and mu' row equals the q-tuple recursion's."""
@@ -408,3 +403,68 @@ def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical):
     assert basis._known[s, wid]
     with pytest.raises(InvariantError, match="carry"):
         basis.column(zid)
+
+
+@pytest.mark.parametrize("label, delta", ORACLE_TYPES_BUT_F4)
+def test_packed_barfix_equals_the_laurent_barfix(label, delta):
+    """The packed bar-fix, the LaurentPoly bar-fix over its own bar table and
+    the recursion give the same column everywhere (F4 is left out: its
+    LaurentPoly bar-fix takes seconds)."""
+    system = build_system(label, delta=delta)
+    module = InvolutionModule(system)
+    packed = CanonicalBasis(module)
+    oracle = LaurentBarfixBasis(InvolutionModule(system))
+    for wid in module.involution_ids:
+        got = packed.column_barfix(wid)
+        assert got == oracle.column_barfix(wid) == packed.column(wid), (label, wid)
+
+
+def test_column_barfix_rejects_non_involutions():
+    for label, max_length, wids in [("A2", None, (3, 4)), ("A3", 2, (6,))]:
+        module = InvolutionModule(build_system(label), max_length)
+        basis = CanonicalBasis(module)
+        for wid in wids:
+            with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
+                basis.column_barfix(wid)
+
+
+def test_barfix_guards_raise_instead_of_misreading():
+    """Perturbed bar columns trip each guard of the packed bar-fix: a broken
+    fixed point, a consistent residue off the Bruhat interval, a P past the
+    signed slot bound, and two P of 2^30 in one layer spending the budget."""
+    system, module, basis = make("B3")
+    wid = module.involution_ids[-1]
+    xid = module.layers[-2][0]
+    yid = next(y for y in module.bar_column(xid) if y != xid)
+    col = module._bar[xid] = dict(module.bar_column(xid))
+    col[yid] += 1
+    with pytest.raises(InconsistentBar, match="fixed-point defect"):
+        basis.column_barfix(wid)
+    # a consistent residue on a row y that is not below w
+    module = InvolutionModule(system)
+    zid = module.layers[-2][0]
+    yid = next(
+        y for layer in module.layers[:-2] for y in layer
+        if not system.bruhat_leq_ids(y, zid)
+    )
+    gap = system.length_of(zid) - system.length_of(yid)
+    col = module._bar[zid] = dict(module.bar_column(zid))
+    col[yid] = pack((1,)) - (pack((1,)) << (64 * gap))
+    with pytest.raises(InconsistentBar, match="outside the Bruhat interval"):
+        CanonicalBasis(module).column_barfix(zid)
+    module = InvolutionModule(system)
+    col = module._bar[wid] = dict(module.bar_column(wid))
+    yid = next(y for y, p in basis.column(wid).items() if y != wid)
+    gap = system.length_of(wid) - system.length_of(yid)
+    col[yid] += pack((1 << 40,)) - (pack((1 << 40,)) << (64 * gap))
+    with pytest.raises(InvariantError, match="signed bits"):
+        CanonicalBasis(module).column_barfix(wid)
+    # two rows of one layer each gaining 2^30 in P spend the Prev budget
+    module = InvolutionModule(system)
+    col = module._bar[wid] = dict(module.bar_column(wid))
+    layer = next(layer for layer in module.layers if len(layer) > 1)
+    for yid in layer[:2]:
+        gap = system.length_of(wid) - system.length_of(yid)
+        col[yid] = col.get(yid, 0) + pack((1 << 30,)) - (pack((1 << 30,)) << (64 * gap))
+    with pytest.raises(InvariantError, match="carry"):
+        CanonicalBasis(module).column_barfix(wid)

@@ -1,12 +1,20 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from helpers import bar_extended_pairwise, bar_table_per_pair
+from helpers import (
+    ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBar, bar_extended_exponent_map,
+    bar_extended_pairwise, bar_table_per_pair,
+)
 
 from invkl import build_system, invmodule
-from invkl.errors import InvariantError
+from invkl.errors import InvariantError, NotDivisible
 from invkl.invmodule import InvolutionModule, MVector, bar_table_dense_solve
 from invkl.laurent import LaurentPoly, ONE, ZERO, u_pow
+from invkl.packed import COEFF_BITS, pack
 
 U = u_pow(1)
 
@@ -385,3 +393,205 @@ def test_cancelling_sums_store_no_zero(label):
                 assert module.ts_action(s, m).entries == {x: -U}
                 cases += 1
     assert cases
+
+
+# -- the packed bar table against the LaurentPoly routes ------------------------
+
+@pytest.mark.parametrize("label, delta", ORACLE_TYPES)
+def test_packed_bar_table_equals_the_laurent_recursion(label, delta):
+    """Every view, for every left descent, equals the LaurentPoly recursion,
+    and a stored int read in 32-bit v-slots is its view."""
+    system = build_system(label, delta=delta)
+    module = InvolutionModule(system)
+    oracle = LaurentBar(module)
+    for wid in module.involution_ids:
+        want = oracle.bar_basis(wid)
+        assert module.bar_basis(wid) == want, (label, wid)
+        for s in system.left_descents(wid):
+            assert module.bar_basis(wid, choice=s) == want
+            assert oracle.bar_basis(wid, choice=s) == want
+        assert module._bar_vslots(wid, 32) == module.bar_column(wid)
+
+
+def _v_vector(module, rng, odd, bits):
+    """Entries on about half the involutions, three terms each, with odd
+    exponents when ``odd`` and coefficients up to 2^bits."""
+    step = 1 if odd else 2
+    return MVector({
+        w: sum(
+            (LaurentPoly((rng.randint(-(2**bits), 2**bits),), step * rng.randint(-4, 4))
+             for _ in range(3)),
+            ZERO,
+        )
+        for w in module.involution_ids
+        if rng.random() < 0.5
+    })
+
+
+@pytest.mark.parametrize("label, delta", ORACLE_TYPES_BUT_F4)
+def test_bar_extended_equals_the_exponent_map(label, delta):
+    """On random even and odd vectors and on every bar column, the packed
+    bar_extended equals the exponent-map route over the LaurentPoly table."""
+    module = InvolutionModule(build_system(label, delta=delta))
+    oracle = LaurentBar(module)
+    rng = random.Random(1109)
+    vectors = [module.bar_basis(w) for w in module.involution_ids]
+    vectors += [_v_vector(module, rng, odd, 3) for odd in (False, True) * 3]
+    for m in vectors:
+        assert module.bar_extended(m) == bar_extended_exponent_map(oracle, m)
+
+
+def test_corrupted_action_partner_fails_on_both_routes():
+    """Pointing the smallest left descent of w at another involution of the
+    partner's length raises InvariantError on the packed table and on the
+    LaurentPoly recursion."""
+    for label in ("B3", "A4", "D4"):
+        system = build_system(label)
+        seen = 0
+        for wid in InvolutionModule(system).involution_ids:
+            module = InvolutionModule(system)
+            cases = module._action[wid]
+            downs = [s for s, case in enumerate(cases) if not case[1]]
+            if not downs:
+                continue
+            s = downs[0]
+            commuting, up, xid = cases[s]
+            others = [
+                x for layer in module.layers for x in layer
+                if x != xid and system.length_of(x) == system.length_of(xid)
+            ]
+            if not others:
+                continue
+            module._action = dict(module._action)
+            module._action[wid] = list(cases)
+            module._action[wid][s] = (commuting, up, others[0])
+            with pytest.raises(InvariantError):
+                module.bar_column(wid)
+            with pytest.raises(InvariantError):
+                LaurentBar(module).bar_basis(wid)
+            seen += 1
+        assert seen > 0, label
+
+
+def test_bar_support_outside_the_interval_raises():
+    """With one row y < w dropped from interval(w), the column of w fails
+    its support check."""
+    system = build_system("B3")
+    module = InvolutionModule(system)
+    wid = module.involution_ids[-1]
+    yid = next(y for y in module.bar_column(module.layers[-2][0]) if y)
+    module = InvolutionModule(system)
+    module._intervals[wid] = tuple(y for y in module.interval(wid) if y != yid)
+    with pytest.raises(InvariantError, match="support leaves the Bruhat interval"):
+        module.bar_column(wid)
+
+
+def test_bar_extended_widens_its_slots_for_large_coefficients(monkeypatch):
+    """Coefficients of 2^200 and more take slots wider than 32 bits, and the
+    result still equals the exponent-map route."""
+    module = InvolutionModule(build_system("B3"))
+    oracle = LaurentBar(module)
+    widths = []
+    vslots = InvolutionModule._bar_vslots
+
+    def spy(self, wid, width):
+        widths.append(width)
+        return vslots(self, wid, width)
+
+    monkeypatch.setattr(InvolutionModule, "_bar_vslots", spy)
+    rng = random.Random(200)
+    for odd in (False, True):
+        m = _v_vector(module, rng, odd, 200)
+        m.entries[0] = LaurentPoly((2**200 + 1, 0, -(2**201)), -3)
+        assert module.bar_extended(m) == bar_extended_exponent_map(oracle, m)
+    assert widths and min(widths) > 200
+
+
+def test_bar_extended_odd_exponents_cancellation_and_the_empty_vector():
+    """Odd exponents match the exponent map, bar(bar(x)) = x stores no
+    cancelled row, and the empty vector maps to itself."""
+    module = InvolutionModule(build_system("A3", delta=(2, 1, 0)))
+    oracle = LaurentBar(module)
+    assert module.bar_extended(MVector()) == MVector()
+    rng = random.Random(7)
+    for _ in range(10):
+        x = _v_vector(module, rng, True, 5)
+        bx = module.bar_extended(x)
+        assert bx == bar_extended_exponent_map(oracle, x)
+        # bar(bar(x)) = x: every row off x's support cancels, and none is stored
+        back = module.bar_extended(bx)
+        assert back == x
+        assert all(not f.is_zero for f in back.entries.values())
+
+
+_SLOT_GUARD = """
+from invkl import build_system
+from invkl.errors import InvariantError
+from invkl.invmodule import InvolutionModule
+module = InvolutionModule(build_system("B3"))
+wid = next(w for w in module.involution_ids if module.system.length_of(w) >= 2)
+s = next(s for s, case in enumerate(module._action[wid]) if not case[1])
+xid = module._action[wid][s][2]
+col = dict(module.bar_column(xid))
+yid = next(y for y in col if y != xid)
+col[yid] += BUMP
+module._bar[xid] = col
+try:
+    module.bar_column(wid)
+except InvariantError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_bar_entry_past_the_slot_bound_raises():
+    """An entry of a shorter column pushed past COEFF_BITS makes the next
+    column fail the slot check, with and without ``python -O``."""
+    bump = pack((1 << COEFF_BITS, 1 << COEFF_BITS))  # 2^COEFF_BITS (1 + u)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _SLOT_GUARD.replace("BUMP", str(bump))],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("InvariantError "), (flags, proc.stdout)
+        assert "signed-bit bound" in proc.stdout
+
+
+def test_bar_division_by_one_plus_u_is_checked():
+    """An entry of a shorter column off by 1 leaves a row of a commuting step
+    that 1 + u does not divide: NotDivisible, not a silent quotient."""
+    system = build_system("B3")
+    seen = 0
+    for wid in InvolutionModule(system).involution_ids[1:]:
+        module = InvolutionModule(system)
+        s = next(s for s, case in enumerate(module._action[wid]) if not case[1])
+        commuting, _up, xid = module._action[wid][s]
+        col = dict(module.bar_column(xid))
+        yid = next(
+            (y for y in col if y != xid and module._action[y][s][:2] != (True, True)),
+            None,
+        )
+        if not commuting or yid is None:
+            continue
+        col[yid] += 1
+        module._bar[xid] = col
+        with pytest.raises(NotDivisible, match="not divisible by 1 \\+ u"):
+            module.bar_column(wid)
+        seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("entry", ["bar_basis", "bar_mvector", "bar_extended"])
+def test_bar_entry_points_reject_non_involutions(entry):
+    """Ids 3 and 4 of A2 are no involutions, and id 6 of A3 (the word 010)
+    lies beyond max_length 2: each raises ValueError, as ``basis`` does."""
+    cases = [(InvolutionModule(build_system("A2")), wid) for wid in (3, 4)]
+    cases.append((InvolutionModule(build_system("A3"), max_length=2), 6))
+    for module, wid in cases:
+        with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
+            if entry == "bar_basis":
+                module.bar_basis(wid)
+            else:
+                getattr(module, entry)(MVector({0: ONE, wid: U}))

@@ -87,6 +87,23 @@ def test_coeff_specialize_parity():
         v_pow(-1).specialize(0)
 
 
+def test_even_support_matches_the_termwise_definition():
+    """The slice test agrees with "every term has an even exponent", on odd
+    and negative min_exp, on sparse polynomials and on zero."""
+    rng = random.Random(1109)
+    cases = [ZERO, ONE, V, v_pow(-3), u_pow(-2), LaurentPoly((1, 0, 0, 0, 1), -5)]
+    for _ in range(500):
+        coeffs = [rng.choice((0, 0, 0, rng.randint(-3, 3))) for _ in range(rng.randint(0, 8))]
+        cases.append(LaurentPoly(coeffs, rng.randint(-9, 9)))
+    parities = set()
+    for f in cases:
+        want = all(e % 2 == 0 for e, _ in f.terms())
+        assert f.is_even_support() == want, f
+        parities.add((f.min_exp % 2, f.min_exp < 0, want))
+    # an odd min_exp is itself an odd exponent; every other combination occurs
+    assert len(parities) == 6 and all(not even for odd, _, even in parities if odd)
+
+
 def test_json_round_trip():
     f = v_pow(-3) + 2 * V
     assert f.to_json_obj() == {"-3": "1", "1": "2"}

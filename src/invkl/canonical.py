@@ -37,8 +37,19 @@ descent interval; anything else raises ``RecurrenceInconsistent``.  Stored
 coefficients stay signed ``COEFF_BITS``-bit numbers and each column's
 multipliers stay within ``BUDGET``, so no slot carries into the next; past
 either bound the build raises ``InvariantError``.  ``LaurentPoly`` values
-are built only at the API boundary (``pi``, ``sigma_kl``, ``a_vector``,
-``ms_constant`` and the c_s action check), each by one ``unpack``.
+are built only at the API boundary (``pi``, ``sigma_kl``, ``ms_constant``
+and the coefficients ``expand_in_A`` returns), each by one read of its
+slots, with no ``LaurentPoly`` arithmetic.
+
+The same int is the module vector A_w: P(y, w)(2^64) read in the 32-bit
+v-slots of ``invmodule.MVector`` is P(y, w)(v^2), so ``a_vector(w)`` is
+``column(w)`` with lo = -l(w) and the coefficient bound of the column.
+``expand_in_A`` rewrites a packed vector top down: the coefficient c of
+the ShortLex-last row, times v^l(top), is that of A_top, and subtracting
+c P(y, top) from each row y <= top is one int product at the work
+vector's own lo, since A_top carries v^-l(top).  Its bound grows by
+max|c| |P(., top)|_1 per step, and the slots widen before it reaches
+their limit.
 
 The recursion pushes whole columns instead of pulling single entries, as
 Coxeter 3 does for classical KL.  Each column w keeps a sparse mu' row
@@ -58,9 +69,8 @@ from __future__ import annotations
 from .errors import (
     InconsistentBar, InvariantError, RecurrenceInconsistent, TheoremMismatch,
 )
-from .invmodule import MVector
-from .klclassic import expand_unitriangular
-from .laurent import LaurentPoly, ONE, ZERO, spread, v_pow
+from .invmodule import MVector, column_top, table_vector
+from .laurent import LaurentPoly, ONE, ZERO, spread
 from .packed import (
     SLOT, check_budget, degree_at_most, in_slots, mu_at, pack,
     solve_one_plus_u, unpack,
@@ -68,8 +78,7 @@ from .packed import (
 
 __all__ = ["CanonicalBasis"]
 
-_VPV = v_pow(1) + v_pow(-1)      # v + v^-1
-_V2PVINV2 = v_pow(2) + v_pow(-2)
+_V2PVINV2 = LaurentPoly((1, 0, 0, 0, 1), -2)   # v^2 + v^-2
 
 _ONE_PLUS_U = pack((1, 1))
 _U2_MINUS_U = pack((0, -1, 1))
@@ -209,7 +218,7 @@ class CanonicalBasis:
             m = known.get(xid, 0)
             if (length(wid) - length(xid)) % 2:
                 if m:
-                    out[xid] = m * _VPV
+                    out[xid] = LaurentPoly((m, 0, m), -1)   # m (v + v^-1)
                 continue
             m -= mu_sw.get(xid, 0)
             if m:
@@ -412,20 +421,41 @@ class CanonicalBasis:
     # -- the basis as module elements, and the generator action ----------------------
 
     def a_vector(self, wid):
-        """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module."""
+        """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module.
+
+        A stored P(y, w) read in 32-bit v-slots is P(y, w)(v^2), so the
+        vector is ``column(w)`` itself with lo = -l(w).  Memoized.
+        """
         cached = self._a_vectors.get(wid)
         if cached is None:
-            lw = self.system.length_of(wid)
-            cached = self._a_vectors[wid] = MVector(
-                {yid: spread(unpack(p), 2, -lw) for yid, p in self.column(wid).items()}
+            col = self.column(wid)
+            cached = self._a_vectors[wid] = table_vector(
+                col, -self.system.length_of(wid), column_top(col)
             )
         return cached
 
     def expand_in_A(self, m):
-        """Rewrite a module element in the canonical basis (unitriangular)."""
-        return expand_unitriangular(
-            self.system, m.entries, lambda wid: self.a_vector(wid).entries
-        )
+        """Rewrite a module element in the canonical basis (unitriangular).
+
+        The ShortLex-last entry c of the work vector (the last in
+        ``involution_ids`` order), times v^l(top), is the coefficient of
+        A_top.  As A_top carries v^-l(top), c P(y, top)(v^2)
+        already has the work vector's lo, and subtracting it from row y for
+        every y <= top is one int product per row.  The work bound grows by
+        max|c| |P(., top)|_1 per step, and the slots widen before it reaches
+        their limit.  Returns {top: coefficient} as ``LaurentPoly`` values.
+        """
+        length = self.system.length_of
+        key = self.module._position.__getitem__
+        work = MVector._of(dict(m.ints), m.lo, m.width, m.bound)
+        out = {}
+        while work.ints:
+            top = max(work.ints, key=key)
+            a = self.a_vector(top)
+            # P(., top) has at most l(top) + 1 slots, each at most a.bound
+            coeffs = work._eliminate(top, a, a.bound * (length(top) + 1))
+            out[top] = LaurentPoly(coeffs, work.lo + length(top))
+        return out
 
     def cs_action_on_A(self, s, wid):
         """Expand c_s A_w in the canonical basis and check the closed form.
@@ -441,7 +471,7 @@ class CanonicalBasis:
         if not up:
             expected[wid] = _V2PVINV2
         else:
-            expected[other] = _VPV if commuting else ONE
+            expected[other] = LaurentPoly((1, 0, 1), -1) if commuting else ONE
             expected.update(self._ms_constants(s, wid))
         if got != expected:
             raise TheoremMismatch(

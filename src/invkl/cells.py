@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import RelationViolated
 from .invmodule import MVector
-from .laurent import ZERO, add_into, domination_failure
+from .laurent import ZERO, domination_failure
 
 __all__ = ["CellPartition", "compute_cells", "involutions_per_cell", "check_hf_relation"]
 
@@ -157,11 +157,10 @@ def check_hf_relation(zid, wid, kl, canonical):
     module = canonical.module
     h_exp = kl.h_constants(zid, wid)
     a_w = canonical.a_vector(wid)
-    acted = {}
+    acted = MVector()
     for yid, coeff in kl.cprime(zid).items():
-        for x, f in module.tw_action(yid, a_w).entries.items():
-            add_into(acted, x, f * coeff)
-    f_exp = canonical.expand_in_A(MVector._raw(acted))
+        acted = acted + module.tw_action(yid, a_w).scaled(coeff)
+    f_exp = canonical.expand_in_A(acted)
 
     involutions = set(module.involution_ids)
     report = {}

@@ -1,8 +1,10 @@
 """Command line interface: tables, verification, characters, cells.
 
-Exit codes: 0 on success, 2 on configuration or usage errors, 3 when a
-mathematical invariant fails (the message names the violated identity and
-the first counterexample is serialized to stderr).  Each command finishes
+Exit codes: 0 on success, 2 on configuration or usage errors and when the
+interpreter runs out of memory (one ``error: out of memory`` line on
+stderr, as for the element cap), 3 when a mathematical invariant fails (the
+message names the violated identity and the first counterexample is
+serialized to stderr).  Each command finishes
 everything that can raise before the first byte is written, then streams
 its rows through one writer, so a failure leaves stdout empty and creates
 no --out file, and no command holds its whole table or its whole output
@@ -450,6 +452,12 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write(
+            f"error: out of memory running {args.command}; "
+            "raise the memory limit or pick a smaller type\n"
+        )
         return 2
     except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")

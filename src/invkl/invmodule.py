@@ -19,6 +19,24 @@ lists the y <= w by the lifting property, without leaving the involutions.
 The module is defined over Z[u, u^-1]; every coefficient produced here must
 have even v-support, and the bar operations check that.
 
+A module element (``MVector``) is stored packed, by Kronecker substitution
+(Harvey, J. Symbolic Comput. 2009): one v-offset ``lo`` for the whole
+vector and, per involution, one int sum_i c_i 2^(width i) in balanced
+width-bit slots, standing for sum_i c_i v^(lo+i).  The width is 32 bits
+unless the coefficients need more.  Multiplying by v^k only moves ``lo``,
+a u-polynomial multiplier is one int product, and two vectors are added or
+compared entry by entry after the one with the higher ``lo`` is shifted up.
+The int arithmetic is always exact, but reading slots back, dropping an
+entry that sums to zero and comparing two vectors are exact only while every
+|c_i| < 2^(width-1).  So each vector carries ``bound`` >= every |c_i|, each
+operation first bounds its result (a sum adds the bounds, T_s multiplies
+by 5: 3 from an entry's own multiplier and 2 from its partner's, T_s + 1
+by 4) and widens its operands' slots when that bound would reach the slot
+limit; a result wider than 32 bits is measured and narrowed again when its
+coefficients allow.  ``LaurentPoly`` values are built only at the API
+boundary: ``MVector({w: f})`` packs them, ``get`` and ``entries`` read
+them back.
+
 The bar involution is the unique Z-linear map with bar(u^n m) = u^-n bar(m),
 bar(a_1) = a_1 and bar((T_s+1)m) = u^-2 (T_s+1) bar(m).  Its table is
 stored as the P-sigma columns are, in the 64-bit balanced slots of
@@ -30,18 +48,13 @@ x gives R_w = Sigma - u^2 R_x, or Sigma / (1+u) - u R_x when it commutes,
 Sigma being u^l(x) (T_s+1) bar(a_x): a column is a sum of int products,
 with one checked exact division by 2^64 + 1 per row when s commutes.  Each
 column is checked to have R(w, w) = 1, support in ``interval(w)`` and
-coefficients within the slot bound.  ``bar_basis(w)`` is the
-``LaurentPoly`` view of a column, built once per w.  The semilinear
-extension ``bar_extended`` adds bar(f_w) R(y, w) into row y as one int
-product per (w, y), in v-slots wide enough for the row's coefficient
-bound, and reads each row back as one polynomial.  ``packed`` is imported
-inside the bar-table code only, so the u=1 module does not load it.
-
-``bar_table_dense_solve`` is an independent cross-check on small ranks: it
-solves the same defining constraints as exact linear systems, one Gauss-Jordan
-elimination per column w whose matrix (phi-bar shifted over a window of
-u-exponents, for each defining equation) is shared by every row y, each y
-being one right-hand side of that elimination.
+coefficients within the slot bound.  A stored R(y, w) read in 32-bit
+v-slots is R(y, w)(v^2), so ``bar_basis(w)`` is the column itself with
+lo = -2 l(w).  The semilinear extension ``bar_extended`` reverses each
+input entry's slots for bar(f_w) and adds bar(f_w) R(y, w) into row y as
+one int product per (w, y), in v-slots wide enough for the row's
+coefficient bound.  ``packed`` is imported inside the bar-table code only,
+so the u=1 module does not load it.
 """
 
 from __future__ import annotations
@@ -50,77 +63,143 @@ import struct
 from functools import cache
 
 from .errors import InvariantError, NotDivisible
-from .laurent import LaurentPoly, ONE, ZERO, add_into, spread, u_pow, v_pow
+from .laurent import LaurentPoly, ZERO
 
-__all__ = ["MVector", "InvolutionModule", "bar_table_dense_solve"]
+__all__ = ["MVector", "InvolutionModule"]
 
-_U = u_pow(1)
-_U1 = _U + ONE                 # u + 1
-_UU = u_pow(2)                 # u^2
-_UU_M1 = _UU - ONE             # u^2 - 1
-_UU_MU = _UU - _U              # u^2 - u
-_UU_MU_M1 = _UU - _U - ONE     # u^2 - u - 1
-_UINV2 = u_pow(-2)
-_VINV2 = v_pow(-2)
+_VSLOT = 32                    # bits per v-coefficient, when the coefficients fit
+_LIMIT = 1 << (_VSLOT - 1)     # a bound below this fits _VSLOT-bit slots
 
 
 class MVector:
-    """A finitely supported map from involution ids to Laurent coefficients."""
+    """A finitely supported map from involution ids to Laurent coefficients.
 
-    __slots__ = ("entries",)
+    ``ints[w]`` packs the coefficient of a_w in ``width``-bit v-slots above
+    the exponent ``lo``; ``bound`` is at least every coefficient's absolute
+    value and below 2^(width-1), so the packing is exact and one-to-one.
+    No stored int is zero.
+    """
+
+    __slots__ = ("ints", "lo", "width", "bound")
 
     def __init__(self, entries=None):
-        if entries is None:
-            entries = {}
-        self.entries = {
-            w: f for w, f in entries.items() if not f.is_zero
+        polys = [(w, f) for w, f in (entries or {}).items() if not f.is_zero]
+        self.lo = lo = min((f.min_exp for _w, f in polys), default=0)
+        self.bound = max((abs(c) for _w, f in polys for c in f.coeffs), default=0)
+        self.width = width = _width_for(self.bound)
+        self.ints = {
+            w: _pack_slots(f.coeffs, width) << (width * (f.min_exp - lo))
+            for w, f in polys
         }
 
     @classmethod
-    def basis(cls, wid):
+    def _of(cls, ints, lo, width, bound):
+        """The vector of packed ``ints``; a width over 32 bits is narrowed
+        to what the measured coefficients need."""
         v = cls.__new__(cls)
-        v.entries = {wid: ONE}
+        if width > _VSLOT and ints:
+            bound = max(
+                max(map(abs, _unpack_slots(p, width))) for p in ints.values()
+            )
+            narrow = _width_for(bound)
+            if narrow < width:
+                ints, width = _repack(ints, width, narrow), narrow
+        v.ints, v.lo, v.width, v.bound = ints, lo, width, bound
         return v
 
     @classmethod
-    def _raw(cls, entries):
-        v = cls.__new__(cls)
-        v.entries = entries
-        return v
+    def basis(cls, wid):
+        return cls._of({wid: 1}, 0, _VSLOT, 1)
 
     @property
     def is_zero(self):
-        return not self.entries
+        return not self.ints
+
+    @property
+    def entries(self):
+        """{w: coefficient} as ``LaurentPoly`` values, read from the slots."""
+        return {w: self._poly(p) for w, p in self.ints.items()}
 
     def get(self, wid):
-        return self.entries.get(wid, ZERO)
+        p = self.ints.get(wid)
+        return ZERO if p is None else self._poly(p)
+
+    def _poly(self, p):
+        return LaurentPoly(_unpack_slots(p, self.width), self.lo)
+
+    def _at(self, width):
+        """``ints`` in ``width``-bit slots, ``width`` at least ``self.width``."""
+        return self.ints if width == self.width else _repack(self.ints, self.width, width)
+
+    def _aligned(self, other, bound):
+        """Both ``ints`` at one width fitting ``bound``, and the smaller lo."""
+        width = max(self.width, other.width, _width_for(bound))
+        lo = min(self.lo, other.lo)
+        a, b = self._at(width), other._at(width)
+        if self.lo != lo:
+            a = {w: p << (width * (self.lo - lo)) for w, p in a.items()}
+        if other.lo != lo:
+            b = {w: p << (width * (other.lo - lo)) for w, p in b.items()}
+        return a, b, lo, width
+
+    def _plus(self, other, sign):
+        bound = self.bound + other.bound
+        a, b, lo, width = self._aligned(other, bound)
+        out = dict(a)
+        _add_multiple(out, sign, b)
+        return MVector._of(out, lo, width, bound)
 
     def __add__(self, other):
-        out = dict(self.entries)
-        for w, f in other.entries.items():
-            add_into(out, w, f)
-        return MVector._raw(out)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return MVector._raw({w: -f for w, f in self.entries.items()})
+        return self.scaled(-1)
 
     def scaled(self, f):
+        """f m for an integer or ``LaurentPoly`` f: one int product per entry,
+        none when f is +-v^k, which moves ``lo`` only."""
         if isinstance(f, int):
-            f = LaurentPoly((f,), 0)
+            f = LaurentPoly((f,))
         if f.is_zero:
-            return MVector._raw({})
-        return MVector._raw({w: g * f for w, g in self.entries.items()})
+            return MVector()
+        lo = self.lo + f.min_exp
+        if f.coeffs in ((1,), (-1,)):
+            ints = self.ints if f.coeffs[0] == 1 else {w: -p for w, p in self.ints.items()}
+            return MVector._of(ints, lo, self.width, self.bound)
+        bound = self.bound * sum(map(abs, f.coeffs))
+        width = max(self.width, _width_for(bound))
+        mult = _pack_slots(f.coeffs, width)
+        ints = {w: mult * p for w, p in self._at(width).items()}
+        return MVector._of(ints, lo, width, bound)
+
+    def _eliminate(self, top, column, norm):
+        """Subtract c * column in place, c this vector's entry at top, and
+        return the slots of c.
+
+        Every entry of ``column`` has 1-norm at most ``norm``, so the bound
+        grows by max|c| norm, and the slots widen before it reaches their
+        limit.  This is one step of a unitriangular expansion, where the
+        entry of ``column`` at top is 1 and top leaves the vector.
+        """
+        coeffs = _unpack_slots(self.ints[top], self.width)
+        self.bound += max(map(abs, coeffs)) * norm
+        width = max(self.width, column.width, _width_for(self.bound))
+        if width != self.width:
+            self.ints, self.width = _repack(self.ints, self.width, width), width
+        _add_multiple(self.ints, -self.ints[top], column._at(width))
+        return coeffs
 
     def __eq__(self, other):
-        return isinstance(other, MVector) and self.entries == other.entries
+        if not isinstance(other, MVector):
+            return False
+        a, b, _lo, _width = self._aligned(other, 0)
+        return a == b
 
     def __repr__(self):
-        items = ", ".join(
-            f"{w}: {f}" for w, f in sorted(self.entries.items())
-        )
+        items = ", ".join(f"{w}: {f}" for w, f in sorted(self.entries.items()))
         return f"MVector({{{items}}})"
 
 
@@ -148,7 +227,6 @@ class InvolutionModule:
         self.layers = list(by_length.values())
         self._intervals = {0: (0,)}
         self._bar = {0: {0: 1}}   # wid -> bar_column(wid)
-        self._bar_views = {}      # wid -> bar_basis(wid)
         self._bar_tops = {}       # wid -> _bar_top(wid)
 
     # -- case analysis -------------------------------------------------------
@@ -193,21 +271,7 @@ class InvolutionModule:
 
     def ts_action(self, s, m):
         """T_s applied to an arbitrary module element."""
-        out = {}
-        for wid, f in m.entries.items():
-            commuting, up, other = self.action_case(s, wid)
-            if commuting and up:
-                add_into(out, wid, f * _U)
-                add_into(out, other, f * _U1)
-            elif commuting:
-                add_into(out, wid, f * _UU_MU_M1)
-                add_into(out, other, f * _UU_MU)
-            elif up:
-                add_into(out, other, f)
-            else:
-                add_into(out, wid, f * _UU_M1)
-                add_into(out, other, f * _UU)
-        return MVector._raw(out)
+        return self._act(s, m, False)
 
     def tw_action(self, xid, m):
         """T_x applied along a reduced word; independent of the word chosen."""
@@ -217,16 +281,39 @@ class InvolutionModule:
 
     def cs_action(self, s, m):
         """c_s = v^{-2} (T_s + 1) applied to m (coefficients may be odd)."""
-        return (self.ts_action(s, m) + m).scaled(_VINV2)
+        return self._act(s, m, True)
+
+    def _act(self, s, m, plus_one):
+        """T_s m, or c_s m = v^-2 (T_s + 1) m with ``plus_one``.
+
+        Each entry f at w adds own * f into row w and partner * f into the
+        row of its s-partner, both one int product (``_action_terms``).  A
+        row is fed by its own entry and its partner's, so the result's
+        bound is 5 times m's for T_s and 4 times for T_s + 1.
+        """
+        bound = m.bound * (4 if plus_one else 5)
+        width = max(m.width, _width_for(bound))
+        terms = _action_terms(width, plus_one)
+        action = self._action
+        out = {}
+        for wid, f in m._at(width).items():
+            commuting, up, other = action[wid][s]
+            own, partner = terms[commuting, up]
+            if own:
+                out[wid] = out.get(wid, 0) + own * f
+            out[other] = out.get(other, 0) + partner * f
+        out = {wid: p for wid, p in out.items() if p}
+        return MVector._of(out, m.lo - 2 if plus_one else m.lo, width, bound)
 
     # -- bar involution ---------------------------------------------------------
 
     def _check_even(self, m, context):
-        for wid, f in m.entries.items():
-            if not f.is_even_support():
+        """Every slot of m at an odd v-exponent is zero."""
+        for wid, p in m.ints.items():
+            if any(_unpack_slots(p, m.width)[(m.lo + 1) % 2::2]):
                 raise InvariantError(
-                    f"{context}: coefficient {f} at {self.system.word_of(wid)} "
-                    "leaves Z[u, u^-1]"
+                    f"{context}: coefficient {m.get(wid)} at "
+                    f"{self.system.word_of(wid)} leaves Z[u, u^-1]"
                 )
 
     def bar_column(self, wid):
@@ -299,53 +386,38 @@ class InvolutionModule:
         return col
 
     def bar_basis(self, wid, choice=None):
-        """bar(a_w) as a module element: a view of ``bar_column``, built once per w.
+        """bar(a_w) as a module element: ``bar_column`` read in v-slots.
 
         ``choice`` overrides the generator used for the recursion step and is
         meant for well-definedness checks; any left descent is admissible.
         """
+        lo = -2 * self.system.length_of(wid)
         if choice is None:
-            view = self._bar_views.get(wid)
-            if view is None:
-                view = self._bar_views[wid] = self._bar_view(
-                    wid, self.bar_column(wid)
-                )
-            return view
+            return table_vector(self.bar_column(wid), lo, self._bar_top(wid))
         self._require(wid)
         if choice not in [s for s, case in enumerate(self._action[wid]) if not case[1]]:
             raise ValueError(
                 f"generator {choice} is not a left descent of "
                 f"{self.system.word_of(wid)}"
             )
-        return self._bar_view(wid, self._bar_step(wid, choice))
-
-    def _bar_view(self, wid, col):
-        # a stored R(y, w) read in v-slots is R(y, w)(v^2)
-        lo = -2 * self.system.length_of(wid)
-        view = MVector._raw(
-            {yid: LaurentPoly(_unpack_slots(r, _VSLOT), lo) for yid, r in col.items()}
-        )
-        self._check_even(view, "bar involution")
-        return view
+        col = self._bar_step(wid, choice)
+        return table_vector(col, lo, column_top(col))
 
     def _bar_top(self, wid):
-        """max |coefficient| over the column w, read off the ``bar_basis`` view."""
+        """max |coefficient| over the column w, read off its v-slots; memoized."""
         top = self._bar_tops.get(wid)
         if top is None:
-            top = self._bar_tops[wid] = max(
-                abs(c) for f in self.bar_basis(wid).entries.values() for c in f.coeffs
-            )
+            top = self._bar_tops[wid] = column_top(self.bar_column(wid))
         return top
 
     def _bar_vslots(self, wid, width):
-        """{y: R(y, w)(v^2) packed in width-bit v-slots}, from the ``bar_basis`` view.
+        """{y: R(y, w)(v^2) packed in width-bit v-slots}: ``bar_column(w)``
+        itself at ``_VSLOT`` bits."""
+        from .packed import unpack
 
-        At ``_VSLOT`` bits this is ``bar_column(w)`` itself.
-        """
-        shift = 2 * self.system.length_of(wid)
         return {
-            yid: _pack_slots(f.coeffs, width) << (width * (f.min_exp + shift))
-            for yid, f in self.bar_basis(wid).entries.items()
+            yid: _pack_slots(unpack(r), 2 * width)
+            for yid, r in self.bar_column(wid).items()
         }
 
     def bar_mvector(self, m):
@@ -356,43 +428,78 @@ class InvolutionModule:
     def bar_extended(self, m):
         """The same semilinear bar on the v-extended module (odd powers allowed).
 
-        bar(f_w) is v^-max(f_w) times f_w's coefficients reversed, so each
-        (w, y) adds one int product, bar(f_w) R(y, w), into row y, every
-        row packed in v-slots above the smallest exponent lo.  A row
-        coefficient is at most the sum over w of |f_w|_1 max|R_w|.  Below
-        2^30 the slots are ``_VSLOT`` = 32 bits, half a table slot, so
-        R(y, w)(v^2) is the stored int itself; otherwise they are wide
-        enough for that bound, and R is repacked from the view.  The balanced
-        read-back of each row into one ``LaurentPoly`` is then exact for
-        every input, and a row that cancels is not stored.
+        An entry f_w = sum c_i v^(lo+i), i < n, has bar(f_w) = sum c_i
+        v^-(lo+i): its slots reversed, above v^-(lo+n-1).  So each (w, y)
+        adds one int product, bar(f_w) R(y, w), into row y.  A row
+        coefficient is at most the sum over w of |f_w|_1 max|R_w|.  While
+        that is below 2^31 the slots are ``_VSLOT`` = 32 bits, half a table
+        slot, so R(y, w)(v^2) is the stored int itself; otherwise they are
+        wide enough for that bound and the columns are repacked.  A row that
+        cancels is not stored.
         """
-        entries = m.entries.items()
-        if not entries:
-            return MVector._raw({})
         length = self.system.length_of
-        lo = min(-2 * length(w) - f.max_exp for w, f in entries)
-        bound = sum(sum(map(abs, f.coeffs)) * self._bar_top(w) for w, f in entries)
-        width = _VSLOT if bound < 1 << (_VSLOT - 2) else bound.bit_length() + 2
-        rows = {}
-        for wid, f in entries:
+        rows = []   # (w, coefficients of f_w, lowest exponent of bar(f_w) bar(a_w))
+        bound = 0
+        for wid, p in m.ints.items():
+            coeffs = _unpack_slots(p, m.width)
+            bound += sum(map(abs, coeffs)) * self._bar_top(wid)
+            rows.append((wid, coeffs, -m.lo - len(coeffs) + 1 - 2 * length(wid)))
+        if not rows:
+            return MVector()
+        width = _width_for(bound)
+        lo = min(e for _w, _c, e in rows)
+        out = {}
+        get = out.get
+        for wid, coeffs, e in rows:
             if width == _VSLOT:
                 col = self.bar_column(wid)
             else:
                 col = self._bar_vslots(wid, width)
-            shift = width * (-2 * length(wid) - f.max_exp - lo)
-            mult = _pack_slots(f.coeffs[::-1], width)
+            shift = width * (e - lo)
+            mult = _pack_slots(coeffs[::-1], width)
             for yid, r in col.items():
-                rows[yid] = rows.get(yid, 0) + (mult * r << shift)
-        return MVector._raw(
-            {
-                yid: LaurentPoly(_unpack_slots(p, width), lo)
-                for yid, p in rows.items()
-                if p
-            }
-        )
+                out[yid] = get(yid, 0) + (mult * r << shift)
+        return MVector._of({y: p for y, p in out.items() if p}, lo, width, bound)
 
 
-_VSLOT = 32  # bits per v-coefficient of bar_extended's rows, when they fit
+def table_vector(col, lo, top):
+    """The module element of a table column {y: P(u) packed in 64-bit u-slots}:
+    read in v-slots from v^lo, with ``top`` its largest |coefficient|."""
+    if top < _LIMIT:
+        return MVector._of(col, lo, _VSLOT, top)
+    # a stored coefficient of -2^31 reads back exactly at 32 bits
+    return MVector._of(_repack(col, _VSLOT, _width_for(top)), lo, _width_for(top), top)
+
+
+def column_top(col):
+    """The largest |coefficient| of a table column, read in v-slots."""
+    return max(max(map(abs, _unpack_slots(p, _VSLOT))) for p in col.values())
+
+
+def _width_for(bound):
+    """The slot width in which coefficients of absolute value <= bound read back."""
+    return _VSLOT if bound < _LIMIT else bound.bit_length() + 1
+
+
+@cache
+def _action_terms(width, plus_one):
+    """{case (commuting, up): (own, partner)}: T_s a_w = own a_w + partner
+    a_partner, or (T_s + 1) a_w with ``plus_one``, in width-bit v-slots."""
+    u = 1 << (2 * width)
+    if plus_one:   # c_w (a_w + a_partner)
+        return {
+            (True, True): (1 + u, 1 + u),
+            (True, False): (u * u - u, u * u - u),
+            (False, True): (1, 1),
+            (False, False): (u * u, u * u),
+        }
+    return {
+        (True, True): (u, 1 + u),
+        (True, False): (u * u - u - 1, u * u - u),
+        (False, True): (0, 1),
+        (False, False): (u * u - 1, u * u),
+    }
+
 
 # c_y of (T_s + 1) a_y = c_y (a_y + a_partner), by the T_s case (commuting, up)
 # of y, as u-coefficients
@@ -416,7 +523,13 @@ def _bar_terms(commuting):
 
 
 def _pack_slots(coeffs, width):
-    """``packed.pack`` with width-bit slots."""
+    """``packed.pack`` with width-bit slots; at ``_VSLOT`` bits every
+    coefficient must lie in [-2^31, 2^31), and one ``struct`` call packs them
+    (the inverse of ``_unpack_slots``)."""
+    if width == _VSLOT:
+        halves = _halves(len(coeffs))
+        packed = struct.pack(f"<{len(coeffs)}i", *coeffs)
+        return (int.from_bytes(packed, "little") ^ halves) - halves
     p = 0
     for c in reversed(coeffs):
         p = (p << width) + c
@@ -445,139 +558,23 @@ def _unpack_slots(p, width):
     return out
 
 
+def _add_multiple(ints, mult, other):
+    """ints[w] += mult * other[w] for every w of ``other``, in place; an
+    entry that sums to zero is dropped."""
+    for w, p in other.items():
+        q = ints.get(w, 0) + mult * p
+        if q:
+            ints[w] = q
+        else:
+            del ints[w]
+
+
+def _repack(ints, width, new):
+    """{w: p} moved from width-bit to new-bit slots."""
+    return {w: _pack_slots(_unpack_slots(p, width), new) for w, p in ints.items()}
+
+
 @cache
 def _halves(n):
     """2^(_VSLOT-1) in each of n ``_VSLOT``-bit slots."""
     return ((1 << (_VSLOT * n)) - 1) // ((1 << _VSLOT) - 1) << (_VSLOT - 1)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: solve the defining constraints of bar as linear systems
-
-
-_UNSOLVABLE = "bar constraints are not uniquely solvable"
-_NON_INTEGER = "bar linear solve produced a non-integer coefficient"
-
-
-def _solve_columns(rows, width, keys):
-    """Solve A x = b_key exactly for every key by one Gauss-Jordan elimination.
-
-    ``rows`` lists the rows of A with their right-hand sides, as pairs
-    (``width`` coefficients, dict key -> entry of b_key; absent keys read 0).
-    The rows are consumed.  Returns ``(solutions, failures)``: each key of
-    ``keys`` is mapped either by ``solutions`` to its integer solution x or by
-    ``failures`` to the reason it has none.  Fewer pivots than unknowns fails
-    every key; a nonzero right-hand side on a row that eliminates to zero, or
-    a non-integer solution, fails that key only.
-    """
-    from fractions import Fraction
-
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        coef, rhs = rows[r]
-        pv = coef[col]
-        if pv != 1:
-            coef = [Fraction(x) / pv for x in coef]
-            rhs = {key: Fraction(c) / pv for key, c in rhs.items()}
-            rows[r] = (coef, rhs)
-        for i, (other, other_rhs) in enumerate(rows):
-            f = other[col]
-            if i == r or not f:
-                continue
-            for key, c in rhs.items():
-                c = other_rhs.get(key, 0) - f * c
-                if c:
-                    other_rhs[key] = c
-                else:
-                    other_rhs.pop(key, None)
-            rows[i] = ([x - f * y for x, y in zip(other, coef)], other_rhs)
-        r += 1
-    if r < width:
-        return {}, dict.fromkeys(keys, _UNSOLVABLE)
-    inconsistent = {
-        key for _coef, rhs in rows[width:] for key, c in rhs.items() if c
-    }
-    solutions, failures = {}, {}
-    for key in keys:
-        if key in inconsistent:
-            failures[key] = _UNSOLVABLE
-            continue
-        sol = [rhs.get(key, 0) for _coef, rhs in rows[:width]]
-        if any(x.denominator != 1 for x in sol):
-            failures[key] = _NON_INTEGER
-        else:
-            solutions[key] = [int(x) for x in sol]
-    return solutions, failures
-
-
-def bar_table_dense_solve(module, pad=2):
-    """Recompute every bar(a_w) by solving the defining constraints directly.
-
-    Unknowns are the coefficients of bar(a_w) over a window of u-exponents;
-    equations come from bar((T_t+1) a_x) = u^-2 (T_t+1) bar(a_x) for every
-    generator t and every involution x whose image contains a_w.  The
-    coefficient rows of column w are phi-bar shifted over the window, the
-    same for every row y, so each column is one exact elimination with every
-    y of length at most l(w) as its own right-hand side; a y whose target has
-    a term outside the window meets a zero row with a nonzero right-hand side.
-    Columns are solved in length order using previously solved columns only,
-    never the production recursion.
-    """
-    sys = module.system
-    table = {0: MVector.basis(0)}
-    ids = module.involution_ids
-    for wid in ids:
-        if wid == 0:
-            continue
-        lw = sys.length_of(wid)
-        lo, hi = -lw - pad, pad  # window of u-exponents
-        width = hi - lo + 1
-        ys = [yid for yid in ids if sys.length_of(yid) <= lw]
-        rows = {}  # (x, t, v-exponent) -> (coefficients, rhs by y)
-        for xid in ids:
-            lx = sys.length_of(xid)
-            if lx not in (lw - 1, lw - 2):
-                continue
-            for t in range(sys.rank):
-                commuting, up, other = module.action_case(t, xid)
-                if not up or other != wid:
-                    continue
-                phi_bar = (_U1 if commuting else ONE).bar()
-                bx = table[xid]
-                rhs = (module.ts_action(t, bx) + bx).scaled(_UINV2)
-                rhs = rhs - bx.scaled(phi_bar)
-                for e in range(lo + phi_bar.min_exp // 2,
-                               hi + phi_bar.max_exp // 2 + 1):
-                    rows[xid, t, 2 * e] = (
-                        [phi_bar.coeff(2 * (e - lo - k)) for k in range(width)],
-                        {},
-                    )
-                for yid, target in rhs.entries.items():
-                    if sys.length_of(yid) > lw:
-                        continue
-                    for ex, c in target.terms():
-                        row = rows.get((xid, t, ex))
-                        if row is None:
-                            row = rows[xid, t, ex] = ([0] * width, {})
-                        row[1][yid] = c
-        if not rows:
-            raise InvariantError(
-                f"no defining constraints reach column {sys.word_of(wid)}"
-            )
-        solutions, failures = _solve_columns(list(rows.values()), width, ys)
-        entries = {}
-        for yid in ys:
-            if yid in failures:
-                raise InvariantError(
-                    f"{failures[yid]} at column {sys.word_of(wid)}, "
-                    f"row {sys.word_of(yid)}"
-                )
-            poly = spread(solutions[yid], 2, 2 * lo)
-            if not poly.is_zero:
-                entries[yid] = poly
-        table[wid] = MVector(entries)
-    return table

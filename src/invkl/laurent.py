@@ -15,11 +15,13 @@ through ``add_into``, which never stores a zero.
 The classical P, P-sigma and bar tables do not store ``LaurentPoly``
 values or tuples: each entry is one Kronecker-packed int, built by the
 kernel of ``packed``, and ``spread(unpack(p), ...)`` or a read of its
-v-slots turns it into a ``LaurentPoly`` at the API boundary; the
-semilinear bar sums its int products in v-slots too.  ``LaurentPoly``
-itself stays on tuples: packing its storage too left the verify B3 suites
-where they were (0.17-0.20 s), since its values are short and built term
-by term.
+v-slots turns it into a ``LaurentPoly`` at the API boundary.  The module
+vectors of ``invmodule`` are packed the same way, one int per involution
+in v-slots above one offset per vector, so T_s, c_s, the bar involution
+and the expansion in the canonical basis are int products too.
+``LaurentPoly`` is the type at the API boundary: its own arithmetic is
+left to the classical Hecke algebra of ``klclassic``, to the h-constants
+of ``cells`` and to the dense-solve oracle of ``verify``.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -160,23 +162,6 @@ class LaurentPoly:
         if self.is_zero:
             return self
         return LaurentPoly(tuple(reversed(self.coeffs)), -self.max_exp)
-
-    def exact_div(self, g):
-        """Return q with q*g == self, or raise :class:`NotDivisible`.
-
-        Failure of exact division is used as a runtime theorem check, so the
-        exception carries both coefficient tuples.
-        """
-        g = self._coerce(g)
-        if g is None or g.is_zero:
-            raise ZeroDivisionError("division of Laurent polynomial by zero")
-        return LaurentPoly(q_div(self.coeffs, g.coeffs), self.min_exp - g.min_exp)
-
-    def positive_part(self):
-        """The truncation f^+ keeping exponents >= 0 only."""
-        if self.min_exp >= 0:
-            return self
-        return LaurentPoly(self.coeffs[-self.min_exp:], 0)
 
     def specialize(self, value):
         """Evaluate at v = value (a Fraction, int, or float-free rational)."""

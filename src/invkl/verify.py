@@ -5,6 +5,12 @@ ran and which failed.  Failures are collected, not raised, so exploratory
 runs on experimental systems report counterexamples instead of crashing;
 the caller decides whether a failure is fatal.  Advisory suites cover
 statements whose twisted variants are expected but not load-bearing.
+
+``bar_table_dense_solve``, the bar-oracle suite's independent route, solves
+the defining constraints of the bar involution as exact linear systems,
+one Gauss-Jordan elimination per column w whose matrix (phi-bar shifted
+over a window of u-exponents, for each defining equation) is shared by
+every row y, each y being one right-hand side of that elimination.
 """
 
 from __future__ import annotations
@@ -14,14 +20,21 @@ from fractions import Fraction
 
 from .canonical import CanonicalBasis
 from .errors import InvariantError
-from .invmodule import InvolutionModule, MVector, bar_table_dense_solve
+from .invmodule import InvolutionModule, MVector
 from .klclassic import KLTable
-from .laurent import LaurentPoly, ONE, ZERO, domination_failure, u_pow
+from .laurent import LaurentPoly, ONE, domination_failure, spread, u_pow, v_pow
 from .specialize import SpecializedModule
 
-__all__ = ["SuiteResult", "VerificationContext", "run_suites", "SUITE_NAMES"]
+__all__ = [
+    "SuiteResult", "VerificationContext", "run_suites", "SUITE_NAMES",
+    "bar_table_dense_solve",
+]
 
 _RNG_SEED = 987654321
+_UU = u_pow(2)
+_UU_M1 = LaurentPoly((-1, 0, 0, 0, 1))   # u^2 - 1
+_V2 = v_pow(2)
+_VINV2 = v_pow(-2)
 
 
 class SuiteResult:
@@ -70,16 +83,16 @@ class VerificationContext:
         return self._kl
 
     def random_even_vector(self, rng):
+        """About 60% of the involutions, each with three terms c u^e,
+        |c| <= 4 and |e| <= 3, summed as coefficients of v^-6 .. v^6."""
         entries = {}
         for wid in self.module.involution_ids:
             if rng.random() < 0.6:
-                poly = ZERO
+                coeffs = [0] * 13
                 for _ in range(3):
-                    poly = poly + LaurentPoly(
-                        (rng.randint(-4, 4),), 2 * rng.randint(-3, 3)
-                    )
-                if not poly.is_zero:
-                    entries[wid] = poly
+                    c = rng.randint(-4, 4)
+                    coeffs[2 * rng.randint(-3, 3) + 6] += c
+                entries[wid] = LaurentPoly(coeffs, -6)
         return MVector(entries)
 
 
@@ -91,12 +104,11 @@ def suite_quadratic(ctx):
     """(T_s + 1)(T_s - u^2) kills every basis vector."""
     res = SuiteResult("quadratic")
     mod = ctx.module
-    uu = u_pow(2)
     for wid in mod.involution_ids:
         m = mod.basis(wid)
         for s in range(ctx.system.rank):
             first = mod.ts_action(s, m)
-            lhs = mod.ts_action(s, first) - first.scaled(uu - ONE) - m.scaled(uu)
+            lhs = mod.ts_action(s, first) - first.scaled(_UU_M1) - m.scaled(_UU)
             res.checks += 1
             if not lhs.is_zero:
                 res.fail({"s": s, "w": _word(ctx.system, wid)})
@@ -136,7 +148,7 @@ def suite_bar(ctx):
             res.fail({"kind": "bar_squared", "w": _word(sys, wid)})
         for s in sys.left_descents(wid):
             res.checks += 1
-            if mod.bar_basis(wid, choice=s) != bw:
+            if mod._bar_step(wid, s) != mod.bar_column(wid):
                 res.fail(
                     {"kind": "descent_choice", "w": _word(sys, wid), "s": s}
                 )
@@ -144,8 +156,9 @@ def suite_bar(ctx):
         m = ctx.random_even_vector(rng)
         bm = mod.bar_mvector(m)
         for s in range(sys.rank):
-            lhs = mod.bar_mvector(mod.ts_action(s, m) + m)
-            rhs = (mod.ts_action(s, bm) + bm).scaled(u_pow(-2))
+            # bar((T_s + 1) m) = u^-2 (T_s + 1) bar(m), with T_s + 1 = v^2 c_s
+            lhs = mod.bar_mvector(mod.cs_action(s, m).scaled(_V2))
+            rhs = mod.cs_action(s, bm).scaled(_VINV2)
             res.checks += 1
             if lhs != rhs:
                 res.fail({"kind": "intertwining", "s": s})
@@ -347,13 +360,18 @@ _SUITES = {
 }
 
 SUITE_NAMES = list(_SUITES)
+_KL_READERS = {"parity"}   # the suites that read the classical table
 
 
 def run_suites(system, names=None):
-    """Run the requested suites; every InvariantError becomes a failure record."""
+    """Run the requested suites; every InvariantError becomes a failure record.
+
+    The classical table is let go once no suite left to run reads it.
+    """
     ctx = VerificationContext(system)
+    names = list(names or SUITE_NAMES)
     results = []
-    for name in names or SUITE_NAMES:
+    for i, name in enumerate(names):
         suite = _SUITES[name]
         try:
             results.append(suite(ctx))
@@ -362,4 +380,136 @@ def run_suites(system, names=None):
             res.checks += 1
             res.fail({"kind": "invariant_error", "error": str(exc)})
             results.append(res)
+        if not _KL_READERS.intersection(names[i + 1:]):
+            ctx._kl = None
     return results
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: solve the defining constraints of bar as linear systems
+
+
+_UNSOLVABLE = "bar constraints are not uniquely solvable"
+_NON_INTEGER = "bar linear solve produced a non-integer coefficient"
+
+
+def _solve_columns(rows, width, keys):
+    """Solve A x = b_key exactly for every key by one Gauss-Jordan elimination.
+
+    ``rows`` lists the rows of A with their right-hand sides, as pairs
+    (``width`` coefficients, dict key -> entry of b_key; absent keys read 0).
+    The rows are consumed.  Returns ``(solutions, failures)``: each key of
+    ``keys`` is mapped either by ``solutions`` to its integer solution x or by
+    ``failures`` to the reason it has none.  Fewer pivots than unknowns fails
+    every key; a nonzero right-hand side on a row that eliminates to zero, or
+    a non-integer solution, fails that key only.
+    """
+    r = 0
+    for col in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        coef, rhs = rows[r]
+        pv = coef[col]
+        if pv != 1:
+            coef = [Fraction(x) / pv for x in coef]
+            rhs = {key: Fraction(c) / pv for key, c in rhs.items()}
+            rows[r] = (coef, rhs)
+        for i, (other, other_rhs) in enumerate(rows):
+            f = other[col]
+            if i == r or not f:
+                continue
+            for key, c in rhs.items():
+                c = other_rhs.get(key, 0) - f * c
+                if c:
+                    other_rhs[key] = c
+                else:
+                    other_rhs.pop(key, None)
+            rows[i] = ([x - f * y for x, y in zip(other, coef)], other_rhs)
+        r += 1
+    if r < width:
+        return {}, dict.fromkeys(keys, _UNSOLVABLE)
+    inconsistent = {
+        key for _coef, rhs in rows[width:] for key, c in rhs.items() if c
+    }
+    solutions, failures = {}, {}
+    for key in keys:
+        if key in inconsistent:
+            failures[key] = _UNSOLVABLE
+            continue
+        sol = [rhs.get(key, 0) for _coef, rhs in rows[:width]]
+        if any(x.denominator != 1 for x in sol):
+            failures[key] = _NON_INTEGER
+        else:
+            solutions[key] = [int(x) for x in sol]
+    return solutions, failures
+
+
+def bar_table_dense_solve(module, pad=2):
+    """Recompute every bar(a_w) by solving the defining constraints directly.
+
+    Unknowns are the coefficients of bar(a_w) over a window of u-exponents;
+    equations come from bar((T_t+1) a_x) = u^-2 (T_t+1) bar(a_x) for every
+    generator t and every involution x whose image contains a_w.  The
+    coefficient rows of column w are phi-bar shifted over the window, the
+    same for every row y, so each column is one exact elimination with every
+    y of length at most l(w) as its own right-hand side; a y whose target has
+    a term outside the window meets a zero row with a nonzero right-hand side.
+    Columns are solved in length order using previously solved columns only,
+    never the production recursion.
+    """
+    sys = module.system
+    table = {0: MVector.basis(0)}
+    ids = module.involution_ids
+    for wid in ids:
+        if wid == 0:
+            continue
+        lw = sys.length_of(wid)
+        lo, hi = -lw - pad, pad  # window of u-exponents
+        width = hi - lo + 1
+        ys = [yid for yid in ids if sys.length_of(yid) <= lw]
+        rows = {}  # (x, t, v-exponent) -> (coefficients, rhs by y)
+        for xid in ids:
+            lx = sys.length_of(xid)
+            if lx not in (lw - 1, lw - 2):
+                continue
+            for t in range(sys.rank):
+                commuting, up, other = module.action_case(t, xid)
+                if not up or other != wid:
+                    continue
+                phi_bar = (u_pow(1) + ONE if commuting else ONE).bar()
+                bx = table[xid]
+                rhs = (module.ts_action(t, bx) + bx).scaled(u_pow(-2))
+                rhs = rhs - bx.scaled(phi_bar)
+                for e in range(lo + phi_bar.min_exp // 2,
+                               hi + phi_bar.max_exp // 2 + 1):
+                    rows[xid, t, 2 * e] = (
+                        [phi_bar.coeff(2 * (e - lo - k)) for k in range(width)],
+                        {},
+                    )
+                for yid, target in rhs.entries.items():
+                    if sys.length_of(yid) > lw:
+                        continue
+                    for ex, c in target.terms():
+                        row = rows.get((xid, t, ex))
+                        if row is None:
+                            row = rows[xid, t, ex] = ([0] * width, {})
+                        row[1][yid] = c
+        if not rows:
+            raise InvariantError(
+                f"no defining constraints reach column {sys.word_of(wid)}"
+            )
+        solutions, failures = _solve_columns(list(rows.values()), width, ys)
+        entries = {}
+        for yid in ys:
+            if yid in failures:
+                raise InvariantError(
+                    f"{failures[yid]} at column {sys.word_of(wid)}, "
+                    f"row {sys.word_of(yid)}"
+                )
+            poly = spread(solutions[yid], 2, 2 * lo)
+            if not poly.is_zero:
+                entries[yid] = poly
+        table[wid] = MVector(entries)
+    return table

@@ -13,10 +13,10 @@ from invkl.errors import (
     InconsistentBar, InvariantError, NotDivisible, RecurrenceInconsistent,
 )
 from invkl.invmodule import MVector
-from invkl.klclassic import HeckeAlgebra, KLTable
+from invkl.klclassic import HeckeAlgebra, KLTable, expand_unitriangular
 from invkl.laurent import (
-    LaurentPoly, ONE, ZERO, q_add, q_addmul, q_divmod, q_shift, q_trim,
-    spread, u_pow, v_pow,
+    LaurentPoly, ONE, ZERO, add_into, q_add, q_addmul, q_div, q_divmod,
+    q_shift, q_trim, spread, u_pow, v_pow,
 )
 from invkl.packed import in_slots, pack
 
@@ -158,6 +158,73 @@ def pair_texts_per_pair(system, poly_key, row):
     return item, fields, line
 
 
+# The LaurentPoly routes of the module vectors, as ``invmodule`` ran them
+# before its vectors were packed: a dict of ``LaurentPoly`` coefficients
+# per vector, summed term by term through ``add_into``.
+
+
+def exact_div(f, g):
+    """The q with q g == f, or :class:`NotDivisible`: ``LaurentPoly``'s
+    exact division, used by the ``LaurentBar`` recursion."""
+    if g.is_zero:
+        raise ZeroDivisionError("division of Laurent polynomial by zero")
+    return LaurentPoly(q_div(f.coeffs, g.coeffs), f.min_exp - g.min_exp)
+
+
+def positive_part(f):
+    """The truncation f^+ keeping exponents >= 0 only."""
+    if f.min_exp >= 0:
+        return f
+    return LaurentPoly(f.coeffs[-f.min_exp:], 0)
+
+
+def ts_action_laurent(module, s, m):
+    """T_s m, each product a ``LaurentPoly`` product added by ``add_into``."""
+    u = u_pow(1)
+    out = {}
+    for wid, f in m.entries.items():
+        commuting, up, other = module.action_case(s, wid)
+        if commuting and up:
+            add_into(out, wid, f * u)
+            add_into(out, other, f * (u + ONE))
+        elif commuting:
+            add_into(out, wid, f * (u * u - u - ONE))
+            add_into(out, other, f * (u * u - u))
+        elif up:
+            add_into(out, other, f)
+        else:
+            add_into(out, wid, f * (u * u - ONE))
+            add_into(out, other, f * (u * u))
+    return MVector(out)
+
+
+def add_laurent(m, n):
+    """m + n, one ``add_into`` per entry of n."""
+    out = dict(m.entries)
+    for wid, f in n.entries.items():
+        add_into(out, wid, f)
+    return MVector(out)
+
+
+def sub_laurent(m, n):
+    return add_laurent(m, MVector({w: -f for w, f in n.entries.items()}))
+
+
+def scaled_laurent(m, f):
+    """f m for an integer or ``LaurentPoly`` f, one product per entry."""
+    if isinstance(f, int):
+        f = LaurentPoly((f,))
+    return MVector({w: g * f for w, g in m.entries.items()})
+
+
+def expand_in_A_laurent(basis, m):
+    """m in the canonical basis by ``expand_unitriangular`` over the
+    ``LaurentPoly`` entries of each ``a_vector``."""
+    return expand_unitriangular(
+        basis.system, m.entries, lambda wid: basis.a_vector(wid).entries
+    )
+
+
 def bar_extended_pairwise(module, m):
     """bar(sum f_w a_w) = sum bar(f_w) bar(a_w), one ``g * bar(f_w)`` product
     and one add per (w, y) pair."""
@@ -195,7 +262,7 @@ def bar_extended_exponent_map(source, m):
         poly = LaurentPoly(coeffs, lo)
         if not poly.is_zero:
             out[yid] = poly
-    return MVector._raw(out)
+    return MVector(out)
 
 
 class LaurentBar:
@@ -226,13 +293,15 @@ class LaurentBar:
                 )
             commuting, _up, xid = mod.action_case(s, wid)
             bx = self.bar_basis(xid)
-            lifted = (mod.ts_action(s, bx) + bx).scaled(u_pow(-2))
+            lifted = scaled_laurent(
+                add_laurent(ts_action_laurent(mod, s, bx), bx), u_pow(-2)
+            )
             if commuting:
-                lifted = MVector._raw({
-                    w: f.exact_div(ONE + u_pow(-1))
+                lifted = MVector({
+                    w: exact_div(f, ONE + u_pow(-1))
                     for w, f in lifted.entries.items()
                 })
-            result = lifted - bx
+            result = sub_laurent(lifted, bx)
             if result.get(wid) != u_pow(-sys.length_of(wid)):
                 raise InvariantError(
                     f"bar(a_w) diagonal coefficient is not u^-l(w) at "
@@ -289,7 +358,7 @@ class LaurentBarfixBasis(CanonicalBasis):
                 rho = self._rho(yid, xid)
                 if not rho.is_zero:
                     q = q + pi_xw.bar() * rho
-            pi_yw = q - q.positive_part()
+            pi_yw = q - positive_part(q)
             if q != pi_yw - pi_yw.bar():
                 raise InconsistentBar(
                     "bar fixed-point defect at pair "
@@ -385,8 +454,10 @@ def bar_table_per_pair(module, pad=2):
                     continue
                 phi = u1 if commuting else ONE
                 bx = table[xid]
-                rhs = (module.ts_action(t, bx) + bx).scaled(u_pow(-2))
-                rhs = rhs - bx.scaled(phi.bar())
+                rhs = scaled_laurent(
+                    add_laurent(ts_action_laurent(module, t, bx), bx), u_pow(-2)
+                )
+                rhs = sub_laurent(rhs, scaled_laurent(bx, phi.bar()))
                 equations.append((phi.bar(), rhs))
         if not equations:
             raise InvariantError(

@@ -5,14 +5,14 @@ import pytest
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
 from invkl.errors import InconsistentBar, InvariantError, RecurrenceInconsistent
-from invkl.invmodule import InvolutionModule
+from invkl.invmodule import InvolutionModule, MVector
 from invkl.klclassic import KLTable
-from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
+from invkl.laurent import LaurentPoly, ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
 
 from helpers import (
     ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBarfixBasis, TupleCanonicalBasis,
-    ms_constant_by_scan, solve_row_tuples,
+    expand_in_A_laurent, ms_constant_by_scan, solve_row_tuples,
 )
 
 
@@ -468,3 +468,37 @@ def test_barfix_guards_raise_instead_of_misreading():
         col[yid] = col.get(yid, 0) + pack((1 << 30,)) - (pack((1 << 30,)) << (64 * gap))
     with pytest.raises(InvariantError, match="carry"):
         CanonicalBasis(module).column_barfix(wid)
+
+
+def _laurent_vector(module, rng, odd, bits):
+    """About a third of the involutions, two terms each, odd exponents when
+    ``odd`` and coefficients up to 2^bits."""
+    step = 1 if odd else 2
+    return MVector({
+        w: LaurentPoly((rng.randint(-(2**bits), 2**bits),), step * rng.randint(-4, 4))
+        + LaurentPoly((rng.randint(-(2**bits), 2**bits),), step * rng.randint(-4, 4))
+        for w in module.involution_ids
+        if rng.random() < 0.3
+    })
+
+
+@pytest.mark.parametrize("label, delta", ORACLE_TYPES)
+def test_packed_expansion_equals_the_dict_route(label, delta):
+    """expand_in_A subtracting packed columns equals expand_unitriangular
+    over the LaurentPoly entries: on every c_s A_w, on random even and odd
+    vectors, and on coefficients of 2^200 and more."""
+    system, module, basis = make(label, delta)
+    for wid in module.involution_ids:
+        for s in range(system.rank):
+            m = module.cs_action(s, basis.a_vector(wid))
+            assert basis.expand_in_A(m) == expand_in_A_laurent(basis, m)
+    rng = random.Random(4606)
+    for odd, bits in [(False, 3), (True, 3), (False, 200), (True, 200)]:
+        m = _laurent_vector(module, rng, odd, bits)
+        assert basis.expand_in_A(m) == expand_in_A_laurent(basis, m)
+    # 32-bit slots at their limit: the first subtraction widens them
+    near = LaurentPoly((2**31 - 1, 0, -(2**31 - 1)), -2)
+    m = MVector({w: near for w in module.involution_ids[::3]})
+    assert m.width == 32
+    assert basis.expand_in_A(m) == expand_in_A_laurent(basis, m)
+    assert basis.expand_in_A(MVector()) == {}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from helpers import pair_texts_per_pair
 
-from invkl import build_system, cli
+from invkl import build_system, cli, laurent, verify
 from invkl.canonical import CanonicalBasis
 from invkl.cli import main
 from invkl.coxeter import CoxeterSystem
@@ -609,3 +609,65 @@ def test_max_length_stops_the_involution_walk(capsys):
         assert system.all_ids(1) == sorted(module.involution_ids)
         assert len(system._lengths) < 4 * rank ** 3, label
     assert not build_system("E8")._tw_walks
+
+
+def test_hot_suites_run_no_laurent_arithmetic(monkeypatch):
+    """quadratic, braid, bar, canonical-oracle and cs-action pass with the
+    LaurentPoly sum and product kernels patched to raise: their module
+    arithmetic runs on packed ints."""
+    def banned(*args):
+        raise AssertionError("LaurentPoly arithmetic in a packed suite")
+
+    names = ["quadratic", "braid", "bar", "canonical-oracle", "cs-action"]
+    for label, delta in [("B3", None), ("A3", (2, 1, 0))]:
+        system = build_system(label, delta=delta)
+        with monkeypatch.context() as patched:
+            patched.setattr(laurent, "q_add", banned)
+            patched.setattr(laurent, "q_addmul", banned)
+            results = run_suites(system, names)
+        assert [r.name for r in results] == names
+        assert all(r.ok() and r.checks for r in results), label
+
+
+def test_run_suites_lets_go_of_the_classical_table(monkeypatch):
+    """Once parity, its last reader, has run, no suite sees the classical
+    table and the context holds none; the results are unchanged."""
+    system = build_system("B3")
+
+    def summary(results):
+        return [(r.name, r.checks, r.failures, r.skipped) for r in results]
+
+    want = summary(run_suites(system))
+    contexts, held = [], []
+
+    class Recording(verify.VerificationContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    def spy(suite):
+        def run(ctx):
+            held.append(ctx._kl)
+            return suite(ctx)
+        return run
+
+    monkeypatch.setattr(verify, "VerificationContext", Recording)
+    for name in SUITE_NAMES[SUITE_NAMES.index("parity") + 1:]:
+        monkeypatch.setitem(verify._SUITES, name, spy(verify._SUITES[name]))
+    assert summary(run_suites(system)) == want
+    assert held and held == [None] * len(held)
+    assert len(contexts) == 1 and contexts[0]._kl is None
+    parity = next(r for r in run_suites(system, ["parity"]))
+    assert parity.checks and parity.ok()
+
+
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    """A MemoryError anywhere in a command is exit code 2, one error line
+    on stderr and nothing on stdout, as for the element cap."""
+    def exhausted(ctx):
+        raise MemoryError
+
+    monkeypatch.setitem(verify._SUITES, "parity", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--type", "A2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1

@@ -6,14 +6,17 @@ from pathlib import Path
 
 import pytest
 from helpers import (
-    ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBar, bar_extended_exponent_map,
-    bar_extended_pairwise, bar_table_per_pair,
+    ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBar, add_laurent,
+    bar_extended_exponent_map, bar_extended_pairwise, bar_table_per_pair,
+    scaled_laurent, sub_laurent, ts_action_laurent,
 )
 
-from invkl import build_system, invmodule
+from invkl import build_system, verify
 from invkl.errors import InvariantError, NotDivisible
-from invkl.invmodule import InvolutionModule, MVector, bar_table_dense_solve
-from invkl.laurent import LaurentPoly, ONE, ZERO, u_pow
+from invkl.canonical import CanonicalBasis
+from invkl.invmodule import InvolutionModule, MVector, table_vector
+from invkl.verify import bar_table_dense_solve
+from invkl.laurent import LaurentPoly, ONE, ZERO, u_pow, v_pow
 from invkl.packed import COEFF_BITS, pack
 
 U = u_pow(1)
@@ -188,7 +191,7 @@ def test_dense_solve_never_reads_the_recursion(monkeypatch):
     non-identity column."""
     module = InvolutionModule(build_system("B3"))
     widths = []
-    solve_columns = invmodule._solve_columns
+    solve_columns = verify._solve_columns
 
     def counting_solve(rows, width, keys):
         widths.append(width)
@@ -198,7 +201,7 @@ def test_dense_solve_never_reads_the_recursion(monkeypatch):
         raise AssertionError("bar_basis read by the dense solve")
 
     monkeypatch.setattr(InvolutionModule, "bar_basis", no_recursion)
-    monkeypatch.setattr(invmodule, "_solve_columns", counting_solve)
+    monkeypatch.setattr(verify, "_solve_columns", counting_solve)
     table = bar_table_dense_solve(module)
     monkeypatch.undo()
     assert len(widths) == len(module.involution_ids) - 1
@@ -226,23 +229,23 @@ def test_solve_columns_inconsistent_rhs_fails_that_key_only():
         ([0, 1], {"a": 2, "b": 4, "c": 1}),  # b: x1 = 3 above, 4 here
         ([0, 0], {"c": 1}),  # a term no unknown can reach
     ]
-    solutions, failures = invmodule._solve_columns(rows, 2, ["a", "b", "c", "d"])
+    solutions, failures = verify._solve_columns(rows, 2, ["a", "b", "c", "d"])
     assert solutions == {"a": [1, 2], "d": [0, 0]}
-    assert failures == dict.fromkeys("bc", invmodule._UNSOLVABLE)
+    assert failures == dict.fromkeys("bc", verify._UNSOLVABLE)
 
 
 def test_solve_columns_rank_deficient_fails_every_key():
     rows = [([1, 1], {"a": 2}), ([2, 2], {"a": 4, "b": 1}), ([3, 3], {})]
-    solutions, failures = invmodule._solve_columns(rows, 2, ["a", "b", "c"])
+    solutions, failures = verify._solve_columns(rows, 2, ["a", "b", "c"])
     assert solutions == {}
-    assert failures == dict.fromkeys("abc", invmodule._UNSOLVABLE)
+    assert failures == dict.fromkeys("abc", verify._UNSOLVABLE)
 
 
 def test_solve_columns_rejects_a_non_integer_solution():
     rows = [([2, 1], {"a": 1, "b": 4}), ([0, 1], {"b": 2})]
-    solutions, failures = invmodule._solve_columns(rows, 2, ["a", "b"])
+    solutions, failures = verify._solve_columns(rows, 2, ["a", "b"])
     assert solutions == {"b": [1, 2]}
-    assert failures == {"a": invmodule._NON_INTEGER}
+    assert failures == {"a": verify._NON_INTEGER}
 
 
 def _v_extended_poly(rng):
@@ -501,8 +504,9 @@ def test_bar_extended_widens_its_slots_for_large_coefficients(monkeypatch):
     monkeypatch.setattr(InvolutionModule, "_bar_vslots", spy)
     rng = random.Random(200)
     for odd in (False, True):
-        m = _v_vector(module, rng, odd, 200)
-        m.entries[0] = LaurentPoly((2**200 + 1, 0, -(2**201)), -3)
+        entries = _v_vector(module, rng, odd, 200).entries
+        entries[0] = LaurentPoly((2**200 + 1, 0, -(2**201)), -3)
+        m = MVector(entries)
         assert module.bar_extended(m) == bar_extended_exponent_map(oracle, m)
     assert widths and min(widths) > 200
 
@@ -595,3 +599,120 @@ def test_bar_entry_points_reject_non_involutions(entry):
                 module.bar_basis(wid)
             else:
                 getattr(module, entry)(MVector({0: ONE, wid: U}))
+
+
+# -- packed module vectors against the LaurentPoly routes ------------------------
+
+def _near_the_slot_limit(module, rng):
+    """Coefficients of +-(2^31 - 1): they fit 32-bit slots, T_s of them does not."""
+    return MVector({
+        w: LaurentPoly((rng.choice((1, -1)) * (2**31 - 1), 0, 1), -2)
+        for w in module.involution_ids
+        if rng.random() < 0.5
+    })
+
+
+@pytest.mark.parametrize("label, delta", ORACLE_TYPES)
+def test_packed_vectors_equal_the_laurent_routes(label, delta):
+    """T_s, c_s, +, - and scaled on packed vectors equal the LaurentPoly
+    routes, on even and odd vectors, on coefficients of 2^200 and more, on
+    coefficients at the 32-bit slot limit, on sums that cancel to zero and
+    on vectors equal up to their offset lo."""
+    module = InvolutionModule(build_system(label, delta=delta))
+    rng = random.Random(1109)
+    vectors = [
+        _v_vector(module, rng, odd, bits) for odd in (False, True) for bits in (3, 200)
+    ]
+    vectors.append(_near_the_slot_limit(module, rng))
+    scalars = (7, -1, ONE, v_pow(-3), LaurentPoly((3, 0, -1), -1), LaurentPoly((2**210, 1), 2))
+    for m in vectors:
+        n = rng.choice(vectors)
+        for s in range(module.system.rank):
+            ts = ts_action_laurent(module, s, m)
+            assert module.ts_action(s, m).entries == ts.entries
+            cs = scaled_laurent(add_laurent(ts, m), v_pow(-2))
+            assert module.cs_action(s, m).entries == cs.entries
+            assert module.ts_action(s, m) == ts and module.cs_action(s, m) == cs
+        assert (m + n).entries == add_laurent(m, n).entries
+        assert (m - n).entries == sub_laurent(m, n).entries
+        for f in scalars:
+            assert m.scaled(f).entries == scaled_laurent(m, f).entries
+        # cancelling sums store nothing
+        assert (m - m).is_zero and ((m + n) - n - m).entries == {}
+        assert (module.ts_action(0, m) - ts_action_laurent(module, 0, m)).is_zero
+        # equal values above a lower offset compare equal, both ways
+        low = MVector({w: v_pow(-40) for w in m.entries})
+        shifted = m + low - low
+        assert shifted.lo < m.lo and shifted == m and m == shifted
+        assert shifted.entries == m.entries
+        assert m != m + MVector({0: v_pow(-40)})
+
+
+def test_slots_widen_before_the_bound_reaches_the_limit():
+    """A vector at the 32-bit limit is acted on in wider slots, and a
+    result whose coefficients fit 32 bits again is narrowed back."""
+    module = InvolutionModule(build_system("B3"))
+    m = _near_the_slot_limit(module, random.Random(5))
+    assert m.width == 32 and m.bound == 2**31 - 1
+    ts = module.ts_action(0, m)
+    assert ts.width > 32 and ts.bound >= max(
+        abs(c) for f in ts.entries.values() for c in f.coeffs
+    )
+    back = m.scaled(2**40).scaled(LaurentPoly((1,), 0)) - m.scaled(2**40 - 1)
+    assert back == m and back.width == 32
+    assert back.bound == m.bound
+
+
+@pytest.mark.parametrize("label, delta", [("B3", None), ("A3", (2, 1, 0)), ("H3", None)])
+def test_even_support_is_a_slot_test(label, delta):
+    """bar_mvector rejects exactly the vectors with a coefficient off
+    Z[u, u^-1], at every offset parity and slot width."""
+    module = InvolutionModule(build_system(label, delta=delta))
+    rng = random.Random(8)
+    for odd, bits in [(False, 3), (True, 3), (False, 200), (True, 200)] * 3:
+        m = _v_vector(module, rng, odd, bits)
+        for v in (m, m.scaled(v_pow(1)), m.scaled(v_pow(-3))):
+            even = all(f.is_even_support() for f in v.entries.values())
+            if even:
+                module.bar_mvector(v)
+            else:
+                with pytest.raises(InvariantError, match="leaves Z\\[u, u\\^-1\\]"):
+                    module.bar_mvector(v)
+
+
+def test_random_even_vector_keeps_its_draws():
+    """verify's random vectors are the LaurentPoly sums they were, from the
+    same rng draws in the same order."""
+    ctx = verify.VerificationContext(build_system("B3"))
+    rng, old = random.Random(7), random.Random(7)
+    for _ in range(5):
+        want = {}
+        for wid in ctx.module.involution_ids:
+            if old.random() < 0.6:
+                poly = ZERO
+                for _ in range(3):
+                    poly = poly + LaurentPoly((old.randint(-4, 4),), 2 * old.randint(-3, 3))
+                if not poly.is_zero:
+                    want[wid] = poly
+        assert ctx.random_even_vector(rng).entries == want
+    assert rng.random() == old.random()
+
+
+@pytest.mark.parametrize(
+    "label, delta", [("B3", None), pytest.param("A3", (2, 1, 0), id="A3-twisted")]
+)
+def test_table_vectors_carry_their_coefficient_bound(label, delta):
+    """bar_basis and a_vector are their table columns read in 32-bit
+    v-slots, each bounded by its largest coefficient; a coefficient of
+    -2^31 fits the table's signed slots but takes a wider vector."""
+    module = InvolutionModule(build_system(label, delta=delta))
+    basis = CanonicalBasis(module).build()
+    for wid in module.involution_ids:
+        for v, col in [
+            (module.bar_basis(wid), module.bar_column(wid)),
+            (basis.a_vector(wid), basis.column(wid)),
+        ]:
+            assert v.width == 32 and v.ints is col
+            assert v.bound == max(abs(c) for f in v.entries.values() for c in f.coeffs)
+    low = table_vector({0: pack((-(2**31), 1))}, -2, 2**31)
+    assert low.width > 32 and low.entries == {0: LaurentPoly((-(2**31), 0, 1), -2)}

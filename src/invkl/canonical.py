@@ -58,10 +58,22 @@ known before column sw exists is computed once from these rows and memoized
 per (s, w); a new column z then starts from an accumulator holding
 -k_x * column(x) for every x with a nonzero known part k_x, the commuting
 branch adds mu'(x, z) * column(x) as soon as row x is solved, and row y is
-its case term plus its accumulator entry.  Every T_s case (commuting,
-ascending, partner) is read from ``InvolutionModule.action_case`` and every
-Bruhat interval from ``InvolutionModule.interval``; only ``column_barfix``
-scans every shorter involution and decides y <= w through the group.
+its case term plus its accumulator entry.
+
+Each column is one pass over the rows y < z of ``InvolutionModule.interval``,
+with no method call per row.  The T_s cases are read once per basis from
+``InvolutionModule.action_case`` into one table per generator s, mapping
+each involution y to its two ``_CASE_TERMS`` multipliers, its case
+(commuting, ascending) and its partner; lengths are read from the system's
+length list.  A non-commuting target has no unknown mu', so its rows do not
+depend on one another: each row is P(y, z) itself.  A commuting target
+divides each row by 1 + u and pushes its mu' terms row by row.  Either way
+P(y, z) is tested against the degree and slot bounds at once, by one
+addition and one AND with the masks of ``slot_test`` for its slot count,
+and only a row that fails goes through ``_solve_row``, which raises the
+row's error.  The descent intervals, mu' rows and known parts are passes of
+the same kind.  Only ``column_barfix`` scans every shorter involution and
+decides y <= w through the group.
 """
 
 from __future__ import annotations
@@ -72,7 +84,7 @@ from .errors import (
 from .invmodule import MVector, column_top, table_vector
 from .laurent import LaurentPoly, ONE, ZERO, spread
 from .packed import (
-    SLOT, check_budget, degree_at_most, in_slots, mu_at, pack,
+    SLOT, check_budget, coeff_at, degree_at_most, in_slots, mu_at, pack, slot_test,
     solve_one_plus_u, unpack,
 )
 
@@ -100,6 +112,14 @@ class CanonicalBasis:
     def __init__(self, module):
         self.module = module
         self.system = module.system
+        self._lengths = module.system.lengths
+        # per s: y -> (c_y, c_other, commuting, up, partner), the T_s case of
+        # y led by its two _CASE_TERMS multipliers
+        self._cases = [{} for _ in range(module.system.rank)]
+        for yid in module.involution_ids:
+            for s, cases in enumerate(self._cases):
+                case = module.action_case(s, yid)
+                cases[yid] = _CASE_TERMS[case[:2]] + case
         self._columns = {}   # wid -> {yid: P(y, w) packed}, over y <= w
         self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
         self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
@@ -138,12 +158,13 @@ class CanonicalBasis:
         """{x: mu'(x, w)} over the x with mu'(x, w) != 0, read off column w."""
         row = self._mu_rows.get(wid)
         if row is None:
-            length = self.system.length_of
-            lw = length(wid)
+            lengths = self._lengths
+            lw = lengths[wid]
+            # mu_at(p, gap), read only where it can be nonzero: odd gaps
             row = self._mu_rows[wid] = {
                 xid: mu
                 for xid, p in self.column(wid).items()
-                if (mu := mu_at(p, lw - length(xid)))
+                if (gap := lw - lengths[xid]) & 1 and (mu := coeff_at(p, gap >> 1))
             }
         return row
 
@@ -158,12 +179,12 @@ class CanonicalBasis:
         key = (s, wid)
         cached = self._descents.get(key)
         if cached is None:
-            mod = self.module
-            length = self.system.length_of
+            lengths, cases = self._lengths, self._cases[s]
+            lw = lengths[wid]
             cached = self._descents[key] = tuple(
                 x
-                for x in mod.interval(mod.action_case(s, wid)[2])
-                if length(x) <= length(wid) and not mod.action_case(s, x)[1]
+                for x in self.module.interval(cases[wid][4])
+                if lengths[x] <= lw and not cases[x][3]
             )
         return cached
 
@@ -212,11 +233,11 @@ class CanonicalBasis:
         known = self._known_parts(s, wid)
         commuting, _up, sw = self.module.action_case(s, wid)
         mu_sw = self.mu_row(sw) if commuting else {}
-        length = self.system.length_of
+        lengths = self._lengths
         out = {}
         for xid in self._descent_interval(s, wid):
             m = known.get(xid, 0)
-            if (length(wid) - length(xid)) % 2:
+            if (lengths[wid] - lengths[xid]) % 2:
                 if m:
                     out[xid] = LaurentPoly((m, 0, m), -1)   # m (v + v^-1)
                 continue
@@ -239,7 +260,8 @@ class CanonicalBasis:
         known = self._known.get(key)
         if known is not None:
             return known
-        length = self.system.length_of
+        lengths, cases = self._lengths, self._cases[s]
+        lw = lengths[wid]
         col_w = self.column(wid)
         mu_w = self.mu_row(wid)
         descents = self._descent_interval(s, wid)
@@ -251,14 +273,14 @@ class CanonicalBasis:
                     convolution[xid] = convolution.get(xid, 0) + m2 * m
         known = {}
         for xid in descents:
-            gap = length(wid) - length(xid)
-            if gap % 2:
+            gap = lw - lengths[xid]
+            if gap & 1:
                 m = mu_w.get(xid)
                 if m:
                     known[xid] = m
                 continue
             total = mu_at(col_w.get(xid, 0), gap - 1) - convolution.get(xid, 0)
-            commuting, _up, sx = self.module.action_case(s, xid)
+            _c_x, _c_sx, commuting, _up, sx = cases[xid]
             if commuting:
                 total += mu_w.get(sx, 0)
             if total:
@@ -337,46 +359,59 @@ class CanonicalBasis:
         scaled by v^(lift-l(y)), lift being l(z) plus one in the commuting
         case, so that all of it is in Z[u] and packs into one int.  The
         accumulator starts as -k_x * column(x) summed over the nonzero known
-        parts k_x; the rows y < z are then solved top down by
-        ``_solve_row``, each from its ``_CASE_TERMS`` combination plus its
-        accumulator entry.  In the commuting case a row of the descent
-        interval also gives mu'(y, z), and mu'(y, z) * column(y) is added
-        into the accumulator for the rows below y.  The multipliers are
-        weighed against ``BUDGET`` before they are used: a row sums at most
-        ``spent`` stored entries, counted with their multipliers, and its
-        division by 1 + u multiplies that by at most 3d + 4.
+        parts k_x; the rows y < z are then solved top down in one pass, each
+        from its ``_CASE_TERMS`` combination (read from the case table of s)
+        plus its accumulator entry.  A non-commuting target has no unknown,
+        so its row is P(y, z) itself.  In the commuting case each row is
+        divided by 1 + u, a row of the descent interval also gives
+        mu'(y, z), and mu'(y, z) * column(y) is added into the accumulator
+        for the rows below y.  One AND tests each P(y, z) against the degree
+        and slot bounds; a row that fails goes to ``_solve_row``, which
+        raises its error.  The multipliers are weighed against ``BUDGET``
+        before they are used: a row sums at most ``spent`` stored entries,
+        counted with their multipliers, and its division by 1 + u multiplies
+        that by at most 3d + 4.
         """
-        sys = self.system
         if zid == 0:
             return {0: 1}
-        length = sys.length_of
-        s = min(t for t in range(sys.rank) if sys.is_left_descent(t, zid))
-        commuting, _up, wid = self.module.action_case(s, zid)
+        sys, lengths = self.system, self._lengths
+        s = next(t for t, cases in enumerate(self._cases) if not cases[zid][3])
+        cases = self._cases[s]
+        _c_z, _c_w, commuting, _up, wid = cases[zid]
         col_w = self.column(wid)
-        lift = length(zid) + 1 if commuting else length(zid)  # row y: v^(lift-l(y))
+        lz = lengths[zid]
+        lift = lz + 1 if commuting else lz  # row y: v^(lift-l(y))
         known = self._known_parts(s, wid)
-        weight = 3 * (length(zid) // 2) + 4
+        weight = 3 * (lz // 2) + 4
         spent = 4 + 2 * sum(map(abs, known.values()))
         check_budget(spent * weight, f"column {sys.word_of(zid)}")
         pending = {}
         for xid, k in known.items():
-            e = lift - length(xid)
+            e = lift - lengths[xid]
             mult = (-k * _ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
             _add_column(pending, mult, self.column(xid))
+        # by l(y): the in_slots test of P(y, z), degree < (l(z) - l(y) + 1) / 2
+        tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]
+        at_w, at_pending = col_w.get, pending.get
         descents = set(self._descent_interval(s, wid)) if commuting else ()
         col = {zid: 1}
-        for yid in reversed(self.module.interval(zid)[:-1]):
-            commuting_y, up, other = self.module.action_case(s, yid)
-            c_y, c_other = _CASE_TERMS[commuting_y, up]
-            row = (
-                pending.get(yid, 0) + c_y * col_w.get(yid, 0)
-                + c_other * col_w.get(other, 0)
-            )
-            p, mu = self._solve_row(row, yid, zid, commuting, yid in descents)
+        for yid in self.module.interval(zid)[-2::-1]:
+            c_y, c_other, _, _, other = cases[yid]
+            row = at_pending(yid, 0) + c_y * at_w(yid, 0) + c_other * at_w(other, 0)
+            if commuting:
+                gap = lz - lengths[yid]
+                top_is_mu = gap & 1 and yid in descents
+                solved = solve_one_plus_u(row, (gap - 1) >> 1, top_is_mu)
+            else:
+                solved = row, 0
+            offset, mask = tests[lengths[yid]]
+            if solved is None or (solved[0] + offset) & mask:   # _solve_row raises
+                solved = self._solve_row(row, yid, zid, commuting, yid in descents)
+            p, mu = solved
             if mu:
                 spent += abs(mu)
                 check_budget(spent * weight, f"column {sys.word_of(zid)}")
-                mult = mu << (SLOT * ((lift - length(yid)) // 2))
+                mult = mu << (SLOT * ((lift - lengths[yid]) // 2))
                 _add_column(pending, mult, self.column(yid))
             if p:
                 col[yid] = p
@@ -484,5 +519,6 @@ class CanonicalBasis:
 
 def _add_column(pending, mult, column):
     """pending[y] += mult * column[y] for every row y of ``column``."""
+    at = pending.get
     for yid, p in column.items():
-        pending[yid] = pending.get(yid, 0) + mult * p
+        pending[yid] = at(yid, 0) + mult * p

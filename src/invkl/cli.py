@@ -9,15 +9,18 @@ everything that can raise before the first byte is written, then streams
 its rows through one writer, so a failure leaves stdout empty and creates
 no --out file, and no command holds its whole table or its whole output
 text: the writer joins the rows into blocks of at least 64 KiB, one
-``write`` each.  A table or kl row is joined from texts rendered once per
-command: each element's word and each distinct polynomial (keyed by its
-packed int) is formatted on first sight and reused by every later row that
-holds it.  Each command accepts
+``write`` each.  table and kl hand the writer one column at a time, and a
+column renders to one text, its rows joined by the format's separator.
+Each row is joined from texts rendered once per command: each element's
+word and each distinct polynomial (keyed by its packed int) is formatted on
+first sight and reused by every later row that holds it, and the w-part of
+a row once per column.  Each command accepts
 only the options it reads: --max-length (at least 0) belongs to table and
 kl, --max-elements (at least 1) to cells, and verify writes json or text
 but not csv.  Each command imports only the layers it runs, inside its
-``cmd_*`` function, so ``kl`` never loads the involution module and no
-command loads the verification suites but ``verify``.
+``cmd_*`` function, so ``kl`` never loads the involution module, ``table``
+loads the classical table only with --classic, and no command loads the
+verification suites but ``verify``.
 """
 
 from __future__ import annotations
@@ -157,21 +160,27 @@ def _json_chunks(head, key, items, tail):
     yield "\n}\n"
 
 
+def _csv(values):
+    return ",".join(map(str, values))
+
+
 def _write(args, rows, *, head, key, item, title, line, header=None,
-           fields=None, tail=None, footer=None):
+           record=None, tail=None, footer=None):
     """Write ``rows`` in ``args.format`` to ``--out`` or stdout, row by row.
 
     json: the keys of ``head``, the list ``key`` of the entry texts
     ``item(row)``, then the keys of ``tail``.  csv: the ``header`` names,
-    then ``fields(row)`` per row, comma-separated.  text: ``title``,
-    ``line(row)`` per row, then ``footer`` if given.  The output is opened
+    then the text ``record(row)`` per row.  text: ``title``, ``line(row)``
+    per row, then ``footer`` if given.  A row may stand for several entries
+    or lines: its text is then theirs joined by the format's separator
+    (",\\n    " for json, a newline for csv and text).  The output is opened
     only here, after every computation that can raise has finished.
     """
     if args.format == "json":
         chunks = _json_chunks(head, key, map(item, rows), tail or {})
     elif args.format == "csv":
-        lines = chain([header], map(fields, rows))
-        chunks = (",".join(map(str, values)) + "\n" for values in lines)
+        lines = chain([_csv(header)], map(record, rows))
+        chunks = (text + "\n" for text in lines)
     else:
         lines = chain([title], map(line, rows), [footer] if footer else [])
         chunks = (text + "\n" for text in lines)
@@ -200,10 +209,15 @@ def _blocks(chunks):
         yield "".join(block)
 
 
-def _involution_pairs(module):
-    """Comparable involution pairs (y, w) of the module, both in ShortLex order."""
+def _involution_columns(module, basis, kl):
+    """Per involution w of the module, in ShortLex order: (w, the y <= w in
+    ShortLex order, column w of ``basis``, column w of ``kl`` or None)."""
     return (
-        (yid, wid) for wid in module.involution_ids for yid in module.interval(wid)
+        (
+            wid, module.interval(wid), basis.column(wid),
+            kl.column(wid) if kl is not None else None,
+        )
+        for wid in module.involution_ids
     )
 
 
@@ -223,13 +237,15 @@ class _Texts(dict):
         return text
 
 
-def _pair_renderers(system, poly_key):
-    """Renderers of a row (y id, w id, packed P, packed classical P or None).
+def _column_renderers(system, poly_key):
+    """Renderers of a column (w id, y ids, {y: packed P}, classical column or None).
 
-    Each element's word and each distinct polynomial is rendered once per
-    form, on first sight, and every row is joined from those cached texts,
-    so no row unpacks a polynomial, builds a ``LaurentPoly`` or encodes a
-    word.
+    A column renders to the texts of its rows (y, w), one per y in the order
+    given, joined by the format's separator; a row reads P(y, w) from the
+    column dict, 0 where y is missing, and likewise its classical P.  Each
+    element's word and each distinct polynomial is rendered once per form,
+    on first sight, and the w-part of a row is joined once per column, so
+    no row unpacks a polynomial, builds a ``LaurentPoly`` or encodes a word.
     """
     from .packed import unpack
 
@@ -238,56 +254,61 @@ def _pair_renderers(system, poly_key):
     poly_json = _Texts(lambda p: _json(spread(unpack(p), 2).to_json_obj(), 3))
     poly_pairs = _Texts(lambda p: spread(unpack(p), 2).pair_string())
     poly_text = _Texts(lambda p: str(spread(unpack(p), 2)))
-    poly_field = f",\n      {json.dumps(poly_key)}: "
 
-    def item(row):
-        y, w, p, classic = row
-        text = (
-            '{\n      "y_word": ' + word_json[y] + ',\n      "w_word": '
-            + word_json[w] + poly_field + poly_json[p]
-        )
-        if classic is not None:
-            text += ',\n      "classic_poly": ' + poly_json[classic]
-        return text + "\n    }"
+    def renderer(word, poly, pre, mid, post, classic_pre, classic_post, end, sep):
+        """Row (y, w) reads pre y mid w post P [classic_pre P classic_post] end."""
+        between = end + sep + pre
 
-    def fields(row):
-        y, w, p, classic = row
-        out = [word_text[y], word_text[w], poly_pairs[p]]
-        return out if classic is None else out + [poly_pairs[classic]]
+        def render(column):
+            wid, ys, col, classic = column
+            at = col.get
+            w_part = mid + word[wid] + post
+            if classic is None:
+                texts = [word[y] + w_part + poly[at(y, 0)] for y in ys]
+            else:
+                c_at = classic.get
+                texts = [
+                    word[y] + w_part + poly[at(y, 0)]
+                    + classic_pre + poly[c_at(y, 0)] + classic_post
+                    for y in ys
+                ]
+            return pre + between.join(texts) + end
 
-    def line(row):
-        y, w, p, classic = row
-        text = f"P[{word_text[y]}, {word_text[w]}] = {poly_text[p]}"
-        return text if classic is None else text + f"  (classical {poly_text[classic]})"
+        return render
 
-    return {"item": item, "fields": fields, "line": line}
+    return {
+        "item": renderer(
+            word_json, poly_json, '{\n      "y_word": ', ',\n      "w_word": ',
+            f",\n      {json.dumps(poly_key)}: ", ',\n      "classic_poly": ', "",
+            "\n    }", ",\n    ",
+        ),
+        "record": renderer(word_text, poly_pairs, "", ",", ",", ",", "", "", "\n"),
+        "line": renderer(
+            word_text, poly_text, "P[", ", ", "] = ", "  (classical ", ")", "", "\n",
+        ),
+    }
 
 
 def cmd_table(args):
     from .canonical import CanonicalBasis
     from .invmodule import InvolutionModule
-    from .klclassic import KLTable
 
     system = _make_system(args)
     module = InvolutionModule(system, args.max_length)
     basis = CanonicalBasis(module).build()
     kl = None
     if args.classic:
+        from .klclassic import KLTable
+
         kl = KLTable(system)
         for wid in module.involution_ids:
             kl.column(wid)
-    rows = (
-        (
-            yid, wid, basis.column(wid).get(yid, 0),
-            kl.column(wid).get(yid, 0) if kl is not None else None,
-        )
-        for yid, wid in _involution_pairs(module)
-    )
     header = ["y_word", "w_word", "poly"] + (["classic_poly"] if args.classic else [])
     _write(
-        args, rows, head=_head("table", system), key="entries", header=header,
+        args, _involution_columns(module, basis, kl), head=_head("table", system),
+        key="entries", header=header,
         title=f"involution table for {system!r}",
-        **_pair_renderers(system, "sigma_poly"),
+        **_column_renderers(system, "sigma_poly"),
     )
     return 0
 
@@ -299,18 +320,16 @@ def cmd_kl(args):
     kl = KLTable(system)
     ids = kl.build_full(max_length=args.max_length)
     order = {wid: i for i, wid in enumerate(ids)}
-
     # ids are in ShortLex order, and so are the rows of each column
-    def rows():
+    def columns():
         for wid in ids:
             column = kl.column(wid)
-            for yid in sorted(column, key=order.__getitem__):
-                yield yid, wid, column[yid], None
+            yield wid, sorted(column, key=order.__getitem__), column, None
 
     _write(
-        args, rows(), head=_head("kl", system), key="entries",
+        args, columns(), head=_head("kl", system), key="entries",
         header=["y_word", "w_word", "poly"],
-        title=f"classical table for {system!r}", **_pair_renderers(system, "poly"),
+        title=f"classical table for {system!r}", **_column_renderers(system, "poly"),
     )
     return 0
 
@@ -372,12 +391,12 @@ def cmd_character(args):
         key="classes", item=lambda r: _json(r, 2),
         tail={"induced_matches": not mismatch},
         header=["class_rep_word", "class_size", "chi_m1", "chi_induced"],
-        fields=lambda r: [
+        record=lambda r: _csv([
             _word_str(r["class_rep_word"]),
             r["class_size"],
             r["chi_m1"],
             r["chi_induced"],
-        ],
+        ]),
         title=f"u=1 characters for {system!r} (dimension {len(spec.basis)})",
         line=lambda r: (
             f"  class {_word_str(r['class_rep_word']):<12} "
@@ -423,7 +442,7 @@ def cmd_cells(args):
             "representatives": [list(w) for w in r[2]],
         }, 2),
         header=["size", "involution_count", "representatives"],
-        fields=lambda r: [r[0], r[1], ";".join(_word_str(w) for w in r[2])],
+        record=lambda r: _csv([r[0], r[1], ";".join(_word_str(w) for w in r[2])]),
         title=f"two-sided cells of {system!r}",
         line=lambda r: (
             f"  size {r[0]:<5} involutions {r[1]:<4} "

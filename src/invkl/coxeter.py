@@ -522,6 +522,11 @@ class CoxeterSystem:
     def length_of(self, wid):
         return self._lengths[wid]
 
+    @property
+    def lengths(self):
+        """l(w) of every interned element, indexed by id: the live list, not a copy."""
+        return self._lengths
+
     def is_left_descent(self, s, wid):
         return self._engine.left_descent(s, self._payloads[wid])
 

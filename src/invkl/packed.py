@@ -31,7 +31,7 @@ from .errors import InvariantError
 __all__ = [
     "SLOT", "COEFF_BITS", "BUDGET", "pack", "unpack", "coeff_at", "mu_at",
     "solve_one_plus_u", "degree_at_most", "forbidden", "in_slots",
-    "check_budget",
+    "slot_test", "check_budget",
 ]
 
 SLOT = 64                              # bits per u-coefficient
@@ -131,12 +131,23 @@ def forbidden(n):
     return ~(((1 << COEFF_BITS) - 1) * _ones(n))
 
 
+@cache
+def slot_test(n):
+    """(offset, mask) with ``in_slots(p, n) == not (p + offset) & mask``.
+
+    A loop over many rows reads this pair once per slot count and tests
+    each row with one addition and one AND.
+    """
+    return _ones(n) << (COEFF_BITS - 1), forbidden(n)
+
+
 def in_slots(p, n):
     """True iff p packs a polynomial of degree < n whose coefficients lie in
     [-2^(COEFF_BITS-1), 2^(COEFF_BITS-1)): the test of ``forbidden`` after
     adding 2^(COEFF_BITS-1) to every slot.
     """
-    return not (p + (_ones(n) << (COEFF_BITS - 1))) & forbidden(n)
+    offset, mask = slot_test(n)
+    return not (p + offset) & mask
 
 
 def check_budget(spent, where):

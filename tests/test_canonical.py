@@ -348,6 +348,88 @@ def test_packed_columns_equal_the_tuple_oracle(label, delta):
         assert packed.mu_row(wid) == oracle.mu_row(wid), (label, wid)
 
 
+@pytest.mark.parametrize(
+    "label, delta, max_length",
+    [("E6", [5, 1, 4, 3, 2, 0], 20), ("I2(7)", None, None)],
+)
+def test_capped_and_dihedral_columns_equal_the_tuple_oracle(label, delta, max_length):
+    """The packed columns and mu' rows equal the q-tuple recursion's on
+    twisted E6 below a length cap and on the dihedral group I2(7)."""
+    module = InvolutionModule(build_system(label, delta=delta), max_length)
+    packed = CanonicalBasis(module).build()
+    oracle = TupleCanonicalBasis(module).build()
+    assert len(module.involution_ids) > 7
+    for wid in module.involution_ids:
+        want = {yid: pack(p) for yid, p in oracle.column(wid).items()}
+        assert packed.column(wid) == want, (label, wid)
+        assert packed.mu_row(wid) == oracle.mu_row(wid), (label, wid)
+
+
+def _bad_row(module, commuting):
+    """(z, w, y0, first): a target z of the given kind, w its partner under
+    its smallest left descent s, a y0 < w with l(w) - l(y0) >= 3 whose
+    s-case is (commuting, ascending) when z is commuting, and ``first``, the
+    top-most row of z that reads P(y0, w): y0 itself or a row partnered
+    with it."""
+    system = module.system
+    length = system.length_of
+    for zid in module.involution_ids:
+        s = min(system.left_descents(zid), default=None)
+        if s is None or module.action_case(s, zid)[0] != commuting:
+            continue
+        wid = module.action_case(s, zid)[2]
+        for y0 in module.interval(wid):
+            case = module.action_case(s, y0)
+            wanted = not commuting or case[:2] == (True, True)
+            if wanted and length(wid) - length(y0) >= 3:
+                first = next(
+                    y for y in reversed(module.interval(zid)[:-1])
+                    if y0 in (y, module.action_case(s, y)[2])
+                )
+                return zid, wid, y0, first
+    raise AssertionError("no such target")
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_build_raises_on_a_bad_row(commuting):
+    """A stored column perturbed under the recursion makes ``build()`` stop
+    at the first row that reads it, with that row's error and message: a
+    term above the degree bound is RecurrenceInconsistent, a coefficient of
+    2^40 (times 1 + u on a commuting target, so the division keeps it) an
+    InvariantError for the slot bound.  The perturbations stay off the mu'
+    and mu'' slots, so the known parts are the true ones."""
+    system = build_system("B4")
+    word = system.word_of
+    for bump, error in ((None, RecurrenceInconsistent), (2**40, InvariantError)):
+        module = InvolutionModule(system)
+        zid, wid, y0, first = _bad_row(module, commuting)
+        basis = CanonicalBasis(module)
+        ids = module.involution_ids
+        for xid in ids[: ids.index(zid)]:
+            basis.column(xid)
+        if bump is None:   # u^l(z): above every degree bound of column z
+            bump = pack((0,) * system.length_of(zid) + (1,))
+        basis.column(wid)[y0] = basis.column(wid).get(y0, 0) + bump
+        with pytest.raises(error) as info:
+            basis.build()
+        gap = system.length_of(zid) - system.length_of(first)
+        if error is RecurrenceInconsistent:
+            how = "divided by 1 + u" if commuting else "as they stand"
+            assert str(info.value).startswith(
+                f"row {word(first)} of column {word(zid)}: u-coefficients ("
+            )
+            assert str(info.value).endswith(
+                f") have no solution {how} under the degree bound {(gap - 1) // 2}"
+            )
+        else:
+            assert not isinstance(info.value, RecurrenceInconsistent)
+            assert str(info.value) == (
+                f"P({word(first)}, {word(zid)}) has a coefficient of more than "
+                "the packed table's signed bits"
+            )
+        assert zid not in basis._columns
+
+
 def test_corrupted_columns_fail_alike_on_both_routes():
     """A perturbed finished column makes the packed and the tuple recursion
     fail with the same error class, or agree on the rest of the table."""

@@ -17,7 +17,7 @@ from invkl.coxeter import CoxeterSystem
 from invkl.errors import InvariantError
 from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
-from invkl.packed import pack
+from invkl.packed import pack, unpack
 from invkl.verify import SUITE_NAMES, run_suites
 
 
@@ -59,13 +59,13 @@ def test_table_csv_format(capsys):
 
 def test_table_pairs_listed_once(capsys, monkeypatch):
     calls = []
-    pairs = cli._involution_pairs
+    columns = cli._involution_columns
 
-    def counting_pairs(*args):
+    def counting_columns(*args):
         calls.append(args)
-        return pairs(*args)
+        return columns(*args)
 
-    monkeypatch.setattr(cli, "_involution_pairs", counting_pairs)
+    monkeypatch.setattr(cli, "_involution_columns", counting_columns)
     code, out, _ = run_cli(
         capsys, "table", "--type", "A3", "--classic", "--format", "csv"
     )
@@ -479,8 +479,10 @@ def test_columns_are_built_without_pair_lookups(capsys, monkeypatch):
 
 
 def test_pair_renderers_match_the_per_pair_oracle():
-    """Rows joined from cached word and polynomial texts read exactly as
-    rows rendered pair by pair, for the json item, csv fields and text line."""
+    """A column renders to the texts of its rows, each as the per-pair oracle
+    renders it, joined by the format's separator: the json items, csv
+    records and text lines of random columns, of a one-row column and of
+    the real columns of ``table --classic`` and ``table --max-length 0``."""
     system = build_system("B3")
     rng = random.Random(11)
     ids = system.all_ids()
@@ -490,17 +492,55 @@ def test_pair_renderers_match_the_per_pair_oracle():
         tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 5)))
         for _ in range(20)
     ]
+    joined = {"item": ",\n    ".join, "record": "\n".join, "line": "\n".join}
+
+    def check(render, poly_key, wid, rows):
+        """rows: (y id, u-coefficient tuple, classical tuple or None)."""
+        ys = [y for y, _, _ in rows]
+        col = {y: pack(p) for y, p, _ in rows if p}
+        classic = None
+        if rows[0][2] is not None:
+            classic = {y: pack(c) for y, _, c in rows if c}
+        texts = [
+            pair_texts_per_pair(system, poly_key, (y, wid, p, c)) for y, p, c in rows
+        ]
+        want = {
+            "item": [item for item, _, _ in texts],
+            "record": [",".join(fields) for _, fields, _ in texts],
+            "line": [line for _, _, line in texts],
+        }
+        for form, join in joined.items():
+            assert render[form]((wid, ys, col, classic)) == join(want[form]), (
+                poly_key, form, wid, rows
+            )
+
     for poly_key in ("sigma_poly", "poly"):
-        render = cli._pair_renderers(system, poly_key)
-        for _ in range(300):
-            y, w = rng.choice([identity, rng.choice(ids)]), rng.choice(ids)
-            classic = rng.choice([None, rng.choice(polys)])
-            row = (y, w, rng.choice(polys), classic)
-            item, fields, line = pair_texts_per_pair(system, poly_key, row)
-            packed = (y, w, pack(row[2]), None if classic is None else pack(classic))
-            assert render["item"](packed) == item, row
-            assert render["fields"](packed) == fields, row
-            assert render["line"](packed) == line, row
+        render = cli._column_renderers(system, poly_key)
+        for _ in range(60):
+            wid = rng.choice(ids)
+            with_classic = rng.random() < 0.5
+            rows = [
+                (y, rng.choice(polys), rng.choice(polys) if with_classic else None)
+                for y in [identity] + rng.sample(ids[1:], rng.randint(0, 7))
+            ]
+            check(render, poly_key, wid, rows)
+        check(render, poly_key, identity, [(identity, (1,), None)])
+        check(render, poly_key, identity, [(identity, (1,), (1,))])
+
+    for max_length, kl in ((None, KLTable(system)), (0, None)):
+        module = InvolutionModule(system, max_length)
+        basis = CanonicalBasis(module).build()
+        render = cli._column_renderers(system, "sigma_poly")
+        columns = list(cli._involution_columns(module, basis, kl))
+        assert len(columns) == len(module.involution_ids)
+        for wid, ys, col, classic in columns:
+            rows = [
+                (y, unpack(col.get(y, 0)),
+                 None if classic is None else unpack(classic.get(y, 0)))
+                for y in ys
+            ]
+            check(render, "sigma_poly", wid, rows)
+    assert len(ys) == 1   # --max-length 0: the one column (e, e)
 
 
 @pytest.mark.parametrize(

@@ -107,9 +107,7 @@ _STDLIB = (
 )
 _BASE = {"invkl", "invkl.cli", "invkl.coxeter", "invkl.errors", "invkl.laurent"}
 _LAYERS = {
-    "table --type A3": {
-        "invkl.invmodule", "invkl.canonical", "invkl.klclassic", "invkl.packed",
-    },
+    "table --type A3": {"invkl.invmodule", "invkl.canonical", "invkl.packed"},
     "table --type A3 --classic": {
         "invkl.invmodule", "invkl.canonical", "invkl.klclassic", "invkl.packed",
     },

@@ -5,8 +5,12 @@ w when cdot_y appears in cdot_s cdot_w or cdot_w cdot_s for some generator.
 For an ascent these supports are {cdot_sw} plus the mu-correction terms:
 the z in the classical table's mu row of w that have s as a descent on the
 same side.  So the reachability graph is read straight off the sparse mu
-rows, with no Bruhat test and no scan of the group.  Cells are the strongly
-connected components; the component order is the quotient preorder.
+rows, with no Bruhat test and no scan of the group; sw, ws and the descents
+come from the system's complete generator tables and length list.  Cells
+are the strongly connected components; the component order is the
+quotient preorder.  Computing them, and counting the involutions of each
+cell (``members_per_cell`` over the system's involution walk), loads no
+involution module; only ``check_hf_relation`` imports it.
 
 ``check_hf_relation`` expands cdot_z cdot_w cdot_{z^-1} in the cdot basis
 (coefficients h) and c_z A_w in the canonical involution basis
@@ -20,10 +24,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import RelationViolated
-from .invmodule import MVector
 from .laurent import ZERO, domination_failure
 
-__all__ = ["CellPartition", "compute_cells", "involutions_per_cell", "check_hf_relation"]
+__all__ = [
+    "CellPartition", "compute_cells", "involutions_per_cell", "members_per_cell",
+    "check_hf_relation",
+]
 
 DEFAULT_CELL_CAP = 400
 
@@ -35,18 +41,25 @@ class CellPartition(NamedTuple):
     preorder: frozenset  # (i, j) present iff cell i is below cell j
 
 
-def _mu_edges(kl, wid):
-    """One-step two-sided reachability: targets of cdot_s cdot_w and cdot_w cdot_s."""
-    sys = kl.system
+def _mu_edges(kl, wid, left, right):
+    """One-step two-sided reachability: targets of cdot_s cdot_w and cdot_w cdot_s.
+
+    ``left`` and ``right`` are the complete generator tables of the system;
+    s is a left (right) descent of x exactly when sx (xs) is shorter.
+    """
+    length = kl.system.lengths
+    lw = length[wid]
     out = set()
     row = kl.mu_row(wid)
-    for s in range(sys.rank):
-        if not sys.is_left_descent(s, wid):
-            out.add(sys.lmul(s, wid))
-            out.update(z for z, _ in row if sys.is_left_descent(s, z))
-        if not sys.is_right_descent(wid, s):
-            out.add(sys.rmul(wid, s))
-            out.update(z for z, _ in row if sys.is_right_descent(z, s))
+    for s_left, s_right in zip(left, right):
+        sw = s_left[wid]
+        if length[sw] > lw:
+            out.add(sw)
+            out.update(z for z, _ in row if length[s_left[z]] < length[z])
+        ws = s_right[wid]
+        if length[ws] > lw:
+            out.add(ws)
+            out.update(z for z, _ in row if length[s_right[z]] < length[z])
     out.discard(wid)
     return out
 
@@ -60,7 +73,8 @@ def compute_cells(kl, cap=DEFAULT_CELL_CAP):
             f"cell computation is gated at {cap} elements; "
             f"this group has {len(ids)}"
         )
-    graph = {wid: sorted(_mu_edges(kl, wid)) for wid in ids}
+    left, right = sys.generator_tables()
+    graph = {wid: sorted(_mu_edges(kl, wid, left, right)) for wid in ids}
 
     # iterative Tarjan strongly-connected components
     index = {}
@@ -142,7 +156,12 @@ def compute_cells(kl, cap=DEFAULT_CELL_CAP):
 
 def involutions_per_cell(partition, module):
     """Number of involutions inside each cell, aligned with partition.cells."""
-    members = set(module.involution_ids)
+    return members_per_cell(partition, module.involution_ids)
+
+
+def members_per_cell(partition, ids):
+    """Number of the elements ``ids`` inside each cell, aligned with partition.cells."""
+    members = set(ids)
     return [sum(1 for w in cell if w in members) for cell in partition.cells]
 
 
@@ -153,6 +172,8 @@ def check_hf_relation(zid, wid, kl, canonical):
     involutions; the h-expansion may also touch non-involutions, which have
     no f side and are not constrained.
     """
+    from .invmodule import MVector
+
     sys = kl.system
     module = canonical.module
     h_exp = kl.h_constants(zid, wid)

@@ -18,9 +18,9 @@ a row once per column.  Each command accepts
 only the options it reads: --max-length (at least 0) belongs to table and
 kl, --max-elements (at least 1) to cells, and verify writes json or text
 but not csv.  Each command imports only the layers it runs, inside its
-``cmd_*`` function, so ``kl`` never loads the involution module, ``table``
-loads the classical table only with --classic, and no command loads the
-verification suites but ``verify``.
+``cmd_*`` function, so ``kl`` and ``cells`` load the classical table but
+never the involution module, ``table`` loads the classical table only with
+--classic, and no command loads the verification suites but ``verify``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from .coxeter import build_system
 from .errors import InvariantError
@@ -135,8 +136,24 @@ def _word_str(word):
 
 
 def _json(value, depth):
-    """``value`` as ``json.dumps(..., indent=2)`` writes it at nesting ``depth``."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at nesting ``depth``.
+
+    A nonempty flat list of ints (a word) or flat dict of strings (a
+    polynomial) is joined here directly; anything else goes through
+    ``json.dumps``, whose indenting encoder is pure Python.
+    """
+    kind = type(value)
+    if value and kind is list and {*map(type, value)} == {int}:
+        items = map(str, value)
+    elif value and kind is dict and {
+        *map(type, value), *map(type, value.values())
+    } == {str}:
+        items = (f"{_quote(k)}: {_quote(v)}" for k, v in value.items())
+    else:
+        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    inner = "\n" + "  " * (depth + 1)
+    ends = "[]" if kind is list else "{}"
+    return ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1]
 
 
 def _json_chunks(head, key, items, tail):
@@ -415,14 +432,13 @@ def cmd_character(args):
 
 
 def cmd_cells(args):
-    from .cells import compute_cells, involutions_per_cell
-    from .invmodule import InvolutionModule
+    from .cells import compute_cells, members_per_cell
     from .klclassic import KLTable
 
     system = _make_system(args)
     cap = {} if args.max_elements is None else {"cap": args.max_elements}
     partition = compute_cells(KLTable(system), **cap)
-    counts = involutions_per_cell(partition, InvolutionModule(system))
+    counts = members_per_cell(partition, system.twisted_involution_ids())
 
     def representatives(cell):
         min_length = min(system.length_of(w) for w in cell)

@@ -22,6 +22,12 @@ w(alpha_s) and w^-1(alpha_s), so a product with a generator is a lookup per
 simple root, a descent is a sign test on one root number, and elements are
 interned lazily.  An integer Cartan realization is kept only for the
 reflection representation of crystallographic types.
+
+Products with generators are memoized in one list per generator, indexed by
+id, as in Coxeter 3: ``generator_tables()`` hands these lists out, so the
+classical columns, the cells graph and conjugation read sw and ws with a
+subscript.  An entry is filled when its product is first taken; after the
+group is enumerated the tables are complete.
 """
 
 from __future__ import annotations
@@ -458,8 +464,9 @@ class CoxeterSystem:
         self._payloads = []
         self._lengths = []
         self._words = []
-        self._lmul = []
-        self._rmul = []
+        self._lmul = [[] for _ in range(self.rank)]  # _lmul[s][w] = sw or None
+        self._rmul = [[] for _ in range(self.rank)]  # _rmul[s][w] = ws or None
+        self._tables_full = False
         self._inv = []
         self._layers = None  # list of id lists, grouped by length
         self._complete = False
@@ -481,8 +488,10 @@ class CoxeterSystem:
         self._payloads.append(payload)
         self._lengths.append(length)
         self._words.append(word)
-        self._lmul.append([None] * self.rank)
-        self._rmul.append([None] * self.rank)
+        for row in self._lmul:
+            row.append(None)
+        for row in self._rmul:
+            row.append(None)
         self._inv.append(None)
         self._index[payload[0]] = wid
         return wid
@@ -490,7 +499,8 @@ class CoxeterSystem:
     # -- element arithmetic ---------------------------------------------------
 
     def lmul(self, s, wid):
-        cached = self._lmul[wid][s]
+        row = self._lmul[s]
+        cached = row[wid]
         if cached is not None:
             return cached
         payload = self._engine.lmul(s, self._payloads[wid])
@@ -500,12 +510,13 @@ class CoxeterSystem:
             xid = self._register(
                 payload, self._lengths[wid] + (-1 if down else 1)
             )
-        self._lmul[wid][s] = xid
-        self._lmul[xid][s] = wid
+        row[wid] = xid
+        row[xid] = wid
         return xid
 
     def rmul(self, wid, s):
-        cached = self._rmul[wid][s]
+        row = self._rmul[s]
+        cached = row[wid]
         if cached is not None:
             return cached
         payload = self._engine.rmul(self._payloads[wid], s)
@@ -515,9 +526,34 @@ class CoxeterSystem:
             xid = self._register(
                 payload, self._lengths[wid] + (-1 if down else 1)
             )
-        self._rmul[wid][s] = xid
-        self._rmul[xid][s] = wid
+        row[wid] = xid
+        row[xid] = wid
         return xid
+
+    def generator_tables(self):
+        """(left, right): ``left[s][w]`` is sw and ``right[s][w]`` is ws, by id.
+
+        These are the memo lists of ``lmul`` and ``rmul`` themselves, one
+        list per generator, so a loop over many elements reads a product
+        with one subscript and no method call.  They are live: an entry is
+        None until its product is first taken, and each list grows as
+        elements are interned.  Once the whole group is enumerated
+        (``all_ids()``), the first call fills every entry, and every call
+        after that hands out complete tables; a reader that may run earlier
+        falls back to ``lmul``/``rmul`` on None.
+        """
+        if self._complete and not self._tables_full:
+            # The enumeration took sw for every ascent s of every w, and lmul
+            # records sw and s(sw) at once, so the left tables are full.  The
+            # payload of w^-1 is that of w with its halves swapped, so an
+            # inverse is one index lookup, and ws = (s w^-1)^-1.
+            index = self._index
+            inv = self._inv
+            inv[:] = [index[winv] for _, winv in self._payloads]
+            for left, right in zip(self._lmul, self._rmul):
+                right[:] = [inv[left[x]] for x in inv]
+            self._tables_full = True
+        return self._lmul, self._rmul
 
     def length_of(self, wid):
         return self._lengths[wid]
@@ -592,13 +628,17 @@ class CoxeterSystem:
         """The sort key of the ShortLex order on elements: (length, word)."""
         return (self._lengths[wid], self.word_of(wid))
 
-    def conjugate_by_gen(self, s, wid):
-        return self.lmul(s, self.rmul(wid, s))
-
     def conjugate(self, xid, wid):
-        """x w x^-1 computed along the reduced word of x."""
+        """x w x^-1 computed along the reduced word of x, one generator at a
+        time, read from the generator tables."""
+        left, right = self._lmul, self._rmul
         for s in reversed(self.word_of(xid)):
-            wid = self.conjugate_by_gen(s, wid)
+            ws = right[s][wid]
+            if ws is None:
+                ws = self.rmul(wid, s)
+            wid = left[s][ws]
+            if wid is None:
+                wid = self.lmul(s, ws)
         return wid
 
     # -- Bruhat order ---------------------------------------------------------
@@ -731,10 +771,12 @@ class CoxeterSystem:
 
         Seeds are taken in ShortLex order, so each class starts with its
         seed and the classes come out ordered by their first elements.
+        The orbits read the complete generator tables.
         """
         if self._classes is not None:
             return self._classes
         ids = self.all_ids()
+        gens = list(zip(*self.generator_tables()))
         remaining = set(ids)
         classes = []
         for seed in ids:
@@ -745,8 +787,8 @@ class CoxeterSystem:
             while frontier:
                 nxt = []
                 for wid in frontier:
-                    for s in range(self.rank):
-                        c = self.conjugate_by_gen(s, wid)
+                    for left, right in gens:
+                        c = left[right[wid]]
                         if c not in orbit:
                             orbit.add(c)
                             nxt.append(c)

@@ -226,6 +226,13 @@ class InvolutionModule:
             by_length.setdefault(system.length_of(wid), []).append(wid)
         self.layers = list(by_length.values())
         self._intervals = {0: (0,)}
+        # interval(w) as sorted positions, and the s-partner by position (None
+        # for an ascent partner past max_length, which no interval reaches)
+        self._below = [[0]] + [None] * (len(self.involution_ids) - 1)
+        self._partners = [
+            [self._position.get(self._action[w][s][2]) for w in self.involution_ids]
+            for s in range(system.rank)
+        ]
         self._bar = {0: {0: 1}}   # wid -> bar_column(wid)
         self._bar_tops = {}       # wid -> _bar_top(wid)
 
@@ -249,19 +256,30 @@ class InvolutionModule:
         Decided inside the involution graph by the lifting property for
         twisted involutions (Richardson-Springer 1990; Hultman, Adv. Math.
         2005): with s the smallest left descent of w and x its partner, the
-        y <= w are the y <= x together with their s-partners.  Memoized.
+        y <= w are the y <= x together with their s-partners.  The recursion
+        runs on positions in ``involution_ids``, with the s-partners read
+        from one position list per generator, so an interval is a sort of
+        ints with no key function, mapped back to ids once.  Memoized.
         """
         cached = self._intervals.get(wid)
         if cached is None:
-            cases = self._action[wid]
-            s = next(s for s, case in enumerate(cases) if not case[1])
-            below = self.interval(cases[s][2])
-            members = set(below)
-            members.update(self._action[y][s][2] for y in below)
             cached = self._intervals[wid] = tuple(
-                sorted(members, key=self._position.__getitem__)
+                map(self.involution_ids.__getitem__, self._below_positions(wid))
             )
         return cached
+
+    def _below_positions(self, wid):
+        """The positions of the y <= w, sorted."""
+        i = self._position[wid]
+        below = self._below[i]
+        if below is None:
+            cases = self._action[wid]
+            s = next(s for s, case in enumerate(cases) if not case[1])
+            below = self._below_positions(cases[s][2])
+            members = set(below)
+            members.update(map(self._partners[s].__getitem__, below))
+            below = self._below[i] = sorted(members)
+        return below
 
     def basis(self, wid):
         self._require(wid)

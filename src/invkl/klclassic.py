@@ -18,16 +18,24 @@ shifts, sums and products.  Every entry is checked as it is stored, by one
 AND with the mask ``forbidden(d + 1)``: P >= 0 with no bit set at or above
 ``COEFF_BITS`` in any slot (non-negativity, and the bound that keeps slots
 from carrying), and P >> 64(d+1) == 0 with d = (l(w)-l(y)-1)/2 (the degree
-bound).  The mu multipliers of a column are weighed against ``BUDGET``
-before they are used.  Polynomials are unpacked only at the API boundary (``kl_poly_ids``,
-``cdot``, ``cprime`` and the CLI renderers).
+bound).  Once that AND has passed, mu(y, w) is the top slot itself,
+P >> 64d for odd l(w)-l(y), with no rounding.  The mu multipliers of a
+column are weighed against ``BUDGET`` before they are used.  Polynomials
+are unpacked only at the API boundary (``kl_poly_ids``, ``cdot``,
+``cprime`` and the CLI renderers).
+
+A column is one pass over plain lists: s.x comes from the system's
+per-generator table (``CoxeterSystem.generator_tables``) and l(x) from its
+length list, with ``lmul`` only where the table has no entry yet (a group
+that is not enumerated, as under ``table --classic``), and the masks are
+built once per table.
 """
 
 from __future__ import annotations
 
 from .errors import InvariantError
 from .laurent import ONE, add_into, spread, v_pow
-from .packed import SLOT, check_budget, forbidden, mu_at, unpack
+from .packed import BUDGET, SLOT, check_budget, forbidden, unpack
 
 __all__ = ["KLTable", "HeckeAlgebra", "expand_unitriangular"]
 
@@ -130,6 +138,8 @@ class KLTable:
         self.system = system
         self._columns = {0: {0: 1}}  # w_id -> {y_id: P_{y,w} packed}
         self._mu_rows = {0: ()}  # w_id -> ((z_id, mu(z, w)), ...), mu != 0
+        self._left = system.generator_tables()[0]  # _left[s][x] = sx, live
+        self._masks = []  # forbidden mask of a row, by gap l(w) - l(y)
         self._h2 = HeckeAlgebra(system)
         self._cdot_cache = {}
         self._cprime_cache = {}
@@ -150,35 +160,45 @@ class KLTable:
         if col is not None:
             return col
         sys = self.system
-        length = sys.length_of
+        length = sys.lengths
         s = sys.left_descents(wid)[0]
+        left = self._left[s]
         vid = sys.lmul(s, wid)
         acc = {}
         for x, p in self.column(vid).items():
-            sx = sys.lmul(s, x)
-            if length(sx) < length(x):
+            sx = left[x]
+            if sx is None:
+                sx = sys.lmul(s, x)
+            if length[sx] < length[x]:
                 p <<= SLOT
             acc[x] = acc.get(x, 0) + p
             acc[sx] = acc.get(sx, 0) + p
-        lw = length(wid)
+        lw = length[wid]
+        # v's mu row lies in column v, so the loop above filled left[z]
         subtracted = [
-            (zid, m) for zid, m in self.mu_row(vid) if sys.is_left_descent(s, zid)
+            (zid, m) for zid, m in self.mu_row(vid) if length[left[zid]] < length[zid]
         ]
-        check_budget(
-            2 + sum(abs(m) for _, m in subtracted), f"column {sys.word_of(wid)}"
-        )
+        spent = 2 + sum(abs(m) for _, m in subtracted)
+        if spent >= BUDGET:  # the word is spelled out only for the message
+            check_budget(spent, f"column {sys.word_of(wid)}")
         for zid, m in subtracted:
-            mult = -m << (SLOT * ((lw - length(zid)) // 2))
+            mult = -m << (SLOT * ((lw - length[zid]) // 2))
             for x, p in self.column(zid).items():
                 acc[x] += mult * p
-        masks = [forbidden((gap + 1) // 2 or 1) for gap in range(lw + 1)]
+        masks = self._masks
+        if len(masks) <= lw:
+            masks.extend(
+                forbidden((gap + 1) // 2 or 1) for gap in range(len(masks), lw + 1)
+            )
         row = []
         for x, p in acc.items():
-            gap = lw - length(x)
+            gap = lw - length[x]
             if p & masks[gap]:
                 self._reject(x, wid, p)
-            if gap & 1 and (mu := mu_at(p, gap)):
-                row.append((x, mu))
+            if gap & 1:
+                mu = p >> (SLOT * (gap >> 1))
+                if mu:
+                    row.append((x, mu))
         self._columns[wid] = acc
         self._mu_rows[wid] = tuple(row)
         return acc

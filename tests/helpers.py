@@ -32,6 +32,13 @@ ORACLE_TYPES = [
 ORACLE_TYPES_BUT_F4 = [t for t in ORACLE_TYPES if t[0] != "F4"]
 
 
+def conjugate_by_products(system, xid, wid):
+    """x w x^-1 by ``lmul`` and ``rmul``, one letter of x's word at a time."""
+    for s in reversed(system.word_of(xid)):
+        wid = system.lmul(s, system.rmul(wid, s))
+    return wid
+
+
 def subword_bruhat(system, yid, wid):
     """y <= w iff some subword of a reduced word of w is a word for y."""
     word = system.word_of(wid)

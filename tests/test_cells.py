@@ -4,7 +4,9 @@ import pytest
 
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
-from invkl.cells import check_hf_relation, compute_cells, involutions_per_cell
+from invkl.cells import (
+    check_hf_relation, compute_cells, involutions_per_cell, members_per_cell,
+)
 from invkl.invmodule import InvolutionModule
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE
@@ -44,6 +46,7 @@ def test_partition_properties():
         assert all_members == sorted(system.all_ids())
         counts = involutions_per_cell(part, module)
         assert sum(counts) == len(module.involution_ids)
+        assert members_per_cell(part, system.twisted_involution_ids()) == counts
         # the preorder is a partial order on cells
         n = len(part.cells)
         for i in range(n):

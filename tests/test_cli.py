@@ -259,6 +259,23 @@ def test_json_writer_matches_json_dumps():
         assert text == json.dumps(doc, indent=2) + "\n"
 
 
+def test_json_fast_path_matches_json_dumps():
+    """Words (flat lists of ints) and polynomials (flat dicts of strings) are
+    joined directly; they, and the values that fall back to ``json.dumps``,
+    read as ``json.dumps(value, indent=2)`` at every depth."""
+    long_word = [3, 1, 2, 0, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0] * 3
+    values = [
+        [], [0], [5], long_word, list(range(12)),
+        {}, {"0": "1"}, {"-2": "-1", "0": "3", "4": "-12", "10": "1"},
+        {"-7": "-123456789012345678901"},
+        [True, 1], [1.5], [None], [[1]], {"k": [1]}, {"k": 1}, {"q\"": "\u00e9\n"},
+    ]
+    for value in values:
+        for depth in range(5):
+            want = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+            assert cli._json(value, depth) == want, (value, depth)
+
+
 def test_console_script_runs():
     exe = shutil.which("invkl")
     cmd = [exe] if exe else [sys.executable, "-m", "invkl"]

@@ -13,7 +13,8 @@ from invkl import build_system, coxeter
 from invkl.coxeter import _CycloField, _matmul, _rational_rank
 
 from helpers import (
-    FractionCycloField, brute_twisted_involutions, fraction_rank, subword_bruhat,
+    FractionCycloField, brute_twisted_involutions, conjugate_by_products,
+    fraction_rank, subword_bruhat,
 )
 
 
@@ -376,3 +377,57 @@ def test_element_cap_bounds_interning():
     with pytest.raises(ValueError, match="element cap"):
         build_system("A3", max_elements=12).twisted_involution_ids()
     assert len(build_system("A3", max_elements=24).twisted_involution_ids()) == 10
+
+
+def _check_generator_tables(system, complete):
+    """Each generator-table entry that is set equals ``lmul``/``rmul``, and
+    the tables give the engine's descents; with ``complete``, none is unset."""
+    left, right = (
+        [list(row) for row in rows] for rows in system.generator_tables()
+    )
+    lengths = system.lengths
+    n = len(lengths)
+    assert len(left) == len(right) == system.rank
+    for s in range(system.rank):
+        assert len(left[s]) == len(right[s]) == n
+        for wid in range(n):
+            sw, ws = left[s][wid], right[s][wid]
+            if complete:
+                assert sw is not None and ws is not None, (s, wid)
+            if sw is not None:
+                assert sw == system.lmul(s, wid)
+                assert (lengths[sw] < lengths[wid]) == system.is_left_descent(s, wid)
+            if ws is not None:
+                assert ws == system.rmul(wid, s)
+                assert (lengths[ws] < lengths[wid]) == system.is_right_descent(wid, s)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "F4", "I2(5)", "H3"])
+def test_generator_tables_equal_the_products_and_descents(label):
+    """Before enumeration the tables hold what the walk has met; ``all_ids``
+    then makes them complete, and conjugation read from them equals the
+    generator-by-generator route."""
+    system = build_system(label)
+    system.twisted_involution_ids(3)
+    _check_generator_tables(system, complete=False)
+    ids = system.all_ids()
+    _check_generator_tables(system, complete=True)
+    rng = random.Random(7)
+    for _ in range(50):
+        xid, wid = rng.choice(ids), rng.choice(ids)
+        assert system.conjugate(xid, wid) == conjugate_by_products(system, xid, wid)
+
+
+def test_generator_tables_of_a_capped_walk_do_not_enumerate():
+    """On a capped E6 walk the tables are partial, handing them out interns
+    nothing, and conjugation falls back to the products for unset entries."""
+    system = build_system("E6")
+    ids = system.twisted_involution_ids(6)
+    interned = len(system.lengths)
+    _check_generator_tables(system, complete=False)
+    system.generator_tables()
+    assert len(system.lengths) == interned < 51840
+    for xid in ids[:40]:
+        for wid in ids[-40:]:
+            got = system.conjugate(xid, wid)  # before the oracle fills entries
+            assert got == conjugate_by_products(system, xid, wid)

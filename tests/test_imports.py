@@ -112,9 +112,7 @@ _LAYERS = {
         "invkl.invmodule", "invkl.canonical", "invkl.klclassic", "invkl.packed",
     },
     "kl --type A3": {"invkl.klclassic", "invkl.packed"},
-    "cells --type A3": {
-        "invkl.cells", "invkl.klclassic", "invkl.invmodule", "invkl.packed",
-    },
+    "cells --type A3": {"invkl.cells", "invkl.klclassic", "invkl.packed"},
     "character --type A3": {"invkl.invmodule", "invkl.specialize"},
     "verify --type A2": {
         "invkl.verify", "invkl.invmodule", "invkl.canonical", "invkl.klclassic",

@@ -371,6 +371,25 @@ def test_interval_matches_bruhat_oracle(label, delta):
         assert module.interval(wid) == expected, system.word_of(wid)
 
 
+@pytest.mark.parametrize(
+    "label, delta",
+    [("F4", None), ("I2(7)", None), pytest.param("E6", (5, 1, 4, 3, 2, 0), id="E6-twisted")],
+)
+def test_interval_order_equals_the_keyed_sort(label, delta):
+    """Every interval equals its members, gathered from the partner's interval
+    and their s-partners, sorted by ``involution_ids`` position with a key
+    function."""
+    module = InvolutionModule(build_system(label, delta=delta))
+    position = {w: i for i, w in enumerate(module.involution_ids)}
+    rank = module.system.rank
+    for wid in module.involution_ids[1:]:
+        s = next(s for s in range(rank) if not module.action_case(s, wid)[1])
+        below = module.interval(module.action_case(s, wid)[2])
+        members = set(below) | {module.action_case(s, y)[2] for y in below}
+        want = tuple(sorted(members, key=position.__getitem__))
+        assert module.interval(wid) == want, module.system.word_of(wid)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_cancelling_sums_store_no_zero(label):
     """Sums whose terms cancel drop the entry instead of storing a zero.

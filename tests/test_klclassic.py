@@ -1,9 +1,11 @@
 import itertools
+import os
 import random
 
 import pytest
 
-from invkl import build_system
+from invkl import build_system, klclassic
+from invkl.cli import main
 from invkl.errors import InvariantError
 from invkl.klclassic import HeckeAlgebra, KLTable
 from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
@@ -160,6 +162,43 @@ def test_packed_columns_equal_the_tuple_oracle(label):
         want = {yid: pack(p) for yid, p in oracle.column(wid).items()}
         assert packed.column(wid) == want, (label, wid)
         assert packed.mu_row(wid) == oracle.mu_row(wid), (label, wid)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table --type B3 --classic",
+        "table --type B3 --classic --max-length 3",
+        "table --type D5 --twisted 0,1,2,4,3 --classic",
+        "table --type D5 --twisted 0,1,2,4,3 --classic --max-length 4",
+        "kl --type F4 --max-length 3",
+    ],
+)
+def test_lazily_built_columns_equal_the_tuple_oracle(argv, monkeypatch):
+    """The columns that ``table --classic`` and ``kl --max-length`` build
+    before the group is enumerated, when the generator tables are still
+    partial, equal the q-tuple recursion's; a capped command enumerates
+    nothing past its cap."""
+    built = []
+
+    class Recorded(KLTable):
+        def __init__(self, system):
+            super().__init__(system)
+            built.append(self)
+
+    monkeypatch.setattr(klclassic, "KLTable", Recorded)
+    assert main(argv.split() + ["--out", os.devnull]) == 0
+    (kl,) = built
+    system = kl.system
+    oracle = TupleKLTable(system)
+    columns = dict(kl._columns)
+    for wid, col in columns.items():
+        assert {y: unpack(p) for y, p in col.items()} == oracle.column(wid), wid
+        assert kl.mu_row(wid) == oracle.mu_row(wid), wid
+    if "--max-length" in argv:
+        cap = int(argv.split()[-1])
+        assert max(map(system.length_of, columns)) == cap
+        assert not system._complete
 
 
 def test_corrupted_columns_fail_alike_on_both_routes():

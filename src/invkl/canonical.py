@@ -7,19 +7,15 @@ Writing a'_y = v^{-l(y)} a_y, each column is
 
 and P(y, w) = v^{l(w)-l(y)} pi(y, w) is a polynomial in u = v^2 of u-degree
 at most (l(w)-l(y)-1)/2.  Columns are characterized by bar invariance and
-this triangularity, which gives two independent construction routes:
-
-* ``column_barfix`` solves the fixed-point condition directly against the
-  packed bar table (``InvolutionModule.bar_column``), row by row: each row
-  is one int residue whose low slots are P(y, w) and whose high slots must
-  be its reflection u^gap P(y, w)(u^-1);
-* ``column_recursive`` runs the descent recursion: with s the smallest left
-  descent of the target z, either z = sw with sw = w delta(s) (then each row
-  is divided by 1 + u, one row per descent carrying the unknown mu'(y, z)),
-  or z = s w delta(s) (then each row is a closed formula over shorter
-  columns).
-
-Both produce identical tables; the test and verification suites insist on it.
+this triangularity.  This module builds them by the descent recursion
+(``column_recursive``): with s the smallest left descent of the target z,
+either z = sw with sw = w delta(s) (then each row is divided by 1 + u, one
+row per descent carrying the unknown mu'(y, z)), or z = s w delta(s) (then
+each row is a closed formula over shorter columns).  The recursion reads
+only the involution index (``involutions.Involutions``), never the module
+arithmetic.  The independent route, ``InvolutionModule.column_barfix``,
+solves bar invariance against the bar table; the test and verification
+suites insist that both give identical tables.
 
 A column is stored as ``KLTable`` stores one, after du Cloux's Coxeter 3
 (Experiment. Math. 11, 2002): {y: P(y, w) packed} over the y <= w, each
@@ -37,19 +33,9 @@ descent interval; anything else raises ``RecurrenceInconsistent``.  Stored
 coefficients stay signed ``COEFF_BITS``-bit numbers and each column's
 multipliers stay within ``BUDGET``, so no slot carries into the next; past
 either bound the build raises ``InvariantError``.  ``LaurentPoly`` values
-are built only at the API boundary (``pi``, ``sigma_kl``, ``ms_constant``
-and the coefficients ``expand_in_A`` returns), each by one read of its
-slots, with no ``LaurentPoly`` arithmetic.
-
-The same int is the module vector A_w: P(y, w)(2^64) read in the 32-bit
-v-slots of ``invmodule.MVector`` is P(y, w)(v^2), so ``a_vector(w)`` is
-``column(w)`` with lo = -l(w) and the coefficient bound of the column.
-``expand_in_A`` rewrites a packed vector top down: the coefficient c of
-the ShortLex-last row, times v^l(top), is that of A_top, and subtracting
-c P(y, top) from each row y <= top is one int product at the work
-vector's own lo, since A_top carries v^-l(top).  Its bound grows by
-max|c| |P(., top)|_1 per step, and the slots widen before it reaches
-their limit.
+are built only at the API boundary (``pi``, ``sigma_kl`` and
+``ms_constant``), each by one read of its slots, with no ``LaurentPoly``
+arithmetic.
 
 The recursion pushes whole columns instead of pulling single entries, as
 Coxeter 3 does for classical KL.  Each column w keeps a sparse mu' row
@@ -60,9 +46,9 @@ per (s, w); a new column z then starts from an accumulator holding
 branch adds mu'(x, z) * column(x) as soon as row x is solved, and row y is
 its case term plus its accumulator entry.
 
-Each column is one pass over the rows y < z of ``InvolutionModule.interval``,
+Each column is one pass over the rows y < z of ``Involutions.interval``,
 with no method call per row.  The T_s cases are read once per basis from
-``InvolutionModule.action_case`` into one table per generator s, mapping
+``Involutions.action_case`` into one table per generator s, mapping
 each involution y to its two ``_CASE_TERMS`` multipliers, its case
 (commuting, ascending) and its partner; lengths are read from the system's
 length list.  A non-commuting target has no unknown mu', so its rows do not
@@ -72,25 +58,19 @@ P(y, z) is tested against the degree and slot bounds at once, by one
 addition and one AND with the masks of ``slot_test`` for its slot count,
 and only a row that fails goes through ``_solve_row``, which raises the
 row's error.  The descent intervals, mu' rows and known parts are passes of
-the same kind.  Only ``column_barfix`` scans every shorter involution and
-decides y <= w through the group.
+the same kind.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    InconsistentBar, InvariantError, RecurrenceInconsistent, TheoremMismatch,
-)
-from .invmodule import MVector, column_top, table_vector
-from .laurent import LaurentPoly, ONE, ZERO, spread
+from .errors import InvariantError, RecurrenceInconsistent
+from .laurent import LaurentPoly, ZERO, spread
 from .packed import (
     SLOT, check_budget, coeff_at, degree_at_most, in_slots, mu_at, pack, slot_test,
     solve_one_plus_u, unpack,
 )
 
 __all__ = ["CanonicalBasis"]
-
-_V2PVINV2 = LaurentPoly((1, 0, 0, 0, 1), -2)   # v^2 + v^-2
 
 _ONE_PLUS_U = pack((1, 1))
 _U2_MINUS_U = pack((0, -1, 1))
@@ -107,7 +87,11 @@ _CASE_TERMS = {
 
 
 class CanonicalBasis:
-    """Bar-invariant basis columns, built per involution and memoized."""
+    """Bar-invariant basis columns, built per involution and memoized.
+
+    ``module`` is the involution index (``Involutions``) or the module that
+    extends it; the build reads its ids, cases and intervals only.
+    """
 
     def __init__(self, module):
         self.module = module
@@ -123,7 +107,6 @@ class CanonicalBasis:
         self._columns = {}   # wid -> {yid: P(y, w) packed}, over y <= w
         self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
         self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
-        self._a_vectors = {}
         self._descents = {}  # (s, w) -> _descent_interval(s, w)
 
     # -- table management -------------------------------------------------------
@@ -222,9 +205,9 @@ class CanonicalBasis:
         mu'' and mu' convolutions and the multiple mu'(y,w) (v + v^-1).
         Zero unless y lies in ``_descent_interval(s, w)``.
         """
-        return self._ms_constants(s, w).get(y, ZERO)
+        return self.ms_constants(s, w).get(y, ZERO)
 
-    def _ms_constants(self, s, wid):
+    def ms_constants(self, s, wid):
         """{x: ms_constant(s, x, w)} over the x where it is nonzero.
 
         The known parts are memoized; the commuting case subtracts
@@ -287,66 +270,6 @@ class CanonicalBasis:
                 known[xid] = total
         self._known[key] = known
         return known
-
-    # -- construction: bar-fixing against the bar table ----------------------------
-
-    def column_barfix(self, wid):
-        """Solve bar(A_w) = A_w row by row, top down, on the packed bar table.
-
-        With Prev_x = u^(l(w)-l(x)) P(x, w)(u^-1), the coefficient of a'_y
-        in bar(A_w) - bar(pi(y, w)) a'_y is v^-g Q_y, g = l(w) - l(y), where
-        Q_y sums Prev_x R(y, x) over the x > y (``bar_column``).  Each solved
-        row x pushes Prev_x R(., x) into the residues of the rows below it.
-        Bar invariance is Q_y = P - u^g P(u^-1), P = P(y, w): P is held in
-        slots 0..(g-1)/2 of Q_y, and the rest is the fixed-point check, which
-        makes Prev_y = P - Q_y.  The rows are every involution shorter than
-        w, and y <= w is decided through the group, so the route reads
-        nothing of ``column_recursive`` or ``interval``.  Stored P stay
-        signed ``COEFF_BITS``-bit numbers and the Prev weights stay within
-        ``BUDGET``, so every residue slot stays below 2^63.  Returns the
-        column in the layout of ``column``.
-        """
-        mod, sys = self.module, self.system
-        residue = dict(mod.bar_column(wid))   # Prev_w = 1; ValueError off the module
-        length = sys.length_of
-        lw = length(wid)
-        del residue[wid]
-        out = {wid: 1}
-        spent = 1
-        for layer in reversed(mod.layers):
-            gap = lw - length(layer[0])
-            if gap <= 0:
-                continue
-            low = SLOT * ((gap + 1) // 2)   # bits of slots 0..(gap-1)/2
-            half = 1 << (low - 1)
-            mask = (1 << low) - 1
-            for yid in layer:
-                q = residue.pop(yid, 0)
-                if not q:
-                    continue
-                p = ((q + half) & mask) - half
-                coeffs = unpack(p)
-                prev = pack(coeffs[::-1]) << (SLOT * (gap + 1 - len(coeffs)))
-                if q != p - prev:
-                    raise InconsistentBar(
-                        "bar fixed-point defect at pair "
-                        f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue "
-                        f"{spread(unpack(q), 2, -gap)}"
-                    )
-                if not sys.bruhat_leq_ids(yid, wid):
-                    raise InconsistentBar(
-                        "nonzero coefficient outside the Bruhat interval at "
-                        f"{sys.word_of(yid)}, {sys.word_of(wid)}"
-                    )
-                if not in_slots(p, (gap + 1) // 2):
-                    raise self._overflow(yid, wid)
-                spent += sum(map(abs, coeffs))
-                check_budget(spent, f"bar-fixed column {sys.word_of(wid)}")
-                out[yid] = p
-                for zid, r in mod.bar_column(yid).items():
-                    if zid != yid:
-                        residue[zid] = residue.get(zid, 0) + prev * r
-        return out
 
     # -- construction: the descent recursion -----------------------------------------
 
@@ -443,78 +366,11 @@ class CanonicalBasis:
                 + f" under the degree bound {d}"
             )
         if not in_slots(solved[0], d + 1):
-            raise self._overflow(yid, zid)
+            raise InvariantError(
+                f"P({sys.word_of(yid)}, {sys.word_of(zid)}) has a coefficient of "
+                "more than the packed table's signed bits"
+            )
         return solved
-
-    def _overflow(self, yid, zid):
-        sys = self.system
-        return InvariantError(
-            f"P({sys.word_of(yid)}, {sys.word_of(zid)}) has a coefficient of "
-            "more than the packed table's signed bits"
-        )
-
-    # -- the basis as module elements, and the generator action ----------------------
-
-    def a_vector(self, wid):
-        """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module.
-
-        A stored P(y, w) read in 32-bit v-slots is P(y, w)(v^2), so the
-        vector is ``column(w)`` itself with lo = -l(w).  Memoized.
-        """
-        cached = self._a_vectors.get(wid)
-        if cached is None:
-            col = self.column(wid)
-            cached = self._a_vectors[wid] = table_vector(
-                col, -self.system.length_of(wid), column_top(col)
-            )
-        return cached
-
-    def expand_in_A(self, m):
-        """Rewrite a module element in the canonical basis (unitriangular).
-
-        The ShortLex-last entry c of the work vector (the last in
-        ``involution_ids`` order), times v^l(top), is the coefficient of
-        A_top.  As A_top carries v^-l(top), c P(y, top)(v^2)
-        already has the work vector's lo, and subtracting it from row y for
-        every y <= top is one int product per row.  The work bound grows by
-        max|c| |P(., top)|_1 per step, and the slots widen before it reaches
-        their limit.  Returns {top: coefficient} as ``LaurentPoly`` values.
-        """
-        length = self.system.length_of
-        key = self.module._position.__getitem__
-        work = MVector._of(dict(m.ints), m.lo, m.width, m.bound)
-        out = {}
-        while work.ints:
-            top = max(work.ints, key=key)
-            a = self.a_vector(top)
-            # P(., top) has at most l(top) + 1 slots, each at most a.bound
-            coeffs = work._eliminate(top, a, a.bound * (length(top) + 1))
-            out[top] = LaurentPoly(coeffs, work.lo + length(top))
-        return out
-
-    def cs_action_on_A(self, s, wid):
-        """Expand c_s A_w in the canonical basis and check the closed form.
-
-        The expected right-hand side is (v^2 + v^-2) A_w when sw < w,
-        otherwise (v + v^-1) A_{sw} (when sw = w delta(s)) or A_{s w delta(s)},
-        plus ms_constant corrections over z with sz < z < sw.
-        """
-        sys = self.system
-        got = self.expand_in_A(self.module.cs_action(s, self.a_vector(wid)))
-        expected = {}
-        commuting, up, other = self.module.action_case(s, wid)
-        if not up:
-            expected[wid] = _V2PVINV2
-        else:
-            expected[other] = LaurentPoly((1, 0, 1), -1) if commuting else ONE
-            expected.update(self._ms_constants(s, wid))
-        if got != expected:
-            raise TheoremMismatch(
-                f"c_s A_w expansion mismatch at s={s}, w={sys.word_of(wid)}: "
-                f"got { {sys.word_of(k): str(v) for k, v in got.items()} }, "
-                f"expected { {sys.word_of(k): str(v) for k, v in expected.items()} }"
-            )
-        return got
 
 
 def _add_column(pending, mult, column):

@@ -9,14 +9,15 @@ rows, with no Bruhat test and no scan of the group; sw, ws and the descents
 come from the system's complete generator tables and length list.  Cells
 are the strongly connected components; the component order is the
 quotient preorder.  Computing them, and counting the involutions of each
-cell (``members_per_cell`` over the system's involution walk), loads no
-involution module; only ``check_hf_relation`` imports it.
+cell (``members_per_cell`` over the system's involution walk), loads
+neither the involution module nor the Hecke algebra; only
+``check_hf_relation`` imports them.
 
 ``check_hf_relation`` expands cdot_z cdot_w cdot_{z^-1} in the cdot basis
-(coefficients h) and c_z A_w in the canonical involution basis
-(coefficients f) and enforces, coefficient by coefficient, |f_n| <= h_n and
-f_n = h_n (mod 2) through ``laurent.domination_failure``; in particular
-f != 0 forces h != 0.
+(coefficients h, from ``hecke.HeckeBases``) and c_z A_w in the canonical
+involution basis (coefficients f, from ``invmodule.CanonicalVectors``) and
+enforces, coefficient by coefficient, |f_n| <= h_n and f_n = h_n (mod 2)
+through ``laurent.domination_failure``; in particular f != 0 forces h != 0.
 """
 
 from __future__ import annotations
@@ -172,16 +173,19 @@ def check_hf_relation(zid, wid, kl, canonical):
     involutions; the h-expansion may also touch non-involutions, which have
     no f side and are not constrained.
     """
-    from .invmodule import MVector
+    from .hecke import HeckeBases
+    from .invmodule import CanonicalVectors, MVector
 
     sys = kl.system
     module = canonical.module
-    h_exp = kl.h_constants(zid, wid)
-    a_w = canonical.a_vector(wid)
+    hecke = HeckeBases(kl)
+    vectors = CanonicalVectors(canonical)
+    h_exp = hecke.h_constants(zid, wid)
+    a_w = vectors.a_vector(wid)
     acted = MVector()
-    for yid, coeff in kl.cprime(zid).items():
+    for yid, coeff in hecke.cprime(zid).items():
         acted = acted + module.tw_action(yid, a_w).scaled(coeff)
-    f_exp = canonical.expand_in_A(acted)
+    f_exp = vectors.expand_in_A(acted)
 
     involutions = set(module.involution_ids)
     report = {}

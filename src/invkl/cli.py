@@ -18,9 +18,18 @@ a row once per column.  Each command accepts
 only the options it reads: --max-length (at least 0) belongs to table and
 kl, --max-elements (at least 1) to cells, and verify writes json or text
 but not csv.  Each command imports only the layers it runs, inside its
-``cmd_*`` function, so ``kl`` and ``cells`` load the classical table but
-never the involution module, ``table`` loads the classical table only with
---classic, and no command loads the verification suites but ``verify``.
+``cmd_*`` function:
+
+* ``table``: the involution index, the canonical build and ``packed``, plus
+  the classical table with --classic;
+* ``kl``: the classical table and ``packed``;
+* ``cells``: the cells graph, the classical table and ``packed``;
+* ``character``: the involution index and the u=1 module;
+* ``verify``: the suites, and through them every layer above plus the
+  involution module's arithmetic.
+
+So only ``verify`` compiles the module arithmetic (``invmodule``), and no
+command compiles the Hecke algebra (``hecke``).
 """
 
 from __future__ import annotations
@@ -308,10 +317,10 @@ def _column_renderers(system, poly_key):
 
 def cmd_table(args):
     from .canonical import CanonicalBasis
-    from .invmodule import InvolutionModule
+    from .involutions import Involutions
 
     system = _make_system(args)
-    module = InvolutionModule(system, args.max_length)
+    module = Involutions(system, args.max_length)
     basis = CanonicalBasis(module).build()
     kl = None
     if args.classic:
@@ -395,11 +404,11 @@ def cmd_verify(args):
 
 
 def cmd_character(args):
-    from .invmodule import InvolutionModule
+    from .involutions import Involutions
     from .specialize import SpecializedModule
 
     system = _make_system(args)
-    spec = SpecializedModule(InvolutionModule(system))
+    spec = SpecializedModule(Involutions(system))
     rows = spec.class_function_report()
     mismatch = [r for r in rows if r["chi_m1"] != r["chi_induced"]]
     _write(

@@ -20,8 +20,9 @@ the power basis and no ``Fraction`` or division is involved.  That closure is
 the only field arithmetic.  An element is stored as the root numbers of
 w(alpha_s) and w^-1(alpha_s), so a product with a generator is a lookup per
 simple root, a descent is a sign test on one root number, and elements are
-interned lazily.  An integer Cartan realization is kept only for the
-reflection representation of crystallographic types.
+interned lazily.  The integer reflection representation of crystallographic
+types is not built here: only the u=1 module's h-grading reads it, from
+``specialize.reflection_rep``.
 
 Products with generators are memoized in one list per generator, indexed by
 id, as in Coxeter 3: ``generator_tables()`` hands these lists out, so the
@@ -54,40 +55,6 @@ class GroupElement(NamedTuple):
     id: int
     word: tuple
     length: int
-
-
-# ---------------------------------------------------------------------------
-# small exact linear algebra
-
-
-def _matmul(a, b, n):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
-def _rational_rank(rows):
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
-
-    After the k-th pivot every entry below it is a (k+1)-minor of the input,
-    so dividing by the previous pivot is exact and every entry stays an int.
-    """
-    mat = [list(row) for row in rows]
-    rank, prev = 0, 1
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        pv = top[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(pv * a - f * b) // prev for a, b in zip(mat[r], top)]
-        prev = pv
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +268,6 @@ def _label_coxeter(letter, n):
     return cox
 
 
-def _coxeter_to_cartan(cox):
-    """An integer Cartan realization of a crystallographic Coxeter matrix."""
-    n = len(cox)
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = _CRYSTAL_WEIGHT[cox[i][j]]
-            if w:
-                c[i][j] = -1
-                c[j][i] = -w
-    return c
-
-
-def _reflection_matrices(cox):
-    """Integer generator matrices on the root lattice of ``_coxeter_to_cartan``."""
-    n = len(cox)
-    cartan = _coxeter_to_cartan(cox)
-    mats = []
-    for s in range(n):
-        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        rows[s] = tuple(int(j == s) - cartan[s][j] for j in range(n))
-        mats.append(tuple(rows))
-    return mats
-
-
 def _parse_label(token):
     token = token.strip()
     m = re.fullmatch(r"I2\((\d+)\)", token)
@@ -432,9 +374,9 @@ class CoxeterSystem:
     type, and at most ``max_elements`` of them.  Lengths, descents,
     products and inverses never need the whole group.  Every method takes
     and returns ids; ``element`` and ``enumerate_all`` wrap ids in a
-    read-only :class:`GroupElement` view.  The integer reflection
-    representation (``reflection_rep``, ``h_value``) exists for
-    crystallographic types only.
+    read-only :class:`GroupElement` view.  ``crystallographic`` says whether
+    the integer reflection representation of ``specialize.reflection_rep``
+    exists.
     """
 
     def __init__(
@@ -450,11 +392,6 @@ class CoxeterSystem:
         self.type_label = type_label
         self.crystallographic = all(
             m in _CRYSTAL_WEIGHT for row in self.coxeter_matrix for m in row if m > 1
-        )
-        self._gen_mats = (
-            _reflection_matrices(self.coxeter_matrix)
-            if self.crystallographic
-            else None
         )
         self.delta = _parse_delta(delta, self.rank, self.coxeter_matrix)
         self.max_elements = max_elements
@@ -473,6 +410,7 @@ class CoxeterSystem:
         self._bruhat_memo = {}
         self._tw_walks = {}  # max_length (None: all) -> (ids, action table)
         self._classes = None
+        self._class_of = None
 
         self._register(self._engine.identity, 0, ())
 
@@ -779,6 +717,7 @@ class CoxeterSystem:
         gens = list(zip(*self.generator_tables()))
         remaining = set(ids)
         classes = []
+        class_of = [None] * len(ids)
         for seed in ids:
             if seed not in remaining:
                 continue
@@ -794,33 +733,16 @@ class CoxeterSystem:
                             nxt.append(c)
                 frontier = nxt
             remaining -= orbit
+            for wid in orbit:
+                class_of[wid] = len(classes)
             classes.append(tuple(sorted(orbit, key=self.shortlex_key)))
-        self._classes = classes
+        self._classes, self._class_of = classes, class_of
         return classes
 
-    # -- reflection representation ------------------------------------------------
-
-    def reflection_rep(self):
-        """{s: integer matrix of s} in the reflection representation."""
-        if not self.crystallographic:
-            raise ValueError(
-                "reflection representation over Q requires a crystallographic type"
-            )
-        return dict(enumerate(self._gen_mats))
-
-    def h_value(self, wid):
-        """dim ker(M_w + Id): the fixed space of -w in the reflection rep."""
-        if not self.crystallographic:
-            raise ValueError("h_value requires a crystallographic type")
-        n = self.rank
-        mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        for s in self.word_of(wid):
-            mat = _matmul(mat, self._gen_mats[s], n)
-        k = [
-            [mat[i][j] + (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return n - _rational_rank(k)
+    def class_index(self):
+        """The position in ``conjugacy_classes()`` of each element's class, by id."""
+        self.conjugacy_classes()
+        return self._class_of
 
     def __repr__(self):
         label = self.type_label or f"rank-{self.rank} matrix"

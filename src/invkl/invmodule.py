@@ -9,14 +9,11 @@ w*delta(s):
 * sw != ws* > w:  T_s a_w = a_{s w s*}
 * sw != ws* < w:  T_s a_w = (u^2-1) a_w + u^2 a_{s w s*}
 
-which satisfies (T_s+1)(T_s-u^2) = 0 and the braid relations.  Which case
-applies, and the partner sw or s w s*, is decided once per (s, w) by the
-involution enumeration (``CoxeterSystem.involution_action``); this module,
-the canonical basis, the verify suites and the u=1 module all read that
-table through ``InvolutionModule.action_case``.  Bruhat order on the
-involutions is read from the same table: ``InvolutionModule.interval(w)``
-lists the y <= w by the lifting property, without leaving the involutions.
-The module is defined over Z[u, u^-1]; every coefficient produced here must
+which satisfies (T_s+1)(T_s-u^2) = 0 and the braid relations.  The case
+and the partner of each (s, w), the involutions' length layers and their
+Bruhat intervals come from the index that ``InvolutionModule`` extends
+(``involutions.Involutions``); this module adds the arithmetic.  The
+module is defined over Z[u, u^-1]; every coefficient produced here must
 have even v-support, and the bar operations check that.
 
 A module element (``MVector``) is stored packed, by Kronecker substitution
@@ -53,8 +50,23 @@ v-slots is R(y, w)(v^2), so ``bar_basis(w)`` is the column itself with
 lo = -2 l(w).  The semilinear extension ``bar_extended`` reverses each
 input entry's slots for bar(f_w) and adds bar(f_w) R(y, w) into row y as
 one int product per (w, y), in v-slots wide enough for the row's
-coefficient bound.  ``packed`` is imported inside the bar-table code only,
-so the u=1 module does not load it.
+coefficient bound.  ``packed`` is imported inside the bar-table code only.
+
+The same table gives the canonical basis a second time: ``column_barfix``
+solves the fixed-point condition bar(A_w) = A_w row by row, each row one
+int residue whose low slots are P(y, w) and whose high slots must be its
+reflection u^gap P(y, w)(u^-1).  It reads nothing of ``CanonicalBasis``,
+so the verify suites hold the descent recursion against it.
+
+``CanonicalVectors`` reads the columns of a ``CanonicalBasis`` as module
+elements: P(y, w)(2^64) read in 32-bit v-slots is P(y, w)(v^2), so
+``a_vector(w)`` is ``column(w)`` with lo = -l(w) and the coefficient bound
+of the column.  ``expand_in_A`` rewrites a packed vector top down: the
+coefficient c of the ShortLex-last row, times v^l(top), is that of A_top,
+and subtracting c P(y, top) from each row y <= top is one int product at
+the work vector's own lo, since A_top carries v^-l(top).  Its bound grows
+by max|c| |P(., top)|_1 per step, and the slots widen before it reaches
+their limit.
 """
 
 from __future__ import annotations
@@ -62,10 +74,11 @@ from __future__ import annotations
 import struct
 from functools import cache
 
-from .errors import InvariantError, NotDivisible
-from .laurent import LaurentPoly, ZERO
+from .errors import InconsistentBar, InvariantError, NotDivisible, TheoremMismatch
+from .involutions import Involutions
+from .laurent import LaurentPoly, ONE, ZERO, spread
 
-__all__ = ["MVector", "InvolutionModule"]
+__all__ = ["MVector", "InvolutionModule", "CanonicalVectors"]
 
 _VSLOT = 32                    # bits per v-coefficient, when the coefficients fit
 _LIMIT = 1 << (_VSLOT - 1)     # a bound below this fits _VSLOT-bit slots
@@ -203,83 +216,19 @@ class MVector:
         return f"MVector({{{items}}})"
 
 
-class InvolutionModule:
+class InvolutionModule(Involutions):
     """The module over the u^2-Hecke algebra with basis the twisted involutions.
 
-    The whole module structure is the system's T_s case table
-    (:meth:`CoxeterSystem.involution_action`), read through
-    :meth:`action_case`.  ``layers`` groups the involutions by length, in
-    ``involution_ids`` order, and :meth:`interval` gives the Bruhat interval
-    below an involution, read from the same table.  With ``max_length``
-    the module holds only the involutions of at most that length (the
-    Bruhat interval below each of them lies among them), and the walk that
-    finds them stops there.
+    The index (:class:`Involutions`) gives the basis, its T_s cases and its
+    Bruhat intervals; this class adds the T_s and c_s actions on packed
+    module vectors and the bar involution.  With ``max_length`` the module
+    holds only the involutions of at most that length.
     """
 
     def __init__(self, system, max_length=None):
-        self.system = system
-        self.involution_ids = system.twisted_involution_ids(max_length)
-        self._action = system.involution_action(max_length)
-        self._position = {w: i for i, w in enumerate(self.involution_ids)}
-        by_length = {}
-        for wid in self.involution_ids:
-            by_length.setdefault(system.length_of(wid), []).append(wid)
-        self.layers = list(by_length.values())
-        self._intervals = {0: (0,)}
-        # interval(w) as sorted positions, and the s-partner by position (None
-        # for an ascent partner past max_length, which no interval reaches)
-        self._below = [[0]] + [None] * (len(self.involution_ids) - 1)
-        self._partners = [
-            [self._position.get(self._action[w][s][2]) for w in self.involution_ids]
-            for s in range(system.rank)
-        ]
+        super().__init__(system, max_length)
         self._bar = {0: {0: 1}}   # wid -> bar_column(wid)
         self._bar_tops = {}       # wid -> _bar_top(wid)
-
-    # -- case analysis -------------------------------------------------------
-
-    def is_involution(self, wid):
-        """True iff w is a twisted involution of this module."""
-        return wid in self._position
-
-    def _require(self, wid):
-        if wid not in self._position:
-            raise ValueError(f"id {wid} is not a twisted involution")
-
-    def action_case(self, s, wid):
-        """(commuting, ascending, partner) for the T_s action on a_w."""
-        return self._action[wid][s]
-
-    def interval(self, wid):
-        """The involutions y <= w in Bruhat order, in ``involution_ids`` order.
-
-        Decided inside the involution graph by the lifting property for
-        twisted involutions (Richardson-Springer 1990; Hultman, Adv. Math.
-        2005): with s the smallest left descent of w and x its partner, the
-        y <= w are the y <= x together with their s-partners.  The recursion
-        runs on positions in ``involution_ids``, with the s-partners read
-        from one position list per generator, so an interval is a sort of
-        ints with no key function, mapped back to ids once.  Memoized.
-        """
-        cached = self._intervals.get(wid)
-        if cached is None:
-            cached = self._intervals[wid] = tuple(
-                map(self.involution_ids.__getitem__, self._below_positions(wid))
-            )
-        return cached
-
-    def _below_positions(self, wid):
-        """The positions of the y <= w, sorted."""
-        i = self._position[wid]
-        below = self._below[i]
-        if below is None:
-            cases = self._action[wid]
-            s = next(s for s, case in enumerate(cases) if not case[1])
-            below = self._below_positions(cases[s][2])
-            members = set(below)
-            members.update(map(self._partners[s].__getitem__, below))
-            below = self._below[i] = sorted(members)
-        return below
 
     def basis(self, wid):
         self._require(wid)
@@ -478,6 +427,147 @@ class InvolutionModule:
             for yid, r in col.items():
                 out[yid] = get(yid, 0) + (mult * r << shift)
         return MVector._of({y: p for y, p in out.items() if p}, lo, width, bound)
+
+    # -- the canonical basis as bar-fixed vectors ------------------------------
+
+    def column_barfix(self, wid):
+        """Solve bar(A_w) = A_w row by row, top down, on the packed bar table.
+
+        With Prev_x = u^(l(w)-l(x)) P(x, w)(u^-1), the coefficient of a'_y
+        in bar(A_w) - bar(pi(y, w)) a'_y is v^-g Q_y, g = l(w) - l(y), where
+        Q_y sums Prev_x R(y, x) over the x > y (``bar_column``).  Each solved
+        row x pushes Prev_x R(., x) into the residues of the rows below it.
+        Bar invariance is Q_y = P - u^g P(u^-1), P = P(y, w): P is held in
+        slots 0..(g-1)/2 of Q_y, and the rest is the fixed-point check, which
+        makes Prev_y = P - Q_y.  The rows are every involution shorter than
+        w, and y <= w is decided through the group, so the route reads
+        nothing of ``CanonicalBasis`` or ``interval``.  Stored P stay signed
+        ``COEFF_BITS``-bit numbers and the Prev weights stay within
+        ``BUDGET``, so every residue slot stays below 2^63.  Returns the
+        column in the layout of ``CanonicalBasis.column``.
+        """
+        from .packed import SLOT, check_budget, in_slots, pack, unpack
+
+        sys = self.system
+        residue = dict(self.bar_column(wid))   # Prev_w = 1; ValueError off the module
+        length = sys.length_of
+        lw = length(wid)
+        del residue[wid]
+        out = {wid: 1}
+        spent = 1
+        for layer in reversed(self.layers):
+            gap = lw - length(layer[0])
+            if gap <= 0:
+                continue
+            low = SLOT * ((gap + 1) // 2)   # bits of slots 0..(gap-1)/2
+            half = 1 << (low - 1)
+            mask = (1 << low) - 1
+            for yid in layer:
+                q = residue.pop(yid, 0)
+                if not q:
+                    continue
+                p = ((q + half) & mask) - half
+                coeffs = unpack(p)
+                prev = pack(coeffs[::-1]) << (SLOT * (gap + 1 - len(coeffs)))
+                if q != p - prev:
+                    raise InconsistentBar(
+                        "bar fixed-point defect at pair "
+                        f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue "
+                        f"{spread(unpack(q), 2, -gap)}"
+                    )
+                if not sys.bruhat_leq_ids(yid, wid):
+                    raise InconsistentBar(
+                        "nonzero coefficient outside the Bruhat interval at "
+                        f"{sys.word_of(yid)}, {sys.word_of(wid)}"
+                    )
+                if not in_slots(p, (gap + 1) // 2):
+                    raise InvariantError(
+                        f"bar-fixed P({sys.word_of(yid)}, {sys.word_of(wid)}) has "
+                        "a coefficient of more than the packed table's signed bits"
+                    )
+                spent += sum(map(abs, coeffs))
+                check_budget(spent, f"bar-fixed column {sys.word_of(wid)}")
+                out[yid] = p
+                for zid, r in self.bar_column(yid).items():
+                    if zid != yid:
+                        residue[zid] = residue.get(zid, 0) + prev * r
+        return out
+
+
+class CanonicalVectors:
+    """The canonical basis of a ``CanonicalBasis`` as module elements.
+
+    ``a_vector(w)`` is A_w, and ``expand_in_A`` and ``cs_action_on_A``
+    rewrite module elements in the A basis.  The basis's module must be an
+    :class:`InvolutionModule`.
+    """
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.module = basis.module
+        self.system = basis.system
+        self._vectors = {}
+
+    def a_vector(self, wid):
+        """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module.
+
+        A stored P(y, w) read in 32-bit v-slots is P(y, w)(v^2), so the
+        vector is ``column(w)`` itself with lo = -l(w).  Memoized.
+        """
+        cached = self._vectors.get(wid)
+        if cached is None:
+            col = self.basis.column(wid)
+            cached = self._vectors[wid] = table_vector(
+                col, -self.system.length_of(wid), column_top(col)
+            )
+        return cached
+
+    def expand_in_A(self, m):
+        """Rewrite a module element in the canonical basis (unitriangular).
+
+        The ShortLex-last entry c of the work vector (the last in
+        ``involution_ids`` order), times v^l(top), is the coefficient of
+        A_top.  As A_top carries v^-l(top), c P(y, top)(v^2)
+        already has the work vector's lo, and subtracting it from row y for
+        every y <= top is one int product per row.  The work bound grows by
+        max|c| |P(., top)|_1 per step, and the slots widen before it reaches
+        their limit.  Returns {top: coefficient} as ``LaurentPoly`` values.
+        """
+        length = self.system.length_of
+        key = self.module._position.__getitem__
+        work = MVector._of(dict(m.ints), m.lo, m.width, m.bound)
+        out = {}
+        while work.ints:
+            top = max(work.ints, key=key)
+            a = self.a_vector(top)
+            # P(., top) has at most l(top) + 1 slots, each at most a.bound
+            coeffs = work._eliminate(top, a, a.bound * (length(top) + 1))
+            out[top] = LaurentPoly(coeffs, work.lo + length(top))
+        return out
+
+    def cs_action_on_A(self, s, wid):
+        """Expand c_s A_w in the canonical basis and check the closed form.
+
+        The expected right-hand side is (v^2 + v^-2) A_w when sw < w,
+        otherwise (v + v^-1) A_{sw} (when sw = w delta(s)) or A_{s w delta(s)},
+        plus ms_constant corrections over z with sz < z < sw.
+        """
+        sys = self.system
+        got = self.expand_in_A(self.module.cs_action(s, self.a_vector(wid)))
+        expected = {}
+        commuting, up, other = self.module.action_case(s, wid)
+        if not up:
+            expected[wid] = LaurentPoly((1, 0, 0, 0, 1), -2)   # v^2 + v^-2
+        else:
+            expected[other] = LaurentPoly((1, 0, 1), -1) if commuting else ONE
+            expected.update(self.basis.ms_constants(s, wid))
+        if got != expected:
+            raise TheoremMismatch(
+                f"c_s A_w expansion mismatch at s={s}, w={sys.word_of(wid)}: "
+                f"got { {sys.word_of(k): str(v) for k, v in got.items()} }, "
+                f"expected { {sys.word_of(k): str(v) for k, v in expected.items()} }"
+            )
+        return got
 
 
 def table_vector(col, lo, top):

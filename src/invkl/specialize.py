@@ -14,20 +14,106 @@ epsilon(x, w) a_{x w x^-1}.  Restricting epsilon to centralizers produces
 the decomposition of the module into representations induced from linear
 characters, which is what the character comparisons here exercise.
 
+The action, the characters and the induced sums read only the involution
+index (``involutions.Involutions``); ``m1_matrices`` also checks the case
+formulas against the generic T_s action, and so needs an
+``invmodule.InvolutionModule``.  The integer reflection representation
+(``reflection_rep``, ``h_value``) lives here, as the h-grading is its only
+reader.
+
 Everything in this module requires the untwisted case (delta = identity).
 """
 
 from __future__ import annotations
 
 from .errors import TheoremMismatch
-from .coxeter import build_system
-from .invmodule import InvolutionModule
+from .coxeter import _CRYSTAL_WEIGHT, build_system
 
 __all__ = [
     "SpecializedModule",
     "model_check_typeA",
     "partition_count",
+    "reflection_rep",
+    "h_value",
 ]
+
+
+def _matmul(a, b, n):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
+    )
+
+
+def _rational_rank(rows):
+    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
+
+    After the k-th pivot every entry below it is a (k+1)-minor of the input,
+    so dividing by the previous pivot is exact and every entry stays an int.
+    """
+    mat = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        pv = top[col]
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col]
+            mat[r] = [(pv * a - f * b) // prev for a, b in zip(mat[r], top)]
+        prev = pv
+        rank += 1
+    return rank
+
+
+def _coxeter_to_cartan(cox):
+    """An integer Cartan realization of a crystallographic Coxeter matrix."""
+    n = len(cox)
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = _CRYSTAL_WEIGHT[cox[i][j]]
+            if w:
+                c[i][j] = -1
+                c[j][i] = -w
+    return c
+
+
+def _reflection_matrices(cox):
+    """Integer generator matrices on the root lattice of ``_coxeter_to_cartan``."""
+    n = len(cox)
+    cartan = _coxeter_to_cartan(cox)
+    mats = []
+    for s in range(n):
+        rows = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows[s] = tuple(int(j == s) - cartan[s][j] for j in range(n))
+        mats.append(tuple(rows))
+    return mats
+
+
+def reflection_rep(system):
+    """{s: integer matrix of s} in the reflection representation."""
+    if not system.crystallographic:
+        raise ValueError(
+            "reflection representation over Q requires a crystallographic type"
+        )
+    return dict(enumerate(_reflection_matrices(system.coxeter_matrix)))
+
+
+def h_value(system, wid):
+    """dim ker(M_w + Id): the fixed space of -w in the reflection rep."""
+    mats = reflection_rep(system)
+    n = system.rank
+    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for s in system.word_of(wid):
+        mat = _matmul(mat, mats[s], n)
+    k = [
+        [mat[i][j] + (1 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return n - _rational_rank(k)
 
 
 def partition_count(n):
@@ -40,7 +126,11 @@ def partition_count(n):
 
 
 class SpecializedModule:
-    """Characters and gradings of the u=1 module of a finite Weyl group."""
+    """Characters and gradings of the u=1 module of a finite Weyl group.
+
+    ``module`` is the involution index or an ``InvolutionModule``; only
+    ``m1_matrices`` needs the latter.
+    """
 
     def __init__(self, module):
         if module.system.is_twisted:
@@ -50,6 +140,7 @@ class SpecializedModule:
         self.basis = module.involution_ids
         self._matrices = None
         self._h = None
+        self._centralizer_sums = None
 
     # -- generator action at u = 1 ------------------------------------------------
 
@@ -160,22 +251,56 @@ class SpecializedModule:
         each c in the class cl(x) is hit |Z(x)| times, so the value is
         |C| / |cl(x)| times the sum of epsilon(c, w) over the c in cl(x)
         with c w c^-1 = w; a non-integer value raises TheoremMismatch.
+        Those sums are read from ``_centralizer_class_sums``.
         """
         sys = self.system
-        cl_x = next(cls for cls in sys.conjugacy_classes() if xid in cls)
+        k = sys.class_index()[xid]
+        size = len(sys.conjugacy_classes()[k])
         total = 0
-        for cls in self.involution_classes():
-            wid = cls[0]
-            value = len(cls) * sum(
-                self.epsilon(c, wid) for c in cl_x if sys.conjugate(c, wid) == wid
-            )
-            if value % len(cl_x):
+        for cls, sums in self._centralizer_class_sums():
+            value = len(cls) * sums[k]
+            if value % size:
                 raise TheoremMismatch(
                     "induced character value is not an integer at "
-                    f"w={sys.word_of(wid)}, x={sys.word_of(xid)}"
+                    f"w={sys.word_of(cls[0])}, x={sys.word_of(xid)}"
                 )
-            total += value // len(cl_x)
+            total += value // size
         return total
+
+    def _centralizer_class_sums(self):
+        """Per involution class C, with w its representative: (C, sums), sums[k]
+        being the sum of epsilon(c, w) over the c of conjugacy class k with
+        c w c^-1 = w.
+
+        One pass over the group per class, in ShortLex order, along the
+        smallest left descent s of each x: with y = (sx) w (sx)^-1, already
+        known, x w x^-1 = s y s is the s-partner of y (y itself when s
+        commutes with y), and epsilon(x, w) is epsilon(sx, w), negated when
+        s is a commuting descent of y, as in ``epsilon``.  Memoized.
+        """
+        if self._centralizer_sums is None:
+            sys = self.system
+            ids = sys.all_ids()
+            left = sys.generator_tables()[0]
+            class_of = sys.class_index()
+            steps = []   # (x, its smallest left descent s, sx)
+            for x in ids[1:]:
+                s = sys.word_of(x)[0]
+                steps.append((x, s, left[s][x]))
+            self._centralizer_sums = []
+            for cls in self.involution_classes():
+                wid = cls[0]
+                conj, sign = {0: wid}, {0: 1}   # x w x^-1 and epsilon(x, w), by x
+                for x, s, sx in steps:
+                    commuting, up, other = self.module.action_case(s, conj[sx])
+                    conj[x] = conj[sx] if commuting else other
+                    sign[x] = -sign[sx] if commuting and not up else sign[sx]
+                sums = [0] * len(sys.conjugacy_classes())
+                for x, y in conj.items():
+                    if y == wid:
+                        sums[class_of[x]] += sign[x]
+                self._centralizer_sums.append((cls, sums))
+        return self._centralizer_sums
 
     def class_function_report(self):
         """Per conjugacy class: representative, size, both character routes."""
@@ -210,7 +335,7 @@ class SpecializedModule:
 
     def h_values(self):
         if self._h is None:
-            self._h = {w: self.system.h_value(w) for w in self.basis}
+            self._h = {w: h_value(self.system, w) for w in self.basis}
         return self._h
 
     def h_grading_check(self):
@@ -262,8 +387,10 @@ def model_check_typeA(n, max_n=8):
     """
     if not 2 <= n <= max_n:
         raise ValueError(f"n must be between 2 and {max_n}")
+    from .involutions import Involutions
+
     system = build_system(f"A{n - 1}")
-    spec = SpecializedModule(InvolutionModule(system))
+    spec = SpecializedModule(Involutions(system))
     dim = len(spec.basis)
     inner = spec.character_inner_product()
     if inner != partition_count(n):

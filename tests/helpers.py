@@ -13,7 +13,8 @@ from invkl.errors import (
     InconsistentBar, InvariantError, NotDivisible, RecurrenceInconsistent,
 )
 from invkl.invmodule import MVector
-from invkl.klclassic import HeckeAlgebra, KLTable, expand_unitriangular
+from invkl.hecke import HeckeAlgebra, HeckeBases, expand_unitriangular
+from invkl.klclassic import KLTable
 from invkl.laurent import (
     LaurentPoly, ONE, ZERO, add_into, q_add, q_addmul, q_div, q_divmod,
     q_shift, q_trim, spread, u_pow, v_pow,
@@ -87,22 +88,23 @@ def hecke_selfbar_column(kl, wid):
     Bar invariance plus the triangularity built into the table pins the
     column uniquely, so this is a complete independent check of P_{., w}.
     """
-    alg = kl._h2
-    col = kl.cdot(wid)
-    return alg.bar_element(col) == col
+    bases = HeckeBases(kl)
+    col = bases.cdot(wid)
+    return bases.algebra.bar_element(col) == col
 
 
 def cells_by_t_basis(system, kl):
     """Two-sided cells from raw T-basis product supports (no mu shortcut)."""
     alg = HeckeAlgebra(system)
+    bases = HeckeBases(kl)
     ids = system.all_ids()
     edges = {wid: set() for wid in ids}
     for wid in ids:
-        col = kl.cdot(wid)
+        col = bases.cdot(wid)
         for s in range(system.rank):
-            gen = kl.cdot(s_gen_id(system, s))
-            left = kl.expand_in_cdot(alg.product(gen, col))
-            right = kl.expand_in_cdot(alg.product(col, gen))
+            gen = bases.cdot(s_gen_id(system, s))
+            left = bases.expand_in_cdot(alg.product(gen, col))
+            right = bases.expand_in_cdot(alg.product(col, gen))
             for target in set(left) | set(right):
                 if target != wid:
                     edges[wid].add(target)
@@ -224,11 +226,11 @@ def scaled_laurent(m, f):
     return MVector({w: g * f for w, g in m.entries.items()})
 
 
-def expand_in_A_laurent(basis, m):
+def expand_in_A_laurent(vectors, m):
     """m in the canonical basis by ``expand_unitriangular`` over the
-    ``LaurentPoly`` entries of each ``a_vector``."""
+    ``LaurentPoly`` entries of each ``CanonicalVectors.a_vector``."""
     return expand_unitriangular(
-        basis.system, m.entries, lambda wid: basis.a_vector(wid).entries
+        vectors.system, m.entries, lambda wid: vectors.a_vector(wid).entries
     )
 
 
@@ -398,7 +400,7 @@ class LaurentBarfixBasis(CanonicalBasis):
             )
         packed = pack((0,) * (p.min_exp // 2) + p.coeffs[::2])
         if not in_slots(packed, (gap + 1) // 2):
-            raise self._overflow(yid, wid)
+            raise InvariantError(f"P({yid}, {wid}) leaves the signed bits")
         return packed
 
 

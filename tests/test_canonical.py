@@ -5,7 +5,7 @@ import pytest
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
 from invkl.errors import InconsistentBar, InvariantError, RecurrenceInconsistent
-from invkl.invmodule import InvolutionModule, MVector
+from invkl.invmodule import CanonicalVectors, InvolutionModule, MVector
 from invkl.klclassic import KLTable
 from invkl.laurent import LaurentPoly, ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
@@ -59,14 +59,15 @@ def test_two_routes_agree():
     ]:
         system, module, basis = make(label, delta)
         for wid in module.involution_ids:
-            assert basis.column_barfix(wid) == basis.column(wid), (label, wid)
+            assert module.column_barfix(wid) == basis.column(wid), (label, wid)
 
 
 def test_columns_bar_invariant_unitriangular_bounded():
     for label, delta in [("A3", None), ("B3", None), ("A3", [2, 1, 0])]:
         system, module, basis = make(label, delta)
+        vectors = CanonicalVectors(basis)
         for wid in module.involution_ids:
-            vec = basis.a_vector(wid)
+            vec = vectors.a_vector(wid)
             assert module.bar_extended(vec) == vec
             col = {y: basis.pi(y, wid) for y in basis.column(wid)}
             assert col[wid] == ONE
@@ -195,17 +196,19 @@ def test_cs_action_examples(a2, a2_canonical):
     t = a2.element_id_from_word([1])
     sts = a2.element_id_from_word([0, 1, 0])
     vpv = v_pow(1) + v_pow(-1)
-    assert a2_canonical.cs_action_on_A(0, s) == {s: v_pow(2) + v_pow(-2)}
-    assert a2_canonical.cs_action_on_A(0, 0) == {s: vpv}
-    assert a2_canonical.cs_action_on_A(0, t) == {sts: ONE, s: ONE}
+    vectors = CanonicalVectors(a2_canonical)
+    assert vectors.cs_action_on_A(0, s) == {s: v_pow(2) + v_pow(-2)}
+    assert vectors.cs_action_on_A(0, 0) == {s: vpv}
+    assert vectors.cs_action_on_A(0, t) == {sts: ONE, s: ONE}
 
 
 def test_cs_action_closed_form_exhaustive():
     for label, delta in [("A3", None), ("B2", None), ("A3", [2, 1, 0])]:
         system, module, basis = make(label, delta)
+        vectors = CanonicalVectors(basis)
         for wid in module.involution_ids:
             for s in range(system.rank):
-                basis.cs_action_on_A(s, wid)  # raises on mismatch
+                vectors.cs_action_on_A(s, wid)  # raises on mismatch
 
 
 def test_domination_and_parity_against_classical():
@@ -244,9 +247,10 @@ def test_descent_stability():
 
 
 def test_expand_in_A_round_trip(a2_canonical, a2_module):
+    vectors = CanonicalVectors(a2_canonical)
     for wid in a2_module.involution_ids:
-        vec = a2_canonical.a_vector(wid)
-        assert a2_canonical.expand_in_A(vec) == {wid: ONE}
+        vec = vectors.a_vector(wid)
+        assert vectors.expand_in_A(vec) == {wid: ONE}
 
 
 def test_nontrivial_entries_appear_in_rank_four():
@@ -497,17 +501,16 @@ def test_packed_barfix_equals_the_laurent_barfix(label, delta):
     packed = CanonicalBasis(module)
     oracle = LaurentBarfixBasis(InvolutionModule(system))
     for wid in module.involution_ids:
-        got = packed.column_barfix(wid)
+        got = module.column_barfix(wid)
         assert got == oracle.column_barfix(wid) == packed.column(wid), (label, wid)
 
 
 def test_column_barfix_rejects_non_involutions():
     for label, max_length, wids in [("A2", None, (3, 4)), ("A3", 2, (6,))]:
         module = InvolutionModule(build_system(label), max_length)
-        basis = CanonicalBasis(module)
         for wid in wids:
             with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
-                basis.column_barfix(wid)
+                module.column_barfix(wid)
 
 
 def test_barfix_guards_raise_instead_of_misreading():
@@ -521,7 +524,7 @@ def test_barfix_guards_raise_instead_of_misreading():
     col = module._bar[xid] = dict(module.bar_column(xid))
     col[yid] += 1
     with pytest.raises(InconsistentBar, match="fixed-point defect"):
-        basis.column_barfix(wid)
+        module.column_barfix(wid)
     # a consistent residue on a row y that is not below w
     module = InvolutionModule(system)
     zid = module.layers[-2][0]
@@ -533,14 +536,14 @@ def test_barfix_guards_raise_instead_of_misreading():
     col = module._bar[zid] = dict(module.bar_column(zid))
     col[yid] = pack((1,)) - (pack((1,)) << (64 * gap))
     with pytest.raises(InconsistentBar, match="outside the Bruhat interval"):
-        CanonicalBasis(module).column_barfix(zid)
+        module.column_barfix(zid)
     module = InvolutionModule(system)
     col = module._bar[wid] = dict(module.bar_column(wid))
     yid = next(y for y, p in basis.column(wid).items() if y != wid)
     gap = system.length_of(wid) - system.length_of(yid)
     col[yid] += pack((1 << 40,)) - (pack((1 << 40,)) << (64 * gap))
     with pytest.raises(InvariantError, match="signed bits"):
-        CanonicalBasis(module).column_barfix(wid)
+        module.column_barfix(wid)
     # two rows of one layer each gaining 2^30 in P spend the Prev budget
     module = InvolutionModule(system)
     col = module._bar[wid] = dict(module.bar_column(wid))
@@ -549,7 +552,7 @@ def test_barfix_guards_raise_instead_of_misreading():
         gap = system.length_of(wid) - system.length_of(yid)
         col[yid] = col.get(yid, 0) + pack((1 << 30,)) - (pack((1 << 30,)) << (64 * gap))
     with pytest.raises(InvariantError, match="carry"):
-        CanonicalBasis(module).column_barfix(wid)
+        module.column_barfix(wid)
 
 
 def _laurent_vector(module, rng, odd, bits):
@@ -570,17 +573,18 @@ def test_packed_expansion_equals_the_dict_route(label, delta):
     over the LaurentPoly entries: on every c_s A_w, on random even and odd
     vectors, and on coefficients of 2^200 and more."""
     system, module, basis = make(label, delta)
+    vectors = CanonicalVectors(basis)
     for wid in module.involution_ids:
         for s in range(system.rank):
-            m = module.cs_action(s, basis.a_vector(wid))
-            assert basis.expand_in_A(m) == expand_in_A_laurent(basis, m)
+            m = module.cs_action(s, vectors.a_vector(wid))
+            assert vectors.expand_in_A(m) == expand_in_A_laurent(vectors, m)
     rng = random.Random(4606)
     for odd, bits in [(False, 3), (True, 3), (False, 200), (True, 200)]:
         m = _laurent_vector(module, rng, odd, bits)
-        assert basis.expand_in_A(m) == expand_in_A_laurent(basis, m)
+        assert vectors.expand_in_A(m) == expand_in_A_laurent(vectors, m)
     # 32-bit slots at their limit: the first subtraction widens them
     near = LaurentPoly((2**31 - 1, 0, -(2**31 - 1)), -2)
     m = MVector({w: near for w in module.involution_ids[::3]})
     assert m.width == 32
-    assert basis.expand_in_A(m) == expand_in_A_laurent(basis, m)
-    assert basis.expand_in_A(MVector()) == {}
+    assert vectors.expand_in_A(m) == expand_in_A_laurent(vectors, m)
+    assert vectors.expand_in_A(MVector()) == {}

@@ -5,7 +5,10 @@ The first check is an ``ast`` pass over the package and the tests.
 name counts as used when the module references it or lists it in
 ``__all__``.  The same kind of pass finds every ``assert`` statement in the
 package, where none may stand: ``python -O`` strips them, so no check of the
-package may depend on one.  The second runs each command in a fresh
+package may depend on one.  A third pass holds each package module's
+module-level imports to one table of allowed dependencies, so an import that
+would drag a verification layer into the ``table`` or ``kl`` path fails
+without starting an interpreter.  The last runs each command in a fresh
 interpreter and lists the modules it adds to ``sys.modules``.
 """
 
@@ -90,6 +93,96 @@ def test_no_asserts_in_the_package():
     assert PACKAGE and not found, "assert statements:\n" + "\n".join(found)
 
 
+# The package modules each package module may import at module level.  A
+# command compiles the closure of its ``cmd_*`` imports under this table.
+_ALLOWED = {
+    "__init__": {"coxeter", "errors", "laurent"},
+    "__main__": {"cli"},
+    "canonical": {"errors", "laurent", "packed"},
+    "cells": {"errors", "laurent"},
+    "cli": {"coxeter", "errors", "laurent"},
+    "coxeter": {"errors", "laurent"},
+    "errors": set(),
+    "hecke": {"errors", "laurent", "packed"},
+    "involutions": set(),
+    "invmodule": {"errors", "involutions", "laurent"},
+    "klclassic": {"errors", "laurent", "packed"},
+    "laurent": {"errors"},
+    "packed": {"errors"},
+    "specialize": {"coxeter", "errors"},
+    "verify": {"canonical", "errors", "invmodule", "klclassic", "laurent", "specialize"},
+}
+# the layers only verify, check_hf_relation and the tests may compile
+_VERIFICATION = {"invmodule", "hecke", "verify"}
+
+
+def package_imports(node, top_level=True):
+    """The package modules imported under ``node``; with ``top_level``, those
+    a module imports when it is loaded, outside any function body."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if top_level and isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        if isinstance(child, ast.ImportFrom) and child.level == 1:
+            if child.module is None:
+                found.update(alias.name for alias in child.names)
+            else:
+                found.add(child.module.split(".")[0])
+        elif isinstance(child, ast.ImportFrom) and (child.module or "").startswith("invkl."):
+            found.add(child.module.split(".")[1])
+        elif isinstance(child, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in child.names
+                if alias.name.startswith("invkl.")
+            )
+        found |= package_imports(child, top_level)
+    return found
+
+
+def test_package_imports_are_found():
+    source = (
+        "from .a import b\nimport invkl.g, os\nfrom invkl.h import i\n"
+        "def f():\n    from .c import d\n"
+        "class K:\n    from . import e\n    def m(self):\n        from .j import k\n"
+        "if True:\n    from .l.m import n\n"
+    )
+    tree = ast.parse(source)
+    assert package_imports(tree) == {"a", "e", "g", "h", "l"}
+    assert package_imports(tree, top_level=False) == {"a", "c", "e", "g", "h", "j", "l"}
+
+
+def test_module_level_imports_follow_the_layer_table():
+    assert set(_ALLOWED) == {path.stem for path in PACKAGE}
+    found = {
+        path.stem: package_imports(ast.parse(path.read_text())) for path in PACKAGE
+    }
+    extra = {name: sorted(deps - _ALLOWED[name]) for name, deps in found.items()}
+    assert not any(extra.values()), f"imports outside the layer table: {extra}"
+
+
+def test_commands_but_verify_stay_off_the_verification_layers():
+    """The closure of each command's own imports under the layer table holds
+    no verification layer, except for ``verify``."""
+    tree = ast.parse((ROOT / "src" / "invkl" / "cli.py").read_text())
+    commands = {
+        node.name: package_imports(node, top_level=False)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    }
+    assert set(commands) == {f"cmd_{c}" for c in ("table", "kl", "cells", "character", "verify")}
+    for name, roots in commands.items():
+        closure, frontier = set(), roots | _ALLOWED["cli"]
+        while frontier:
+            closure |= frontier
+            frontier = set().union(*(_ALLOWED[m] for m in frontier)) - closure
+        if name == "cmd_verify":
+            assert {"invmodule", "verify"} <= closure and "hecke" not in closure
+        else:
+            assert not closure & _VERIFICATION, (name, sorted(closure))
+
+
 # What each command adds to sys.modules in a fresh interpreter, run as
 # ``python -m invkl`` runs it: the package, then ``cli.main``.
 _ADDED = """
@@ -107,16 +200,16 @@ _STDLIB = (
 )
 _BASE = {"invkl", "invkl.cli", "invkl.coxeter", "invkl.errors", "invkl.laurent"}
 _LAYERS = {
-    "table --type A3": {"invkl.invmodule", "invkl.canonical", "invkl.packed"},
+    "table --type A3": {"invkl.involutions", "invkl.canonical", "invkl.packed"},
     "table --type A3 --classic": {
-        "invkl.invmodule", "invkl.canonical", "invkl.klclassic", "invkl.packed",
+        "invkl.involutions", "invkl.canonical", "invkl.klclassic", "invkl.packed",
     },
     "kl --type A3": {"invkl.klclassic", "invkl.packed"},
     "cells --type A3": {"invkl.cells", "invkl.klclassic", "invkl.packed"},
-    "character --type A3": {"invkl.invmodule", "invkl.specialize"},
+    "character --type A3": {"invkl.involutions", "invkl.specialize"},
     "verify --type A2": {
-        "invkl.verify", "invkl.invmodule", "invkl.canonical", "invkl.klclassic",
-        "invkl.specialize", "invkl.packed",
+        "invkl.verify", "invkl.involutions", "invkl.invmodule", "invkl.canonical",
+        "invkl.klclassic", "invkl.specialize", "invkl.packed",
     },
 }
 
@@ -146,11 +239,26 @@ def test_each_command_imports_only_its_layers(command, stdlib_deps):
     if not command.startswith("verify"):
         assert "fractions" not in added
     assert {m for m in added if m.startswith("invkl")} == _BASE | _LAYERS[command]
-    if command.startswith("kl "):
+    if not command.startswith("verify"):
         assert added - stdlib_deps == _BASE | _LAYERS[command]
+    if command.startswith(("table", "character")):
+        assert "invkl.invmodule" not in added   # the index, not the arithmetic
+    if command.startswith(("kl", "cells")):
+        assert "invkl.hecke" not in added
 
 
 def test_building_a_system_imports_no_dataclasses_or_fractions():
-    added = added_modules('import invkl\ninvkl.build_system("H3")')
-    assert not added & {"dataclasses", "fractions"}
-    assert "invkl.packed" not in added  # the table kernel is not compiled at set-up
+    """Set-up loads the element engine alone: no table kernel, no dataclasses
+    or fractions, and it builds no reflection matrices."""
+    for label in ("F4", "H3"):
+        added = added_modules(f'import invkl\ninvkl.build_system("{label}")')
+        assert not added & {"dataclasses", "fractions"}
+        assert {m for m in added if m.startswith("invkl")} == {
+            "invkl", "invkl.coxeter", "invkl.errors", "invkl.laurent",
+        }
+    from invkl import build_system
+    from invkl.specialize import reflection_rep
+
+    system = build_system("F4")
+    mats = list(reflection_rep(system).values())
+    assert not [v for v in vars(system).values() if v == mats or v == tuple(mats)]

@@ -14,7 +14,8 @@ from helpers import (
 from invkl import build_system, verify
 from invkl.errors import InvariantError, NotDivisible
 from invkl.canonical import CanonicalBasis
-from invkl.invmodule import InvolutionModule, MVector, table_vector
+from invkl.involutions import Involutions
+from invkl.invmodule import CanonicalVectors, InvolutionModule, MVector, table_vector
 from invkl.verify import bar_table_dense_solve
 from invkl.laurent import LaurentPoly, ONE, ZERO, u_pow, v_pow
 from invkl.packed import COEFF_BITS, pack
@@ -390,6 +391,37 @@ def test_interval_order_equals_the_keyed_sort(label, delta):
         assert module.interval(wid) == want, module.system.word_of(wid)
 
 
+@pytest.mark.parametrize(
+    "label, delta, max_length",
+    [
+        ("A3", None, None),
+        ("B3", None, None),
+        ("F4", None, None),
+        ("I2(5)xA2", None, None),
+        ("H3", None, None),
+        pytest.param("D5", (0, 1, 2, 4, 3), None, id="D5-twisted"),
+        pytest.param("E6", (5, 1, 4, 3, 2, 0), 12, id="E6-twisted-capped"),
+    ],
+)
+def test_the_index_and_the_module_agree(label, delta, max_length):
+    """The involution index alone and the module built on it, each on its own
+    system, give the same ids, layers, cases and intervals, and a canonical
+    basis built on either has the same columns."""
+    index = Involutions(build_system(label, delta=delta), max_length)
+    module = InvolutionModule(build_system(label, delta=delta), max_length)
+    assert not hasattr(index, "bar_column")
+    assert index.involution_ids == module.involution_ids
+    assert index.layers == module.layers
+    for wid in index.involution_ids:
+        assert index.interval(wid) == module.interval(wid)
+        for s in range(index.system.rank):
+            assert index.action_case(s, wid) == module.action_case(s, wid)
+    on_index = CanonicalBasis(index).build()
+    on_module = CanonicalBasis(module).build()
+    for wid in index.involution_ids:
+        assert on_index.column(wid) == on_module.column(wid)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_cancelling_sums_store_no_zero(label):
     """Sums whose terms cancel drop the entry instead of storing a zero.
@@ -729,7 +761,7 @@ def test_table_vectors_carry_their_coefficient_bound(label, delta):
     for wid in module.involution_ids:
         for v, col in [
             (module.bar_basis(wid), module.bar_column(wid)),
-            (basis.a_vector(wid), basis.column(wid)),
+            (CanonicalVectors(basis).a_vector(wid), basis.column(wid)),
         ]:
             assert v.width == 32 and v.ints is col
             assert v.bound == max(abs(c) for f in v.entries.values() for c in f.coeffs)

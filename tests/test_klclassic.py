@@ -7,7 +7,8 @@ import pytest
 from invkl import build_system, klclassic
 from invkl.cli import main
 from invkl.errors import InvariantError
-from invkl.klclassic import HeckeAlgebra, KLTable
+from invkl.hecke import HeckeAlgebra, HeckeBases
+from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
 
@@ -97,23 +98,25 @@ def test_cdot_product_examples(a2, a2_kl):
     s = s_gen_id(a2, 0)
     sts = a2.element_id_from_word([0, 1, 0])
     vpv = v_pow(1) + v_pow(-1)
+    bases = HeckeBases(a2_kl)
     for el in a2.enumerate_all():
-        assert a2_kl.c_basis_product(0, el.id) == {el.id: ONE}
-    assert a2_kl.c_basis_product(s, s) == {s: vpv}
-    assert a2_kl.c_basis_product(s, sts) == {sts: vpv}
+        assert bases.c_basis_product(0, el.id) == {el.id: ONE}
+    assert bases.c_basis_product(s, s) == {s: vpv}
+    assert bases.c_basis_product(s, sts) == {sts: vpv}
 
 
 def test_cdot_product_constants_nonnegative(b2):
-    kl = KLTable(b2)
+    bases = HeckeBases(KLTable(b2))
     ids = b2.all_ids()
     for z, w in itertools.product(ids, ids):
-        for f in kl.c_basis_product(z, w).values():
+        for f in bases.c_basis_product(z, w).values():
             assert all(c > 0 for _, c in f.terms())
 
 
 def test_h_constants_unit(a2, a2_kl):
+    bases = HeckeBases(a2_kl)
     for w in a2.twisted_involution_ids():
-        assert a2_kl.h_constants(0, w) == {w: ONE}
+        assert bases.h_constants(0, w) == {w: ONE}
 
 
 def test_parallel_build_matches_serial():
@@ -133,7 +136,7 @@ def test_parallel_build_matches_serial():
 def test_cancelling_sums_store_no_zero(a3):
     """Hecke sums whose terms cancel drop the entry instead of storing a zero."""
     alg = HeckeAlgebra(a3)
-    kl = KLTable(a3)
+    bases = HeckeBases(KLTable(a3))
     u, u_inv = v_pow(2), v_pow(-2)
     for s in range(a3.rank):
         sid = s_gen_id(a3, s)
@@ -145,7 +148,7 @@ def test_cancelling_sums_store_no_zero(a3):
         assert alg.bar_element({sid: ONE, 0: ONE - u}) == {sid: u_inv}
     for w in a3.all_ids():
         # every term of the work dict cancels as its column is subtracted
-        assert kl.expand_in_cdot(kl.cdot(w)) == {w: ONE}
+        assert bases.expand_in_cdot(bases.cdot(w)) == {w: ONE}
 
 
 @pytest.mark.parametrize(

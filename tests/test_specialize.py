@@ -6,9 +6,15 @@ from invkl import build_system
 from invkl.invmodule import InvolutionModule
 from invkl.specialize import (
     SpecializedModule,
+    _matmul,
+    _rational_rank,
+    h_value,
     model_check_typeA,
     partition_count,
+    reflection_rep,
 )
+
+from helpers import fraction_rank
 
 
 def spec_for(label):
@@ -119,7 +125,7 @@ def test_h_grading_report():
         assert report["violations"] == []
         assert report["ascent_instances"] > 0
     a2 = spec_for("A2")
-    assert [a2.system.h_value(w) for w in a2.basis] == [0, 1, 1, 1]
+    assert [h_value(a2.system, w) for w in a2.basis] == [0, 1, 1, 1]
 
 
 def test_model_property():
@@ -133,3 +139,60 @@ def test_twisted_systems_are_rejected():
     module = InvolutionModule(build_system("A3", delta=[2, 1, 0]))
     with pytest.raises(ValueError):
         SpecializedModule(module)
+
+
+def test_reflection_rep_invariants():
+    for label in ("A2", "B2", "G2", "A3", "D4"):
+        system = build_system(label)
+        rep = reflection_rep(system)
+        n = system.rank
+        ident = tuple(
+            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
+        )
+        for s, mat in rep.items():
+            assert _matmul(mat, mat, n) == ident
+            for t in range(n):
+                if t == s:
+                    continue
+                prod = _matmul(mat, rep[t], n)
+                power = prod
+                order = 1
+                while power != ident:
+                    power = _matmul(power, prod, n)
+                    order += 1
+                assert order == system.coxeter_matrix[s][t]
+
+
+def test_h_values(a2):
+    assert h_value(a2, 0) == 0
+    a1 = build_system("A1")
+    assert h_value(a1, a1.element_id_from_word([0])) == 1
+    sts = a2.element_id_from_word([0, 1, 0])
+    assert h_value(a2, sts) == 1
+    assert [h_value(a2, w) for w in a2.twisted_involution_ids()] == [0, 1, 1, 1]
+    with pytest.raises(ValueError):
+        h_value(build_system("I2(5)"), 0)
+
+
+def test_integer_rank_matches_fraction_elimination():
+    rng = random.Random(20110921)
+    deficient = 0
+    for trial in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        bound = 10 ** rng.choice((1, 3, 20))
+        if trial % 3 == 0 and rows and cols:
+            # a product through a thin middle has rank at most its width
+            k = rng.randint(0, min(rows, cols) - 1)
+            left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(k)]
+            mat = [
+                [sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                if k else [0] * cols
+                for row in left
+            ]
+        else:
+            mat = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        rank = _rational_rank(mat)
+        assert rank == fraction_rank(mat), mat
+        deficient += rank < min(rows, cols)
+    assert deficient >= 50

@@ -23,13 +23,16 @@ P(y, w) being the one int P(2^64) of the ``packed`` kernel, a 64-bit
 slot per u-coefficient.  Row y of target z is the equation for pi(y, z)
 times v^{l(z)-l(y)}, times one more v when z = sw, so every coefficient is
 in Z[u] and the whole row is one int: the T_s case of y gives a fixed
-combination such as (1+u) P(y, w) + (u^2-u) P(sy, w), an int product per
-term, and a shorter column x enters as an integer times a u-shift, times
-1 + u when l(w) - l(x) is odd.  A commuting target then solves
-(1 + u) P(y, z) = row + mu'(y, z) u^((gap+1)/2) under the degree bound
-floor((gap-1)/2) by ``solve_one_plus_u`` (one residue and one exact
-division by 2^64 + 1), where the mu' term is allowed only on the rows of the
-descent interval; anything else raises ``RecurrenceInconsistent``.  Stored
+combination c_y P(y, w) + c_p P(p, w), p the s-partner of y and c_y, c_p
+the polynomials of ``involutions.CASE_POLYS`` for the cases of y and p
+(such as (1+u) P(y, w) + (u^2-u) P(sy, w)), packed once into
+``_CASE_TERMS``, an int product per term, and a shorter column x enters
+as an integer times a u-shift, times 1 + u when l(w) - l(x) is odd.  A
+commuting target then solves (1 + u) P(y, z) = row + mu'(y, z)
+u^((gap+1)/2) under the degree bound floor((gap-1)/2) by
+``solve_one_plus_u`` (one residue and one exact division by 2^64 + 1),
+where the mu' term is allowed only on the rows of the descent interval;
+anything else raises ``RecurrenceInconsistent``.  Stored
 coefficients stay signed ``COEFF_BITS``-bit numbers and each column's
 multipliers stay within ``BUDGET``, so no slot carries into the next; past
 either bound the build raises ``InvariantError``.  ``LaurentPoly`` values
@@ -64,25 +67,21 @@ the same kind.
 from __future__ import annotations
 
 from .errors import InvariantError, RecurrenceInconsistent
+from .involutions import CASE_POLYS
 from .laurent import LaurentPoly, ZERO, spread
 from .packed import (
-    SLOT, check_budget, coeff_at, degree_at_most, in_slots, mu_at, pack, slot_test,
-    solve_one_plus_u, unpack,
+    ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most, in_slots, mu_at, pack,
+    slot_test, solve_one_plus_u, unpack,
 )
 
 __all__ = ["CanonicalBasis"]
 
-_ONE_PLUS_U = pack((1, 1))
-_U2_MINUS_U = pack((0, -1, 1))
-_U2 = pack((0, 0, 1))
-
 # The scaled row y of a target column: the packed polynomials multiplying
-# P(y, w) and P(partner of y, w), by the T_s case (commuting, up) of y.
+# P(y, w) and P(partner of y, w), by the T_s case (commuting, up) of y.  They
+# are c_y and c_partner, and the partner's case differs from y's only in up.
 _CASE_TERMS = {
-    (True, True): (_ONE_PLUS_U, _U2_MINUS_U),    # (1+u) P(y,w) + (u^2-u) P(sy,w)
-    (True, False): (_U2_MINUS_U, _ONE_PLUS_U),   # (u^2-u) P(y,w) + (1+u) P(sy,w)
-    (False, True): (1, _U2),                     # P(y,w) + u^2 P(sy delta(s),w)
-    (False, False): (_U2, 1),                    # u^2 P(y,w) + P(sy delta(s),w)
+    (commuting, up): (pack(c), pack(CASE_POLYS[commuting, not up]))
+    for (commuting, up), c in CASE_POLYS.items()
 }
 
 
@@ -311,7 +310,7 @@ class CanonicalBasis:
         pending = {}
         for xid, k in known.items():
             e = lift - lengths[xid]
-            mult = (-k * _ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
+            mult = (-k * ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
             _add_column(pending, mult, self.column(xid))
         # by l(y): the in_slots test of P(y, z), degree < (l(z) - l(y) + 1) / 2
         tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]

@@ -66,14 +66,23 @@ def _mu_edges(kl, wid, left, right):
 
 
 def compute_cells(kl, cap=DEFAULT_CELL_CAP):
-    """Partition the group into two-sided cells (strongly connected parts)."""
+    """Partition the group into two-sided cells (strongly connected parts).
+
+    The group is enumerated one length layer at a time, and a group of more
+    than ``cap`` elements raises ``ValueError`` as soon as the layers pass it.
+    """
     sys = kl.system
-    ids = sys.all_ids()
-    if len(ids) > cap:
-        raise ValueError(
-            f"cell computation is gated at {cap} elements; "
-            f"this group has {len(ids)}"
-        )
+    ids, k = [], 0
+    while True:
+        more = sys.all_ids(k)
+        if len(more) > cap:
+            raise ValueError(
+                f"cell computation is gated at {cap} elements; "
+                f"this group has more than {cap}"
+            )
+        if len(more) == len(ids):
+            break
+        ids, k = more, k + 1
     left, right = sys.generator_tables()
     graph = {wid: sorted(_mu_edges(kl, wid, left, right)) for wid in ids}
 

@@ -404,7 +404,6 @@ class CoxeterSystem:
         self._lmul = [[] for _ in range(self.rank)]  # _lmul[s][w] = sw or None
         self._rmul = [[] for _ in range(self.rank)]  # _rmul[s][w] = ws or None
         self._tables_full = False
-        self._inv = []
         self._layers = None  # list of id lists, grouped by length
         self._complete = False
         self._bruhat_memo = {}
@@ -430,7 +429,6 @@ class CoxeterSystem:
             row.append(None)
         for row in self._rmul:
             row.append(None)
-        self._inv.append(None)
         self._index[payload[0]] = wid
         return wid
 
@@ -482,12 +480,10 @@ class CoxeterSystem:
         """
         if self._complete and not self._tables_full:
             # The enumeration took sw for every ascent s of every w, and lmul
-            # records sw and s(sw) at once, so the left tables are full.  The
-            # payload of w^-1 is that of w with its halves swapped, so an
-            # inverse is one index lookup, and ws = (s w^-1)^-1.
+            # records sw and s(sw) at once, so the left tables are full, and
+            # ws = (s w^-1)^-1, with the inverses read as ``inverse_id`` does.
             index = self._index
-            inv = self._inv
-            inv[:] = [index[winv] for _, winv in self._payloads]
+            inv = [index[winv] for _, winv in self._payloads]
             for left, right in zip(self._lmul, self._rmul):
                 right[:] = [inv[left[x]] for x in inv]
             self._tables_full = True
@@ -534,14 +530,12 @@ class CoxeterSystem:
         return self._words[wid]
 
     def inverse_id(self, wid):
-        cached = self._inv[wid]
-        if cached is not None:
-            return cached
-        xid = 0
-        for s in reversed(self.word_of(wid)):
-            xid = self.rmul(xid, s)
-        self._inv[wid] = xid
-        self._inv[xid] = wid
+        """w^-1: the payload of w with its halves swapped, looked up, and
+        interned at l(w) when it is new."""
+        roots, inv_roots = self._payloads[wid]
+        xid = self._index.get(inv_roots)
+        if xid is None:
+            xid = self._register((inv_roots, roots), self._lengths[wid])
         return xid
 
     def delta_id(self, wid):

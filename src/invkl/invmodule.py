@@ -19,10 +19,12 @@ have even v-support, and the bar operations check that.
 A module element (``MVector``) is stored packed, by Kronecker substitution
 (Harvey, J. Symbolic Comput. 2009): one v-offset ``lo`` for the whole
 vector and, per involution, one int sum_i c_i 2^(width i) in balanced
-width-bit slots, standing for sum_i c_i v^(lo+i).  The width is 32 bits
-unless the coefficients need more.  Multiplying by v^k only moves ``lo``,
-a u-polynomial multiplier is one int product, and two vectors are added or
-compared entry by entry after the one with the higher ``lo`` is shifted up.
+width-bit slots, standing for sum_i c_i v^(lo+i); the slots are packed and
+read by ``packed.pack`` and ``packed.unpack``, as the tables' are.  The
+width is 32 bits unless the coefficients need more.  Multiplying by v^k
+only moves ``lo``, a u-polynomial multiplier is one int product, and two
+vectors are added or compared entry by entry after the one with the
+higher ``lo`` is shifted up.
 The int arithmetic is always exact, but reading slots back, dropping an
 entry that sums to zero and comparing two vectors are exact only while every
 |c_i| < 2^(width-1).  So each vector carries ``bound`` >= every |c_i|, each
@@ -40,17 +42,19 @@ stored as the P-sigma columns are, in the 64-bit balanced slots of
 ``packed``: bar(a_w) = sum_y u^-l(w) R(y, w) a_y with R(y, w) in Z[u] of
 degree at most l(w) - l(y), and ``bar_column(w)`` is {y: R(y, w)(2^64)}.
 Since (T_s+1) a_y = c_y (a_y + a_p), p the s-partner of y and c_y one of
-1+u, u^2-u, 1 and u^2 by the case of y, a left descent s of w with partner
-x gives R_w = Sigma - u^2 R_x, or Sigma / (1+u) - u R_x when it commutes,
-Sigma being u^l(x) (T_s+1) bar(a_x): a column is a sum of int products,
-with one checked exact division by 2^64 + 1 per row when s commutes.  Each
+1+u, u^2-u, 1 and u^2 by the case of y (``involutions.CASE_POLYS``, from
+which the multipliers of the T_s action and of the bar step are packed),
+a left descent s of w with partner x gives R_w = Sigma - u^2 R_x, or
+Sigma / (1+u) - u R_x when it commutes, Sigma being u^l(x) (T_s+1)
+bar(a_x): a column is a sum of int products, with one checked exact
+division by 2^64 + 1 per row when s commutes.  Each
 column is checked to have R(w, w) = 1, support in ``interval(w)`` and
 coefficients within the slot bound.  A stored R(y, w) read in 32-bit
 v-slots is R(y, w)(v^2), so ``bar_basis(w)`` is the column itself with
 lo = -2 l(w).  The semilinear extension ``bar_extended`` reverses each
 input entry's slots for bar(f_w) and adds bar(f_w) R(y, w) into row y as
 one int product per (w, y), in v-slots wide enough for the row's
-coefficient bound.  ``packed`` is imported inside the bar-table code only.
+coefficient bound.
 
 The same table gives the canonical basis a second time: ``column_barfix``
 solves the fixed-point condition bar(A_w) = A_w row by row, each row one
@@ -71,12 +75,12 @@ their limit.
 
 from __future__ import annotations
 
-import struct
 from functools import cache
 
 from .errors import InconsistentBar, InvariantError, NotDivisible, TheoremMismatch
-from .involutions import Involutions
+from .involutions import CASE_POLYS, Involutions
 from .laurent import LaurentPoly, ONE, ZERO, spread
+from .packed import ONE_PLUS_U, SLOT, check_budget, in_slots, pack, unpack
 
 __all__ = ["MVector", "InvolutionModule", "CanonicalVectors"]
 
@@ -101,7 +105,7 @@ class MVector:
         self.bound = max((abs(c) for _w, f in polys for c in f.coeffs), default=0)
         self.width = width = _width_for(self.bound)
         self.ints = {
-            w: _pack_slots(f.coeffs, width) << (width * (f.min_exp - lo))
+            w: pack(f.coeffs, width) << (width * (f.min_exp - lo))
             for w, f in polys
         }
 
@@ -112,7 +116,7 @@ class MVector:
         v = cls.__new__(cls)
         if width > _VSLOT and ints:
             bound = max(
-                max(map(abs, _unpack_slots(p, width))) for p in ints.values()
+                max(map(abs, unpack(p, width))) for p in ints.values()
             )
             narrow = _width_for(bound)
             if narrow < width:
@@ -138,7 +142,7 @@ class MVector:
         return ZERO if p is None else self._poly(p)
 
     def _poly(self, p):
-        return LaurentPoly(_unpack_slots(p, self.width), self.lo)
+        return LaurentPoly(unpack(p, self.width), self.lo)
 
     def _at(self, width):
         """``ints`` in ``width``-bit slots, ``width`` at least ``self.width``."""
@@ -176,7 +180,7 @@ class MVector:
         none when f is +-v^k, which moves ``lo`` only."""
         if isinstance(f, int):
             f = LaurentPoly((f,))
-        if f.is_zero:
+        if f.is_zero or not self.ints:
             return MVector()
         lo = self.lo + f.min_exp
         if f.coeffs in ((1,), (-1,)):
@@ -184,7 +188,7 @@ class MVector:
             return MVector._of(ints, lo, self.width, self.bound)
         bound = self.bound * sum(map(abs, f.coeffs))
         width = max(self.width, _width_for(bound))
-        mult = _pack_slots(f.coeffs, width)
+        mult = pack(f.coeffs, width)
         ints = {w: mult * p for w, p in self._at(width).items()}
         return MVector._of(ints, lo, width, bound)
 
@@ -197,7 +201,7 @@ class MVector:
         limit.  This is one step of a unitriangular expansion, where the
         entry of ``column`` at top is 1 and top leaves the vector.
         """
-        coeffs = _unpack_slots(self.ints[top], self.width)
+        coeffs = unpack(self.ints[top], self.width)
         self.bound += max(map(abs, coeffs)) * norm
         width = max(self.width, column.width, _width_for(self.bound))
         if width != self.width:
@@ -277,7 +281,7 @@ class InvolutionModule(Involutions):
     def _check_even(self, m, context):
         """Every slot of m at an odd v-exponent is zero."""
         for wid, p in m.ints.items():
-            if any(_unpack_slots(p, m.width)[(m.lo + 1) % 2::2]):
+            if any(unpack(p, m.width)[(m.lo + 1) % 2::2]):
                 raise InvariantError(
                     f"{context}: coefficient {m.get(wid)} at "
                     f"{self.system.word_of(wid)} leaves Z[u, u^-1]"
@@ -309,8 +313,6 @@ class InvolutionModule(Involutions):
         with signed ``COEFF_BITS``-bit coefficients: together with the
         bound on R_x this keeps every slot of the push below 2^63.
         """
-        from .packed import SLOT, in_slots, unpack
-
         sys = self.system
         commuting, _up, xid = self._action[wid][s]
         terms = _bar_terms(commuting)
@@ -322,9 +324,8 @@ class InvolutionModule(Involutions):
             pushed[yid] = pushed.get(yid, 0) + own * r
             pushed[pid] = pushed.get(pid, 0) + partner * r
         if commuting:
-            one_plus_u = (1 << SLOT) + 1
             for yid, r in pushed.items():
-                q, rem = divmod(r, one_plus_u)
+                q, rem = divmod(r, ONE_PLUS_U)
                 if rem:
                     raise NotDivisible(
                         f"bar(a_w) at {sys.word_of(wid)}, row {sys.word_of(yid)}: "
@@ -352,23 +353,10 @@ class InvolutionModule(Involutions):
                 )
         return col
 
-    def bar_basis(self, wid, choice=None):
-        """bar(a_w) as a module element: ``bar_column`` read in v-slots.
-
-        ``choice`` overrides the generator used for the recursion step and is
-        meant for well-definedness checks; any left descent is admissible.
-        """
+    def bar_basis(self, wid):
+        """bar(a_w) as a module element: ``bar_column`` read in v-slots."""
         lo = -2 * self.system.length_of(wid)
-        if choice is None:
-            return table_vector(self.bar_column(wid), lo, self._bar_top(wid))
-        self._require(wid)
-        if choice not in [s for s, case in enumerate(self._action[wid]) if not case[1]]:
-            raise ValueError(
-                f"generator {choice} is not a left descent of "
-                f"{self.system.word_of(wid)}"
-            )
-        col = self._bar_step(wid, choice)
-        return table_vector(col, lo, column_top(col))
+        return table_vector(self.bar_column(wid), lo, self._bar_top(wid))
 
     def _bar_top(self, wid):
         """max |coefficient| over the column w, read off its v-slots; memoized."""
@@ -380,10 +368,8 @@ class InvolutionModule(Involutions):
     def _bar_vslots(self, wid, width):
         """{y: R(y, w)(v^2) packed in width-bit v-slots}: ``bar_column(w)``
         itself at ``_VSLOT`` bits."""
-        from .packed import unpack
-
         return {
-            yid: _pack_slots(unpack(r), 2 * width)
+            yid: pack(unpack(r), 2 * width)
             for yid, r in self.bar_column(wid).items()
         }
 
@@ -408,7 +394,7 @@ class InvolutionModule(Involutions):
         rows = []   # (w, coefficients of f_w, lowest exponent of bar(f_w) bar(a_w))
         bound = 0
         for wid, p in m.ints.items():
-            coeffs = _unpack_slots(p, m.width)
+            coeffs = unpack(p, m.width)
             bound += sum(map(abs, coeffs)) * self._bar_top(wid)
             rows.append((wid, coeffs, -m.lo - len(coeffs) + 1 - 2 * length(wid)))
         if not rows:
@@ -423,7 +409,7 @@ class InvolutionModule(Involutions):
             else:
                 col = self._bar_vslots(wid, width)
             shift = width * (e - lo)
-            mult = _pack_slots(coeffs[::-1], width)
+            mult = pack(coeffs[::-1], width)
             for yid, r in col.items():
                 out[yid] = get(yid, 0) + (mult * r << shift)
         return MVector._of({y: p for y, p in out.items() if p}, lo, width, bound)
@@ -446,8 +432,6 @@ class InvolutionModule(Involutions):
         ``BUDGET``, so every residue slot stays below 2^63.  Returns the
         column in the layout of ``CanonicalBasis.column``.
         """
-        from .packed import SLOT, check_budget, in_slots, pack, unpack
-
         sys = self.system
         residue = dict(self.bar_column(wid))   # Prev_w = 1; ValueError off the module
         length = sys.length_of
@@ -581,7 +565,7 @@ def table_vector(col, lo, top):
 
 def column_top(col):
     """The largest |coefficient| of a table column, read in v-slots."""
-    return max(max(map(abs, _unpack_slots(p, _VSLOT))) for p in col.values())
+    return max(max(map(abs, unpack(p, _VSLOT))) for p in col.values())
 
 
 def _width_for(bound):
@@ -592,31 +576,14 @@ def _width_for(bound):
 @cache
 def _action_terms(width, plus_one):
     """{case (commuting, up): (own, partner)}: T_s a_w = own a_w + partner
-    a_partner, or (T_s + 1) a_w with ``plus_one``, in width-bit v-slots."""
-    u = 1 << (2 * width)
-    if plus_one:   # c_w (a_w + a_partner)
-        return {
-            (True, True): (1 + u, 1 + u),
-            (True, False): (u * u - u, u * u - u),
-            (False, True): (1, 1),
-            (False, False): (u * u, u * u),
-        }
-    return {
-        (True, True): (u, 1 + u),
-        (True, False): (u * u - u - 1, u * u - u),
-        (False, True): (0, 1),
-        (False, False): (u * u - 1, u * u),
-    }
+    a_partner, or (T_s + 1) a_w with ``plus_one``, in width-bit v-slots.
 
-
-# c_y of (T_s + 1) a_y = c_y (a_y + a_partner), by the T_s case (commuting, up)
-# of y, as u-coefficients
-_C_Y = {
-    (True, True): (1, 1),        # 1 + u
-    (True, False): (0, -1, 1),   # u^2 - u
-    (False, True): (1,),         # 1
-    (False, False): (0, 0, 1),   # u^2
-}
+    (T_s + 1) a_w = c_w (a_w + a_partner), so partner = c_w and own is c_w,
+    less 1 for T_s; a u-slot of c_w spans two v-slots.
+    """
+    packed = {case: pack(c, 2 * width) for case, c in CASE_POLYS.items()}
+    drop = 0 if plus_one else 1
+    return {case: (c - drop, c) for case, c in packed.items()}
 
 
 @cache
@@ -624,46 +591,8 @@ def _bar_terms(commuting):
     """{case of y: (own, partner)}, packed: the multipliers of R(y, x) in rows y
     and partner(y) of Sigma - (u + u^2 or u^2) R_x, for a commuting or other
     descent step of ``InvolutionModule._bar_step``.  ``partner`` is c_y."""
-    from .packed import pack
-
     drop = pack((0, 1, 1) if commuting else (0, 0, 1))
-    return {case: (pack(c) - drop, pack(c)) for case, c in _C_Y.items()}
-
-
-def _pack_slots(coeffs, width):
-    """``packed.pack`` with width-bit slots; at ``_VSLOT`` bits every
-    coefficient must lie in [-2^31, 2^31), and one ``struct`` call packs them
-    (the inverse of ``_unpack_slots``)."""
-    if width == _VSLOT:
-        halves = _halves(len(coeffs))
-        packed = struct.pack(f"<{len(coeffs)}i", *coeffs)
-        return (int.from_bytes(packed, "little") ^ halves) - halves
-    p = 0
-    for c in reversed(coeffs):
-        p = (p << width) + c
-    return p
-
-
-def _unpack_slots(p, width):
-    """``packed.unpack`` with width-bit slots, trailing zeros allowed.
-
-    Adding 2^(width-1) to every slot leaves each an unsigned digit with no
-    borrow, and flipping each top bit then gives the two's complement of
-    the balanced digit, so ``_VSLOT``-bit slots are read by one ``struct``
-    call.  Wider slots are read one at a time.
-    """
-    if width == _VSLOT:
-        n = p.bit_length() // _VSLOT + 1
-        halves = _halves(n)
-        return struct.unpack(f"<{n}i", ((p + halves) ^ halves).to_bytes(4 * n, "little"))
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    out = []
-    while p:
-        c = ((p + half) & mask) - half
-        out.append(c)
-        p = (p - c) >> width
-    return out
+    return {case: (pack(c) - drop, pack(c)) for case, c in CASE_POLYS.items()}
 
 
 def _add_multiple(ints, mult, other):
@@ -679,10 +608,4 @@ def _add_multiple(ints, mult, other):
 
 def _repack(ints, width, new):
     """{w: p} moved from width-bit to new-bit slots."""
-    return {w: _pack_slots(_unpack_slots(p, width), new) for w, p in ints.items()}
-
-
-@cache
-def _halves(n):
-    """2^(_VSLOT-1) in each of n ``_VSLOT``-bit slots."""
-    return ((1 << (_VSLOT * n)) - 1) // ((1 << _VSLOT) - 1) << (_VSLOT - 1)
+    return {w: pack(unpack(p, width), new) for w, p in ints.items()}

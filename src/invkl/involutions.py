@@ -14,6 +14,11 @@ Bruhat order on the involutions is read from the same table:
 ``Involutions.interval(w)`` lists the y <= w by the lifting property,
 without leaving the involutions.
 
+Each case fixes the whole T_s action on a_w: (T_s + 1) a_w = c_w (a_w +
+a_partner), c_w being 1 + u, u^2 - u, 1 or u^2 by the case (``CASE_POLYS``).
+That table is the one statement of the rule; the module action, the bar
+table and the canonical build derive their packed multipliers from it.
+
 This index holds no module arithmetic.  ``table``, ``character`` and the
 canonical build read it alone; ``invmodule.InvolutionModule`` extends it
 with the T_s action, the packed module vectors and the bar involution.
@@ -21,7 +26,16 @@ with the T_s action, the packed module vectors and the bar involution.
 
 from __future__ import annotations
 
-__all__ = ["Involutions"]
+__all__ = ["CASE_POLYS", "Involutions"]
+
+# c_w of (T_s + 1) a_w = c_w (a_w + a_partner), by the T_s case (commuting, up)
+# of w, as u-coefficients
+CASE_POLYS = {
+    (True, True): (1, 1),        # 1 + u
+    (True, False): (0, -1, 1),   # u^2 - u
+    (False, True): (1,),         # 1
+    (False, False): (0, 0, 1),   # u^2
+}
 
 
 class Involutions:

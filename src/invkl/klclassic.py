@@ -136,10 +136,6 @@ class KLTable:
         """
         return spread(unpack(self.column(wid).get(yid, 0)), 2)
 
-    def mu_ids(self, yid, wid):
-        """mu(y, w), read from the mu row of w (0 when it is not listed)."""
-        return dict(self.mu_row(wid)).get(yid, 0)
-
     def build_full(self, jobs=1, max_length=None):
         """Build every column of length at most ``max_length``, in ShortLex order.
 

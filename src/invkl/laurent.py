@@ -16,12 +16,12 @@ The classical P, P-sigma and bar tables do not store ``LaurentPoly``
 values or tuples: each entry is one Kronecker-packed int, built by the
 kernel of ``packed``, and ``spread(unpack(p), ...)`` or a read of its
 v-slots turns it into a ``LaurentPoly`` at the API boundary.  The module
-vectors of ``invmodule`` are packed the same way, one int per involution
-in v-slots above one offset per vector, so T_s, c_s, the bar involution
-and the expansion in the canonical basis are int products too.
+vectors of ``invmodule`` are packed by the same kernel, one int per
+involution in v-slots above one offset per vector, so T_s, c_s, the bar
+involution and the expansion in the canonical basis are int products too.
 ``LaurentPoly`` is the type at the API boundary: its own arithmetic is
-left to the classical Hecke algebra of ``klclassic``, to the h-constants
-of ``cells`` and to the dense-solve oracle of ``verify``.
+left to the classical Hecke algebra of ``hecke``, whose h-constants
+``cells`` compares, and to the dense-solve oracle of ``verify``.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -180,14 +180,6 @@ class LaurentPoly:
     def to_json_obj(self):
         """JSON encoding: v-exponent (decimal string) -> coefficient string."""
         return {str(e): str(c) for e, c in self.terms()}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        terms = sorted((int(e), int(c)) for e, c in obj.items())
-        out = ZERO
-        for e, c in terms:
-            out = out + LaurentPoly((c,), e)
-        return out
 
     def pair_string(self):
         """Compact text encoding ``e:c;e:c`` with ascending exponents."""

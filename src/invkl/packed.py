@@ -11,6 +11,14 @@ in (-2^63, 2^63).  ``mu_at`` is the one rule for mu, mu' and mu'', and
 ``solve_one_plus_u`` the checked division by 1 + u of the canonical
 recursion.
 
+``pack`` and ``unpack`` take the slot width as an argument, so they are
+the one packer at every width: the module vectors of ``invmodule`` pack
+v-coefficients in slots of 32 bits or more, and a u-slot that spans two
+of them is 2 * width bits.  At 32 bits one ``struct`` call packs or reads
+all the slots: adding 2^31 to every balanced slot leaves each an unsigned
+digit with no borrow, and flipping each top bit then gives the two's
+complement of the balanced digit, which is the ``struct`` format ``i``.
+
 A carry between slots would change a table silently.  So the tables keep
 every stored coefficient below COEFF_BITS bits (``forbidden`` for the
 classical table, ``in_slots`` for P-sigma), and every column's weighted
@@ -24,13 +32,14 @@ imports ``laurent``, does not compile it.
 
 from __future__ import annotations
 
+import struct
 from functools import cache
 
 from .errors import InvariantError
 
 __all__ = [
-    "SLOT", "COEFF_BITS", "BUDGET", "pack", "unpack", "coeff_at", "mu_at",
-    "solve_one_plus_u", "degree_at_most", "forbidden", "in_slots",
+    "SLOT", "COEFF_BITS", "BUDGET", "ONE_PLUS_U", "pack", "unpack", "coeff_at",
+    "mu_at", "solve_one_plus_u", "degree_at_most", "forbidden", "in_slots",
     "slot_test", "check_budget",
 ]
 
@@ -39,29 +48,52 @@ COEFF_BITS = 32                        # bits of a stored coefficient
 BUDGET = 1 << (SLOT - 1 - COEFF_BITS)  # bound on a column's coefficient growth
 _HALF = 1 << (SLOT - 1)
 _MASK = (1 << SLOT) - 1
-_ONE_PLUS_U = (1 << SLOT) + 1
+ONE_PLUS_U = (1 << SLOT) + 1           # 1 + u, packed
+_WORD = 32                             # the slot width of the struct route
 
 
-def pack(coeffs):
-    """The u-coefficients ``(c_0, c_1, ...)`` as the int sum c_i 2^(64 i)."""
+def pack(coeffs, width=SLOT):
+    """The coefficients ``(c_0, c_1, ...)`` as the int sum c_i 2^(width i).
+
+    At 32 bits every coefficient must lie in [-2^31, 2^31).
+    """
+    if width == _WORD:
+        halves = _halves(len(coeffs))
+        digits = struct.pack(f"<{len(coeffs)}i", *coeffs)
+        return (int.from_bytes(digits, "little") ^ halves) - halves
     p = 0
     for c in reversed(coeffs):
-        p = (p << SLOT) + c
+        p = (p << width) + c
     return p
 
 
-def unpack(p):
+def unpack(p, width=SLOT):
     """The balanced slots of p as a trimmed coefficient tuple; ``unpack(0) == ()``.
 
-    Each slot is read in [-2^63, 2^63), so ``unpack(pack(c)) == c`` for
-    every trimmed c whose coefficients lie in that range.
+    Each slot is read in [-2^(width-1), 2^(width-1)), so
+    ``unpack(pack(c, width), width) == c`` for every trimmed c whose
+    coefficients lie in that range.
     """
+    if width == _WORD:
+        # at most one slot more than p needs (one zero slot for p = 0)
+        n = p.bit_length() // _WORD + 1
+        halves = _halves(n)
+        out = struct.unpack(f"<{n}i", ((p + halves) ^ halves).to_bytes(4 * n, "little"))
+        return out if out[-1] else out[:-1]
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
     out = []
     while p:
-        c = ((p + _HALF) & _MASK) - _HALF
+        c = ((p + half) & mask) - half
         out.append(c)
-        p = (p - c) >> SLOT
+        p = (p - c) >> width
     return tuple(out)
+
+
+@cache
+def _halves(n):
+    """2^31 in each of n 32-bit slots."""
+    return ((1 << (_WORD * n)) - 1) // ((1 << _WORD) - 1) << (_WORD - 1)
 
 
 def coeff_at(p, k):
@@ -94,11 +126,11 @@ def solve_one_plus_u(row, d, top_is_mu):
     with ``top_is_mu``, the coefficient of u^d in P; anything else, and a
     P over the degree bound, is a row with no solution and gives None.
     """
-    r = row % _ONE_PLUS_U
+    r = row % ONE_PLUS_U
     if r > _HALF:
-        r -= _ONE_PLUS_U
+        r -= ONE_PLUS_U
     mu = -r if d & 1 else r
-    p = (row + (mu << (SLOT * (d + 1)))) // _ONE_PLUS_U
+    p = (row + (mu << (SLOT * (d + 1)))) // ONE_PLUS_U
     if not degree_at_most(p, d) or mu != (coeff_at(p, d) if top_is_mu else 0):
         return None
     return p, mu

@@ -75,6 +75,15 @@ def test_cell_cap():
         compute_cells(kl, cap=10)
 
 
+def test_cell_cap_fails_before_enumerating_the_group():
+    """E7 (2,903,040 elements) is rejected at the default cap once its first
+    length layers pass it, with the gate message."""
+    system = build_system("E7")
+    with pytest.raises(ValueError, match="gated at 400"):
+        compute_cells(KLTable(system))
+    assert len(system.lengths) < 2000
+
+
 def test_hf_unit(a2, a2_kl, a2_module, a2_canonical):
     for wid in a2_module.involution_ids:
         report = check_hf_relation(0, wid, a2_kl, a2_canonical)

@@ -178,6 +178,12 @@ def test_usage_errors(capsys):
     assert "comma-separated list of generator indices" in err
 
 
+def test_cells_gate_fails_fast(capsys):
+    """cells on a group far over the cap exits 2 at the gate, writing nothing."""
+    code, out, err = run_cli(capsys, "cells", "--type", "E7")
+    assert code == 2 and out == "" and "gated at 400" in err
+
+
 def test_output_file(tmp_path, capsys):
     """--out receives exactly the bytes the command writes to stdout."""
     target = tmp_path / "out.json"

@@ -90,6 +90,57 @@ def test_inverse_descents(a2, b2):
     assert b2.inverse_id(w0) == w0
 
 
+def _inverse_by_word(system, wid):
+    """The word-walk oracle: w^-1 as the product of w's word reversed."""
+    return system.element_id_from_word(tuple(reversed(system.word_of(wid))))
+
+
+@pytest.mark.parametrize(
+    "label, delta, max_length",
+    [("F4", None, None), ("H3", None, None), ("I2(7)", None, None),
+     ("E6", [5, 1, 4, 3, 2, 0], 6)],
+)
+def test_inverse_is_the_word_walk(label, delta, max_length):
+    """On every element of the group, or every element a capped twisted walk
+    interned, w^-1 is the word-walk oracle and inverting twice gives w."""
+    system = build_system(label, delta=delta)
+    if max_length is None:
+        ids = system.all_ids()
+    else:
+        system.twisted_involution_ids(max_length)
+        ids = range(len(system.lengths))
+    for wid in ids:
+        inv = system.inverse_id(wid)
+        assert system.length_of(inv) == system.length_of(wid)
+        assert system.inverse_id(inv) == wid
+        assert inv == _inverse_by_word(system, wid), (label, wid)
+    if max_length is not None:
+        assert len(system.lengths) < 51840
+
+
+def test_inverse_interns_a_new_element_under_the_cap():
+    """On a fresh partial walk w^-1 is interned at l(w), once; with the cap
+    binding, interning it raises the cap error."""
+    system = build_system("E6")
+    wid = system.element_id_from_word((0, 2, 3, 4, 5))
+    n = len(system.lengths)
+    inv = system.inverse_id(wid)
+    assert inv == n and len(system.lengths) == n + 1
+    assert system.length_of(inv) == 5
+    assert system.inverse_id(wid) == inv and system.inverse_id(inv) == wid
+    assert len(system.lengths) == n + 1
+    assert inv == _inverse_by_word(system, wid)
+
+    capped = build_system("A3", max_elements=6)   # A3 has 6 positive roots
+    w = capped.element_id_from_word((0, 1, 2))
+    s, t = capped.element_id_from_word((1,)), capped.element_id_from_word((2,))
+    assert len(capped.lengths) == 6
+    assert capped.inverse_id(s) == s and capped.inverse_id(t) == t
+    with pytest.raises(ValueError, match="element cap"):
+        capped.inverse_id(w)
+    assert len(capped.lengths) == 6
+
+
 def test_shortlex_words():
     a3 = build_system("A3")
     for el in a3.enumerate_all():

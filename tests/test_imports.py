@@ -98,14 +98,14 @@ def test_no_asserts_in_the_package():
 _ALLOWED = {
     "__init__": {"coxeter", "errors", "laurent"},
     "__main__": {"cli"},
-    "canonical": {"errors", "laurent", "packed"},
+    "canonical": {"errors", "involutions", "laurent", "packed"},
     "cells": {"errors", "laurent"},
     "cli": {"coxeter", "errors", "laurent"},
     "coxeter": {"errors", "laurent"},
     "errors": set(),
     "hecke": {"errors", "laurent", "packed"},
     "involutions": set(),
-    "invmodule": {"errors", "involutions", "laurent"},
+    "invmodule": {"errors", "involutions", "laurent", "packed"},
     "klclassic": {"errors", "laurent", "packed"},
     "laurent": {"errors"},
     "packed": {"errors"},
@@ -160,6 +160,28 @@ def test_module_level_imports_follow_the_layer_table():
     }
     extra = {name: sorted(deps - _ALLOWED[name]) for name, deps in found.items()}
     assert not any(extra.values()), f"imports outside the layer table: {extra}"
+
+
+def stdlib_imports(source):
+    """The top-level names of the absolute imports anywhere in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_packed_kernel_imports_struct():
+    """Slots are packed and read in one module: no other module of the
+    package imports ``struct``, at module level or in a function body."""
+    assert stdlib_imports("def f():\n    from struct import pack\n") == {"struct"}
+    assert stdlib_imports("import struct.x, os\nfrom . import struct\n") == {"struct", "os"}
+    importers = {
+        path.stem for path in PACKAGE if "struct" in stdlib_imports(path.read_text())
+    }
+    assert importers == {"packed"}
 
 
 def test_commands_but_verify_stay_off_the_verification_layers():

@@ -143,19 +143,32 @@ def test_bar_intertwines_generators():
 
 
 def test_bar_descent_choice_independent():
+    """The bar step along every left descent gives the stored column, and
+    the LaurentPoly recursion along that descent gives its view."""
     for label, delta in [("A3", None), ("B3", None), ("G2", None), ("A3", [2, 1, 0]), ("I2(5)", None)]:
         system = build_system(label, delta=delta)
         module = InvolutionModule(system)
+        oracle = LaurentBar(module)
         for wid in module.involution_ids:
             default = module.bar_basis(wid)
             for s in system.left_descents(wid):
-                assert module.bar_basis(wid, choice=s) == default
+                assert module._bar_step(wid, s) == module.bar_column(wid)
+                assert oracle.bar_basis(wid, choice=s) == default
 
 
-def test_bar_rejects_non_descent(a2_module, a2):
-    s = a2.element_id_from_word([0])
-    with pytest.raises(ValueError):
-        a2_module.bar_basis(s, choice=1)
+def test_bar_step_along_an_ascent_fails_its_checks():
+    """A bar step along a generator that is not a left descent of w breaks
+    the diagonal or the division by 1 + u, and raises."""
+    for label, delta in [("A2", None), ("B3", None), ("A3", [2, 1, 0])]:
+        system = build_system(label, delta=delta)
+        module = InvolutionModule(system)
+        ascents = 0
+        for wid in module.involution_ids:
+            for s in set(range(system.rank)) - set(system.left_descents(wid)):
+                with pytest.raises(InvariantError):
+                    module._bar_step(wid, s)
+                ascents += 1
+        assert ascents
 
 
 def test_bar_input_must_live_over_u(a2_module):
@@ -198,7 +211,7 @@ def test_dense_solve_never_reads_the_recursion(monkeypatch):
         widths.append(width)
         return solve_columns(rows, width, keys)
 
-    def no_recursion(self, wid, choice=None):
+    def no_recursion(self, wid):
         raise AssertionError("bar_basis read by the dense solve")
 
     monkeypatch.setattr(InvolutionModule, "bar_basis", no_recursion)
@@ -453,8 +466,9 @@ def test_cancelling_sums_store_no_zero(label):
 
 @pytest.mark.parametrize("label, delta", ORACLE_TYPES)
 def test_packed_bar_table_equals_the_laurent_recursion(label, delta):
-    """Every view, for every left descent, equals the LaurentPoly recursion,
-    and a stored int read in 32-bit v-slots is its view."""
+    """Every view equals the LaurentPoly recursion, the bar step along every
+    left descent equals the stored column, and a stored int read in 32-bit
+    v-slots is its view."""
     system = build_system(label, delta=delta)
     module = InvolutionModule(system)
     oracle = LaurentBar(module)
@@ -462,7 +476,7 @@ def test_packed_bar_table_equals_the_laurent_recursion(label, delta):
         want = oracle.bar_basis(wid)
         assert module.bar_basis(wid) == want, (label, wid)
         for s in system.left_descents(wid):
-            assert module.bar_basis(wid, choice=s) == want
+            assert module._bar_step(wid, s) == module.bar_column(wid)
             assert oracle.bar_basis(wid, choice=s) == want
         assert module._bar_vslots(wid, 32) == module.bar_column(wid)
 
@@ -712,6 +726,9 @@ def test_slots_widen_before_the_bound_reaches_the_limit():
     back = m.scaled(2**40).scaled(LaurentPoly((1,), 0)) - m.scaled(2**40 - 1)
     assert back == m and back.width == 32
     assert back.bound == m.bound
+    # the zero vector times a scalar past the 32-bit slots is zero
+    for f in (2**40, LaurentPoly((2**40, -3), -2)):
+        assert MVector().scaled(f).is_zero and (m - m).scaled(f) == MVector()
 
 
 @pytest.mark.parametrize("label, delta", [("B3", None), ("A3", (2, 1, 0)), ("H3", None)])

@@ -26,11 +26,14 @@ def test_normalization_and_support(a2, a2_kl):
 
 def test_mu_values(a2, a2_kl):
     s = s_gen_id(a2, 0)
+    t = a2.element_id_from_word([1])
     sts = a2.element_id_from_word([0, 1, 0])
     st = a2.element_id_from_word([0, 1])
-    assert a2_kl.mu_ids(s, st) == 1  # length gap one
-    assert a2_kl.mu_ids(0, sts) == 0  # P = 1, u-degree 0 < bound 1
-    assert a2_kl.mu_ids(s, a2.element_id_from_word([1])) == 0
+    ts = a2.element_id_from_word([1, 0])
+    assert dict(a2_kl.mu_row(st)) == {s: 1, t: 1}  # length gap one
+    # not the identity (P = 1, u-degree 0 < bound 1), nor s, t (even gap)
+    assert dict(a2_kl.mu_row(sts)) == {st: 1, ts: 1}
+    assert dict(a2_kl.mu_row(t)) == {0: 1}  # s is not below t
 
 
 def test_degree_bound_positivity_and_small_gaps():

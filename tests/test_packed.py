@@ -5,13 +5,13 @@ import random
 import pytest
 from helpers import q_mu, solve_row_tuples
 
-from invkl import build_system
+from invkl import build_system, canonical, invmodule
 from invkl.canonical import CanonicalBasis
 from invkl.errors import InvariantError, RecurrenceInconsistent
 from invkl.invmodule import InvolutionModule
 from invkl.laurent import q_add, q_addmul, q_shift, q_trim
 from invkl.packed import (
-    BUDGET, COEFF_BITS, SLOT, check_budget, coeff_at, degree_at_most,
+    BUDGET, COEFF_BITS, ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most,
     forbidden, in_slots, mu_at, pack, solve_one_plus_u, unpack,
 )
 
@@ -152,3 +152,76 @@ def test_slot_bounds_and_budget():
     # what the bounds are for: a coefficient of 2^64 carries into the next
     # slot, and the packed int cannot tell the two polynomials apart
     assert pack((2**64,)) == pack((0, 1))
+
+
+@pytest.mark.parametrize("width", [32, 33, 64, 97])
+def test_pack_unpack_round_trip_at_every_width(width):
+    """unpack(pack(c, w), w) == c for trimmed c in the balanced range
+    [-2^(w-1), 2^(w-1)), its extremes included; unpack trims trailing zero
+    slots and reads 0 as ()."""
+    rng = random.Random(width)
+    lo, hi = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    edges = [lo, hi, lo + 1, hi - 1, -1, 1, 0]
+    cases = [(lo,), (hi,), (lo, lo), (hi, hi), (0, lo), (0, 0, hi), (lo, 0, hi)]
+    for _ in range(500):
+        c = [rng.choice(edges) if rng.random() < 0.4 else rng.randrange(lo, hi + 1)
+             for _ in range(rng.randint(0, 6))]
+        cases.append(q_trim(c))
+    for c in cases:
+        assert unpack(pack(c, width), width) == c, c
+        # trailing zero coefficients pack to the same int and are trimmed
+        assert unpack(pack(c + (0, 0), width), width) == c
+    assert unpack(0, width) == ()
+    assert pack((), width) == 0
+    # the slots are Kronecker substitution at 2^width
+    assert pack((3, -2, 1), width) == 3 - 2 * (1 << width) + (1 << (2 * width))
+
+
+def test_one_plus_u_is_packed_one_plus_u():
+    assert ONE_PLUS_U == pack((1, 1)) == (1 << SLOT) + 1
+
+
+# The case multipliers as literal tables, written out from the T_s action
+# of the paper: the oracles for the tables derived from CASE_POLYS.
+_LITERAL_CASE_TERMS = {
+    (True, True): (pack((1, 1)), pack((0, -1, 1))),    # (1+u) P(y,w) + (u^2-u) P(sy,w)
+    (True, False): (pack((0, -1, 1)), pack((1, 1))),   # (u^2-u) P(y,w) + (1+u) P(sy,w)
+    (False, True): (1, pack((0, 0, 1))),               # P(y,w) + u^2 P(sy delta(s),w)
+    (False, False): (pack((0, 0, 1)), 1),              # u^2 P(y,w) + P(sy delta(s),w)
+}
+
+
+def _literal_action_terms(width, plus_one):
+    u = 1 << (2 * width)
+    if plus_one:   # c_w (a_w + a_partner)
+        return {
+            (True, True): (1 + u, 1 + u),
+            (True, False): (u * u - u, u * u - u),
+            (False, True): (1, 1),
+            (False, False): (u * u, u * u),
+        }
+    return {
+        (True, True): (u, 1 + u),
+        (True, False): (u * u - u - 1, u * u - u),
+        (False, True): (0, 1),
+        (False, False): (u * u - 1, u * u),
+    }
+
+
+def _literal_bar_terms(commuting):
+    u = 1 << SLOT
+    drop = u + u * u if commuting else u * u
+    c_y = {(True, True): 1 + u, (True, False): u * u - u, (False, True): 1,
+           (False, False): u * u}
+    return {case: (c - drop, c) for case, c in c_y.items()}
+
+
+def test_case_tables_derived_from_case_polys_equal_the_literal_tables():
+    assert canonical._CASE_TERMS == _LITERAL_CASE_TERMS
+    for width in (32, 40):
+        for plus_one in (False, True):
+            assert invmodule._action_terms(width, plus_one) == _literal_action_terms(
+                width, plus_one
+            ), (width, plus_one)
+    for commuting in (False, True):
+        assert invmodule._bar_terms(commuting) == _literal_bar_terms(commuting)

@@ -186,15 +186,6 @@ class CanonicalBasis:
         """The polynomial P(y, w) in u attached to a pair of involutions."""
         return spread(unpack(self._entry(y, w)[0]), 2)
 
-    def mu_prime(self, y, w):
-        """mu'(y, w), the coefficient of v^-1 in pi(y, w)."""
-        return mu_at(*self._entry(y, w))
-
-    def mu_double_prime(self, y, w):
-        """mu''(y, w), the coefficient of v^-2 in pi(y, w)."""
-        p, gap = self._entry(y, w)
-        return mu_at(p, gap - 1)
-
     # -- structure constants -----------------------------------------------------
 
     def ms_constant(self, s, y, w):

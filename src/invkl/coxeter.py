@@ -150,7 +150,8 @@ class _RootEngine:
     all 2N numbers given by the generator s, and ``refl[b]`` the one given by
     the reflection in root b.  A payload is the pair (w(alpha_t))_t,
     (w^-1(alpha_t))_t of root numbers; w(alpha_t) is negative iff t is a
-    right descent of w.
+    right descent of w.  The root closure stops at ``max_roots`` positive
+    roots, unless that is None.
     """
 
     def __init__(self, cox_matrix, max_roots):
@@ -191,10 +192,12 @@ class _RootEngine:
                 image = reflect(s, roots[i])
                 j = number.get(image)
                 if j is None:
-                    if len(roots) >= max_roots:
+                    if max_roots is not None and len(roots) >= max_roots:
                         raise ValueError(
-                            f"root system exceeds the cap ({max_roots} roots); "
-                            "the Coxeter matrix does not define a finite group"
+                            f"root system exceeds the cap ({max_roots} roots): "
+                            "the Coxeter matrix does not define a finite "
+                            "group, or its group has more positive roots "
+                            "than max_elements"
                         )
                     j = number[image] = len(roots)
                     roots.append(image)
@@ -327,8 +330,9 @@ def build_system(spec, delta=None, *, finite=None, max_elements=10 ** 6):
     ``"I2(5)"``, ``"A2×A1"`` (separators ``×``, ``x`` or ``*``), or an
     explicit symmetric Coxeter matrix.  Finiteness of labelled types follows
     from the classification; a raw matrix must be declared finite by the
-    caller with ``finite=True``, and a matrix of an infinite group then fails
-    with ``ValueError`` once its root system passes ``max_elements`` roots.
+    caller with ``finite=True``, and its root closure is capped at
+    ``max_elements`` roots: a matrix of an infinite group, or of a group
+    with more positive roots than that, fails with ``ValueError``.
     The same cap bounds the elements the system interns: any call that
     would intern more than ``max_elements`` of them (enumerating the group
     or its involutions, or a product reaching a new element) raises
@@ -395,7 +399,11 @@ class CoxeterSystem:
         )
         self.delta = _parse_delta(delta, self.rank, self.coxeter_matrix)
         self.max_elements = max_elements
-        self._engine = _RootEngine(self.coxeter_matrix, max_elements)
+        # a labelled type is finite by the classification, so only a raw
+        # matrix caps its root closure
+        self._engine = _RootEngine(
+            self.coxeter_matrix, None if type_label else max_elements
+        )
 
         self._index = {}
         self._payloads = []
@@ -500,9 +508,6 @@ class CoxeterSystem:
     def is_left_descent(self, s, wid):
         return self._engine.left_descent(s, self._payloads[wid])
 
-    def is_right_descent(self, wid, s):
-        return self._engine.right_descent(self._payloads[wid], s)
-
     def left_descents(self, wid):
         return tuple(
             s for s in range(self.rank) if self.is_left_descent(s, wid)
@@ -536,12 +541,6 @@ class CoxeterSystem:
         xid = self._index.get(inv_roots)
         if xid is None:
             xid = self._register((inv_roots, roots), self._lengths[wid])
-        return xid
-
-    def delta_id(self, wid):
-        xid = 0
-        for s in self.word_of(wid):
-            xid = self.rmul(xid, self.delta[s])
         return xid
 
     @property

@@ -14,12 +14,12 @@ epsilon(x, w) a_{x w x^-1}.  Restricting epsilon to centralizers produces
 the decomposition of the module into representations induced from linear
 characters, which is what the character comparisons here exercise.
 
-The action, the characters and the induced sums read only the involution
-index (``involutions.Involutions``); ``m1_matrices`` also checks the case
-formulas against the generic T_s action, and so needs an
-``invmodule.InvolutionModule``.  The integer reflection representation
-(``reflection_rep``, ``h_value``) lives here, as the h-grading is its only
-reader.
+``SpecializedModule`` reads only the involution index
+(``involutions.Involutions``): the action, the characters, the induced sums
+and the h-grading are computed here, and checked in one place, the
+``specialize-u1`` suite of ``verify``.  The integer reflection
+representation (``reflection_rep``, ``h_value``) lives here, as the
+h-grading is its only reader.
 
 Everything in this module requires the untwisted case (delta = identity).
 """
@@ -27,11 +27,10 @@ Everything in this module requires the untwisted case (delta = identity).
 from __future__ import annotations
 
 from .errors import TheoremMismatch
-from .coxeter import _CRYSTAL_WEIGHT, build_system
+from .coxeter import _CRYSTAL_WEIGHT
 
 __all__ = [
     "SpecializedModule",
-    "model_check_typeA",
     "partition_count",
     "reflection_rep",
     "h_value",
@@ -128,8 +127,7 @@ def partition_count(n):
 class SpecializedModule:
     """Characters and gradings of the u=1 module of a finite Weyl group.
 
-    ``module`` is the involution index or an ``InvolutionModule``; only
-    ``m1_matrices`` needs the latter.
+    ``module`` is the involution index, or anything that extends it.
     """
 
     def __init__(self, module):
@@ -138,8 +136,6 @@ class SpecializedModule:
         self.module = module
         self.system = module.system
         self.basis = module.involution_ids
-        self._matrices = None
-        self._h = None
         self._centralizer_sums = None
 
     # -- generator action at u = 1 ------------------------------------------------
@@ -164,37 +160,13 @@ class SpecializedModule:
         return vec
 
     def m1_matrices(self):
-        """{s: integer matrix of s} over ``basis``, checked two ways.
-
-        The direct case formulas must agree entrywise with the v = 1
-        specialization of the generic T_s action.
-        """
-        if self._matrices is not None:
-            return self._matrices
+        """{s: integer matrix of s} over ``basis``; column w is s . a_w."""
         mats = {}
         for s in range(self.system.rank):
-            cols = []
-            for wid in self.basis:
-                img = self.apply_gen(s, {wid: 1})
-                generic = self.module.ts_action(s, self.module.basis(wid))
-                spec = {}
-                for y, f in generic.entries.items():
-                    val = f.specialize(1)
-                    if val:
-                        spec[y] = val
-                if spec != img:
-                    raise TheoremMismatch(
-                        "u=1 case formulas disagree with the specialized "
-                        f"generic action at s={s}, w={self.system.word_of(wid)}"
-                    )
-                cols.append(img)
-            n = len(self.basis)
-            mat = tuple(
-                tuple(cols[j].get(self.basis[i], 0) for j in range(n))
-                for i in range(n)
+            cols = [self.apply_gen(s, {wid: 1}) for wid in self.basis]
+            mats[s] = tuple(
+                tuple(col.get(y, 0) for col in cols) for y in self.basis
             )
-            mats[s] = mat
-        self._matrices = mats
         return mats
 
     # -- characters ----------------------------------------------------------------
@@ -318,84 +290,8 @@ class SpecializedModule:
             )
         return rows
 
-    def character_inner_product(self):
-        """<chi, chi> over the group, via class sums; exact integer."""
-        sys = self.system
-        order = 0
-        total = 0
-        for cls in sys.conjugacy_classes():
-            chi = self.character_m1(cls[0])
-            order += len(cls)
-            total += len(cls) * chi * chi
-        if total % order:
-            raise TheoremMismatch("character norm is not an integer")
-        return total // order
-
     # -- grading -------------------------------------------------------------------------
 
     def h_values(self):
-        if self._h is None:
-            self._h = {w: h_value(self.system, w) for w in self.basis}
-        return self._h
-
-    def h_grading_check(self):
-        """Check the grading facts; returns a report with any violations.
-
-        Verified: h strictly increases along commuting ascents, every
-        generator image stays in the same-or-higher h part (filtration
-        stability), and the graded action is the signed conjugation.
-        """
-        sys = self.system
-        h = self.h_values()
-        report = {
-            "ascent_instances": 0,
-            "filtration_checks": 0,
-            "graded_action_checks": 0,
-            "violations": [],
-        }
-        for wid in self.basis:
-            for s in range(sys.rank):
-                commuting, up, other = self.module.action_case(s, wid)
-                if commuting and up:
-                    report["ascent_instances"] += 1
-                    if h[other] <= h[wid]:
-                        report["violations"].append(
-                            f"h does not increase at s={s}, w={sys.word_of(wid)}"
-                        )
-                img = self.apply_gen(s, {wid: 1})
-                report["filtration_checks"] += 1
-                if any(h[y] < h[wid] for y in img):
-                    report["violations"].append(
-                        f"filtration broken at s={s}, w={sys.word_of(wid)}"
-                    )
-                graded = {y: c for y, c in img.items() if h[y] == h[wid]}
-                target = wid if commuting else other
-                sign = -1 if (commuting and not up) else 1
-                report["graded_action_checks"] += 1
-                if graded != {target: sign}:
-                    report["violations"].append(
-                        f"graded action mismatch at s={s}, w={sys.word_of(wid)}"
-                    )
-        return report
-
-
-def model_check_typeA(n, max_n=8):
-    """Dimension and character norm of the u=1 module for rank n-1 type A.
-
-    The module is a model representation: its character norm equals the
-    number of partitions of n, which is asserted here.
-    """
-    if not 2 <= n <= max_n:
-        raise ValueError(f"n must be between 2 and {max_n}")
-    from .involutions import Involutions
-
-    system = build_system(f"A{n - 1}")
-    spec = SpecializedModule(Involutions(system))
-    dim = len(spec.basis)
-    inner = spec.character_inner_product()
-    if inner != partition_count(n):
-        raise TheoremMismatch(
-            f"model property fails for n={n}: <chi,chi>={inner}, "
-            f"p(n)={partition_count(n)}"
-        )
-    return dim, inner
+        """{w: h(w)} over ``basis``."""
+        return {w: h_value(self.system, w) for w in self.basis}

@@ -19,7 +19,7 @@ from invkl.laurent import (
     LaurentPoly, ONE, ZERO, add_into, q_add, q_addmul, q_div, q_divmod,
     q_shift, q_trim, spread, u_pow, v_pow,
 )
-from invkl.packed import in_slots, pack
+from invkl.packed import in_slots, mu_at, pack
 
 
 # The types on which each packed table is compared with its oracle.
@@ -50,12 +50,33 @@ def subword_bruhat(system, yid, wid):
 
 
 def brute_twisted_involutions(system):
-    """Filter the full group, in ShortLex order, for delta(w) = w^-1."""
+    """Filter the full group, in ShortLex order, for delta(w) = w^-1, with
+    delta(w) read from delta applied to each letter of w's word."""
+    def delta_of(wid):
+        return system.element_id_from_word(
+            [system.delta[s] for s in system.word_of(wid)]
+        )
+
     return [
-        wid
-        for wid in system.all_ids()
-        if system.delta_id(wid) == system.inverse_id(wid)
+        wid for wid in system.all_ids() if delta_of(wid) == system.inverse_id(wid)
     ]
+
+
+def _stored_entry(basis, yid, wid):
+    """P(y, w) packed as column w stores it, and l(w) - l(y)."""
+    length = basis.system.length_of
+    return basis.column(wid).get(yid, 0), length(wid) - length(yid)
+
+
+def mu_prime(basis, yid, wid):
+    """mu'(y, w), the coefficient of v^-1 in pi(y, w)."""
+    return mu_at(*_stored_entry(basis, yid, wid))
+
+
+def mu_double_prime(basis, yid, wid):
+    """mu''(y, w), the coefficient of v^-2 in pi(y, w)."""
+    p, gap = _stored_entry(basis, yid, wid)
+    return mu_at(p, gap - 1)
 
 
 def ms_constant_by_scan(basis, s, xid, wid):
@@ -68,17 +89,17 @@ def ms_constant_by_scan(basis, s, xid, wid):
     """
     system, module = basis.system, basis.module
     if (system.length_of(xid) - system.length_of(wid)) % 2:
-        return basis.mu_prime(xid, wid) * (v_pow(1) + v_pow(-1))
-    total = basis.mu_double_prime(xid, wid)
+        return mu_prime(basis, xid, wid) * (v_pow(1) + v_pow(-1))
+    total = mu_double_prime(basis, xid, wid)
     for x2 in basis._descent_interval(s, wid):
         if x2 != xid:
-            total -= basis.mu_prime(xid, x2) * basis.mu_prime(x2, wid)
+            total -= mu_prime(basis, xid, x2) * mu_prime(basis, x2, wid)
     commuting, _up, sx = module.action_case(s, xid)
     if commuting:
-        total += basis.mu_prime(sx, wid)
+        total += mu_prime(basis, sx, wid)
     commuting, _up, sw = module.action_case(s, wid)
     if commuting:
-        total -= basis.mu_prime(xid, sw)
+        total -= mu_prime(basis, xid, sw)
     return LaurentPoly((total,), 0)
 
 

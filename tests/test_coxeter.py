@@ -39,10 +39,6 @@ def test_build_errors():
         build_system([[1, 3], [3, 2]], finite=True)
     with pytest.raises(ValueError):
         build_system([[1, 3], [3, 1]])  # raw matrix without finite=True
-    with pytest.raises(ValueError):  # affine A2: infinitely many roots
-        build_system(
-            [[1, 3, 3], [3, 1, 3], [3, 3, 1]], finite=True, max_elements=1000
-        )
 
 
 def test_lmul_rmul_and_lengths(a2):
@@ -290,9 +286,8 @@ def test_root_engine_matches_reflection_matrices():
             minv = _matrix_along(mats, el.word[::-1], n)
             for s in range(n):
                 # ws < w iff w(alpha_s) < 0; sw < w iff w^-1(alpha_s) < 0
-                assert system.is_right_descent(el.id, s) == all(
-                    row[s] <= 0 for row in m
-                )
+                right = system.length_of(system.rmul(el.id, s)) < el.length
+                assert right == all(row[s] <= 0 for row in m)
                 assert system.is_left_descent(s, el.id) == all(
                     row[s] <= 0 for row in minv
                 )
@@ -366,6 +361,27 @@ def test_element_cap():
         build_system("A3", max_elements=10).enumerate_all()
 
 
+def test_a_labelled_type_caps_elements_not_roots():
+    """A labelled type is finite, so its root closure takes no cap: a
+    capped A3 (6 positive roots) builds, and only interning passes the cap."""
+    capped = build_system("A3", max_elements=4)
+    assert [capped.element_id_from_word((s,)) for s in range(3)] == [1, 2, 3]
+    with pytest.raises(ValueError, match=r"interning exceeds the element cap \(4\)"):
+        capped.element_id_from_word((0, 1))
+
+
+def test_a_raw_matrix_caps_its_root_closure():
+    """A raw matrix declared finite keeps the root cap, and the message names
+    both causes: an infinite group, or more positive roots than the cap."""
+    affine_a2 = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]   # infinitely many roots
+    with pytest.raises(ValueError, match="does not define a finite group, or") as err:
+        build_system(affine_a2, finite=True, max_elements=1000)
+    assert "more positive roots than max_elements" in str(err.value)
+    with pytest.raises(ValueError, match="root system exceeds the cap"):
+        build_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]], finite=True, max_elements=4)
+    assert build_system([[1, 3, 2], [3, 1, 3], [2, 3, 1]], finite=True).rank == 3
+
+
 def test_element_cap_bounds_interning():
     """The cap counts interned elements, so involution enumeration, which
     interns non-involutions on the way, stops at it too."""
@@ -394,7 +410,9 @@ def _check_generator_tables(system, complete):
                 assert (lengths[sw] < lengths[wid]) == system.is_left_descent(s, wid)
             if ws is not None:
                 assert ws == system.rmul(wid, s)
-                assert (lengths[ws] < lengths[wid]) == system.is_right_descent(wid, s)
+                # s is a right descent of w iff w(alpha_s) is a negative root
+                negative = system._payloads[wid][0][s] >= system._engine.npos
+                assert (lengths[ws] < lengths[wid]) == negative
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "F4", "I2(5)", "H3"])

@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from invkl import build_system
+from invkl import build_system, verify
 from invkl.invmodule import InvolutionModule
+from invkl.involutions import Involutions
 from invkl.specialize import (
     SpecializedModule,
     _matmul,
     _rational_rank,
     h_value,
-    model_check_typeA,
     partition_count,
     reflection_rep,
 )
+from invkl.verify import run_suites
 
 from helpers import fraction_rank
 
@@ -26,9 +27,8 @@ def test_partition_count():
 
 
 def test_a1_generator_matrix():
-    spec = spec_for("A1")
-    m = spec.m1_matrices()
-    assert m[0] == ((1, 0), (2, -1))
+    spec = SpecializedModule(Involutions(build_system("A1")))
+    assert spec.m1_matrices() == {0: ((1, 0), (2, -1))}
 
 
 def test_matrices_are_involutions_satisfying_braid():
@@ -118,21 +118,106 @@ def test_epsilon_on_generators():
             assert spec.epsilon(system.element_id_from_word([s]), wid) == expected
 
 
-def test_h_grading_report():
-    for label in ("A2", "A3", "B2", "B3"):
-        spec = spec_for(label)
-        report = spec.h_grading_check()
-        assert report["violations"] == []
-        assert report["ascent_instances"] > 0
+def specialize_suite(system):
+    return run_suites(system, ["specialize-u1"])[0]
+
+
+def test_grading_through_verify():
+    """h rises along commuting ascents, the filtration is stable and the
+    graded action is the signed conjugation, as the suite checks them."""
+    for label in ("A1", "A2", "A3", "A4", "A5", "B2", "B3"):
+        res = specialize_suite(build_system(label))
+        assert res.ok() and res.checks > 0, label
     a2 = spec_for("A2")
     assert [h_value(a2.system, w) for w in a2.basis] == [0, 1, 1, 1]
+    assert a2.h_values() == dict(zip(a2.basis, [0, 1, 1, 1]))
 
 
-def test_model_property():
-    assert model_check_typeA(2) == (2, 2)
-    assert model_check_typeA(3) == (4, 3)
-    assert model_check_typeA(4) == (10, 5)
-    assert model_check_typeA(5) == (26, 7)
+def test_type_a_model_property_through_verify(monkeypatch):
+    """On A_{n-1} the suite checks sum |C| chi(C)^2 = |W| p(n), once."""
+    calls = []
+
+    def recording(n):
+        calls.append(n)
+        return partition_count(n)
+
+    monkeypatch.setattr(verify, "partition_count", recording)
+    for n, dim in [(2, 2), (3, 4), (4, 10), (5, 26), (6, 76)]:
+        system = build_system(f"A{n - 1}")
+        res = specialize_suite(system)
+        assert res.ok(), n
+        assert calls == [n] and len(system.twisted_involution_ids()) == dim
+        calls.clear()
+    # products, other types and twisted systems get no model check
+    for label, delta in [("B3", None), ("D4", None), ("A2xA1", None),
+                         ("A3", [2, 1, 0])]:
+        res = specialize_suite(build_system(label, delta=delta))
+        assert res.ok() and not calls, label
+
+
+@pytest.mark.parametrize(
+    "label, checks",
+    [("B3", 247), ("D4", 617), ("F4", 1829), ("A1", 51), ("A2", 72),
+     ("A3", 145), ("A4", 380), ("A5", 1247)],
+)
+def test_specialize_check_counts(label, checks):
+    """The check counts: type A_{n-1} carries the one model check."""
+    res = specialize_suite(build_system(label))
+    assert res.ok() and res.checks == checks
+
+
+def _double(original):
+    def wrong(self, *args):
+        return {w: 2 * c for w, c in original(self, *args).items()}
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "target, name, wrong, kinds",
+    [
+        (SpecializedModule, "apply_gen", _double(SpecializedModule.apply_gen),
+         {"coherence", "involution_matrix"}),
+        (SpecializedModule, "h_values",
+         lambda self: dict.fromkeys(self.basis, 0), {"grading"}),
+        (SpecializedModule, "induced_character_sum",
+         lambda self, xid: -1, {"character"}),
+        (verify, "partition_count", lambda n: 1, {"model"}),
+        (SpecializedModule, "epsilon", lambda self, xid, wid: -1, {"cocycle"}),
+    ],
+    ids=["apply_gen", "h_values", "induced_character_sum", "partition_count",
+         "epsilon"],
+)
+def test_every_check_kind_fires(monkeypatch, target, name, wrong, kinds):
+    """A wrong value from each route is reported as its kind of failure,
+    not raised."""
+    monkeypatch.setattr(target, name, wrong)
+    res = specialize_suite(build_system("A3"))
+    assert kinds <= {f["kind"] for f in res.failures}
+
+
+def test_one_generic_image_per_pair(monkeypatch):
+    """The suite computes T_s a_w once per (w, s) and never builds the
+    dense generator matrices."""
+    calls = []
+    ts_action = InvolutionModule.ts_action
+
+    def counting(self, s, m):
+        calls.append(s)
+        return ts_action(self, s, m)
+
+    def no_matrices(self):
+        raise AssertionError("m1_matrices called by the suite")
+
+    monkeypatch.setattr(InvolutionModule, "ts_action", counting)
+    monkeypatch.setattr(SpecializedModule, "m1_matrices", no_matrices)
+    res = specialize_suite(build_system("B3"))
+    assert res.ok() and len(calls) == 20 * 3
+
+
+def test_m1_matrices_read_only_the_index():
+    system = build_system("A3")
+    mats = SpecializedModule(Involutions(system)).m1_matrices()
+    assert mats == SpecializedModule(InvolutionModule(system)).m1_matrices()
 
 
 def test_twisted_systems_are_rejected():

@@ -9,15 +9,12 @@ rows, with no Bruhat test and no scan of the group; sw, ws and the descents
 come from the system's complete generator tables and length list.  Cells
 are the strongly connected components; the component order is the
 quotient preorder.  Computing them, and counting the involutions of each
-cell (``members_per_cell`` over the system's involution walk), loads
-neither the involution module nor the Hecke algebra; only
-``check_hf_relation`` imports them.
+cell (``members_per_cell`` over the system's involution walk), does not
+load the involution module.
 
-``check_hf_relation`` expands cdot_z cdot_w cdot_{z^-1} in the cdot basis
-(coefficients h, from ``hecke.HeckeBases``) and c_z A_w in the canonical
-involution basis (coefficients f, from ``invmodule.CanonicalVectors``) and
-enforces, coefficient by coefficient, |f_n| <= h_n and f_n = h_n (mod 2)
-through ``laurent.domination_failure``; in particular f != 0 forces h != 0.
+The h/f relation (``hf_expansions``, ``check_hf_relation``) reads the same
+mu rows and the ``ms_constants`` of a ``CanonicalBasis``, by W-graph
+recursions, with no T-basis product and no module arithmetic.
 """
 
 from __future__ import annotations
@@ -25,14 +22,16 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import RelationViolated
-from .laurent import ZERO, domination_failure
+from .laurent import LaurentPoly, ONE, ZERO, add_into, domination_failure
 
 __all__ = [
     "CellPartition", "compute_cells", "involutions_per_cell", "members_per_cell",
-    "check_hf_relation",
+    "check_hf_relation", "hf_expansions",
 ]
 
 DEFAULT_CELL_CAP = 400
+_V_PLUS = LaurentPoly((1, 0, 1), -1)         # v + v^-1
+_U_PLUS = LaurentPoly((1, 0, 0, 0, 1), -2)   # v^2 + v^-2
 
 
 class CellPartition(NamedTuple):
@@ -175,45 +174,97 @@ def members_per_cell(partition, ids):
     return [sum(1 for w in cell if w in members) for cell in partition.cells]
 
 
-def check_hf_relation(zid, wid, kl, canonical):
-    """Compare h- and f-constants for one pair; raise RelationViolated on failure.
+def _unfold(xid, vectors, steps, images):
+    """vectors[x], filled along ``steps``: for x = s x', the terms of
+    ``images[s]`` applied to vectors[x'], less mu(y, x') vectors[y] over
+    the (y, mu) of ``steps[x]``.  A coefficient ``ONE`` is not multiplied."""
+    vec = vectors.get(xid)
+    if vec is None:
+        s, prev, corrections = steps[xid]
+        vec = {}
+        for y, f in _unfold(prev, vectors, steps, images).items():
+            for x, c in images[s][y]:
+                add_into(vec, x, f if c is ONE else f * c)
+        for y, m in corrections:
+            for x, f in _unfold(y, vectors, steps, images).items():
+                add_into(vec, x, -f if m is ONE else -(f * m))
+        vectors[xid] = vec
+    return vec
 
-    Returns {w': (h, f)} over the union of both supports restricted to
-    involutions; the h-expansion may also touch non-involutions, which have
-    no f side and are not constrained.
+
+def hf_expansions(wid, kl, canonical):
+    """Yield (z, h, f) for every z of the group, h and f as {w': coefficient}.
+
+    With s the first letter of z, c_z = c_s c_sz less mu(y, sz) c_y over
+    the y in sz's mu row with sy < y, in the cdot basis and in the
+    u^2-algebra alike.  A generator acts in closed form: cdot_s cdot_y is
+    (v + v^-1) cdot_y for a descent s of y, otherwise cdot_sy plus
+    mu(x, y) cdot_x over the x in y's mu row with sx < x (the W-graph of
+    Kazhdan and Lusztig, 1979); c_s A_x is (v^2 + v^-2) A_x for a descent,
+    otherwise its s-partner, times v + v^-1 when s commutes with x, plus
+    ``ms_constants(s, x)``.  So f (of c_z A_w) and L_z = cdot_z cdot_w
+    unfold once for every z.  The anti-automorphism cdot_x ->
+    cdot_{delta(x)^-1} fixes cdot_w and takes L_z to cdot_w
+    cdot_{delta(z)^-1}, from which h (of cdot_z cdot_w cdot_{delta(z)^-1})
+    unfolds, memoized per z.  A w that is not an involution of
+    ``canonical.module`` raises ``ValueError``.
     """
-    from .hecke import HeckeBases
-    from .invmodule import CanonicalVectors, MVector
-
-    sys = kl.system
-    module = canonical.module
-    hecke = HeckeBases(kl)
-    vectors = CanonicalVectors(canonical)
-    h_exp = hecke.h_constants(zid, wid)
-    a_w = vectors.a_vector(wid)
-    acted = MVector()
-    for yid, coeff in hecke.cprime(zid).items():
-        acted = acted + module.tw_action(yid, a_w).scaled(coeff)
-    f_exp = vectors.expand_in_A(acted)
-
-    involutions = set(module.involution_ids)
-    report = {}
-    for w2 in sorted(set(h_exp) | set(f_exp)):
-        h = h_exp.get(w2, ZERO)
-        f = f_exp.get(w2, ZERO)
-        if w2 not in involutions:
-            if not f.is_zero:
-                raise RelationViolated(
-                    "f-constant supported outside the involutions at "
-                    f"{sys.word_of(w2)}"
+    sys, module = kl.system, canonical.module
+    if not module.is_involution(wid):
+        raise ValueError(f"{sys.word_of(wid)} is not a twisted involution")
+    ids, length = sys.all_ids(), sys.lengths
+    left, right = sys.generator_tables()
+    cdot, c_acts, steps, twisted = [], [], {}, {0: 0}
+    for s, row in enumerate(left):
+        images, acts = {}, {}
+        for y in ids:
+            if length[row[y]] < length[y]:
+                images[y] = ((y, _V_PLUS),)
+            else:
+                images[y] = ((row[y], ONE),) + tuple(
+                    (x, ONE if m == 1 else LaurentPoly((m,)))
+                    for x, m in kl.mu_row(y) if length[row[x]] < length[x]
                 )
-            continue
-        report[w2] = (h, f)
-        e = domination_failure(f, h)
-        if e is not None:
-            raise RelationViolated(
-                "h/f coefficient domination or parity fails at "
-                f"z={sys.word_of(zid)}, w={sys.word_of(wid)}, "
-                f"w'={sys.word_of(w2)}, v-exponent {e}: h={h.coeff(e)}, f={f.coeff(e)}"
-            )
+        for x in module.involution_ids:
+            commuting, up, other = module.action_case(s, x)
+            if not up:
+                acts[x] = ((x, _U_PLUS),)
+            else:
+                acts[x] = ((other, _V_PLUS if commuting else ONE),) + tuple(
+                    canonical.ms_constants(s, x).items()
+                )
+        cdot.append(images)
+        c_acts.append(acts)
+    for z in ids[1:]:
+        s = sys.word_of(z)[0]
+        prev = left[s][z]
+        steps[z] = (s, prev, cdot[s][prev][1:])
+        twisted[z] = right[sys.delta[s]][twisted[prev]]   # delta(z)^-1
+    l_vectors, f_vectors = {0: {wid: ONE}}, {0: {wid: ONE}}
+    for z in ids:
+        start = {twisted[y]: f for y, f in _unfold(z, l_vectors, steps, cdot).items()}
+        yield z, _unfold(z, {0: start}, steps, cdot), _unfold(z, f_vectors, steps, c_acts)
+
+
+def check_hf_relation(wid, kl, canonical):
+    """Check |f_n| <= h_n and f_n = h_n (mod 2) on every coefficient of
+    ``hf_expansions`` at an involution; raise RelationViolated at the first
+    failure of ``domination_failure``.  Returns {z: {w': (h, f)}}, w' over
+    the involutions in either support.
+    """
+    sys = kl.system
+    report = {}
+    for z, h_exp, f_exp in hf_expansions(wid, kl, canonical):
+        report[z] = rows = {}
+        for w2 in sorted(set(h_exp) | set(f_exp)):
+            if not canonical.module.is_involution(w2):
+                continue
+            h, f = rows[w2] = h_exp.get(w2, ZERO), f_exp.get(w2, ZERO)
+            e = domination_failure(f, h)
+            if e is not None:
+                raise RelationViolated(
+                    "h/f coefficient domination or parity fails at "
+                    f"z={sys.word_of(z)}, w={sys.word_of(wid)}, "
+                    f"w'={sys.word_of(w2)}, v-exponent {e}: h={h.coeff(e)}, f={f.coeff(e)}"
+                )
     return report

@@ -28,8 +28,8 @@ but not csv.  Each command imports only the layers it runs, inside its
 * ``verify``: the suites, and through them every layer above plus the
   involution module's arithmetic.
 
-So only ``verify`` compiles the module arithmetic (``invmodule``), and no
-command compiles the Hecke algebra (``hecke``).
+So only ``verify`` compiles the module arithmetic (``invmodule``); no
+command takes a product in the T basis of the Hecke algebra.
 """
 
 from __future__ import annotations

@@ -244,12 +244,6 @@ class InvolutionModule(Involutions):
         """T_s applied to an arbitrary module element."""
         return self._act(s, m, False)
 
-    def tw_action(self, xid, m):
-        """T_x applied along a reduced word; independent of the word chosen."""
-        for s in reversed(self.system.word_of(xid)):
-            m = self.ts_action(s, m)
-        return m
-
     def cs_action(self, s, m):
         """c_s = v^{-2} (T_s + 1) applied to m (coefficients may be odd)."""
         return self._act(s, m, True)

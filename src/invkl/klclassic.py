@@ -15,8 +15,8 @@ from carrying), and P >> 64(d+1) == 0 with d = (l(w)-l(y)-1)/2 (the degree
 bound).  Once that AND has passed, mu(y, w) is the top slot itself,
 P >> 64d for odd l(w)-l(y), with no rounding.  The mu multipliers of a
 column are weighed against ``BUDGET`` before they are used.  Polynomials
-are unpacked only at the API boundary (``kl_poly_ids``, the CLI renderers
-and the cdot and c bases of ``hecke.HeckeBases``, which read the columns).
+are unpacked only at the API boundary (``kl_poly_ids`` and the CLI
+renderers); the cells graph and the W-graph h/f check read the mu rows.
 
 A column is one pass over plain lists: s.x comes from the system's
 per-generator table (``CoxeterSystem.generator_tables``) and l(x) from its
@@ -40,8 +40,8 @@ class KLTable:
     ``_columns[w]`` maps exactly the y <= w to P_{y,w} packed, and
     ``_mu_rows[w]`` lists the (z, mu(z, w)) with mu(z, w) != 0.  Column w
     is built from column v = sw, where s is the smallest left descent of w,
-    and from the columns of v's mu row; every reader (polynomials, mu, the
-    cdot and c bases, cells, the CLI) looks the data up here.
+    and from the columns of v's mu row; every reader (polynomials, mu,
+    cells and the h/f check, the CLI) looks the data up here.
     """
 
     def __init__(self, system):

@@ -20,8 +20,8 @@ vectors of ``invmodule`` are packed by the same kernel, one int per
 involution in v-slots above one offset per vector, so T_s, c_s, the bar
 involution and the expansion in the canonical basis are int products too.
 ``LaurentPoly`` is the type at the API boundary: its own arithmetic is
-left to the classical Hecke algebra of ``hecke``, whose h-constants
-``cells`` compares, and to the dense-solve oracle of ``verify``.
+left to the W-graph h/f check of ``cells`` and to the dense-solve oracle
+of ``verify``.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and

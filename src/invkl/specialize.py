@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-def _matmul(a, b, n):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
-
-
 def _rational_rank(rows):
     """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
 
@@ -102,17 +95,22 @@ def reflection_rep(system):
 
 
 def h_value(system, wid):
-    """dim ker(M_w + Id): the fixed space of -w in the reflection rep."""
-    mats = reflection_rep(system)
+    """dim ker(M_w + Id): the fixed space of -w in the reflection rep.
+
+    The matrix of s differs from the identity in row s alone, so
+    multiplying by it on the left rewrites only row s, to the combination
+    of rows that its row s names.  M_w takes one such update per letter of
+    w's word, from the last letter to the first.
+    """
     n = system.rank
-    mat = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for s in system.word_of(wid):
-        mat = _matmul(mat, mats[s], n)
-    k = [
-        [mat[i][j] + (1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return n - _rational_rank(k)
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    gen_rows = {s: m[s] for s, m in reflection_rep(system).items()}
+    for s in reversed(system.word_of(wid)):
+        terms = [(c, mat[j]) for j, c in enumerate(gen_rows[s]) if c]
+        mat[s] = [sum(c * row[k] for c, row in terms) for k in range(n)]
+    for i in range(n):
+        mat[i][i] += 1
+    return n - _rational_rank(mat)
 
 
 def partition_count(n):

@@ -12,14 +12,14 @@ from invkl.coxeter import _cyclotomic
 from invkl.errors import (
     InconsistentBar, InvariantError, NotDivisible, RecurrenceInconsistent,
 )
-from invkl.invmodule import MVector
-from invkl.hecke import HeckeAlgebra, HeckeBases, expand_unitriangular
+from invkl.invmodule import CanonicalVectors, MVector
 from invkl.klclassic import KLTable
 from invkl.laurent import (
     LaurentPoly, ONE, ZERO, add_into, q_add, q_addmul, q_div, q_divmod,
     q_shift, q_trim, spread, u_pow, v_pow,
 )
-from invkl.packed import in_slots, mu_at, pack
+from invkl.packed import in_slots, mu_at, pack, unpack
+from invkl.specialize import reflection_rep
 
 
 # The types on which each packed table is compared with its oracle.
@@ -101,6 +101,177 @@ def ms_constant_by_scan(basis, s, xid, wid):
     if commuting:
         total -= mu_prime(basis, xid, sw)
     return LaurentPoly((total,), 0)
+
+
+# The Hecke algebra in the T basis and its two canonical bases: the oracle of
+# the W-graph h/f check of ``cells`` and of the classical table's self-bar
+# check.  ``cdot_w = v^{-l(w)} sum_y P_{y,w}(v^2) T_y`` lives in the algebra
+# with (T_s+1)(T_s-u) = 0 (u = v^2), and ``c_w = u^{-l(w)} sum_y
+# P_{y,w}(u^2) T_y`` in the one with (T_s+1)(T_s-u^2) = 0.
+
+_U = v_pow(2)
+_U_MINUS_ONE = _U - ONE
+_U_INV = v_pow(-2)
+_U_INV_MINUS_ONE = _U_INV - ONE
+
+
+def expand_unitriangular(system, elem, column):
+    """Rewrite ``elem`` ({id: coefficient}) in a unitriangular basis.
+
+    ``column(w)`` is the basis element of w as {y: coefficient} over y <= w,
+    with coefficient v^-l(w) at w itself (the cdot basis of the Hecke
+    algebra, the A basis of the involution module).  The ShortLex-last
+    entry is scaled by v^l(top) and its column subtracted, until nothing is
+    left.
+    """
+    work = dict(elem)
+    out = {}
+    while work:
+        top = max(work, key=system.shortlex_key)
+        coeff = work[top] * v_pow(system.length_of(top))
+        out[top] = coeff
+        for yid, f in column(top).items():
+            add_into(work, yid, -coeff * f)
+    return out
+
+
+class HeckeAlgebra:
+    """T-basis arithmetic with quadratic relation (T_s+1)(T_s - u) = 0, u = v^2.
+
+    Elements are dicts mapping element ids to Laurent coefficients in v.
+    """
+
+    def __init__(self, system):
+        self.system = system
+
+    def rmul_gen(self, elem, s):
+        sys = self.system
+        out = {}
+        for wid, f in elem.items():
+            ws = sys.rmul(wid, s)
+            if sys.length_of(ws) > sys.length_of(wid):
+                add_into(out, ws, f)
+            else:
+                add_into(out, wid, f * _U_MINUS_ONE)
+                add_into(out, ws, f * _U)
+        return out
+
+    def rmul_element(self, elem, xid):
+        """elem * T_x, folding the reduced word of x from the left."""
+        for s in self.system.word_of(xid):
+            elem = self.rmul_gen(elem, s)
+        return elem
+
+    def product(self, a, b):
+        """Product of two T-basis dicts: sum_y b_y * (a * T_y)."""
+        out = {}
+        for yid, g in b.items():
+            for wid, f in self.rmul_element(a, yid).items():
+                add_into(out, wid, f * g)
+        return out
+
+    def rmul_gen_inverse(self, elem, s):
+        """elem * T_s^{-1}, using T_s^{-1} = u^{-1} T_s + (u^{-1} - 1)."""
+        out = {w: f * _U_INV for w, f in self.rmul_gen(elem, s).items()}
+        for wid, f in elem.items():
+            add_into(out, wid, f * _U_INV_MINUS_ONE)
+        return out
+
+    def bar_t(self, wid):
+        """bar(T_w) = (T_{w^-1})^{-1} = T_{s_1}^{-1} ... T_{s_k}^{-1}."""
+        out = {0: ONE}
+        for s in self.system.word_of(wid):
+            out = self.rmul_gen_inverse(out, s)
+        return out
+
+    def bar_element(self, elem):
+        """Semilinear bar: coefficients v -> v^{-1}, T_w -> (T_{w^-1})^{-1}."""
+        out = {}
+        for wid, f in elem.items():
+            fb = f.bar()
+            for xid, g in self.bar_t(wid).items():
+                add_into(out, xid, fb * g)
+        return out
+
+
+class HeckeBases:
+    """The cdot and c bases of a classical table in the T basis, memoized.
+
+    ``algebra`` is the u-parameter algebra the cdot basis lives in.
+    """
+
+    def __init__(self, kl):
+        self.kl = kl
+        self.system = kl.system
+        self.algebra = HeckeAlgebra(kl.system)
+        self._cdot = {}
+        self._cprime = {}
+
+    def cdot(self, wid):
+        """cdot_w = v^{-l(w)} sum_{y<=w} P_{y,w}(v^2) T_y in the u-algebra."""
+        cached = self._cdot.get(wid)
+        if cached is None:
+            lw = self.system.length_of(wid)
+            cached = self._cdot[wid] = {
+                yid: spread(unpack(p), 2, -lw)
+                for yid, p in self.kl.column(wid).items()
+            }
+        return cached
+
+    def cprime(self, wid):
+        """c_w = u^{-l(w)} sum_{y<=w} P_{y,w}(u^2) T_y in the u^2-algebra."""
+        cached = self._cprime.get(wid)
+        if cached is None:
+            lw = self.system.length_of(wid)
+            cached = self._cprime[wid] = {
+                yid: spread(unpack(p), 4, -2 * lw)
+                for yid, p in self.kl.column(wid).items()
+            }
+        return cached
+
+    def expand_in_cdot(self, elem):
+        """Rewrite a T-basis dict (u-algebra) in the cdot basis."""
+        return expand_unitriangular(self.system, elem, self.cdot)
+
+    def c_basis_product(self, zid, wid):
+        """Expansion of cdot_z * cdot_w in the cdot basis."""
+        sys = self.system
+        out = self.expand_in_cdot(self.algebra.product(self.cdot(zid), self.cdot(wid)))
+        for w2, f in out.items():
+            if any(c < 0 for _, c in f.terms()):
+                raise InvariantError(
+                    "negative structure constant in cdot_z * cdot_w at "
+                    f"{sys.word_of(zid)}, {sys.word_of(wid)}, {sys.word_of(w2)}"
+                )
+        return out
+
+    def h_constants(self, zid, wid):
+        """Coefficients of cdot_z cdot_w cdot_{delta(z)^-1} in the cdot basis,
+        delta(z)^-1 spelled from z's word reversed, letter by letter."""
+        sys = self.system
+        twisted = sys.element_id_from_word(
+            [sys.delta[s] for s in reversed(sys.word_of(zid))]
+        )
+        product = self.algebra.product
+        pair = product(self.cdot(zid), self.cdot(wid))
+        return self.expand_in_cdot(product(pair, self.cdot(twisted)))
+
+
+def hf_by_t_basis(zid, wid, kl, canonical):
+    """(h, f) for one pair by T-basis products: h from ``h_constants``, f the
+    A-basis coefficients of c_z A_w, with T_y A_w folded from ``ts_action``
+    along y's word.  ``canonical.module`` is an ``InvolutionModule``."""
+    module = canonical.module
+    vectors = CanonicalVectors(canonical)
+    bases = HeckeBases(kl)
+    a_w = vectors.a_vector(wid)
+    acted = MVector()
+    for yid, coeff in bases.cprime(zid).items():
+        m = a_w
+        for s in reversed(kl.system.word_of(yid)):
+            m = module.ts_action(s, m)
+        acted = acted + m.scaled(coeff)
+    return bases.h_constants(zid, wid), vectors.expand_in_A(acted)
 
 
 def hecke_selfbar_column(kl, wid):
@@ -658,6 +829,33 @@ def fraction_rank(rows):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def matmul(a, b):
+    """The dense product of two integer matrices."""
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def matrix_along(mats, word):
+    """The product of the matrices ``mats[s]`` over ``word``, left to right."""
+    n = len(mats[0])
+    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for s in word:
+        out = matmul(out, mats[s])
+    return out
+
+
+def h_value_dense(system, wid):
+    """dim ker(M_w + Id), M_w the dense product along w's word, by the
+    ``Fraction`` rank."""
+    m = matrix_along(reflection_rep(system), system.word_of(wid))
+    n = system.rank
+    return n - fraction_rank(
+        [[m[i][j] + int(i == j) for j in range(n)] for i in range(n)]
+    )
 
 
 # Oracles for the packed tables: the same column recursions with each entry

@@ -225,16 +225,18 @@ def test_criterion_9_cells_and_hf():
     words = [tuple(sorted(a2.word_of(w) for w in cell)) for cell in part.cells]
     ok = words == [((),), ((0,), (0, 1), (1,), (1, 0)), ((0, 1, 0),)]
     ok = ok and involutions_per_cell(part, module_for("A2")) == [1, 2, 1]
-    for label in ("A2", "B2", "A3"):
-        kl = kl_for(label)
-        module = module_for(label)
-        basis = basis_for(label)
-        for z in kl.system.all_ids():
-            for w in module.involution_ids:
-                try:
-                    check_hf_relation(z, w, kl, basis)
-                except Exception:
-                    ok = False
+    for label, delta in (
+        ("A2", None), ("B2", None), ("A3", None), ("B3", None), ("A3", [2, 1, 0]),
+    ):
+        kl = kl_for(label, delta)
+        basis = basis_for(label, delta)
+        for w in module_for(label, delta).involution_ids:
+            try:
+                pairs = check_hf_relation(w, kl, basis)
+            except Exception:
+                ok = False
+            else:
+                ok = ok and len(pairs) == len(kl.system.all_ids())
     elapsed = time.monotonic() - start
     report(9, f"cells and h/f domination ({elapsed:.1f}s)", ok and elapsed < 60)
 

@@ -11,11 +11,11 @@ import pytest
 import invkl
 from invkl import build_system, coxeter
 from invkl.coxeter import _CycloField
-from invkl.specialize import _matmul, h_value, reflection_rep
+from invkl.specialize import h_value, reflection_rep
 
 from helpers import (
     FractionCycloField, brute_twisted_involutions, conjugate_by_products,
-    subword_bruhat,
+    matrix_along, subword_bruhat,
 )
 
 
@@ -267,13 +267,6 @@ def test_h_labels_match_raw_matrices():
     assert not build_system("H3").crystallographic
 
 
-def _matrix_along(mats, word, n):
-    out = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    for s in word:
-        out = _matmul(out, mats[s], n)
-    return out
-
-
 def test_root_engine_matches_reflection_matrices():
     """Descents and lengths against root signs in the integer representation."""
     for label in ("A3", "B3", "D4", "G2", "F4"):
@@ -282,8 +275,8 @@ def test_root_engine_matches_reflection_matrices():
         n = system.rank
         for el in system.enumerate_all():
             assert system.length_of(el.id) == len(system.word_of(el.id))
-            m = _matrix_along(mats, el.word, n)
-            minv = _matrix_along(mats, el.word[::-1], n)
+            m = matrix_along(mats, el.word)
+            minv = matrix_along(mats, el.word[::-1])
             for s in range(n):
                 # ws < w iff w(alpha_s) < 0; sw < w iff w^-1(alpha_s) < 0
                 right = system.length_of(system.rmul(el.id, s)) < el.length

@@ -103,7 +103,6 @@ _ALLOWED = {
     "cli": {"coxeter", "errors", "laurent"},
     "coxeter": {"errors", "laurent"},
     "errors": set(),
-    "hecke": {"errors", "laurent", "packed"},
     "involutions": set(),
     "invmodule": {"errors", "involutions", "laurent", "packed"},
     "klclassic": {"errors", "laurent", "packed"},
@@ -112,8 +111,8 @@ _ALLOWED = {
     "specialize": {"coxeter", "errors"},
     "verify": {"canonical", "errors", "invmodule", "klclassic", "laurent", "specialize"},
 }
-# the layers only verify, check_hf_relation and the tests may compile
-_VERIFICATION = {"invmodule", "hecke", "verify"}
+# the layers only verify and the tests may compile
+_VERIFICATION = {"invmodule", "verify"}
 
 
 def package_imports(node, top_level=True):
@@ -200,7 +199,7 @@ def test_commands_but_verify_stay_off_the_verification_layers():
             closure |= frontier
             frontier = set().union(*(_ALLOWED[m] for m in frontier)) - closure
         if name == "cmd_verify":
-            assert {"invmodule", "verify"} <= closure and "hecke" not in closure
+            assert {"invmodule", "verify"} <= closure
         else:
             assert not closure & _VERIFICATION, (name, sorted(closure))
 
@@ -265,8 +264,37 @@ def test_each_command_imports_only_its_layers(command, stdlib_deps):
         assert added - stdlib_deps == _BASE | _LAYERS[command]
     if command.startswith(("table", "character")):
         assert "invkl.invmodule" not in added   # the index, not the arithmetic
-    if command.startswith(("kl", "cells")):
-        assert "invkl.hecke" not in added
+
+
+def test_the_t_basis_hecke_algebra_is_gone():
+    """The T-basis products live on as a test oracle only."""
+    assert not (ROOT / "src" / "invkl" / "hecke.py").exists()
+    for path in PACKAGE:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not names & {"HeckeAlgebra", "HeckeBases", "expand_unitriangular"}, path
+
+
+def test_the_hf_check_runs_on_the_involution_index():
+    """The W-graph h/f check reads the canonical columns over the involution
+    index, and never loads the module arithmetic."""
+    added = added_modules(
+        "import invkl\n"
+        "from invkl.canonical import CanonicalBasis\n"
+        "from invkl.cells import check_hf_relation\n"
+        "from invkl.involutions import Involutions\n"
+        "from invkl.klclassic import KLTable\n"
+        "from invkl.laurent import ONE\n"
+        'system = invkl.build_system("A3")\n'
+        "basis = CanonicalBasis(Involutions(system))\n"
+        "wid = basis.module.involution_ids[-1]\n"
+        "report = check_hf_relation(wid, KLTable(system), basis)\n"
+        "assert len(report) == 24 and report[0] == {wid: (ONE, ONE)}"
+    )
+    assert "invkl.cells" in added and "invkl.invmodule" not in added
 
 
 def test_building_a_system_imports_no_dataclasses_or_fractions():

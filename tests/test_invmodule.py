@@ -58,18 +58,24 @@ def test_action_cases(a2, a2_module):
 
 
 def test_action_is_linear_and_word_independent(a2, a2_module):
+    """T_w folded from ``ts_action`` over either reduced word of the longest
+    element gives one vector."""
+
+    def along(word, m):
+        for s in reversed(word):
+            m = a2_module.ts_action(s, m)
+        return m
+
     rng = random.Random(2024)
     sts = a2.element_id_from_word([0, 1, 0])
     tst = a2.element_id_from_word([1, 0, 1])
     assert sts == tst
     for _ in range(10):
         m = rand_vector(a2_module, rng)
-        assert a2_module.tw_action(0, m) == m  # T_1
+        assert along((), m) == m  # T_1
         via_st = a2_module.ts_action(0, a2_module.ts_action(1, m))
-        assert a2_module.tw_action(a2.element_id_from_word([0, 1]), m) == via_st
-        one_way = a2_module.ts_action(0, a2_module.ts_action(1, a2_module.ts_action(0, m)))
-        other = a2_module.ts_action(1, a2_module.ts_action(0, a2_module.ts_action(1, m)))
-        assert a2_module.tw_action(sts, m) == one_way == other
+        assert along(a2.word_of(a2.element_id_from_word([0, 1])), m) == via_st
+        assert along(a2.word_of(sts), m) == along((0, 1, 0), m) == along((1, 0, 1), m)
 
 
 def test_quadratic_and_braid_on_basis():

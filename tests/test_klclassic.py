@@ -7,12 +7,13 @@ import pytest
 from invkl import build_system, klclassic
 from invkl.cli import main
 from invkl.errors import InvariantError
-from invkl.hecke import HeckeAlgebra, HeckeBases
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
 
-from helpers import TupleKLTable, hecke_selfbar_column, s_gen_id
+from helpers import (
+    HeckeAlgebra, HeckeBases, TupleKLTable, hecke_selfbar_column, s_gen_id,
+)
 
 
 def test_normalization_and_support(a2, a2_kl):

@@ -7,7 +7,6 @@ from invkl.invmodule import InvolutionModule
 from invkl.involutions import Involutions
 from invkl.specialize import (
     SpecializedModule,
-    _matmul,
     _rational_rank,
     h_value,
     partition_count,
@@ -15,7 +14,7 @@ from invkl.specialize import (
 )
 from invkl.verify import run_suites
 
-from helpers import fraction_rank
+from helpers import fraction_rank, h_value_dense, matmul
 
 
 def spec_for(label):
@@ -235,15 +234,15 @@ def test_reflection_rep_invariants():
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
         for s, mat in rep.items():
-            assert _matmul(mat, mat, n) == ident
+            assert matmul(mat, mat) == ident
             for t in range(n):
                 if t == s:
                     continue
-                prod = _matmul(mat, rep[t], n)
+                prod = matmul(mat, rep[t])
                 power = prod
                 order = 1
                 while power != ident:
-                    power = _matmul(power, prod, n)
+                    power = matmul(power, prod)
                     order += 1
                 assert order == system.coxeter_matrix[s][t]
 
@@ -257,6 +256,13 @@ def test_h_values(a2):
     assert [h_value(a2, w) for w in a2.twisted_involution_ids()] == [0, 1, 1, 1]
     with pytest.raises(ValueError):
         h_value(build_system("I2(5)"), 0)
+
+
+@pytest.mark.parametrize("label", ["B3", "D4", "F4"])
+def test_h_value_equals_the_dense_product(label):
+    system = build_system(label)
+    for wid in system.twisted_involution_ids():
+        assert h_value(system, wid) == h_value_dense(system, wid)
 
 
 def test_integer_rank_matches_fraction_elimination():

@@ -37,7 +37,7 @@ coefficients stay signed ``COEFF_BITS``-bit numbers and each column's
 multipliers stay within ``BUDGET``, so no slot carries into the next; past
 either bound the build raises ``InvariantError``.  ``LaurentPoly`` values
 are built only at the API boundary (``pi``, ``sigma_kl`` and
-``ms_constant``), each by one read of its slots, with no ``LaurentPoly``
+``ms_constants``), each by one read of its slots, with no ``LaurentPoly``
 arithmetic.
 
 The recursion pushes whole columns instead of pulling single entries, as
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from .errors import InvariantError, RecurrenceInconsistent
 from .involutions import CASE_POLYS
-from .laurent import LaurentPoly, ZERO, spread
+from .laurent import LaurentPoly, spread
 from .packed import (
     ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most, in_slots, mu_at, pack,
     slot_test, solve_one_plus_u, unpack,
@@ -188,20 +188,17 @@ class CanonicalBasis:
 
     # -- structure constants -----------------------------------------------------
 
-    def ms_constant(self, s, y, w):
-        """The bar-invariant correction constant for the pair y < sw > w.
-
-        Parity of l(y) and l(w) selects between an integer combination of
-        mu'' and mu' convolutions and the multiple mu'(y,w) (v + v^-1).
-        Zero unless y lies in ``_descent_interval(s, w)``.
-        """
-        return self.ms_constants(s, w).get(y, ZERO)
-
     def ms_constants(self, s, wid):
         """{x: ms_constant(s, x, w)} over the x where it is nonzero.
 
-        The known parts are memoized; the commuting case subtracts
-        mu'(x, sw), read from the mu' row of the finished column sw.
+        ms_constant(s, x, w) is the bar-invariant correction constant for
+        the pair x < sw > w: by the parity of l(w) - l(x), an integer
+        combination of mu'' and mu' convolutions or the multiple
+        mu'(x, w) (v + v^-1), and zero unless x lies in
+        ``_descent_interval(s, w)``.  Read one entry as
+        ``ms_constants(s, w).get(x, ZERO)``.  The known parts are
+        memoized; the commuting case subtracts mu'(x, sw), read from the mu'
+        row of the finished column sw.
         """
         known = self._known_parts(s, wid)
         commuting, _up, sw = self.module.action_case(s, wid)

@@ -13,11 +13,12 @@ One element engine serves every finite type, crystallographic or not: the
 group acts on its root system in the geometric representation by
 permutations of root numbers (Casselman, *Computation in Coxeter groups I*,
 2002).  The positive roots are found once, by closing the simple roots under
-the generators with exact coordinates in the integer ring Z[2cos(pi/N)]: the
-minimal polynomial of 2cos(pi/N) is monic and every 2cos(pi/m) with m
-dividing N lies in that ring, so a coordinate is a tuple of Python ints over
-the power basis and no ``Fraction`` or division is involved.  That closure is
-the only field arithmetic.  An element is stored as the root numbers of
+the generators with exact coordinates in the integer ring Z[2cos(pi/N)], N
+the lcm of the Coxeter entries above 3: the minimal polynomial of
+2cos(pi/N) is monic and every 2cos(pi/m) with m dividing N, or m = 2 or 3,
+lies in that ring, so a coordinate is a tuple of Python ints over the power
+basis and no ``Fraction`` or division is involved.  That closure is the
+only field arithmetic.  An element is stored as the root numbers of
 w(alpha_s) and w^-1(alpha_s), so a product with a generator is a lookup per
 simple root, a descent is a sign test on one root number, and elements are
 interned lazily.  The integer reflection representation of crystallographic
@@ -112,9 +113,11 @@ class _CycloField:
         return out
 
     def two_cos_pi_over(self, m):
-        """The element 2cos(pi/m), for m dividing N (or m == 2 -> 0)."""
+        """The element 2cos(pi/m), for m dividing N, or m = 2 (0) or 3 (1)."""
         if m == 2:
             return self.zero
+        if m == 3:
+            return self.one
         k, rem = divmod(self.n_denom, m)
         if rem:
             raise ValueError(
@@ -138,8 +141,12 @@ class _CycloField:
 
 
 def _conductor(cox_matrix):
-    """The least N with every Coxeter entry dividing N (at least 3)."""
-    return max(math.lcm(*{m for row in cox_matrix for m in row if m > 2}), 3)
+    """The least N (at least 3) that every Coxeter entry above 3 divides.
+
+    2cos(pi/2) = 0 and 2cos(pi/3) = 1 lie in every ring, so only the entries
+    above 3 enlarge it: B_n and F4 take Z[sqrt 2], not Z[2cos(pi/12)].
+    """
+    return max(math.lcm(*{m for row in cox_matrix for m in row if m > 3}), 3)
 
 
 class _RootEngine:

@@ -21,7 +21,9 @@ involution in v-slots above one offset per vector, so T_s, c_s, the bar
 involution and the expansion in the canonical basis are int products too.
 ``LaurentPoly`` is the type at the API boundary: its own arithmetic is
 left to the W-graph h/f check of ``cells`` and to the dense-solve oracle
-of ``verify``.
+of ``verify``.  Nothing here evaluates a polynomial at a point: two
+polynomials are compared coefficient by coefficient, and a value at v = 1
+is the sum of the coefficients.
 
 Coefficients are arbitrary-precision Python integers, storage is dense with
 an exponent offset (the polynomials handled here are short and dense), and
@@ -162,18 +164,6 @@ class LaurentPoly:
         if self.is_zero:
             return self
         return LaurentPoly(tuple(reversed(self.coeffs)), -self.max_exp)
-
-    def specialize(self, value):
-        """Evaluate at v = value (a Fraction, int, or float-free rational)."""
-        from fractions import Fraction
-
-        value = Fraction(value)
-        if value == 0 and self.min_exp < 0:
-            raise ZeroDivisionError("cannot specialize at v=0: negative exponents")
-        total = Fraction(0)
-        for e, c in self.terms():
-            total += c * value ** e
-        return total
 
     # -- serialization and printing ---------------------------------------
 

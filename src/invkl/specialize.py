@@ -19,7 +19,8 @@ characters, which is what the character comparisons here exercise.
 and the h-grading are computed here, and checked in one place, the
 ``specialize-u1`` suite of ``verify``.  The integer reflection
 representation (``reflection_rep``, ``h_value``) lives here, as the
-h-grading is its only reader.
+h-grading is its only reader, and so does the fraction-free elimination
+(``bareiss``) that gives its rank and solves the bar oracle of ``verify``.
 
 Everything in this module requires the untwisted case (delta = identity).
 """
@@ -31,30 +32,39 @@ from .coxeter import _CRYSTAL_WEIGHT
 
 __all__ = [
     "SpecializedModule",
+    "bareiss",
     "partition_count",
     "reflection_rep",
     "h_value",
 ]
 
 
-def _rational_rank(rows):
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss) elimination.
+def bareiss(rows, width):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place, on
+    their first ``width`` columns (Bareiss, Math. Comp. 22, 1968); returns
+    the number of pivots, the rank of those columns.
 
-    After the k-th pivot every entry below it is a (k+1)-minor of the input,
-    so dividing by the previous pivot is exact and every entry stays an int.
+    Each pivot p is taken from the first row with a nonzero entry in its
+    column at or below the pivots before, and every other row becomes
+    (p row - f top) / d, f its entry in that column, top the pivot row and
+    d the pivot before (1 at first).  After k pivots every entry is a minor
+    of order k or k + 1 of the input (Sylvester's identity), so each
+    division is exact and every entry stays an int.  At the end row i of
+    the first rank rows has its pivot in its i-th pivot column and zeros in
+    the others, and every later row is zero in the first ``width`` columns.
     """
-    mat = [list(row) for row in rows]
     rank, prev = 0, 1
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
+    for col in range(width):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
         pv = top[col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(pv * a - f * b) // prev for a, b in zip(mat[r], top)]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != rank and (f or pv != prev):
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
         prev = pv
         rank += 1
     return rank
@@ -95,7 +105,12 @@ def reflection_rep(system):
 
 
 def h_value(system, wid):
-    """dim ker(M_w + Id): the fixed space of -w in the reflection rep.
+    """dim ker(M_w + Id): the fixed space of -w in the reflection rep."""
+    return _h_values(system, [wid])[wid]
+
+
+def _h_values(system, wids):
+    """{w: h(w)} over ``wids``, from one set of generator rows.
 
     The matrix of s differs from the identity in row s alone, so
     multiplying by it on the left rewrites only row s, to the combination
@@ -103,14 +118,17 @@ def h_value(system, wid):
     w's word, from the last letter to the first.
     """
     n = system.rank
-    mat = [[int(i == j) for j in range(n)] for i in range(n)]
     gen_rows = {s: m[s] for s, m in reflection_rep(system).items()}
-    for s in reversed(system.word_of(wid)):
-        terms = [(c, mat[j]) for j, c in enumerate(gen_rows[s]) if c]
-        mat[s] = [sum(c * row[k] for c, row in terms) for k in range(n)]
-    for i in range(n):
-        mat[i][i] += 1
-    return n - _rational_rank(mat)
+    out = {}
+    for wid in wids:
+        mat = [[int(i == j) for j in range(n)] for i in range(n)]
+        for s in reversed(system.word_of(wid)):
+            terms = [(c, mat[j]) for j, c in enumerate(gen_rows[s]) if c]
+            mat[s] = [sum(c * row[k] for c, row in terms) for k in range(n)]
+        for i in range(n):
+            mat[i][i] += 1
+        out[wid] = n - bareiss(mat, n)
+    return out
 
 
 def partition_count(n):
@@ -292,4 +310,4 @@ class SpecializedModule:
 
     def h_values(self):
         """{w: h(w)} over ``basis``."""
-        return {w: h_value(self.system, w) for w in self.basis}
+        return _h_values(self.system, self.basis)

@@ -7,24 +7,27 @@ the caller decides whether a failure is fatal.  Advisory suites cover
 statements whose twisted variants are expected but not load-bearing.
 
 ``bar_table_dense_solve``, the bar-oracle suite's independent route, solves
-the defining constraints of the bar involution as exact linear systems,
-one Gauss-Jordan elimination per column w whose matrix (phi-bar shifted
-over a window of u-exponents, for each defining equation) is shared by
-every row y, each y being one right-hand side of that elimination.
+the defining constraints of the bar involution as exact linear systems over
+Z, one fraction-free Gauss-Jordan elimination (``specialize.bareiss``) per
+column w whose matrix (phi-bar shifted over a window of u-exponents, for
+each defining equation) is shared by every row y, each y being one
+right-hand side of that elimination.  No suite uses rational arithmetic:
+the u=1 coherence check compares packed polynomials, and the solve divides
+by a pivot only where the quotient is exact.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from fractions import Fraction
 
 from .canonical import CanonicalBasis
 from .errors import InvariantError
 from .invmodule import CanonicalVectors, InvolutionModule, MVector
 from .klclassic import KLTable
 from .laurent import LaurentPoly, ONE, domination_failure, spread, u_pow, v_pow
-from .specialize import SpecializedModule, partition_count
+from .packed import pack, unpack
+from .specialize import SpecializedModule, bareiss, partition_count
 
 __all__ = [
     "SuiteResult", "VerificationContext", "run_suites", "SUITE_NAMES",
@@ -36,6 +39,21 @@ _UU = u_pow(2)
 _UU_M1 = LaurentPoly((-1, 0, 0, 0, 1))   # u^2 - 1
 _V2 = v_pow(2)
 _VINV2 = v_pow(-2)
+_V_PLUS = LaurentPoly((1, 0, 1), -1)         # v + v^-1
+_V2_PLUS = LaurentPoly((1, 0, 0, 0, 1), -2)  # v^2 + v^-2
+# T_s a_w = own a_w + partner a_p by the case (commuting, up) of (s, w), p
+# its s-partner, as u-coefficients: the literal cases of the module, kept
+# apart from ``involutions.CASE_POLYS``.  Packed in 64-bit u-slots, which
+# are the 32-bit v-slots of a basis vector's T_s image.
+_TS_CASES = {
+    case: (pack(own), pack(partner))
+    for case, (own, partner) in {
+        (True, True): ((0, 1), (1, 1)),            # u a_w + (u+1) a_p
+        (True, False): ((-1, -1, 1), (0, -1, 1)),  # (u^2-u-1) a_w + (u^2-u) a_p
+        (False, True): ((), (1,)),                 # a_p
+        (False, False): ((-1, 0, 1), (0, 0, 1)),   # (u^2-1) a_w + u^2 a_p
+    }.items()
+}
 
 
 class SuiteResult:
@@ -256,16 +274,38 @@ def suite_descent_stability(ctx):
 
 
 def suite_cs_action(ctx):
-    """The generator action on the canonical basis has the predicted shape."""
+    """c_s A_w in the canonical basis has its closed form.
+
+    That is (v^2 + v^-2) A_w when s is a left descent of w; otherwise A_p,
+    p the s-partner of w, times v + v^-1 when s commutes with w, plus
+    ``ms_constants(s, w)``.  One check per (w, s).
+    """
     res = SuiteResult("cs-action")
-    vectors = CanonicalVectors(ctx.canonical)
+    sys = ctx.system
+    cb = ctx.canonical
+    vectors = CanonicalVectors(cb)
     for wid in ctx.module.involution_ids:
-        for s in range(ctx.system.rank):
+        for s in range(sys.rank):
             res.checks += 1
             try:
-                vectors.cs_action_on_A(s, wid)
+                got = vectors.cs_action_on_A(s, wid)
+                commuting, up, other = ctx.module.action_case(s, wid)
+                if up:
+                    expected = {other: _V_PLUS if commuting else ONE}
+                    expected.update(cb.ms_constants(s, wid))
+                else:
+                    expected = {wid: _V2_PLUS}
             except InvariantError as exc:
-                res.fail({"s": s, "w": _word(ctx.system, wid), "error": str(exc)})
+                res.fail({"s": s, "w": _word(sys, wid), "error": str(exc)})
+                continue
+            if got != expected:
+                res.fail({
+                    "s": s,
+                    "w": _word(sys, wid),
+                    "error": "c_s A_w expansion mismatch: got "
+                    f"{ {sys.word_of(k): str(v) for k, v in got.items()} }, expected "
+                    f"{ {sys.word_of(k): str(v) for k, v in expected.items()} }",
+                })
     return res
 
 
@@ -274,15 +314,16 @@ def suite_specialize(ctx):
 
     One pass over the pairs (w, s) reads s . a_w from the u=1 case
     formulas and T_s a_w from the generic module, once each, and checks:
-    ``coherence``, T_s a_w at v = 1 equals s . a_w and at v = 3/2 equals
-    the literal table of the four cases; ``involution_matrix``, s squares
-    to the identity (one check per generator); ``grading``, h rises along
-    commuting ascents, the h-filtration is stable and its graded action is
-    the signed conjugation.  One pass over the conjugacy classes checks
-    that the three character routes agree (``character``) and, on a
-    system labelled A<n-1> (not a product, not a raw matrix), that the
-    module is a model: sum |C| chi(C)^2 = |W| p(n) (``model``).  Forty
-    random triples check the cocycle of epsilon (``cocycle``).
+    ``coherence``, T_s a_w at v = 1 equals s . a_w and T_s a_w itself, as
+    packed polynomials, equals the literal table of the four cases
+    (``_TS_CASES``); ``involution_matrix``, s squares to the identity (one
+    check per generator); ``grading``, h rises along commuting ascents, the
+    h-filtration is stable and its graded action is the signed
+    conjugation.  One pass over the conjugacy classes checks that the
+    three character routes agree (``character``) and, on a system
+    labelled A<n-1> (not a product, not a raw matrix), that the module is
+    a model: sum |C| chi(C)^2 = |W| p(n) (``model``).  Forty random
+    triples check the cocycle of epsilon (``cocycle``).
     """
     res = SuiteResult("specialize-u1")
     if ctx.system.is_twisted:
@@ -296,30 +337,22 @@ def suite_specialize(ctx):
     spec = SpecializedModule(mod)
     h = spec.h_values()
     squares = [True] * sys.rank
-    t_val = Fraction(3, 2)   # v = t, u = t^2
-    q = t_val * t_val
     for wid in mod.involution_ids:
         for s in range(sys.rank):
             img = spec.apply_gen(s, {wid: 1})
-            generic = mod.ts_action(s, mod.basis(wid)).entries
+            # the image of a basis vector keeps its lo 0 and 32-bit v-slots
+            generic = mod.ts_action(s, mod.basis(wid))
             commuting, up, other = mod.action_case(s, wid)
             at_one = {
-                y: val for y, f in generic.items() if (val := sum(f.coeffs))
+                y: val
+                for y, p in generic.ints.items()
+                if (val := sum(unpack(p, 32)))
             }
-            at_t = {
-                y: val for y, f in generic.items() if (val := f.specialize(t_val))
-            }
-            if commuting and up:
-                expected = {wid: q, other: q + 1}
-            elif commuting:
-                expected = {wid: q * q - q - 1, other: q * q - q}
-            elif up:
-                expected = {other: Fraction(1)}
-            else:
-                expected = {wid: q * q - 1, other: q * q}
-            expected = {y: v for y, v in expected.items() if v}
+            own, partner = _TS_CASES[commuting, up]
+            expected = {wid: own, other: partner} if own else {other: partner}
             res.checks += 1
-            if at_one != img or at_t != expected:
+            exact = (generic.lo, generic.width, generic.ints) == (0, 32, expected)
+            if at_one != img or not exact:
                 res.fail({"kind": "coherence", "s": s, "w": _word(sys, wid)})
             if spec.apply_gen(s, img) != {wid: 1}:
                 squares[s] = False
@@ -431,55 +464,41 @@ _NON_INTEGER = "bar linear solve produced a non-integer coefficient"
 
 
 def _solve_columns(rows, width, keys):
-    """Solve A x = b_key exactly for every key by one Gauss-Jordan elimination.
+    """Solve A x = b_key over Z for every key by one Gauss-Jordan elimination.
 
     ``rows`` lists the rows of A with their right-hand sides, as pairs
-    (``width`` coefficients, dict key -> entry of b_key; absent keys read 0).
-    The rows are consumed.  Returns ``(solutions, failures)``: each key of
-    ``keys`` is mapped either by ``solutions`` to its integer solution x or by
-    ``failures`` to the reason it has none.  Fewer pivots than unknowns fails
-    every key; a nonzero right-hand side on a row that eliminates to zero, or
-    a non-integer solution, fails that key only.
+    (``width`` coefficients, dict key -> entry of b_key over keys of
+    ``keys``; an absent key reads 0).  The right-hand sides are columns of one augmented
+    integer matrix, which ``bareiss`` reduces fraction-free; row i of the
+    result then reads d_i x_i = b_i, d_i its pivot.  Returns ``(solutions,
+    failures)``: each key of ``keys`` is mapped either by ``solutions`` to
+    its integer solution x or by ``failures`` to the reason it has none.
+    Fewer pivots than unknowns fails every key; a nonzero right-hand side
+    on a row that eliminates to zero, or a b_i that d_i does not divide,
+    fails that key only.
     """
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        coef, rhs = rows[r]
-        pv = coef[col]
-        if pv != 1:
-            coef = [Fraction(x) / pv for x in coef]
-            rhs = {key: Fraction(c) / pv for key, c in rhs.items()}
-            rows[r] = (coef, rhs)
-        for i, (other, other_rhs) in enumerate(rows):
-            f = other[col]
-            if i == r or not f:
-                continue
-            for key, c in rhs.items():
-                c = other_rhs.get(key, 0) - f * c
-                if c:
-                    other_rhs[key] = c
-                else:
-                    other_rhs.pop(key, None)
-            rows[i] = ([x - f * y for x, y in zip(other, coef)], other_rhs)
-        r += 1
-    if r < width:
+    index = {key: k for k, key in enumerate(keys, width)}
+    aug = []
+    for coef, rhs in rows:
+        row = list(coef) + [0] * len(index)
+        for key, c in rhs.items():
+            row[index[key]] = c
+        aug.append(row)
+    if bareiss(aug, width) < width:
         return {}, dict.fromkeys(keys, _UNSOLVABLE)
+    # past the pivots every row is zero in A, so a nonzero b there is inconsistent
     inconsistent = {
-        key for _coef, rhs in rows[width:] for key, c in rhs.items() if c
+        k for row in aug[width:] if any(row) for k, c in enumerate(row) if c
     }
     solutions, failures = {}, {}
-    for key in keys:
-        if key in inconsistent:
+    for key, k in index.items():
+        sol = [divmod(row[k], row[i]) for i, row in enumerate(aug[:width])]
+        if k in inconsistent:
             failures[key] = _UNSOLVABLE
-            continue
-        sol = [rhs.get(key, 0) for _coef, rhs in rows[:width]]
-        if any(x.denominator != 1 for x in sol):
+        elif any(rem for _q, rem in sol):
             failures[key] = _NON_INTEGER
         else:
-            solutions[key] = [int(x) for x in sol]
+            solutions[key] = [q for q, _rem in sol]
     return solutions, failures
 
 

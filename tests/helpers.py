@@ -596,6 +596,12 @@ class LaurentBarfixBasis(CanonicalBasis):
         return packed
 
 
+def evaluate(f, value):
+    """f at v = value, a ``Fraction``; the package evaluates nothing."""
+    value = Fraction(value)
+    return sum((c * value ** e for e, c in f.terms()), Fraction(0))
+
+
 def solve_exact(rows, rhs):
     """Solve an overdetermined exact linear system; None if inconsistent."""
     n = len(rows[0]) if rows else 0
@@ -795,6 +801,8 @@ class FractionCycloField:
     def two_cos_pi_over(self, m):
         if m == 2:
             return self.zero
+        if m == 3:
+            return self.one
         k, rem = divmod(self.n_denom, m)
         if rem:
             raise ValueError(

@@ -9,6 +9,7 @@ from invkl.invmodule import CanonicalVectors, InvolutionModule, MVector
 from invkl.klclassic import KLTable
 from invkl.laurent import LaurentPoly, ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
+from invkl.verify import run_suites
 
 from helpers import (
     ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBarfixBasis, TupleCanonicalBasis,
@@ -186,7 +187,7 @@ def test_ms_constants_are_bar_invariant():
                     and system.length_of(zid) < system.length_of(sw)
                     and system.bruhat_leq_ids(zid, sw)
                 ):
-                    m = basis.ms_constant(s, zid, wid)
+                    m = basis.ms_constants(s, wid).get(zid, ZERO)
                     assert m.bar() == m
                     seen += 1
     assert seen > 0
@@ -205,11 +206,30 @@ def test_cs_action_examples(a2, a2_canonical):
 
 def test_cs_action_closed_form_exhaustive():
     for label, delta in [("A3", None), ("B2", None), ("A3", [2, 1, 0])]:
-        system, module, basis = make(label, delta)
-        vectors = CanonicalVectors(basis)
-        for wid in module.involution_ids:
-            for s in range(system.rank):
-                vectors.cs_action_on_A(s, wid)  # raises on mismatch
+        system = build_system(label, delta=delta)
+        res = run_suites(system, ["cs-action"])[0]
+        assert res.ok() and res.checks == system.rank * len(
+            system.twisted_involution_ids()
+        ), label
+
+
+def test_cs_action_suite_reports_a_wrong_expansion(monkeypatch):
+    """A wrong ms constant is a failure record {s, w, error} of each pair
+    that reads it, not a raise; the expansion itself checks nothing."""
+    system = build_system("B3")
+    ms_constants = CanonicalBasis.ms_constants
+
+    def shifted(self, s, wid):
+        out = dict(ms_constants(self, s, wid))
+        if s == 0 and wid == 0:
+            out[0] = ONE
+        return out
+
+    monkeypatch.setattr(CanonicalBasis, "ms_constants", shifted)
+    res = run_suites(system, ["cs-action"])[0]
+    assert res.checks == 3 * len(system.twisted_involution_ids())
+    assert [(f["s"], f["w"]) for f in res.failures] == [(0, [])]
+    assert res.failures[0]["error"].startswith("c_s A_w expansion mismatch")
 
 
 def test_domination_and_parity_against_classical():
@@ -302,7 +322,7 @@ def test_descent_interval_covers_the_bruhat_set():
                 ]
                 assert set(old) <= set(got), (label, wid, s)
                 for xid in set(got) - set(old):
-                    assert basis.ms_constant(s, xid, wid).is_zero
+                    assert xid not in basis.ms_constants(s, wid)
                     extras += 1
         assert extras > 0, label  # the extra members do occur
 
@@ -332,7 +352,7 @@ def test_mu_rows_and_ms_constants_match_the_pair_scan():
                 if system.is_left_descent(s, wid):
                     continue
                 for xid in basis._descent_interval(s, wid):
-                    m = basis.ms_constant(s, xid, wid)
+                    m = basis.ms_constants(s, wid).get(xid, ZERO)
                     assert m == ms_constant_by_scan(basis, s, xid, wid), (
                         label, s, xid, wid
                     )

@@ -337,6 +337,24 @@ def test_integer_root_ring_matches_the_fraction_field(label, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("label", ["F4", "B3", "B5", "G2", "H3", "H4", "I2(5)xA2"])
+def test_the_smaller_field_gives_the_same_root_permutations(label, monkeypatch):
+    """Only the Coxeter entries above 3 set the field: the conductor that
+    took every entry above 2 numbered the roots the same way."""
+    system = build_system(label)
+    conductor = coxeter._conductor(system.coxeter_matrix)
+    engine = system._engine
+    monkeypatch.setattr(
+        coxeter, "_conductor",
+        lambda cox: max(math.lcm(*{m for row in cox for m in row if m > 2}), 3),
+    )
+    wide = build_system(label)
+    assert coxeter._conductor(wide.coxeter_matrix) > conductor or label == "G2"
+    assert (engine.npos, engine.perms, engine.refl) == (
+        wide._engine.npos, wide._engine.perms, wide._engine.refl,
+    )
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10, 12])
 def test_two_cos_pi_over_evaluates_to_the_cosine(n):
     field = _CycloField(n)

@@ -109,7 +109,10 @@ _ALLOWED = {
     "laurent": {"errors"},
     "packed": {"errors"},
     "specialize": {"coxeter", "errors"},
-    "verify": {"canonical", "errors", "invmodule", "klclassic", "laurent", "specialize"},
+    "verify": {
+        "canonical", "errors", "invmodule", "klclassic", "laurent", "packed",
+        "specialize",
+    },
 }
 # the layers only verify and the tests may compile
 _VERIFICATION = {"invmodule", "verify"}
@@ -183,6 +186,16 @@ def test_only_the_packed_kernel_imports_struct():
     assert importers == {"packed"}
 
 
+def test_no_package_module_imports_rational_arithmetic():
+    """Every scalar is an int or a polynomial over Z: no module of the
+    package imports ``fractions``, ``decimal`` or ``numbers``, anywhere."""
+    found = {
+        path.stem: sorted(stdlib_imports(path.read_text()) & _RATIONAL)
+        for path in PACKAGE
+    }
+    assert not any(found.values()), found
+
+
 def test_commands_but_verify_stay_off_the_verification_layers():
     """The closure of each command's own imports under the layer table holds
     no verification layer, except for ``verify``."""
@@ -233,6 +246,9 @@ _LAYERS = {
         "invkl.klclassic", "invkl.specialize", "invkl.packed",
     },
 }
+_LAYERS["verify --type B3"] = _LAYERS["verify --type A2"]
+# what rational arithmetic would load: no command and no set-up needs it
+_RATIONAL = {"fractions", "decimal", "numbers"}
 
 
 def added_modules(body):
@@ -256,12 +272,8 @@ def stdlib_deps():
 def test_each_command_imports_only_its_layers(command, stdlib_deps):
     argv = command.split() + ["--out", os.devnull]
     added = added_modules(_RUN.format(argv=argv))
-    assert "dataclasses" not in added
-    if not command.startswith("verify"):
-        assert "fractions" not in added
-    assert {m for m in added if m.startswith("invkl")} == _BASE | _LAYERS[command]
-    if not command.startswith("verify"):
-        assert added - stdlib_deps == _BASE | _LAYERS[command]
+    assert not added & (_RATIONAL | {"dataclasses"})
+    assert added - stdlib_deps == _BASE | _LAYERS[command]
     if command.startswith(("table", "character")):
         assert "invkl.invmodule" not in added   # the index, not the arithmetic
 
@@ -299,10 +311,10 @@ def test_the_hf_check_runs_on_the_involution_index():
 
 def test_building_a_system_imports_no_dataclasses_or_fractions():
     """Set-up loads the element engine alone: no table kernel, no dataclasses
-    or fractions, and it builds no reflection matrices."""
+    or rational arithmetic, and it builds no reflection matrices."""
     for label in ("F4", "H3"):
         added = added_modules(f'import invkl\ninvkl.build_system("{label}")')
-        assert not added & {"dataclasses", "fractions"}
+        assert not added & (_RATIONAL | {"dataclasses"})
         assert {m for m in added if m.startswith("invkl")} == {
             "invkl", "invkl.coxeter", "invkl.errors", "invkl.laurent",
         }

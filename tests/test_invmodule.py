@@ -8,7 +8,7 @@ import pytest
 from helpers import (
     ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBar, add_laurent,
     bar_extended_exponent_map, bar_extended_pairwise, bar_table_per_pair,
-    scaled_laurent, sub_laurent, ts_action_laurent,
+    evaluate, scaled_laurent, sub_laurent, solve_exact, ts_action_laurent,
 )
 
 from invkl import build_system, verify
@@ -268,6 +268,77 @@ def test_solve_columns_rejects_a_non_integer_solution():
     assert failures == {"a": verify._NON_INTEGER}
 
 
+def _solved_by_fractions(rows, width, keys):
+    """What ``_solve_columns`` should return, one ``solve_exact`` per key."""
+    solutions, failures = {}, {}
+    for key in keys:
+        sol = solve_exact([coef for coef, _rhs in rows],
+                          [rhs.get(key, 0) for _coef, rhs in rows])
+        if sol is None or len(sol) < width:
+            failures[key] = verify._UNSOLVABLE
+        elif any(x.denominator != 1 for x in sol):
+            failures[key] = verify._NON_INTEGER
+        else:
+            solutions[key] = [int(x) for x in sol]
+    return solutions, failures
+
+
+@pytest.mark.parametrize(
+    "label, delta",
+    [("A2", None), ("B2", None), ("A3", None), ("B3", None), ("G2", None),
+     ("H3", None), ("I2(5)", None), ("I2(8)", None), ("A3", (2, 1, 0))],
+)
+def test_integer_solve_equals_the_fraction_solve_on_the_bar_systems(
+    label, delta, monkeypatch
+):
+    """Every system the bar oracle solves, solved over Z, equals the
+    ``Fraction`` Gauss-Jordan solve key by key."""
+    systems = []
+    solve_columns = verify._solve_columns
+
+    def recording(rows, width, keys):
+        systems.append((rows, width, keys))
+        return solve_columns(rows, width, keys)
+
+    monkeypatch.setattr(verify, "_solve_columns", recording)
+    module = InvolutionModule(build_system(label, delta=delta))
+    bar_table_dense_solve(module)
+    assert len(systems) == len(module.involution_ids) - 1
+    for rows, width, keys in systems:
+        want = _solved_by_fractions(rows, width, keys)
+        assert solve_columns(rows, width, keys) == want
+
+
+def test_integer_solve_equals_the_fraction_solve_on_built_systems():
+    """Singular systems, inconsistent and non-integer keys, and pivots
+    other than +-1, on random integer systems with a known solution."""
+    rng = random.Random(1968)
+    kinds = set()
+    for trial in range(200):
+        width = rng.randint(1, 5)
+        height = width + rng.randint(0, 3)
+        rank = width if trial % 4 else rng.randint(0, width - 1)
+        # a product through a rank-wide middle, so some systems are singular
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(height)]
+        right = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rank)]
+        coefs = [
+            [sum(row[k] * right[k][j] for k in range(rank)) for j in range(width)]
+            for row in left
+        ]
+        rhs = [{} for _ in range(height)]
+        for key in range(4):
+            x = [rng.randint(-5, 5) for _ in range(width)]
+            for i, coef in enumerate(coefs):
+                rhs[i][key] = sum(a * b for a, b in zip(coef, x))
+            rhs[rng.randrange(height)][key] += key % 2 * rng.randint(1, 2)
+        rows = list(zip(coefs, rhs))
+        got = verify._solve_columns(rows, width, range(4))
+        assert got == _solved_by_fractions(rows, width, range(4)), rows
+        kinds.update(got[1].values())
+        kinds.update("integer" for _key in got[0])
+    assert kinds == {"integer", verify._UNSOLVABLE, verify._NON_INTEGER}
+
+
 def _v_extended_poly(rng):
     """Odd and even exponents, negative and above-2^64 coefficients."""
     p = ZERO
@@ -318,7 +389,7 @@ def test_specialization_coherence(a2_module):
             else:
                 expected = {wid: q * q - 1, other: q * q}
             got = {
-                y: f.specialize(Fraction(3, 2))
+                y: evaluate(f, Fraction(3, 2))
                 for y, f in generic.entries.items()
             }
             got = {y: val for y, val in got.items() if val}

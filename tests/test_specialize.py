@@ -3,11 +3,12 @@ import random
 import pytest
 
 from invkl import build_system, verify
-from invkl.invmodule import InvolutionModule
+from invkl.invmodule import InvolutionModule, MVector
 from invkl.involutions import Involutions
+from invkl.laurent import u_pow
 from invkl.specialize import (
     SpecializedModule,
-    _rational_rank,
+    bareiss,
     h_value,
     partition_count,
     reflection_rep,
@@ -194,6 +195,26 @@ def test_every_check_kind_fires(monkeypatch, target, name, wrong, kinds):
     assert kinds <= {f["kind"] for f in res.failures}
 
 
+def test_coherence_compares_whole_polynomials(monkeypatch):
+    """T_s a_w perturbed by (4u^2 - 13u + 9) a_w, which vanishes at u = 1
+    and at u = 9/4 (v = 3/2), is a coherence failure of that pair only."""
+    system = build_system("B3")
+    module = InvolutionModule(system)
+    wid = module.involution_ids[5]
+    extra = MVector({wid: 4 * u_pow(2) - 13 * u_pow(1) + 9})
+    ts_action = InvolutionModule.ts_action
+
+    def perturbed(self, s, m):
+        out = ts_action(self, s, m)
+        return out + extra if s == 1 and m == MVector.basis(wid) else out
+
+    monkeypatch.setattr(InvolutionModule, "ts_action", perturbed)
+    res = specialize_suite(system)
+    assert res.failures == [
+        {"kind": "coherence", "s": 1, "w": list(system.word_of(wid))}
+    ]
+
+
 def test_one_generic_image_per_pair(monkeypatch):
     """The suite computes T_s a_w once per (w, s) and never builds the
     dense generator matrices."""
@@ -261,8 +282,9 @@ def test_h_values(a2):
 @pytest.mark.parametrize("label", ["B3", "D4", "F4"])
 def test_h_value_equals_the_dense_product(label):
     system = build_system(label)
-    for wid in system.twisted_involution_ids():
-        assert h_value(system, wid) == h_value_dense(system, wid)
+    dense = {w: h_value_dense(system, w) for w in system.twisted_involution_ids()}
+    assert {w: h_value(system, w) for w in dense} == dense
+    assert SpecializedModule(Involutions(system)).h_values() == dense
 
 
 def test_integer_rank_matches_fraction_elimination():
@@ -283,7 +305,7 @@ def test_integer_rank_matches_fraction_elimination():
             ]
         else:
             mat = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
-        rank = _rational_rank(mat)
+        rank = bareiss([list(row) for row in mat], cols)
         assert rank == fraction_rank(mat), mat
         deficient += rank < min(rows, cols)
     assert deficient >= 50

@@ -2,7 +2,6 @@
 
 from .coxeter import CoxeterSystem, GroupElement, build_system
 from .errors import (
-    InconsistentBar,
     InvariantError,
     NotDivisible,
     RecurrenceInconsistent,
@@ -18,7 +17,6 @@ __all__ = [
     "LaurentPoly",
     "InvariantError",
     "NotDivisible",
-    "InconsistentBar",
     "RecurrenceInconsistent",
     "TheoremMismatch",
     "RelationViolated",

@@ -13,9 +13,10 @@ either z = sw with sw = w delta(s) (then each row is divided by 1 + u, one
 row per descent carrying the unknown mu'(y, z)), or z = s w delta(s) (then
 each row is a closed formula over shorter columns).  The recursion reads
 only the involution index (``involutions.Involutions``), never the module
-arithmetic.  The independent route, ``InvolutionModule.column_barfix``,
-solves bar invariance against the bar table; the test and verification
-suites insist that both give identical tables.
+arithmetic.  The canonical-oracle suite of ``verify`` checks each column
+against the definition, unitriangularity and bar invariance under the bar
+table of the module, and the tests hold it to an independent bar-fixed
+route.
 
 A column is stored as ``KLTable`` stores one, after du Cloux's Coxeter 3
 (Experiment. Math. 11, 2002): {y: P(y, w) packed} over the y <= w, each

@@ -528,11 +528,7 @@ class CoxeterSystem:
         stack = []
         cur = wid
         while self._words[cur] is None:
-            s = min(
-                s
-                for s in range(self.rank)
-                if self.is_left_descent(s, cur)
-            )
+            s = next(s for s in range(self.rank) if self.is_left_descent(s, cur))
             stack.append((cur, s))
             cur = self.lmul(s, cur)
         word = self._words[cur]
@@ -592,7 +588,7 @@ class CoxeterSystem:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        s = min(s for s in range(self.rank) if self.is_left_descent(s, wid))
+        s = next(s for s in range(self.rank) if self.is_left_descent(s, wid))
         sw = self.lmul(s, wid)
         if self.is_left_descent(s, yid):
             res = self.bruhat_leq_ids(self.lmul(s, yid), sw)

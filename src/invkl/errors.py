@@ -15,10 +15,6 @@ class NotDivisible(InvariantError):
     """Exact Laurent division left a remainder where none was allowed."""
 
 
-class InconsistentBar(InvariantError):
-    """Bar-fixing produced coefficients incompatible with bar invariance."""
-
-
 class RecurrenceInconsistent(InvariantError):
     """A coefficient recurrence has no finitely supported solution."""
 

@@ -56,33 +56,21 @@ input entry's slots for bar(f_w) and adds bar(f_w) R(y, w) into row y as
 one int product per (w, y), in v-slots wide enough for the row's
 coefficient bound.
 
-The same table gives the canonical basis a second time: ``column_barfix``
-solves the fixed-point condition bar(A_w) = A_w row by row, each row one
-int residue whose low slots are P(y, w) and whose high slots must be its
-reflection u^gap P(y, w)(u^-1).  It reads nothing of ``CanonicalBasis``,
-so the verify suites hold the descent recursion against it.
-
-``CanonicalVectors`` reads the columns of a ``CanonicalBasis`` as module
-elements: P(y, w)(2^64) read in 32-bit v-slots is P(y, w)(v^2), so
-``a_vector(w)`` is ``column(w)`` with lo = -l(w) and the coefficient bound
-of the column.  ``expand_in_A`` rewrites a packed vector top down: the
-coefficient c of the ShortLex-last row, times v^l(top), is that of A_top,
-and subtracting c P(y, top) from each row y <= top is one int product at
-the work vector's own lo, since A_top carries v^-l(top).  Its bound grows
-by max|c| |P(., top)|_1 per step, and the slots widen before it reaches
-their limit.
+``a_vector(basis, w)`` reads a column of a ``CanonicalBasis`` as the module
+element A_w: P(y, w)(2^64) read in 32-bit v-slots is P(y, w)(v^2), so A_w
+is ``column(w)`` with lo = -l(w) and the coefficient bound of the column.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .errors import InconsistentBar, InvariantError, NotDivisible
+from .errors import InvariantError, NotDivisible
 from .involutions import CASE_POLYS, Involutions
-from .laurent import LaurentPoly, ZERO, spread
-from .packed import ONE_PLUS_U, SLOT, check_budget, in_slots, pack, unpack
+from .laurent import LaurentPoly, ZERO
+from .packed import ONE_PLUS_U, in_slots, pack, unpack
 
-__all__ = ["MVector", "InvolutionModule", "CanonicalVectors"]
+__all__ = ["MVector", "InvolutionModule", "a_vector"]
 
 _VSLOT = 32                    # bits per v-coefficient, when the coefficients fit
 _LIMIT = 1 << (_VSLOT - 1)     # a bound below this fits _VSLOT-bit slots
@@ -191,23 +179,6 @@ class MVector:
         mult = pack(f.coeffs, width)
         ints = {w: mult * p for w, p in self._at(width).items()}
         return MVector._of(ints, lo, width, bound)
-
-    def _eliminate(self, top, column, norm):
-        """Subtract c * column in place, c this vector's entry at top, and
-        return the slots of c.
-
-        Every entry of ``column`` has 1-norm at most ``norm``, so the bound
-        grows by max|c| norm, and the slots widen before it reaches their
-        limit.  This is one step of a unitriangular expansion, where the
-        entry of ``column`` at top is 1 and top leaves the vector.
-        """
-        coeffs = unpack(self.ints[top], self.width)
-        self.bound += max(map(abs, coeffs)) * norm
-        width = max(self.width, column.width, _width_for(self.bound))
-        if width != self.width:
-            self.ints, self.width = _repack(self.ints, self.width, width), width
-        _add_multiple(self.ints, -self.ints[top], column._at(width))
-        return coeffs
 
     def __eq__(self, other):
         if not isinstance(other, MVector):
@@ -408,128 +379,12 @@ class InvolutionModule(Involutions):
                 out[yid] = get(yid, 0) + (mult * r << shift)
         return MVector._of({y: p for y, p in out.items() if p}, lo, width, bound)
 
-    # -- the canonical basis as bar-fixed vectors ------------------------------
 
-    def column_barfix(self, wid):
-        """Solve bar(A_w) = A_w row by row, top down, on the packed bar table.
-
-        With Prev_x = u^(l(w)-l(x)) P(x, w)(u^-1), the coefficient of a'_y
-        in bar(A_w) - bar(pi(y, w)) a'_y is v^-g Q_y, g = l(w) - l(y), where
-        Q_y sums Prev_x R(y, x) over the x > y (``bar_column``).  Each solved
-        row x pushes Prev_x R(., x) into the residues of the rows below it.
-        Bar invariance is Q_y = P - u^g P(u^-1), P = P(y, w): P is held in
-        slots 0..(g-1)/2 of Q_y, and the rest is the fixed-point check, which
-        makes Prev_y = P - Q_y.  The rows are every involution shorter than
-        w, and y <= w is decided through the group, so the route reads
-        nothing of ``CanonicalBasis`` or ``interval``.  Stored P stay signed
-        ``COEFF_BITS``-bit numbers and the Prev weights stay within
-        ``BUDGET``, so every residue slot stays below 2^63.  Returns the
-        column in the layout of ``CanonicalBasis.column``.
-        """
-        sys = self.system
-        residue = dict(self.bar_column(wid))   # Prev_w = 1; ValueError off the module
-        length = sys.length_of
-        lw = length(wid)
-        del residue[wid]
-        out = {wid: 1}
-        spent = 1
-        for layer in reversed(self.layers):
-            gap = lw - length(layer[0])
-            if gap <= 0:
-                continue
-            low = SLOT * ((gap + 1) // 2)   # bits of slots 0..(gap-1)/2
-            half = 1 << (low - 1)
-            mask = (1 << low) - 1
-            for yid in layer:
-                q = residue.pop(yid, 0)
-                if not q:
-                    continue
-                p = ((q + half) & mask) - half
-                coeffs = unpack(p)
-                prev = pack(coeffs[::-1]) << (SLOT * (gap + 1 - len(coeffs)))
-                if q != p - prev:
-                    raise InconsistentBar(
-                        "bar fixed-point defect at pair "
-                        f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue "
-                        f"{spread(unpack(q), 2, -gap)}"
-                    )
-                if not sys.bruhat_leq_ids(yid, wid):
-                    raise InconsistentBar(
-                        "nonzero coefficient outside the Bruhat interval at "
-                        f"{sys.word_of(yid)}, {sys.word_of(wid)}"
-                    )
-                if not in_slots(p, (gap + 1) // 2):
-                    raise InvariantError(
-                        f"bar-fixed P({sys.word_of(yid)}, {sys.word_of(wid)}) has "
-                        "a coefficient of more than the packed table's signed bits"
-                    )
-                spent += sum(map(abs, coeffs))
-                check_budget(spent, f"bar-fixed column {sys.word_of(wid)}")
-                out[yid] = p
-                for zid, r in self.bar_column(yid).items():
-                    if zid != yid:
-                        residue[zid] = residue.get(zid, 0) + prev * r
-        return out
-
-
-class CanonicalVectors:
-    """The canonical basis of a ``CanonicalBasis`` as module elements.
-
-    ``a_vector(w)`` is A_w, and ``expand_in_A`` and ``cs_action_on_A``
-    rewrite module elements in the A basis.  The basis's module must be an
-    :class:`InvolutionModule`.
-    """
-
-    def __init__(self, basis):
-        self.basis = basis
-        self.module = basis.module
-        self.system = basis.system
-        self._vectors = {}
-
-    def a_vector(self, wid):
-        """A_w = sum_y v^{-l(w)} P(y, w) a_y as an element of the module.
-
-        A stored P(y, w) read in 32-bit v-slots is P(y, w)(v^2), so the
-        vector is ``column(w)`` itself with lo = -l(w).  Memoized.
-        """
-        cached = self._vectors.get(wid)
-        if cached is None:
-            col = self.basis.column(wid)
-            cached = self._vectors[wid] = table_vector(
-                col, -self.system.length_of(wid), column_top(col)
-            )
-        return cached
-
-    def expand_in_A(self, m):
-        """Rewrite a module element in the canonical basis (unitriangular).
-
-        The ShortLex-last entry c of the work vector (the last in
-        ``involution_ids`` order), times v^l(top), is the coefficient of
-        A_top.  As A_top carries v^-l(top), c P(y, top)(v^2)
-        already has the work vector's lo, and subtracting it from row y for
-        every y <= top is one int product per row.  The work bound grows by
-        max|c| |P(., top)|_1 per step, and the slots widen before it reaches
-        their limit.  Returns {top: coefficient} as ``LaurentPoly`` values.
-        """
-        length = self.system.length_of
-        key = self.module._position.__getitem__
-        work = MVector._of(dict(m.ints), m.lo, m.width, m.bound)
-        out = {}
-        while work.ints:
-            top = max(work.ints, key=key)
-            a = self.a_vector(top)
-            # P(., top) has at most l(top) + 1 slots, each at most a.bound
-            coeffs = work._eliminate(top, a, a.bound * (length(top) + 1))
-            out[top] = LaurentPoly(coeffs, work.lo + length(top))
-        return out
-
-    def cs_action_on_A(self, s, wid):
-        """c_s A_w expanded in the canonical basis, {z: coefficient}.
-
-        It checks nothing: the closed form it should take is checked by the
-        ``cs-action`` suite of ``verify``.
-        """
-        return self.expand_in_A(self.module.cs_action(s, self.a_vector(wid)))
+def a_vector(basis, wid):
+    """A_w = sum_y v^-l(w) P(y, w) a_y of a ``CanonicalBasis``, as a module
+    element: ``column(w)`` itself, read in v-slots from v^-l(w)."""
+    col = basis.column(wid)
+    return table_vector(col, -basis.system.length_of(wid), column_top(col))
 
 
 def table_vector(col, lo, top):

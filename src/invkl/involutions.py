@@ -59,7 +59,6 @@ class Involutions:
         for wid in self.involution_ids:
             by_length.setdefault(system.length_of(wid), []).append(wid)
         self.layers = list(by_length.values())
-        self._intervals = {0: (0,)}
         # interval(w) as sorted positions, and the s-partner by position (None
         # for an ascent partner past max_length, which no interval reaches)
         self._below = [[0]] + [None] * (len(self.involution_ids) - 1)
@@ -89,14 +88,10 @@ class Involutions:
         y <= w are the y <= x together with their s-partners.  The recursion
         runs on positions in ``involution_ids``, with the s-partners read
         from one position list per generator, so an interval is a sort of
-        ints with no key function, mapped back to ids once.  Memoized.
+        ints with no key function.  The positions are memoized and mapped
+        back to ids on each call.
         """
-        cached = self._intervals.get(wid)
-        if cached is None:
-            cached = self._intervals[wid] = tuple(
-                map(self.involution_ids.__getitem__, self._below_positions(wid))
-            )
-        return cached
+        return tuple(map(self.involution_ids.__getitem__, self._below_positions(wid)))
 
     def _below_positions(self, wid):
         """The positions of the y <= w, sorted."""

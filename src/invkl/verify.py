@@ -6,6 +6,11 @@ runs on experimental systems report counterexamples instead of crashing;
 the caller decides whether a failure is fatal.  Advisory suites cover
 statements whose twisted variants are expected but not load-bearing.
 
+The canonical basis is checked by its definition, in the a-basis: the
+canonical-oracle suite holds each column to unitriangularity and bar(A_w) =
+A_w, and the cs-action suite compares c_s A_w with its closed form, each
+reading A_w from one memo per context (``VerificationContext.a_vector``).
+
 ``bar_table_dense_solve``, the bar-oracle suite's independent route, solves
 the defining constraints of the bar involution as exact linear systems over
 Z, one fraction-free Gauss-Jordan elimination (``specialize.bareiss``) per
@@ -23,10 +28,10 @@ import re
 
 from .canonical import CanonicalBasis
 from .errors import InvariantError
-from .invmodule import CanonicalVectors, InvolutionModule, MVector
+from .invmodule import InvolutionModule, MVector, a_vector
 from .klclassic import KLTable
 from .laurent import LaurentPoly, ONE, domination_failure, spread, u_pow, v_pow
-from .packed import pack, unpack
+from .packed import in_slots, pack, unpack
 from .specialize import SpecializedModule, bareiss, partition_count
 
 __all__ = [
@@ -82,6 +87,7 @@ class VerificationContext:
         self._module = None
         self._canonical = None
         self._kl = None
+        self._a_vectors = {}   # wid -> a_vector(canonical, wid)
 
     @property
     def module(self):
@@ -94,6 +100,13 @@ class VerificationContext:
         if self._canonical is None:
             self._canonical = CanonicalBasis(self.module).build(jobs=self.jobs)
         return self._canonical
+
+    def a_vector(self, wid):
+        """A_w as a module element (``invmodule.a_vector``); memoized."""
+        vec = self._a_vectors.get(wid)
+        if vec is None:
+            vec = self._a_vectors[wid] = a_vector(self.canonical, wid)
+        return vec
 
     @property
     def kl(self):
@@ -199,19 +212,39 @@ def suite_bar_oracle(ctx):
 
 
 def suite_canonical_oracle(ctx):
-    """Recursive columns equal bar-fixed columns; columns are bar-invariant."""
+    """Each column is the canonical one, by its definition: two checks per w.
+
+    ``unitriangular``: P(w, w) = 1, and every other stored row y has
+    l(y) < l(w), u-degree at most (l(w)-l(y)-1)/2 with signed
+    ``COEFF_BITS``-bit coefficients (``in_slots``), and y <= w decided
+    through the group, not through ``interval``.  ``bar-invariant``:
+    bar(A_w) = A_w, one int product per triple.  The bar table is
+    unitriangular (checked as it is built, and by the bar suites), so at
+    most one bar-invariant element is a'_w plus a v^-1 Z[v^-1] combination
+    of the a'_y: the two checks together say that the recursive column is
+    the bar-fixed one (Kazhdan-Lusztig 1979; Lusztig 2012).
+    """
     res = SuiteResult("canonical-oracle")
     cb = ctx.canonical
     mod = ctx.module
-    vectors = CanonicalVectors(cb)
+    sys = ctx.system
+    length = sys.length_of
     for wid in mod.involution_ids:
+        lw = length(wid)
         res.checks += 1
-        if mod.column_barfix(wid) != cb.column(wid):
-            res.fail({"kind": "route_mismatch", "w": _word(ctx.system, wid)})
-        av = vectors.a_vector(wid)
+        col = cb.column(wid)
+        if col.get(wid) != 1 or not all(
+            (gap := lw - length(yid)) > 0
+            and in_slots(p, (gap + 1) // 2)
+            and sys.bruhat_leq_ids(yid, wid)
+            for yid, p in col.items()
+            if yid != wid
+        ):
+            res.fail({"kind": "not_unitriangular", "w": _word(sys, wid)})
+        av = ctx.a_vector(wid)
         res.checks += 1
         if mod.bar_extended(av) != av:
-            res.fail({"kind": "not_bar_invariant", "w": _word(ctx.system, wid)})
+            res.fail({"kind": "not_bar_invariant", "w": _word(sys, wid)})
     return res
 
 
@@ -256,10 +289,11 @@ def suite_descent_stability(ctx):
     cb = ctx.canonical
     for wid in ctx.module.involution_ids:
         col = cb.column(wid)
+        below = ctx.module.interval(wid)
         for s in range(sys.rank):
             if not sys.is_left_descent(s, wid):
                 continue
-            for yid in ctx.module.interval(wid):
+            for yid in below:
                 other = ctx.module.action_case(s, yid)[2]
                 res.checks += 1
                 if col.get(yid, 0) != col.get(other, 0):
@@ -274,37 +308,46 @@ def suite_descent_stability(ctx):
 
 
 def suite_cs_action(ctx):
-    """c_s A_w in the canonical basis has its closed form.
+    """c_s A_w has its closed form, compared in the a-basis.
 
     That is (v^2 + v^-2) A_w when s is a left descent of w; otherwise A_p,
     p the s-partner of w, times v + v^-1 when s commutes with w, plus
-    ``ms_constants(s, w)``.  One check per (w, s).
+    ms_constant(s, x, w) A_x for each x of ``ms_constants(s, w)``.  One
+    check per (w, s).  A failure names the ShortLex-last a_y whose
+    coefficients differ: the top of the difference, and so an A_y whose
+    coefficient is wrong.
     """
     res = SuiteResult("cs-action")
     sys = ctx.system
     cb = ctx.canonical
-    vectors = CanonicalVectors(cb)
-    for wid in ctx.module.involution_ids:
+    mod = ctx.module
+    for wid in mod.involution_ids:
+        a_w = ctx.a_vector(wid)
         for s in range(sys.rank):
             res.checks += 1
             try:
-                got = vectors.cs_action_on_A(s, wid)
-                commuting, up, other = ctx.module.action_case(s, wid)
+                got = mod.cs_action(s, a_w)
+                commuting, up, other = mod.action_case(s, wid)
                 if up:
-                    expected = {other: _V_PLUS if commuting else ONE}
-                    expected.update(cb.ms_constants(s, wid))
+                    expected = ctx.a_vector(other).scaled(_V_PLUS if commuting else ONE)
+                    for xid, c in cb.ms_constants(s, wid).items():
+                        expected = expected + ctx.a_vector(xid).scaled(c)
                 else:
-                    expected = {wid: _V2_PLUS}
+                    expected = a_w.scaled(_V2_PLUS)
             except InvariantError as exc:
                 res.fail({"s": s, "w": _word(sys, wid), "error": str(exc)})
                 continue
             if got != expected:
+                yid = next(
+                    y for y in reversed(mod.involution_ids)
+                    if got.get(y) != expected.get(y)
+                )
                 res.fail({
                     "s": s,
                     "w": _word(sys, wid),
-                    "error": "c_s A_w expansion mismatch: got "
-                    f"{ {sys.word_of(k): str(v) for k, v in got.items()} }, expected "
-                    f"{ {sys.word_of(k): str(v) for k, v in expected.items()} }",
+                    "error": "c_s A_w differs from its closed form at a_y, "
+                    f"y = {sys.word_of(yid)}: got {got.get(yid)}, "
+                    f"expected {expected.get(yid)}",
                 })
     return res
 

@@ -9,10 +9,8 @@ from fractions import Fraction
 
 from invkl.canonical import CanonicalBasis
 from invkl.coxeter import _cyclotomic
-from invkl.errors import (
-    InconsistentBar, InvariantError, NotDivisible, RecurrenceInconsistent,
-)
-from invkl.invmodule import CanonicalVectors, MVector
+from invkl.errors import InvariantError, NotDivisible, RecurrenceInconsistent
+from invkl.invmodule import MVector, a_vector
 from invkl.klclassic import KLTable
 from invkl.laurent import (
     LaurentPoly, ONE, ZERO, add_into, q_add, q_addmul, q_div, q_divmod,
@@ -262,16 +260,15 @@ def hf_by_t_basis(zid, wid, kl, canonical):
     A-basis coefficients of c_z A_w, with T_y A_w folded from ``ts_action``
     along y's word.  ``canonical.module`` is an ``InvolutionModule``."""
     module = canonical.module
-    vectors = CanonicalVectors(canonical)
     bases = HeckeBases(kl)
-    a_w = vectors.a_vector(wid)
+    a_w = a_vector(canonical, wid)
     acted = MVector()
     for yid, coeff in bases.cprime(zid).items():
         m = a_w
         for s in reversed(kl.system.word_of(yid)):
             m = module.ts_action(s, m)
         acted = acted + m.scaled(coeff)
-    return bases.h_constants(zid, wid), vectors.expand_in_A(acted)
+    return bases.h_constants(zid, wid), expand_in_A_laurent(canonical, acted)
 
 
 def hecke_selfbar_column(kl, wid):
@@ -418,11 +415,12 @@ def scaled_laurent(m, f):
     return MVector({w: g * f for w, g in m.entries.items()})
 
 
-def expand_in_A_laurent(vectors, m):
-    """m in the canonical basis by ``expand_unitriangular`` over the
-    ``LaurentPoly`` entries of each ``CanonicalVectors.a_vector``."""
+def expand_in_A_laurent(canonical, m):
+    """m in the canonical basis of a ``CanonicalBasis``, by
+    ``expand_unitriangular`` over the ``LaurentPoly`` entries of each
+    ``a_vector(canonical, w)``."""
     return expand_unitriangular(
-        vectors.system, m.entries, lambda wid: vectors.a_vector(wid).entries
+        canonical.system, m.entries, lambda wid: a_vector(canonical, wid).entries
     )
 
 
@@ -525,10 +523,11 @@ class LaurentBar:
 
 
 class LaurentBarfixBasis(CanonicalBasis):
-    """``column_barfix`` in ``LaurentPoly`` arithmetic on pi, against the
-    ``LaurentBar`` table: rows top down, each pi(y, w) the negative part of
-    the residue q, checked by q = pi - bar(pi) and converted by the checked
-    ``_p_of_pi``."""
+    """The canonical columns solved from bar(A_w) = A_w in ``LaurentPoly``
+    arithmetic on pi, against the ``LaurentBar`` table: rows top down, each
+    pi(y, w) the negative part of the residue q, checked by q = pi - bar(pi)
+    and converted by the checked ``_p_of_pi``.  y <= w is decided in the
+    group, so the route reads nothing of the recursion or of ``interval``."""
 
     def __init__(self, module):
         super().__init__(module)
@@ -561,13 +560,13 @@ class LaurentBarfixBasis(CanonicalBasis):
                     q = q + pi_xw.bar() * rho
             pi_yw = q - positive_part(q)
             if q != pi_yw - pi_yw.bar():
-                raise InconsistentBar(
+                raise InvariantError(
                     "bar fixed-point defect at pair "
                     f"{sys.word_of(yid)}, {sys.word_of(wid)}: residue {q}"
                 )
             if not pi_yw.is_zero:
                 if not sys.bruhat_leq_ids(yid, wid):
-                    raise InconsistentBar(
+                    raise InvariantError(
                         "nonzero coefficient outside the Bruhat interval at "
                         f"{sys.word_of(yid)}, {sys.word_of(wid)}"
                     )

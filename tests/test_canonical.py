@@ -4,10 +4,10 @@ import pytest
 
 from invkl import build_system
 from invkl.canonical import CanonicalBasis
-from invkl.errors import InconsistentBar, InvariantError, RecurrenceInconsistent
-from invkl.invmodule import CanonicalVectors, InvolutionModule, MVector
+from invkl.errors import InvariantError, RecurrenceInconsistent
+from invkl.invmodule import InvolutionModule, a_vector
 from invkl.klclassic import KLTable
-from invkl.laurent import LaurentPoly, ONE, ZERO, q_add, q_shift, q_trim, v_pow
+from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
 from invkl.verify import run_suites
 
@@ -44,6 +44,7 @@ def test_a2_longest_column(a2, a2_canonical):
 
 
 def test_two_routes_agree():
+    """The recursion equals the LaurentPoly bar-fix oracle."""
     for label, delta in [
         ("A2", None),
         ("B2", None),
@@ -60,16 +61,16 @@ def test_two_routes_agree():
         ("A5", [4, 3, 2, 1, 0]),
     ]:
         system, module, basis = make(label, delta)
+        oracle = LaurentBarfixBasis(InvolutionModule(system))
         for wid in module.involution_ids:
-            assert module.column_barfix(wid) == basis.column(wid), (label, wid)
+            assert oracle.column_barfix(wid) == basis.column(wid), (label, wid)
 
 
 def test_columns_bar_invariant_unitriangular_bounded():
     for label, delta in [("A3", None), ("B3", None), ("A3", [2, 1, 0])]:
         system, module, basis = make(label, delta)
-        vectors = CanonicalVectors(basis)
         for wid in module.involution_ids:
-            vec = vectors.a_vector(wid)
+            vec = a_vector(basis, wid)
             assert module.bar_extended(vec) == vec
             col = {y: basis.pi(y, wid) for y in basis.column(wid)}
             assert col[wid] == ONE
@@ -198,10 +199,14 @@ def test_cs_action_examples(a2, a2_canonical):
     t = a2.element_id_from_word([1])
     sts = a2.element_id_from_word([0, 1, 0])
     vpv = v_pow(1) + v_pow(-1)
-    vectors = CanonicalVectors(a2_canonical)
-    assert vectors.cs_action_on_A(0, s) == {s: v_pow(2) + v_pow(-2)}
-    assert vectors.cs_action_on_A(0, 0) == {s: vpv}
-    assert vectors.cs_action_on_A(0, t) == {sts: ONE, s: ONE}
+
+    def cs_on_a(wid):
+        m = a2_canonical.module.cs_action(0, a_vector(a2_canonical, wid))
+        return expand_in_A_laurent(a2_canonical, m)
+
+    assert cs_on_a(s) == {s: v_pow(2) + v_pow(-2)}
+    assert cs_on_a(0) == {s: vpv}
+    assert cs_on_a(t) == {sts: ONE, s: ONE}
 
 
 def test_cs_action_closed_form_exhaustive():
@@ -215,7 +220,7 @@ def test_cs_action_closed_form_exhaustive():
 
 def test_cs_action_suite_reports_a_wrong_expansion(monkeypatch):
     """A wrong ms constant is a failure record {s, w, error} of each pair
-    that reads it, not a raise; the expansion itself checks nothing."""
+    that reads it, not a raise, naming the a-basis row that differs."""
     system = build_system("B3")
     ms_constants = CanonicalBasis.ms_constants
 
@@ -229,7 +234,9 @@ def test_cs_action_suite_reports_a_wrong_expansion(monkeypatch):
     res = run_suites(system, ["cs-action"])[0]
     assert res.checks == 3 * len(system.twisted_involution_ids())
     assert [(f["s"], f["w"]) for f in res.failures] == [(0, [])]
-    assert res.failures[0]["error"].startswith("c_s A_w expansion mismatch")
+    assert res.failures[0]["error"].startswith(
+        "c_s A_w differs from its closed form at a_y, y = ()"
+    )
 
 
 def test_domination_and_parity_against_classical():
@@ -268,10 +275,9 @@ def test_descent_stability():
 
 
 def test_expand_in_A_round_trip(a2_canonical, a2_module):
-    vectors = CanonicalVectors(a2_canonical)
     for wid in a2_module.involution_ids:
-        vec = vectors.a_vector(wid)
-        assert vectors.expand_in_A(vec) == {wid: ONE}
+        vec = a_vector(a2_canonical, wid)
+        assert expand_in_A_laurent(a2_canonical, vec) == {wid: ONE}
 
 
 def test_nontrivial_entries_appear_in_rank_four():
@@ -514,98 +520,31 @@ def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical):
 
 @pytest.mark.parametrize("label, delta", ORACLE_TYPES_BUT_F4)
 def test_packed_barfix_equals_the_laurent_barfix(label, delta):
-    """The packed bar-fix, the LaurentPoly bar-fix over its own bar table and
-    the recursion give the same column everywhere (F4 is left out: its
-    LaurentPoly bar-fix takes seconds)."""
+    """The packed columns of the recursion equal the LaurentPoly bar-fix
+    over its own bar table everywhere (F4 is left out: its LaurentPoly
+    bar-fix takes seconds)."""
     system = build_system(label, delta=delta)
-    module = InvolutionModule(system)
-    packed = CanonicalBasis(module)
+    packed = CanonicalBasis(InvolutionModule(system))
     oracle = LaurentBarfixBasis(InvolutionModule(system))
-    for wid in module.involution_ids:
-        got = module.column_barfix(wid)
-        assert got == oracle.column_barfix(wid) == packed.column(wid), (label, wid)
-
-
-def test_column_barfix_rejects_non_involutions():
-    for label, max_length, wids in [("A2", None, (3, 4)), ("A3", 2, (6,))]:
-        module = InvolutionModule(build_system(label), max_length)
-        for wid in wids:
-            with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
-                module.column_barfix(wid)
-
-
-def test_barfix_guards_raise_instead_of_misreading():
-    """Perturbed bar columns trip each guard of the packed bar-fix: a broken
-    fixed point, a consistent residue off the Bruhat interval, a P past the
-    signed slot bound, and two P of 2^30 in one layer spending the budget."""
-    system, module, basis = make("B3")
-    wid = module.involution_ids[-1]
-    xid = module.layers[-2][0]
-    yid = next(y for y in module.bar_column(xid) if y != xid)
-    col = module._bar[xid] = dict(module.bar_column(xid))
-    col[yid] += 1
-    with pytest.raises(InconsistentBar, match="fixed-point defect"):
-        module.column_barfix(wid)
-    # a consistent residue on a row y that is not below w
-    module = InvolutionModule(system)
-    zid = module.layers[-2][0]
-    yid = next(
-        y for layer in module.layers[:-2] for y in layer
-        if not system.bruhat_leq_ids(y, zid)
-    )
-    gap = system.length_of(zid) - system.length_of(yid)
-    col = module._bar[zid] = dict(module.bar_column(zid))
-    col[yid] = pack((1,)) - (pack((1,)) << (64 * gap))
-    with pytest.raises(InconsistentBar, match="outside the Bruhat interval"):
-        module.column_barfix(zid)
-    module = InvolutionModule(system)
-    col = module._bar[wid] = dict(module.bar_column(wid))
-    yid = next(y for y, p in basis.column(wid).items() if y != wid)
-    gap = system.length_of(wid) - system.length_of(yid)
-    col[yid] += pack((1 << 40,)) - (pack((1 << 40,)) << (64 * gap))
-    with pytest.raises(InvariantError, match="signed bits"):
-        module.column_barfix(wid)
-    # two rows of one layer each gaining 2^30 in P spend the Prev budget
-    module = InvolutionModule(system)
-    col = module._bar[wid] = dict(module.bar_column(wid))
-    layer = next(layer for layer in module.layers if len(layer) > 1)
-    for yid in layer[:2]:
-        gap = system.length_of(wid) - system.length_of(yid)
-        col[yid] = col.get(yid, 0) + pack((1 << 30,)) - (pack((1 << 30,)) << (64 * gap))
-    with pytest.raises(InvariantError, match="carry"):
-        module.column_barfix(wid)
-
-
-def _laurent_vector(module, rng, odd, bits):
-    """About a third of the involutions, two terms each, odd exponents when
-    ``odd`` and coefficients up to 2^bits."""
-    step = 1 if odd else 2
-    return MVector({
-        w: LaurentPoly((rng.randint(-(2**bits), 2**bits),), step * rng.randint(-4, 4))
-        + LaurentPoly((rng.randint(-(2**bits), 2**bits),), step * rng.randint(-4, 4))
-        for w in module.involution_ids
-        if rng.random() < 0.3
-    })
+    for wid in packed.module.involution_ids:
+        assert oracle.column_barfix(wid) == packed.column(wid), (label, wid)
 
 
 @pytest.mark.parametrize("label, delta", ORACLE_TYPES)
 def test_packed_expansion_equals_the_dict_route(label, delta):
-    """expand_in_A subtracting packed columns equals expand_unitriangular
-    over the LaurentPoly entries: on every c_s A_w, on random even and odd
-    vectors, and on coefficients of 2^200 and more."""
+    """c_s A_w, formed on packed ints, expands by the dict route
+    (``expand_unitriangular`` over LaurentPoly entries) into the closed form
+    that the cs-action suite compares in the a-basis: (v^2 + v^-2) A_w for
+    a descent, else the partner (times v + v^-1 when s commutes) plus
+    ``ms_constants(s, w)``."""
     system, module, basis = make(label, delta)
-    vectors = CanonicalVectors(basis)
     for wid in module.involution_ids:
         for s in range(system.rank):
-            m = module.cs_action(s, vectors.a_vector(wid))
-            assert vectors.expand_in_A(m) == expand_in_A_laurent(vectors, m)
-    rng = random.Random(4606)
-    for odd, bits in [(False, 3), (True, 3), (False, 200), (True, 200)]:
-        m = _laurent_vector(module, rng, odd, bits)
-        assert vectors.expand_in_A(m) == expand_in_A_laurent(vectors, m)
-    # 32-bit slots at their limit: the first subtraction widens them
-    near = LaurentPoly((2**31 - 1, 0, -(2**31 - 1)), -2)
-    m = MVector({w: near for w in module.involution_ids[::3]})
-    assert m.width == 32
-    assert vectors.expand_in_A(m) == expand_in_A_laurent(vectors, m)
-    assert vectors.expand_in_A(MVector()) == {}
+            commuting, up, other = module.action_case(s, wid)
+            if up:
+                want = {other: v_pow(1) + v_pow(-1) if commuting else ONE}
+                want.update(basis.ms_constants(s, wid))
+            else:
+                want = {wid: v_pow(2) + v_pow(-2)}
+            m = module.cs_action(s, a_vector(basis, wid))
+            assert expand_in_A_laurent(basis, m) == want, (label, wid, s)

@@ -470,8 +470,9 @@ def test_golden_output_digests(monkeypatch, argv, digest):
 
 
 def test_bruhat_order_is_read_from_the_involution_graph(capsys, monkeypatch):
-    """table and every suite but canonical-oracle (whose column_barfix is
-    the oracle) run without deciding Bruhat order in the group."""
+    """table and every suite but canonical-oracle (which decides y <= w in
+    the group for its unitriangularity check) run without deciding Bruhat
+    order in the group."""
     def no_group_bruhat(self, yid, wid):
         raise AssertionError("bruhat_leq_ids called outside the oracles")
 

@@ -15,7 +15,7 @@ from invkl import build_system, verify
 from invkl.errors import InvariantError, NotDivisible
 from invkl.canonical import CanonicalBasis
 from invkl.involutions import Involutions
-from invkl.invmodule import CanonicalVectors, InvolutionModule, MVector, table_vector
+from invkl.invmodule import InvolutionModule, MVector, a_vector, table_vector
 from invkl.verify import bar_table_dense_solve
 from invkl.laurent import LaurentPoly, ONE, ZERO, u_pow, v_pow
 from invkl.packed import COEFF_BITS, pack
@@ -626,7 +626,9 @@ def test_bar_support_outside_the_interval_raises():
     wid = module.involution_ids[-1]
     yid = next(y for y in module.bar_column(module.layers[-2][0]) if y)
     module = InvolutionModule(system)
-    module._intervals[wid] = tuple(y for y in module.interval(wid) if y != yid)
+    drop = module._position[yid]
+    below = module._below_positions(wid)
+    module._below[module._position[wid]] = [i for i in below if i != drop]
     with pytest.raises(InvariantError, match="support leaves the Bruhat interval"):
         module.bar_column(wid)
 
@@ -855,7 +857,7 @@ def test_table_vectors_carry_their_coefficient_bound(label, delta):
     for wid in module.involution_ids:
         for v, col in [
             (module.bar_basis(wid), module.bar_column(wid)),
-            (CanonicalVectors(basis).a_vector(wid), basis.column(wid)),
+            (a_vector(basis, wid), basis.column(wid)),
         ]:
             assert v.width == 32 and v.ints is col
             assert v.bound == max(abs(c) for f in v.entries.values() for c in f.coeffs)

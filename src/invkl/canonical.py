@@ -21,12 +21,12 @@ route.
 A column is stored as ``KLTable`` stores one, after du Cloux's Coxeter 3
 (Experiment. Math. 11, 2002): {y: P(y, w) packed} over the y <= w, each
 P(y, w) being the one int P(2^64) of the ``packed`` kernel, a 64-bit
-slot per u-coefficient.  Row y of target z is the equation for pi(y, z)
-times v^{l(z)-l(y)}, times one more v when z = sw, so every coefficient is
-in Z[u] and the whole row is one int: the T_s case of y gives a fixed
-combination c_y P(y, w) + c_p P(p, w), p the s-partner of y and c_y, c_p
-the polynomials of ``involutions.CASE_POLYS`` for the cases of y and p
-(such as (1+u) P(y, w) + (u^2-u) P(sy, w)), packed once into
+slot per u-coefficient.  A solved row y of target z is the equation for
+pi(y, z) times v^{l(z)-l(y)}, times one more v when z = sw, so every
+coefficient is in Z[u] and the whole row is one int: the T_s case of y
+gives a fixed combination c_y P(y, w) + c_p P(p, w), p the s-partner of y
+and c_y, c_p the polynomials of ``involutions.CASE_POLYS`` for the cases
+of y and p (such as (1+u) P(y, w) + (u^2-u) P(sy, w)), packed once into
 ``_CASE_TERMS``, an int product per term, and a shorter column x enters
 as an integer times a u-shift, times 1 + u when l(w) - l(x) is odd.  A
 commuting target then solves (1 + u) P(y, z) = row + mu'(y, z)
@@ -41,23 +41,50 @@ are built only at the API boundary (``pi``, ``sigma_kl`` and
 ``ms_constants``), each by one read of its slots, with no ``LaurentPoly``
 arithmetic.
 
-The recursion pushes whole columns instead of pulling single entries, as
-Coxeter 3 does for classical KL.  Each column w keeps a sparse mu' row
-{x: mu'(x, w) != 0}.  For an ascent s of w, the part of ms_constant(s, x, w)
-known before column sw exists is computed once from these rows and memoized
-per (s, w); a new column z then starts from an accumulator holding
--k_x * column(x) for every x with a nonzero known part k_x, the commuting
-branch adds mu'(x, z) * column(x) as soon as row x is solved, and row y is
-its case term plus its accumulator entry.
+Only the descent-extremal rows of a column are solved, after the extremal
+pairs of Coxeter 3: row y of target z is solved when every left descent of
+z is a left descent of y, and copied otherwise, P(y, z) = P(t.y, z) for the
+smallest left descent t of z that y ascends, t.y being its t-partner.  It
+is longer than y and below z (lifting), so the top-down pass has already
+set it.  Most rows are copies (on E6 about nine in ten), and a copy needs
+no case terms, no accumulator and no checks: it equals a longer row of the
+same column, already checked.  mu'(y, z) is read off the copy, the top
+slot of P(t.y, z), which lies below every degree bound unless t.y = z.
+
+The copy is descent stability, and it holds for every delta.  On
+span{a_y, a_{t.y}} the case table gives
+
+    (T_t + 1)(p a_y + q a_{t.y}) = (c_y p + c_{t.y} q)(a_y + a_{t.y}).
+
+For a left descent t of z, c_t A_z = (v^2 + v^-2) A_z with c_t = v^-2 (T_t
++ 1), that is (T_t + 1) A_z = (u^2 + 1) A_z, by induction on l(z).  The
+closed form of c_t A_{t.z} (the one the recursion solves from s, and the
+cs-action suite checks) is (v + v^-1)^e A_z, e = 1 when t commutes with
+t.z and 0 otherwise, plus multiples of A_x with x shorter than z and t a
+left descent of x.  Since c_t^2 = (v^2 + v^-2) c_t and c_t multiplies each
+such A_x by v^2 + v^-2 (induction), it multiplies (v + v^-1)^e A_z by the
+same, and the module has no Z[v, v^-1]-torsion.  So (u^2 + 1) p = c_y p +
+c_{t.y} q = (u^2 + 1) q for the a-coefficients p, q of y and t.y in A_z,
+and p = q; times v^l(z) these are P(y, z) and P(t.y, z).
+
+Each column w keeps a sparse mu' row {x: mu'(x, w) != 0}.  For an ascent s
+of w, the part of ms_constant(s, x, w) known before column sw exists is
+computed once from these rows and memoized per (s, w).  A new column z
+keeps its accumulator as a list of (multiplier, column x) pairs, starting
+with -k_x for every x with a nonzero known part k_x; the commuting branch
+adds (mu'(x, z), column x) as soon as row x is set, and each solved row y
+pulls the sum of multiplier * P(y, x) over the list, so the copied rows
+cost the accumulator nothing.
 
 Each column is one pass over the rows y < z of ``Involutions.interval``,
 with no method call per row.  The T_s cases are read once per basis from
 ``Involutions.action_case`` into one table per generator s, mapping
 each involution y to its two ``_CASE_TERMS`` multipliers, its case
-(commuting, ascending) and its partner; lengths are read from the system's
-length list.  A non-commuting target has no unknown mu', so its rows do not
-depend on one another: each row is P(y, z) itself.  A commuting target
-divides each row by 1 + u and pushes its mu' terms row by row.  Either way
+(commuting, ascending) and its partner, and the left descents of y into
+one bit mask; lengths are read from the system's length list.  A
+non-commuting target has no unknown mu', so its rows do not depend on one
+another: each solved row is P(y, z) itself.  A commuting target divides
+each solved row by 1 + u and adds its mu' terms row by row.  Either way
 P(y, z) is tested against the degree and slot bounds at once, by one
 addition and one AND with the masks of ``slot_test`` for its slot count,
 and only a row that fails goes through ``_solve_row``, which raises the
@@ -100,10 +127,15 @@ class CanonicalBasis:
         # per s: y -> (c_y, c_other, commuting, up, partner), the T_s case of
         # y led by its two _CASE_TERMS multipliers
         self._cases = [{} for _ in range(module.system.rank)]
+        self._left_descents = {}   # y -> its left descents, bit s set for each s
         for yid in module.involution_ids:
+            descents = 0
             for s, cases in enumerate(self._cases):
                 case = module.action_case(s, yid)
                 cases[yid] = _CASE_TERMS[case[:2]] + case
+                if not case[1]:
+                    descents |= 1 << s
+            self._left_descents[yid] = descents
         self._columns = {}   # wid -> {yid: P(y, w) packed}, over y <= w
         self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
         self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
@@ -269,25 +301,37 @@ class CanonicalBasis:
         multiples of the A_x, x in ``_descent_interval(s, w)``.  Row y is
         scaled by v^(lift-l(y)), lift being l(z) plus one in the commuting
         case, so that all of it is in Z[u] and packs into one int.  The
-        accumulator starts as -k_x * column(x) summed over the nonzero known
-        parts k_x; the rows y < z are then solved top down in one pass, each
-        from its ``_CASE_TERMS`` combination (read from the case table of s)
-        plus its accumulator entry.  A non-commuting target has no unknown,
-        so its row is P(y, z) itself.  In the commuting case each row is
-        divided by 1 + u, a row of the descent interval also gives
-        mu'(y, z), and mu'(y, z) * column(y) is added into the accumulator
-        for the rows below y.  One AND tests each P(y, z) against the degree
-        and slot bounds; a row that fails goes to ``_solve_row``, which
-        raises its error.  The multipliers are weighed against ``BUDGET``
-        before they are used: a row sums at most ``spent`` stored entries,
-        counted with their multipliers, and its division by 1 + u multiplies
-        that by at most 3d + 4.
+        accumulator is a list of (multiplier, column x) pairs, starting with
+        -k_x for every nonzero known part k_x.  The rows y < z are then set
+        top down in one pass.
+
+        A row whose left descents hold those of z is solved: its
+        ``_CASE_TERMS`` combination (read from the case table of s) plus
+        the sum it pulls from the accumulator.  A non-commuting target has
+        no unknown, so that row is P(y, z) itself.  In the commuting case
+        the row is divided by 1 + u, a row of the descent interval also
+        gives mu'(y, z), and (mu'(y, z), column y) joins the accumulator
+        for the rows below y.  One AND tests each solved P(y, z) against
+        the degree and slot bounds; a row that fails goes to
+        ``_solve_row``, which raises its error.
+
+        Any other row is copied: P(y, z) = P(t.y, z), t the smallest left
+        descent of z that y ascends and t.y its t-partner, set earlier in
+        the pass, by descent stability (proved in the module docstring);
+        mu'(y, z) is read off the copy and joins the accumulator alike.
+
+        The multipliers are weighed against ``BUDGET`` before they are used:
+        a row sums at most ``spent`` stored entries, counted with their
+        multipliers, and its division by 1 + u multiplies that by at most
+        3d + 4.
         """
         if zid == 0:
             return {0: 1}
-        sys, lengths = self.system, self._lengths
-        s = next(t for t, cases in enumerate(self._cases) if not cases[zid][3])
-        cases = self._cases[s]
+        sys, lengths, all_cases = self.system, self._lengths, self._cases
+        left = self._left_descents
+        on_z = left[zid]
+        s = (on_z & -on_z).bit_length() - 1
+        cases = all_cases[s]
         _c_z, _c_w, commuting, _up, wid = cases[zid]
         col_w = self.column(wid)
         lz = lengths[zid]
@@ -296,34 +340,44 @@ class CanonicalBasis:
         weight = 3 * (lz // 2) + 4
         spent = 4 + 2 * sum(map(abs, known.values()))
         check_budget(spent * weight, f"column {sys.word_of(zid)}")
-        pending = {}
+        pulls = []   # (mult, column x's get): each solved row y adds mult * P(y, x)
         for xid, k in known.items():
             e = lift - lengths[xid]
             mult = (-k * ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
-            _add_column(pending, mult, self.column(xid))
+            pulls.append((mult, self.column(xid).get))
         # by l(y): the in_slots test of P(y, z), degree < (l(z) - l(y) + 1) / 2
         tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]
-        at_w, at_pending = col_w.get, pending.get
+        at_w = col_w.get
         descents = set(self._descent_interval(s, wid)) if commuting else ()
         col = {zid: 1}
+        at_z = col.get
         for yid in self.module.interval(zid)[-2::-1]:
-            c_y, c_other, _, _, other = cases[yid]
-            row = at_pending(yid, 0) + c_y * at_w(yid, 0) + c_other * at_w(other, 0)
-            if commuting:
-                gap = lz - lengths[yid]
-                top_is_mu = gap & 1 and yid in descents
-                solved = solve_one_plus_u(row, (gap - 1) >> 1, top_is_mu)
+            ascents = on_z & ~left[yid]
+            if ascents:   # copied from t.y
+                other = all_cases[(ascents & -ascents).bit_length() - 1][yid][4]
+                p = at_z(other, 0)
+                # mu' is the copy's top slot: 1 if t.y = z at gap 1, else past its degree
+                mu = int(other == zid and (lz - lengths[yid]) & 1 and yid in descents)
             else:
-                solved = row, 0
-            offset, mask = tests[lengths[yid]]
-            if solved is None or (solved[0] + offset) & mask:   # _solve_row raises
-                solved = self._solve_row(row, yid, zid, commuting, yid in descents)
-            p, mu = solved
+                c_y, c_other, _, _, other = cases[yid]
+                row = c_y * at_w(yid, 0) + c_other * at_w(other, 0)
+                for mult, at in pulls:
+                    row += mult * at(yid, 0)
+                if commuting:
+                    gap = lz - lengths[yid]
+                    top_is_mu = gap & 1 and yid in descents
+                    solved = solve_one_plus_u(row, (gap - 1) >> 1, top_is_mu)
+                else:
+                    solved = row, 0
+                offset, mask = tests[lengths[yid]]
+                if solved is None or (solved[0] + offset) & mask:   # _solve_row raises
+                    solved = self._solve_row(row, yid, zid, commuting, yid in descents)
+                p, mu = solved
             if mu:
                 spent += abs(mu)
                 check_budget(spent * weight, f"column {sys.word_of(zid)}")
                 mult = mu << (SLOT * ((lift - lengths[yid]) // 2))
-                _add_column(pending, mult, self.column(yid))
+                pulls.append((mult, self.column(yid).get))
             if p:
                 col[yid] = p
         return col
@@ -360,9 +414,3 @@ class CanonicalBasis:
             )
         return solved
 
-
-def _add_column(pending, mult, column):
-    """pending[y] += mult * column[y] for every row y of ``column``."""
-    at = pending.get
-    for yid, p in column.items():
-        pending[yid] = at(yid, 0) + mult * p

@@ -382,7 +382,9 @@ class InvolutionModule(Involutions):
 
 def a_vector(basis, wid):
     """A_w = sum_y v^-l(w) P(y, w) a_y of a ``CanonicalBasis``, as a module
-    element: ``column(w)`` itself, read in v-slots from v^-l(w)."""
+    element: ``column(w)`` itself, read in v-slots from v^-l(w).  Raises
+    ``ValueError`` when w is not an involution of the basis's module."""
+    basis.module._require(wid)
     col = basis.column(wid)
     return table_vector(col, -basis.system.length_of(wid), column_top(col))
 

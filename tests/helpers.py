@@ -16,7 +16,10 @@ from invkl.laurent import (
     LaurentPoly, ONE, ZERO, add_into, q_add, q_addmul, q_div, q_divmod,
     q_shift, q_trim, spread, u_pow, v_pow,
 )
-from invkl.packed import in_slots, mu_at, pack, unpack
+from invkl.packed import (
+    ONE_PLUS_U, SLOT, check_budget, in_slots, mu_at, pack, slot_test,
+    solve_one_plus_u, unpack,
+)
 from invkl.specialize import reflection_rep
 
 
@@ -915,7 +918,10 @@ def _add_column_tuples(pending, mult, column):
 class TupleCanonicalBasis(CanonicalBasis):
     """The P-sigma columns on u-coefficient tuples: the descent recursion,
     mu' rows and known parts of ``CanonicalBasis`` with tuple arithmetic in
-    place of packed ints.  Only the layout of ``column`` differs."""
+    place of packed ints.  Only the layout of ``column`` differs.  Rows
+    follow the same rule: a row y of target z that ascends some left
+    descent t of z (the smallest) copies P(t.y, z), found here by the
+    system's descent test, and every other row is solved."""
 
     def mu_row(self, wid):
         row = self._mu_rows.get(wid)
@@ -977,8 +983,18 @@ class TupleCanonicalBasis(CanonicalBasis):
             _add_column_tuples(pending, mult, self.column(xid))
         descents = set(self._descent_interval(s, wid)) if commuting else ()
         den = (1, 1) if commuting else (1,)
+        z_descents = sys.left_descents(zid)
         col = {zid: (1,)}
         for yid in reversed(self.module.interval(zid)[:-1]):
+            t = next((t for t in z_descents if not sys.is_left_descent(t, yid)), None)
+            if t is not None:   # copied from the t-partner, mu' read off the copy
+                p = col.get(self.module.action_case(t, yid)[2], ())
+                if p:
+                    col[yid] = p
+                if yid in descents and (mu := q_mu(p, length(zid) - length(yid))):
+                    mult = q_shift((mu,), (lift - length(yid)) // 2)
+                    _add_column_tuples(pending, mult, self.column(yid))
+                continue
             commuting_y, up, other = self.module.action_case(s, yid)
             c_y, c_other = _CASE_TUPLES[commuting_y, up]
             row = q_addmul(pending.get(yid, ()), c_y, col_w.get(yid, ()))
@@ -995,6 +1011,63 @@ class TupleCanonicalBasis(CanonicalBasis):
         sys = self.system
         gap = sys.length_of(zid) - sys.length_of(yid)
         return solve_row_tuples(row, gap, den, unknown)
+
+
+class FullRowCanonicalBasis(CanonicalBasis):
+    """The packed descent recursion solving every row of every column.
+
+    The row rule of ``CanonicalBasis.column_recursive`` solves a row only
+    when its left descents hold those of the target and copies the rest by
+    descent stability; this route solves each row from its case terms and a
+    pushed accumulator, so the two must give the same columns."""
+
+    def column_recursive(self, zid):
+        if zid == 0:
+            return {0: 1}
+        sys, lengths = self.system, self._lengths
+        s = next(t for t, cases in enumerate(self._cases) if not cases[zid][3])
+        cases = self._cases[s]
+        _c_z, _c_w, commuting, _up, wid = cases[zid]
+        col_w = self.column(wid)
+        lz = lengths[zid]
+        lift = lz + 1 if commuting else lz
+        known = self._known_parts(s, wid)
+        weight = 3 * (lz // 2) + 4
+        spent = 4 + 2 * sum(map(abs, known.values()))
+        check_budget(spent * weight, f"column {sys.word_of(zid)}")
+        pending = {}
+        for xid, k in known.items():
+            e = lift - lengths[xid]
+            mult = (-k * ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
+            _add_column_packed(pending, mult, self.column(xid))
+        tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]
+        descents = set(self._descent_interval(s, wid)) if commuting else ()
+        col = {zid: 1}
+        for yid in self.module.interval(zid)[-2::-1]:
+            c_y, c_other, _, _, other = cases[yid]
+            row = pending.get(yid, 0) + c_y * col_w.get(yid, 0) + c_other * col_w.get(other, 0)
+            if commuting:
+                gap = lz - lengths[yid]
+                solved = solve_one_plus_u(row, (gap - 1) >> 1, gap & 1 and yid in descents)
+            else:
+                solved = row, 0
+            offset, mask = tests[lengths[yid]]
+            if solved is None or (solved[0] + offset) & mask:
+                solved = self._solve_row(row, yid, zid, commuting, yid in descents)
+            p, mu = solved
+            if mu:
+                spent += abs(mu)
+                check_budget(spent * weight, f"column {sys.word_of(zid)}")
+                mult = mu << (SLOT * ((lift - lengths[yid]) // 2))
+                _add_column_packed(pending, mult, self.column(yid))
+            if p:
+                col[yid] = p
+        return col
+
+
+def _add_column_packed(pending, mult, column):
+    for yid, p in column.items():
+        pending[yid] = pending.get(yid, 0) + mult * p
 
 
 class TupleKLTable(KLTable):

@@ -81,8 +81,8 @@ def suites_pass(system, names):
 def check_p_vs_sigma(label, delta=None):
     """Domination, parity and descent stability, through verify's suites.
 
-    The descent-stability suite is advisory on twisted systems, but these
-    cases must pass it anyway.
+    Descent stability holds for every delta, and the canonical build copies
+    rows by it, so the suite is load-bearing on twisted systems too.
     """
     return suites_pass(module_for(label, delta).system, P_VS_SIGMA_SUITES)
 

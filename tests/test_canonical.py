@@ -9,12 +9,12 @@ from invkl.invmodule import InvolutionModule, a_vector
 from invkl.klclassic import KLTable
 from invkl.laurent import ONE, ZERO, q_add, q_shift, q_trim, v_pow
 from invkl.packed import pack, unpack
-from invkl.verify import run_suites
+from invkl.verify import VerificationContext, run_suites, suite_canonical_oracle
 
 from helpers import (
-    ORACLE_TYPES, ORACLE_TYPES_BUT_F4, LaurentBarfixBasis, TupleCanonicalBasis,
-    expand_in_A_laurent, ms_constant_by_scan, mu_double_prime, mu_prime,
-    solve_row_tuples,
+    ORACLE_TYPES, ORACLE_TYPES_BUT_F4, FullRowCanonicalBasis, LaurentBarfixBasis,
+    TupleCanonicalBasis, expand_in_A_laurent, ms_constant_by_scan, mu_double_prime,
+    mu_prime, solve_row_tuples,
 )
 
 
@@ -396,12 +396,48 @@ def test_capped_and_dihedral_columns_equal_the_tuple_oracle(label, delta, max_le
         assert packed.mu_row(wid) == oracle.mu_row(wid), (label, wid)
 
 
+@pytest.mark.parametrize(
+    "label, delta, max_length",
+    [
+        ("F4", None, None), ("D5", [0, 1, 2, 4, 3], None), ("E6", None, None),
+        ("E6", [5, 1, 4, 3, 2, 0], None), ("A3", [2, 1, 0], None),
+        ("A4", [3, 2, 1, 0], None), ("D4", [0, 1, 3, 2], None), ("H3", None, None),
+        ("I2(5)", None, None), ("H4", None, 30),
+    ],
+)
+def test_copied_rows_equal_the_full_row_oracle(label, delta, max_length):
+    """Every column and mu' row of the build, which copies each row that
+    ascends a left descent of its target, equals the recursion that solves
+    every row; some rows are copied and some solved on every system."""
+    module = InvolutionModule(build_system(label, delta=delta), max_length)
+    built = CanonicalBasis(module).build()
+    oracle = FullRowCanonicalBasis(module).build()
+    solved = sum(len(_solved_rows(module, z)) for z in module.involution_ids)
+    rows = sum(len(module.interval(z)) - 1 for z in module.involution_ids)
+    assert 0 < solved < rows, label
+    for wid in module.involution_ids:
+        assert built.column(wid) == oracle.column(wid), (label, wid)
+        assert built.mu_row(wid) == oracle.mu_row(wid), (label, wid)
+
+
+def _solved_rows(module, zid):
+    """The rows y < z that the build solves: every left descent of z is one
+    of y.  The other rows copy a longer row of column z."""
+    system = module.system
+    on_z = set(system.left_descents(zid))
+    return [
+        y for y in reversed(module.interval(zid)[:-1])
+        if on_z <= set(system.left_descents(y))
+    ]
+
+
 def _bad_row(module, commuting):
-    """(z, w, y0, first): a target z of the given kind, w its partner under
-    its smallest left descent s, a y0 < w with l(w) - l(y0) >= 3 whose
-    s-case is (commuting, ascending) when z is commuting, and ``first``, the
-    top-most row of z that reads P(y0, w): y0 itself or a row partnered
-    with it."""
+    """(z, w, y0, first, unread): a target z of the given kind, w its partner
+    under its smallest left descent s, a y0 < w with l(w) - l(y0) >= 3 whose
+    s-case is (commuting, ascending) when z is commuting, ``first``, the
+    top-most solved row of z that reads P(y0, w) (y0 itself or a row
+    partnered with it), and ``unread``, every other such y0 that no solved
+    row of z reads (some exist)."""
     system = module.system
     length = system.length_of
     for zid in module.involution_ids:
@@ -409,31 +445,42 @@ def _bad_row(module, commuting):
         if s is None or module.action_case(s, zid)[0] != commuting:
             continue
         wid = module.action_case(s, zid)[2]
-        for y0 in module.interval(wid):
-            case = module.action_case(s, y0)
-            wanted = not commuting or case[:2] == (True, True)
-            if wanted and length(wid) - length(y0) >= 3:
-                first = next(
-                    y for y in reversed(module.interval(zid)[:-1])
-                    if y0 in (y, module.action_case(s, y)[2])
-                )
-                return zid, wid, y0, first
+        read = {}   # y0 -> the first solved row of z that reads P(y0, w)
+        for y in _solved_rows(module, zid):
+            for y0 in (y, module.action_case(s, y)[2]):
+                read.setdefault(y0, y)
+        candidates = [
+            y0 for y0 in module.interval(wid)
+            if length(wid) - length(y0) >= 3
+            and (not commuting or module.action_case(s, y0)[:2] == (True, True))
+        ]
+        unread = [y0 for y0 in candidates if y0 not in read]
+        y0 = next((y0 for y0 in candidates if y0 in read), None)
+        if y0 is not None and unread:
+            return zid, wid, y0, read[y0], unread
     raise AssertionError("no such target")
 
 
 @pytest.mark.parametrize("commuting", [False, True])
 def test_build_raises_on_a_bad_row(commuting):
     """A stored column perturbed under the recursion makes ``build()`` stop
-    at the first row that reads it, with that row's error and message: a
-    term above the degree bound is RecurrenceInconsistent, a coefficient of
-    2^40 (times 1 + u on a commuting target, so the division keeps it) an
-    InvariantError for the slot bound.  The perturbations stay off the mu'
-    and mu'' slots, so the known parts are the true ones."""
+    at the first solved row that reads it, with that row's error and
+    message: a term above the degree bound is RecurrenceInconsistent, a
+    coefficient of 2^40 (times 1 + u on a commuting target, so the division
+    keeps it) an InvariantError for the slot bound.  The perturbations stay
+    off the mu' and mu'' slots, so the known parts are the true ones.  The
+    same perturbation of an entry that no solved row of z reads leaves
+    column z as it was, and canonical-oracle reports it at w and nowhere
+    else."""
     system = build_system("B4")
     word = system.word_of
+    clean = CanonicalBasis(InvolutionModule(system)).build()
+    ctx = VerificationContext(system)
+    ctx._module, ctx._canonical = clean.module, clean
+    assert suite_canonical_oracle(ctx).ok()
     for bump, error in ((None, RecurrenceInconsistent), (2**40, InvariantError)):
         module = InvolutionModule(system)
-        zid, wid, y0, first = _bad_row(module, commuting)
+        zid, wid, y0, first, unread = _bad_row(module, commuting)
         basis = CanonicalBasis(module)
         ids = module.involution_ids
         for xid in ids[: ids.index(zid)]:
@@ -459,15 +506,34 @@ def test_build_raises_on_a_bad_row(commuting):
                 "the packed table's signed bits"
             )
         assert zid not in basis._columns
+        col_w = clean.column(wid)
+        for y1 in unread:
+            p = col_w.get(y1, 0)
+            col_w[y1] = p + bump
+            ctx._a_vectors.clear()
+            try:
+                assert clean.column_recursive(zid) == clean.column(zid), (zid, y1)
+                failed_at = {tuple(f["w"]) for f in suite_canonical_oracle(ctx).failures}
+                assert failed_at == {tuple(word(wid))}, (wid, y1)
+            finally:
+                if p:
+                    col_w[y1] = p
+                else:
+                    del col_w[y1]
+        ctx._a_vectors.clear()
 
 
 def test_corrupted_columns_fail_alike_on_both_routes():
     """A perturbed finished column makes the packed and the tuple recursion
-    fail with the same error class, or agree on the rest of the table."""
+    fail with the same error class at the same column, or agree on the rest
+    of the table; both routes copy and solve the same rows, on twisted
+    systems too, and both outcomes occur."""
     rng = random.Random(17)
     outcomes = set()
-    for label in ("B3", "A4", "D4"):
-        system = build_system(label)
+    for label, delta in (
+        ("B3", None), ("A4", None), ("D4", None), ("A3", [2, 1, 0]), ("D4", [0, 1, 3, 2]),
+    ):
+        system = build_system(label, delta=delta)
         module = InvolutionModule(system)
         for _ in range(8):
             wid = rng.choice([
@@ -486,15 +552,15 @@ def test_corrupted_columns_fail_alike_on_both_routes():
                 try:
                     basis.build()
                 except InvariantError as exc:
-                    results.append(type(exc))
+                    results.append((type(exc), frozenset(basis._columns)))
                 else:
                     results.append({
                         w: {y: read(p) for y, p in basis.column(w).items()}
                         for w in module.involution_ids
                     })
             assert results[0] == results[1], (label, wid, yid, bump)
-            outcomes.add(results[0] if isinstance(results[0], type) else "table")
-    assert RecurrenceInconsistent in outcomes
+            outcomes.add(results[0][0] if isinstance(results[0], tuple) else "table")
+    assert outcomes == {RecurrenceInconsistent, "table"}
 
 
 def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical):

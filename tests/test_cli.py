@@ -419,7 +419,7 @@ class HashingStdout:
         ),
         (
             "verify --type A3 --twisted 2,1,0",
-            "1b04778be41c5d2c8f7b1e5b0e71d1316fcfb54ab7b36de800efd17833fd6b16",
+            "d8e9da36958797b68999705c11702195ef1fe12a17efa1bb3ff61a67754c7133",
         ),
         (
             "verify --type H3 --experimental",

@@ -731,6 +731,16 @@ def test_bar_division_by_one_plus_u_is_checked():
     assert seen > 0
 
 
+def test_a_vector_rejects_non_involutions():
+    """a_vector names an id that is no involution of the basis's module (ids
+    3 and 4 of A2, id 6 of A3 beyond max_length 2), as ``basis`` does."""
+    cases = [(InvolutionModule(build_system("A2")), wid) for wid in (3, 4)]
+    cases.append((InvolutionModule(build_system("A3"), max_length=2), 6))
+    for module, wid in cases:
+        with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
+            a_vector(CanonicalBasis(module), wid)
+
+
 @pytest.mark.parametrize("entry", ["bar_basis", "bar_mvector", "bar_extended"])
 def test_bar_entry_points_reject_non_involutions(entry):
     """Ids 3 and 4 of A2 are no involutions, and id 6 of A3 (the word 010)

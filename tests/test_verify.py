@@ -32,9 +32,19 @@ def test_b3_suite_counts_match_the_benchmark_manifest():
 def test_descent_stability_reports_a_corrupted_entry():
     """One stored entry of a built column changed: the stored ints of y and
     its s-partner no longer agree, and the suite records it."""
-    ctx = VerificationContext(build_system("B3"))
+    _check_descent_stability_reports_a_corrupted_entry("B3", None)
+
+
+def test_descent_stability_is_a_hard_check_on_a_twisted_system():
+    """The same on twisted A3: the failure is not advisory, since the
+    canonical build copies rows by descent stability for every delta."""
+    _check_descent_stability_reports_a_corrupted_entry("A3", (2, 1, 0))
+
+
+def _check_descent_stability_reports_a_corrupted_entry(label, delta):
+    ctx = VerificationContext(build_system(label, delta=delta))
     clean = suite_descent_stability(ctx)
-    assert clean.ok() and clean.checks > 0
+    assert clean.ok() and clean.checks > 0 and not clean.advisory
     mod, system = ctx.module, ctx.system
     wid = next(
         w for w in mod.involution_ids
@@ -47,7 +57,7 @@ def test_descent_stability_reports_a_corrupted_entry():
     col = ctx.canonical.column(wid)
     col[yid] = col.get(yid, 0) + 1
     res = suite_descent_stability(ctx)
-    assert res.checks == clean.checks and not res.ok()
+    assert res.checks == clean.checks and not res.ok() and not res.advisory
     record = {"s": s, "y": list(system.word_of(yid)), "w": list(system.word_of(wid))}
     assert record in res.failures
 

@@ -32,8 +32,9 @@ as an integer times a u-shift, times 1 + u when l(w) - l(x) is odd.  A
 commuting target then solves (1 + u) P(y, z) = row + mu'(y, z)
 u^((gap+1)/2) under the degree bound floor((gap-1)/2) by
 ``solve_one_plus_u`` (one residue and one exact division by 2^64 + 1),
-where the mu' term is allowed only on the rows of the descent interval;
-anything else raises ``RecurrenceInconsistent``.  Stored
+where the mu' term is allowed only at an odd gap (a solved row of a
+commuting target has s as a left descent, as the mu' terms of c_s A_w
+need); anything else raises ``RecurrenceInconsistent``.  Stored
 coefficients stay signed ``COEFF_BITS``-bit numbers and each column's
 multipliers stay within ``BUDGET``, so no slot carries into the next; past
 either bound the build raises ``InvariantError``.  ``LaurentPoly`` values
@@ -48,8 +49,9 @@ smallest left descent t of z that y ascends, t.y being its t-partner.  It
 is longer than y and below z (lifting), so the top-down pass has already
 set it.  Most rows are copies (on E6 about nine in ten), and a copy needs
 no case terms, no accumulator and no checks: it equals a longer row of the
-same column, already checked.  mu'(y, z) is read off the copy, the top
-slot of P(t.y, z), which lies below every degree bound unless t.y = z.
+same column, already checked.  mu'(y, z) is the top slot of the copy
+P(t.y, z), which lies above its degree bound unless t.y = z: it is 1 when
+t.y = z at gap 1 and zero otherwise.
 
 The copy is descent stability, and it holds for every delta.  On
 span{a_y, a_{t.y}} the case table gives
@@ -67,14 +69,24 @@ same, and the module has no Z[v, v^-1]-torsion.  So (u^2 + 1) p = c_y p +
 c_{t.y} q = (u^2 + 1) q for the a-coefficients p, q of y and t.y in A_z,
 and p = q; times v^l(z) these are P(y, z) and P(t.y, z).
 
-Each column w keeps a sparse mu' row {x: mu'(x, w) != 0}.  For an ascent s
-of w, the part of ms_constant(s, x, w) known before column sw exists is
-computed once from these rows and memoized per (s, w).  A new column z
-keeps its accumulator as a list of (multiplier, column x) pairs, starting
-with -k_x for every x with a nonzero known part k_x; the commuting branch
-adds (mu'(x, z), column x) as soon as row x is set, and each solved row y
-pulls the sum of multiplier * P(y, x) over the list, so the copied rows
-cost the accumulator nothing.
+Each column w keeps a sparse mu' row {x: mu'(x, w) != 0}, recorded by the
+pass that sets its rows, as ``KLTable`` records its mu rows: a solved row
+gives its top slot at an odd gap (in the commuting case the mu' that the
+division returns), a copied row its 1 at t.y = z.  For an ascent s of w,
+the part of ms_constant(s, x, w) known before column sw exists is read
+from column w and these rows alone: mu'(x, w) or mu''(x, w) at the x of
+column w with sx < x, the mu' convolution over the mu' rows of the x' of
+w's row with sx' < x', and mu'(sx, w) at the commuting ascents of w's
+row.  Each term reads P(x, w), P(x', w) with x <= x', or P(sx, w), so an
+x with neither x <= w nor sx <= w has known part zero, and every x named
+lies below sw (lifting) with sx < x.  ``ms_constants`` subtracts the mu'
+row of sw the same way.  A
+new column z keeps its accumulator as a list of (multiplier, column x)
+pairs, starting with -k_x for every x with a nonzero known part k_x; the
+commuting branch adds (mu'(x, z), column x) as soon as row x is set when
+s is a left descent of x, and each solved row y pulls the sum of
+multiplier * P(y, x) over the list, so the copied rows cost the
+accumulator nothing.
 
 Each column is one pass over the rows y < z of ``Involutions.interval``,
 with no method call per row.  The T_s cases are read once per basis from
@@ -88,8 +100,8 @@ each solved row by 1 + u and adds its mu' terms row by row.  Either way
 P(y, z) is tested against the degree and slot bounds at once, by one
 addition and one AND with the masks of ``slot_test`` for its slot count,
 and only a row that fails goes through ``_solve_row``, which raises the
-row's error.  The descent intervals, mu' rows and known parts are passes of
-the same kind.
+row's error.  The known parts are a pass of the same kind over column w
+and the mu' rows it names.
 """
 
 from __future__ import annotations
@@ -98,8 +110,8 @@ from .errors import InvariantError, RecurrenceInconsistent
 from .involutions import CASE_POLYS
 from .laurent import LaurentPoly, spread
 from .packed import (
-    ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most, in_slots, mu_at, pack,
-    slot_test, solve_one_plus_u, unpack,
+    ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most, in_slots, pack, slot_test,
+    solve_one_plus_u, unpack,
 )
 
 __all__ = ["CanonicalBasis"]
@@ -137,9 +149,7 @@ class CanonicalBasis:
                     descents |= 1 << s
             self._left_descents[yid] = descents
         self._columns = {}   # wid -> {yid: P(y, w) packed}, over y <= w
-        self._mu_rows = {}   # wid -> {xid: mu'(x, w)}, mu' != 0
-        self._known = {}     # (s, w) -> {xid: known part of ms_constant}, nonzero
-        self._descents = {}  # (s, w) -> _descent_interval(s, w)
+        self._mu_rows = {0: {}}   # wid -> {xid: mu'(x, w)}, mu' != 0, set with column w
 
     # -- table management -------------------------------------------------------
 
@@ -170,38 +180,12 @@ class CanonicalBasis:
         return col
 
     def mu_row(self, wid):
-        """{x: mu'(x, w)} over the x with mu'(x, w) != 0, read off column w."""
-        row = self._mu_rows.get(wid)
-        if row is None:
-            lengths = self._lengths
-            lw = lengths[wid]
-            # mu_at(p, gap), read only where it can be nonzero: odd gaps
-            row = self._mu_rows[wid] = {
-                xid: mu
-                for xid, p in self.column(wid).items()
-                if (gap := lw - lengths[xid]) & 1 and (mu := coeff_at(p, gap >> 1))
-            }
-        return row
+        """{x: mu'(x, w)} over the x with mu'(x, w) != 0, recorded with column w.
 
-    def _descent_interval(self, s, wid):
-        """For an ascent s of w: the x <= partner_s(w) with l(x) <= l(w), sx < x.
-
-        This holds every x < sw with sx < x.  Any other member x (there are
-        some only when sw != w delta(s)) has x and sx outside [1, w], by
-        lifting in W, so its mu' terms and ``ms_constant`` are zero.  In
-        ``involution_ids`` order, memoized per (s, w).
+        Empty when w is not a (twisted) involution of the module.
         """
-        key = (s, wid)
-        cached = self._descents.get(key)
-        if cached is None:
-            lengths, cases = self._lengths, self._cases[s]
-            lw = lengths[wid]
-            cached = self._descents[key] = tuple(
-                x
-                for x in self.module.interval(cases[wid][4])
-                if lengths[x] <= lw and not cases[x][3]
-            )
-        return cached
+        self.column(wid)
+        return self._mu_rows.get(wid, {})
 
     # -- lookups ------------------------------------------------------------------
 
@@ -224,71 +208,64 @@ class CanonicalBasis:
     def ms_constants(self, s, wid):
         """{x: ms_constant(s, x, w)} over the x where it is nonzero.
 
-        ms_constant(s, x, w) is the bar-invariant correction constant for
-        the pair x < sw > w: by the parity of l(w) - l(x), an integer
-        combination of mu'' and mu' convolutions or the multiple
-        mu'(x, w) (v + v^-1), and zero unless x lies in
-        ``_descent_interval(s, w)``.  Read one entry as
-        ``ms_constants(s, w).get(x, ZERO)``.  The known parts are
-        memoized; the commuting case subtracts mu'(x, sw), read from the mu'
-        row of the finished column sw.
+        ms_constant(s, x, w) is the bar-invariant correction constant of
+        c_s A_w for an ascent s of w (Kazhdan-Lusztig 1979): by the parity
+        of l(w) - l(x), the multiple mu'(x, w) (v + v^-1) or an integer
+        combination of mu'' and mu', nonzero only at x < sw with sx < x.
+        It is the known part of ``_known_parts``, less mu'(x, sw) when s
+        commutes with w, read from the mu' row of the finished column sw.
+        For a left descent s of w the map is empty, as c_s A_w = (v^2 +
+        v^-2) A_w.  Read one entry as ``ms_constants(s, w).get(x, ZERO)``;
+        raises ``ValueError`` when w is not an involution of the module.
         """
+        self.module._require(wid)
+        commuting, up, sw = self.module.action_case(s, wid)
+        if not up:
+            return {}
         known = self._known_parts(s, wid)
-        commuting, _up, sw = self.module.action_case(s, wid)
-        mu_sw = self.mu_row(sw) if commuting else {}
+        cases = self._cases[s]
+        if commuting:
+            for xid, m in self.mu_row(sw).items():
+                if not cases[xid][3]:
+                    known[xid] = known.get(xid, 0) - m
         lengths = self._lengths
-        out = {}
-        for xid in self._descent_interval(s, wid):
-            m = known.get(xid, 0)
-            if (lengths[wid] - lengths[xid]) % 2:
-                if m:
-                    out[xid] = LaurentPoly((m, 0, m), -1)   # m (v + v^-1)
-                continue
-            m -= mu_sw.get(xid, 0)
-            if m:
-                out[xid] = LaurentPoly((m,))
-        return out
+        lw = lengths[wid]
+        return {
+            xid: LaurentPoly((m, 0, m), -1) if (lw - lengths[xid]) & 1 else LaurentPoly((m,))
+            for xid, m in known.items()
+            if m
+        }
 
     def _known_parts(self, s, wid):
-        """ms_constant(s, x, w) less its mu'(x, sw) term, over the descent interval.
+        """ms_constant(s, x, w) less its mu'(x, sw) term, for an ascent s of w.
 
-        Only the nonzero values are kept, as integers k, memoized per (s, w).
-        An odd gap l(w) - l(x) stands for k (v + v^-1) with k = mu'(x, w); an
-        even gap gives the integer mu''(x, w) - sum_{x'} mu'(x, x')
-        mu'(x', w) + mu'(sx, w), the last term only when sx = x delta(s).
-        The convolution over the x' of the descent interval is pushed from
-        the mu' rows of w and of x'.
+        Read from column w and the mu' rows, as {x: integer k}; some k may
+        be zero.  Every term has x <= w or sx <= w.  An odd gap l(w) - l(x)
+        stands for k (v + v^-1) with k = mu'(x, w); an even gap gives the
+        integer mu''(x, w) - sum_{x'} mu'(x, x') mu'(x', w) + mu'(sx, w),
+        the last term only when sx = x delta(s).  mu''(x, w), the
+        coefficient of u^((gap-2)/2) in P(x, w), is read at the x of column
+        w with sx < x, and mu'(x, w) from w's mu' row; the convolution runs
+        over the mu' rows of the x' of w's mu' row with sx' < x', and
+        mu'(sx, w) is read at the commuting ascents of w's mu' row.
         """
-        key = (s, wid)
-        known = self._known.get(key)
-        if known is not None:
-            return known
         lengths, cases = self._lengths, self._cases[s]
         lw = lengths[wid]
-        col_w = self.column(wid)
-        mu_w = self.mu_row(wid)
-        descents = self._descent_interval(s, wid)
-        convolution = {}
-        for x2 in descents:
-            m = mu_w.get(x2)
-            if m:
-                for xid, m2 in self.mu_row(x2).items():
-                    convolution[xid] = convolution.get(xid, 0) + m2 * m
         known = {}
-        for xid in descents:
+        for xid, p in self.column(wid).items():
             gap = lw - lengths[xid]
-            if gap & 1:
-                m = mu_w.get(xid)
-                if m:
-                    known[xid] = m
+            if not gap & 1 and not cases[xid][3] and (m := coeff_at(p, (gap - 1) >> 1)):
+                known[xid] = m   # mu''(x, w)
+        for xid, m in self.mu_row(wid).items():
+            _c_x, _c_p, commuting, up, partner = cases[xid]
+            if up:
+                if commuting:   # the mu'(sp, w) term of its partner p, sp = x
+                    known[partner] = known.get(partner, 0) + m
                 continue
-            total = mu_at(col_w.get(xid, 0), gap - 1) - convolution.get(xid, 0)
-            _c_x, _c_sx, commuting, _up, sx = cases[xid]
-            if commuting:
-                total += mu_w.get(sx, 0)
-            if total:
-                known[xid] = total
-        self._known[key] = known
+            known[xid] = m
+            for x2, m2 in self.mu_row(xid).items():
+                if not cases[x2][3]:
+                    known[x2] = known.get(x2, 0) - m2 * m
         return known
 
     # -- construction: the descent recursion -----------------------------------------
@@ -298,27 +275,29 @@ class CanonicalBasis:
 
         With s the smallest left descent of z and w its s-partner, c_s A_w
         is A_z (times v + v^-1 in the commuting case) plus the ms_constant
-        multiples of the A_x, x in ``_descent_interval(s, w)``.  Row y is
-        scaled by v^(lift-l(y)), lift being l(z) plus one in the commuting
-        case, so that all of it is in Z[u] and packs into one int.  The
-        accumulator is a list of (multiplier, column x) pairs, starting with
-        -k_x for every nonzero known part k_x.  The rows y < z are then set
-        top down in one pass.
+        multiples of the A_x, x < z with sx < x.  Row y is scaled by
+        v^(lift-l(y)), lift being l(z) plus one in the commuting case, so
+        that all of it is in Z[u] and packs into one int.  The accumulator
+        is a list of (multiplier, column x) pairs, starting with -k_x for
+        every nonzero known part k_x.  The rows y < z are then set top down
+        in one pass, which also records the mu' row of z.
 
         A row whose left descents hold those of z is solved: its
         ``_CASE_TERMS`` combination (read from the case table of s) plus
         the sum it pulls from the accumulator.  A non-commuting target has
-        no unknown, so that row is P(y, z) itself.  In the commuting case
-        the row is divided by 1 + u, a row of the descent interval also
-        gives mu'(y, z), and (mu'(y, z), column y) joins the accumulator
-        for the rows below y.  One AND tests each solved P(y, z) against
-        the degree and slot bounds; a row that fails goes to
-        ``_solve_row``, which raises its error.
+        no unknown, so that row is P(y, z) itself, and mu'(y, z) is its top
+        slot at an odd gap.  In the commuting case the row is divided by
+        1 + u, which gives mu'(y, z) at an odd gap, and (mu'(y, z), column
+        y) joins the accumulator for the rows below y.  One AND tests each
+        solved P(y, z) against the degree and slot bounds; a row that fails
+        goes to ``_solve_row``, which raises its error.
 
         Any other row is copied: P(y, z) = P(t.y, z), t the smallest left
         descent of z that y ascends and t.y its t-partner, set earlier in
-        the pass, by descent stability (proved in the module docstring);
-        mu'(y, z) is read off the copy and joins the accumulator alike.
+        the pass, by descent stability (proved in the module docstring).
+        Its mu'(y, z) is 1 when t.y = z at gap 1 and zero otherwise, and in
+        the commuting case it joins the accumulator when s is a left
+        descent of y.
 
         The multipliers are weighed against ``BUDGET`` before they are used:
         a row sums at most ``spent`` stored entries, counted with their
@@ -342,62 +321,68 @@ class CanonicalBasis:
         check_budget(spent * weight, f"column {sys.word_of(zid)}")
         pulls = []   # (mult, column x's get): each solved row y adds mult * P(y, x)
         for xid, k in known.items():
-            e = lift - lengths[xid]
-            mult = (-k * ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
-            pulls.append((mult, self.column(xid).get))
+            if k:
+                e = lift - lengths[xid]
+                mult = (-k * ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
+                pulls.append((mult, self.column(xid).get))
         # by l(y): the in_slots test of P(y, z), degree < (l(z) - l(y) + 1) / 2
         tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]
         at_w = col_w.get
-        descents = set(self._descent_interval(s, wid)) if commuting else ()
         col = {zid: 1}
         at_z = col.get
+        mu_z = {}
         for yid in self.module.interval(zid)[-2::-1]:
+            gap = lz - lengths[yid]
             ascents = on_z & ~left[yid]
             if ascents:   # copied from t.y
                 other = all_cases[(ascents & -ascents).bit_length() - 1][yid][4]
                 p = at_z(other, 0)
                 # mu' is the copy's top slot: 1 if t.y = z at gap 1, else past its degree
-                mu = int(other == zid and (lz - lengths[yid]) & 1 and yid in descents)
+                mu = int(gap == 1 and other == zid)
             else:
                 c_y, c_other, _, _, other = cases[yid]
                 row = c_y * at_w(yid, 0) + c_other * at_w(other, 0)
                 for mult, at in pulls:
                     row += mult * at(yid, 0)
                 if commuting:
-                    gap = lz - lengths[yid]
-                    top_is_mu = gap & 1 and yid in descents
-                    solved = solve_one_plus_u(row, (gap - 1) >> 1, top_is_mu)
+                    solved = solve_one_plus_u(row, (gap - 1) >> 1, gap & 1)
                 else:
                     solved = row, 0
                 offset, mask = tests[lengths[yid]]
                 if solved is None or (solved[0] + offset) & mask:   # _solve_row raises
-                    solved = self._solve_row(row, yid, zid, commuting, yid in descents)
+                    solved = self._solve_row(row, yid, zid, commuting)
                 p, mu = solved
+                if gap & 1 and not commuting:
+                    mu = coeff_at(p, gap >> 1)
             if mu:
-                spent += abs(mu)
-                check_budget(spent * weight, f"column {sys.word_of(zid)}")
-                mult = mu << (SLOT * ((lift - lengths[yid]) // 2))
-                pulls.append((mult, self.column(yid).get))
+                mu_z[yid] = mu
+                if commuting and left[yid] >> s & 1:
+                    spent += abs(mu)
+                    check_budget(spent * weight, f"column {sys.word_of(zid)}")
+                    mult = mu << (SLOT * ((lift - lengths[yid]) // 2))
+                    pulls.append((mult, self.column(yid).get))
             if p:
                 col[yid] = p
+        self._mu_rows[zid] = mu_z
         return col
 
-    def _solve_row(self, row, yid, zid, commuting, unknown):
+    def _solve_row(self, row, yid, zid, commuting):
         """Solve P(y, z) from its packed row: (1 + u) P = row + mu u^(d+1), or P = row.
 
         The first equation is a commuting target's, the second any other
         target's; d = floor((gap-1)/2) bounds the u-degree of P(y, z), gap
-        being l(z) - l(y).  The mu term is allowed only with ``unknown`` (a
-        row of the descent interval of a commuting target) and an odd gap,
-        and then mu = mu'(y, z) is the top coefficient of P.  Returns
-        (P, mu); raises ``RecurrenceInconsistent`` when the row has no such
-        solution and ``InvariantError`` when P leaves the slot bound.
+        being l(z) - l(y).  The mu term is allowed only at an odd gap, and
+        then mu = mu'(y, z) is the top coefficient of P; a solved row of a
+        commuting target has s as a left descent, so it may carry mu'.
+        Returns (P, mu); raises ``RecurrenceInconsistent`` when the row has
+        no such solution and ``InvariantError`` when P leaves the slot
+        bound.
         """
         sys = self.system
         gap = sys.length_of(zid) - sys.length_of(yid)
         d = (gap - 1) // 2
         if commuting:
-            solved = solve_one_plus_u(row, d, unknown and gap % 2 == 1)
+            solved = solve_one_plus_u(row, d, gap % 2 == 1)
         else:
             solved = (row, 0) if degree_at_most(row, d) else None
         if solved is None:

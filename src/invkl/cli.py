@@ -365,7 +365,7 @@ def cmd_verify(args):
 
     system = _make_system(args)
     results = run_suites(system)
-    hard_failures = [r for r in results if not r.ok() and not r.advisory]
+    failed = [r for r in results if not r.ok()]
 
     def line(r):
         if r.skipped:
@@ -373,8 +373,7 @@ def cmd_verify(args):
         elif r.ok():
             status = f"{r.checks} checks passed"
         else:
-            kind = "advisory " if r.advisory else ""
-            status = f"{r.checks} checks, {len(r.failures)} {kind}FAILURES"
+            status = f"{r.checks} checks, {len(r.failures)} FAILURES"
         return f"  {r.name:<20} {status}"
 
     _write(
@@ -386,12 +385,12 @@ def cmd_verify(args):
             "advisory": r.advisory,
             "skipped": r.skipped or None,
         }, 2),
-        tail={"ok": not hard_failures},
+        tail={"ok": not failed},
         title=f"verification of {system!r}", line=line,
-        footer="result: " + ("FAIL" if hard_failures else "PASS"),
+        footer="result: " + ("FAIL" if failed else "PASS"),
     )
-    if hard_failures:
-        first = hard_failures[0]
+    if failed:
+        first = failed[0]
         sys.stderr.write(
             "invariant violated in suite "
             + first.name

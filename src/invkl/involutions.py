@@ -89,8 +89,10 @@ class Involutions:
         runs on positions in ``involution_ids``, with the s-partners read
         from one position list per generator, so an interval is a sort of
         ints with no key function.  The positions are memoized and mapped
-        back to ids on each call.
+        back to ids on each call.  Raises ``ValueError`` when w is not an
+        involution of the index.
         """
+        self._require(wid)
         return tuple(map(self.involution_ids.__getitem__, self._below_positions(wid)))
 
     def _below_positions(self, wid):

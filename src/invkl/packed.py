@@ -7,8 +7,8 @@ multiple of a column is ``pending[y] += mult * p``, a product of
 polynomials is an int product and a u-shift is a left shift.  Slots are
 balanced: a coefficient c borrows from the slot above when negative, and
 ``unpack`` and ``coeff_at`` read it back as long as every coefficient lies
-in (-2^63, 2^63).  ``mu_at`` is the one rule for mu, mu' and mu'', and
-``solve_one_plus_u`` the checked division by 1 + u of the canonical
+in (-2^63, 2^63); mu, mu' and mu'' are reads of one slot.
+``solve_one_plus_u`` is the checked division by 1 + u of the canonical
 recursion.
 
 ``pack`` and ``unpack`` take the slot width as an argument, so they are
@@ -39,8 +39,8 @@ from .errors import InvariantError
 
 __all__ = [
     "SLOT", "COEFF_BITS", "BUDGET", "ONE_PLUS_U", "pack", "unpack", "coeff_at",
-    "mu_at", "solve_one_plus_u", "degree_at_most", "forbidden", "in_slots",
-    "slot_test", "check_budget",
+    "solve_one_plus_u", "degree_at_most", "forbidden", "in_slots", "slot_test",
+    "check_budget",
 ]
 
 SLOT = 64                              # bits per u-coefficient
@@ -105,16 +105,6 @@ def coeff_at(p, k):
     if k:
         p = ((p >> (SLOT * k - 1)) + 1) >> 1
     return ((p + _HALF) & _MASK) - _HALF
-
-
-def mu_at(p, gap):
-    """The coefficient of u^((gap-1)/2) in p, or 0 unless gap is odd and positive.
-
-    For p = P(y, w) with gap = l(w) - l(y) this is mu(y, w); for P-sigma it
-    is mu'(y, w), and ``mu_at(p, gap - 1)`` is mu''(y, w).  The degree bound
-    deg P <= (gap-1)/2 makes it the top coefficient whenever it is nonzero.
-    """
-    return coeff_at(p, gap >> 1) if gap & 1 and gap > 0 else 0
 
 
 def solve_one_plus_u(row, d, top_is_mu):

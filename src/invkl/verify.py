@@ -3,9 +3,9 @@
 Each suite re-derives one family of identities and reports how many checks
 ran and which failed.  Failures are collected, not raised, so exploratory
 runs on experimental systems report counterexamples instead of crashing;
-the caller decides whether a failure is fatal.  An advisory suite's
-failures would not fail a run; no suite is advisory now, since the
-canonical build copies rows by descent stability on every system.
+the caller decides whether a failure is fatal.  No suite is advisory:
+the canonical build copies rows by descent stability on every system, so
+descent-stability is a hard check there too.
 
 The canonical basis is checked by its definition, in the a-basis: the
 canonical-oracle suite holds each column to unitriangularity and bar(A_w) =
@@ -63,13 +63,18 @@ _TS_CASES = {
 
 
 class SuiteResult:
-    """One suite's outcome: checks run, failure records, advisory, skip reason."""
+    """One suite's outcome: checks run, failure records, skip reason.
 
-    def __init__(self, name, advisory=False):
+    ``advisory`` is False for every suite: each failure fails a run.  The
+    verify JSON still reports it.
+    """
+
+    advisory = False
+
+    def __init__(self, name):
         self.name = name
         self.checks = 0
         self.failures = []
-        self.advisory = advisory
         self.skipped = ""
 
     def ok(self):

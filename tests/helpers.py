@@ -17,7 +17,7 @@ from invkl.laurent import (
     q_shift, q_trim, spread, u_pow, v_pow,
 )
 from invkl.packed import (
-    ONE_PLUS_U, SLOT, check_budget, in_slots, mu_at, pack, slot_test,
+    ONE_PLUS_U, SLOT, check_budget, coeff_at, in_slots, pack, slot_test,
     solve_one_plus_u, unpack,
 )
 from invkl.specialize import reflection_rep
@@ -63,6 +63,17 @@ def brute_twisted_involutions(system):
     ]
 
 
+def mu_at(p, gap):
+    """The coefficient of u^((gap-1)/2) in the packed p, or 0 unless gap is
+    odd and positive.
+
+    For p = P(y, w) with gap = l(w) - l(y) this is mu(y, w); for P-sigma it
+    is mu'(y, w), and ``mu_at(p, gap - 1)`` is mu''(y, w).  The degree bound
+    deg P <= (gap-1)/2 makes it the top coefficient whenever it is nonzero.
+    """
+    return coeff_at(p, gap >> 1) if gap & 1 and gap > 0 else 0
+
+
 def _stored_entry(basis, yid, wid):
     """P(y, w) packed as column w stores it, and l(w) - l(y)."""
     length = basis.system.length_of
@@ -80,6 +91,24 @@ def mu_double_prime(basis, yid, wid):
     return mu_at(p, gap - 1)
 
 
+def descent_interval(basis, s, wid):
+    """For an ascent s of w: the x <= partner_s(w) with l(x) <= l(w) and sx < x.
+
+    This holds every x < sw with sx < x.  Any other member x (there are
+    some only when sw != w delta(s)) has x and sx outside [1, w], by
+    lifting in W, so its mu' terms and ms_constant are zero.  In
+    ``involution_ids`` order, read off the interval of the partner: the
+    route by which ``CanonicalBasis`` once found the x of ms_constant.
+    """
+    module, length = basis.module, basis.system.length_of
+    lw = length(wid)
+    return tuple(
+        x
+        for x in module.interval(module.action_case(s, wid)[2])
+        if length(x) <= lw and not module.action_case(s, x)[1]
+    )
+
+
 def ms_constant_by_scan(basis, s, xid, wid):
     """ms_constant(s, x, w) by the pull formula, one mu' lookup per pair.
 
@@ -92,7 +121,7 @@ def ms_constant_by_scan(basis, s, xid, wid):
     if (system.length_of(xid) - system.length_of(wid)) % 2:
         return mu_prime(basis, xid, wid) * (v_pow(1) + v_pow(-1))
     total = mu_double_prime(basis, xid, wid)
-    for x2 in basis._descent_interval(s, wid):
+    for x2 in descent_interval(basis, s, wid):
         if x2 != xid:
             total -= mu_prime(basis, xid, x2) * mu_prime(basis, x2, wid)
     commuting, _up, sx = module.action_case(s, xid)
@@ -877,7 +906,7 @@ def h_value_dense(system, wid):
 def q_mu(p, gap):
     """The coefficient of q^((gap-1)/2) in the tuple p, or 0 when gap is even.
 
-    The tuple twin of ``laurent.mu_at``: mu(y, w), mu'(y, w), and with
+    The tuple twin of ``mu_at``: mu(y, w), mu'(y, w), and with
     ``gap - 1`` mu''(y, w).
     """
     return p[-1] if p and 2 * len(p) == gap + 1 else 0
@@ -916,12 +945,13 @@ def _add_column_tuples(pending, mult, column):
 
 
 class TupleCanonicalBasis(CanonicalBasis):
-    """The P-sigma columns on u-coefficient tuples: the descent recursion,
-    mu' rows and known parts of ``CanonicalBasis`` with tuple arithmetic in
-    place of packed ints.  Only the layout of ``column`` differs.  Rows
-    follow the same rule: a row y of target z that ascends some left
-    descent t of z (the smallest) copies P(t.y, z), found here by the
-    system's descent test, and every other row is solved."""
+    """The P-sigma columns on u-coefficient tuples: the descent recursion of
+    ``CanonicalBasis`` with tuple arithmetic in place of packed ints, each
+    mu' row read off its finished column and each known part of
+    ms_constant summed over ``descent_interval``.  Only the layout of
+    ``column`` differs.  Rows follow the same rule: a row y of target z that
+    ascends some left descent t of z (the smallest) copies P(t.y, z), found
+    here by the system's descent test, and every other row is solved."""
 
     def mu_row(self, wid):
         row = self._mu_rows.get(wid)
@@ -936,14 +966,10 @@ class TupleCanonicalBasis(CanonicalBasis):
         return row
 
     def _known_parts(self, s, wid):
-        key = (s, wid)
-        known = self._known.get(key)
-        if known is not None:
-            return known
         length = self.system.length_of
         col_w = self.column(wid)
         mu_w = self.mu_row(wid)
-        descents = self._descent_interval(s, wid)
+        descents = descent_interval(self, s, wid)
         convolution = {}
         for x2 in descents:
             m = mu_w.get(x2)
@@ -964,7 +990,6 @@ class TupleCanonicalBasis(CanonicalBasis):
                 total += mu_w.get(sx, 0)
             if total:
                 known[xid] = total
-        self._known[key] = known
         return known
 
     def column_recursive(self, zid):
@@ -981,7 +1006,7 @@ class TupleCanonicalBasis(CanonicalBasis):
             e = lift - length(xid)
             mult = q_shift((-k, -k) if e % 2 else (-k,), e // 2)
             _add_column_tuples(pending, mult, self.column(xid))
-        descents = set(self._descent_interval(s, wid)) if commuting else ()
+        descents = set(descent_interval(self, s, wid)) if commuting else ()
         den = (1, 1) if commuting else (1,)
         z_descents = sys.left_descents(zid)
         col = {zid: (1,)}
@@ -1019,7 +1044,20 @@ class FullRowCanonicalBasis(CanonicalBasis):
     The row rule of ``CanonicalBasis.column_recursive`` solves a row only
     when its left descents hold those of the target and copies the rest by
     descent stability; this route solves each row from its case terms and a
-    pushed accumulator, so the two must give the same columns."""
+    pushed accumulator, so the two must give the same columns.  Each mu'
+    row is read off its finished column, not recorded by the pass."""
+
+    def mu_row(self, wid):
+        row = self._mu_rows.get(wid)
+        if row is None:
+            lengths = self._lengths
+            lw = lengths[wid]
+            row = self._mu_rows[wid] = {
+                xid: mu
+                for xid, p in self.column(wid).items()
+                if (mu := mu_at(p, lw - lengths[xid]))
+            }
+        return row
 
     def column_recursive(self, zid):
         if zid == 0:
@@ -1041,19 +1079,18 @@ class FullRowCanonicalBasis(CanonicalBasis):
             mult = (-k * ONE_PLUS_U if e % 2 else -k) << (SLOT * (e // 2))
             _add_column_packed(pending, mult, self.column(xid))
         tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]
-        descents = set(self._descent_interval(s, wid)) if commuting else ()
         col = {zid: 1}
         for yid in self.module.interval(zid)[-2::-1]:
-            c_y, c_other, _, _, other = cases[yid]
+            c_y, c_other, _, up, other = cases[yid]
             row = pending.get(yid, 0) + c_y * col_w.get(yid, 0) + c_other * col_w.get(other, 0)
             if commuting:
                 gap = lz - lengths[yid]
-                solved = solve_one_plus_u(row, (gap - 1) >> 1, gap & 1 and yid in descents)
+                solved = solve_one_plus_u(row, (gap - 1) >> 1, gap & 1 and not up)
             else:
                 solved = row, 0
             offset, mask = tests[lengths[yid]]
             if solved is None or (solved[0] + offset) & mask:
-                solved = self._solve_row(row, yid, zid, commuting, yid in descents)
+                solved = self._solve_row(row, yid, zid, commuting)
             p, mu = solved
             if mu:
                 spent += abs(mu)

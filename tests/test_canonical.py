@@ -13,8 +13,8 @@ from invkl.verify import VerificationContext, run_suites, suite_canonical_oracle
 
 from helpers import (
     ORACLE_TYPES, ORACLE_TYPES_BUT_F4, FullRowCanonicalBasis, LaurentBarfixBasis,
-    TupleCanonicalBasis, expand_in_A_laurent, ms_constant_by_scan, mu_double_prime,
-    mu_prime, solve_row_tuples,
+    TupleCanonicalBasis, descent_interval, expand_in_A_laurent, ms_constant_by_scan,
+    mu_double_prime, mu_prime, solve_row_tuples,
 )
 
 
@@ -97,47 +97,46 @@ def test_columns_hold_packed_ints():
 
 
 def test_row_division_by_one_plus_u(a2, a2_canonical):
-    """(1+u) P = row + mu u^(d+1): the mu term only on descent rows of odd gap.
+    """(1+u) P = row + mu u^(d+1): the mu term only at an odd gap.
 
-    Each case runs on the packed route (``_solve_row``) and on the tuple
-    oracle (``solve_row_tuples``), which must agree, errors included.
+    A solved row of a commuting target has s as a left descent, so at an
+    odd gap it may carry mu'; a non-commuting target divides by 1.  Each
+    case runs on the packed route (``_solve_row``) and on the tuple oracle
+    (``solve_row_tuples``), which must agree, errors included.
     """
     basis = a2_canonical
     s = a2.element_id_from_word([0])
     sts = a2.element_id_from_word([0, 1, 0])
     gaps = {0: 3, s: 2}
 
-    def both(row, yid, commuting, unknown):
+    def both(row, yid, commuting):
         den = (1, 1) if commuting else (1,)
-        want = solve_row_tuples(row, gaps[yid], den, unknown)
-        got = basis._solve_row(pack(row), yid, sts, commuting, unknown)
+        want = solve_row_tuples(row, gaps[yid], den, commuting)
+        got = basis._solve_row(pack(row), yid, sts, commuting)
         assert got == (pack(want[0]), want[1])
         return want
 
-    def rejected(row, yid, commuting, unknown):
+    def rejected(row, yid, commuting):
         den = (1, 1) if commuting else (1,)
         with pytest.raises(RecurrenceInconsistent):
-            solve_row_tuples(row, gaps[yid], den, unknown)
+            solve_row_tuples(row, gaps[yid], den, commuting)
         with pytest.raises(RecurrenceInconsistent):
-            basis._solve_row(pack(row), yid, sts, commuting, unknown)
+            basis._solve_row(pack(row), yid, sts, commuting)
 
-    # gap 3, so deg P <= 1: (1+u)(1+2u) = 1 + 3u + 2u^2
-    assert both((1, 3, 2), 0, True, False) == ((1, 2), 0)
-    # on a descent row the unknown top term comes back as mu'
-    assert both((1, 3), 0, True, True) == ((1, 2), 2)
-    for row, unknown in [
-        ((1, 3, 2, 5), False),  # residual above the allowed degree
-        ((1, 3, 2, 0), True),   # a descent row has no u^2 term of its own
-        ((1, 3), False),        # the mu' term off the descent interval
-        ((1, 3, 1), True),      # a residual that is not -mu' u^2
+    # gap 3, so deg P <= 1: the unknown top term comes back as mu'
+    assert both((1, 3), 0, True) == ((1, 2), 2)
+    for row in [
+        (1, 3, 2, 5),  # residual above the allowed degree
+        (1, 3, 2),     # a row with a u^2 term of its own: (1+u)(1+2u) has no mu'
+        (1, 3, 1),     # a residual that is not -mu' u^2
     ]:
-        rejected(row, 0, True, unknown)
-    # gap 2 has no mu', even on a descent row
-    assert both((1, 1), s, True, True) == ((1,), 0)
-    rejected((1,), s, True, True)
+        rejected(row, 0, True)
+    # gap 2 has no mu'
+    assert both((1, 1), s, True) == ((1,), 0)
+    rejected((1,), s, True)
     # a non-commuting target divides by 1: the row is P, under the bound
-    assert both((1, 2, 0), 0, False, False) == ((1, 2), 0)
-    rejected((1, 2, 3), 0, False, False)
+    assert both((1, 2, 0), 0, False) == ((1, 2), 0)
+    rejected((1, 2, 3), 0, False)
 
 
 def test_pi_to_p_conversion_is_checked(a2, a2_module):
@@ -300,9 +299,9 @@ def test_parallel_build_matches_serial():
         assert serial.column(wid) == parallel.column(wid)
 
 
-def test_descent_interval_covers_the_bruhat_set():
-    """For every ascent s of w, _descent_interval(s, w) holds every x < sw
-    with sx < x; each extra member has ms_constant zero."""
+def test_ms_constants_lie_on_the_bruhat_set():
+    """For every ascent s of w, ms_constants(s, w) is supported on the
+    x < sw with sx < x, decided by ``bruhat_leq_ids``."""
     for label, delta in [
         ("B3", None),
         ("D4", None),
@@ -312,25 +311,33 @@ def test_descent_interval_covers_the_bruhat_set():
         ("A5", [4, 3, 2, 1, 0]),
     ]:
         system, module, basis = make(label, delta)
-        extras = 0
+        nonzero = 0
         for wid in module.involution_ids:
             for s in range(system.rank):
                 if system.is_left_descent(s, wid):
                     continue
-                sw = system.lmul(s, wid)
-                got = basis._descent_interval(s, wid)
-                old = [
-                    x
-                    for x in module.involution_ids
-                    if system.is_left_descent(s, x)
-                    and system.length_of(x) < system.length_of(sw)
-                    and system.bruhat_leq_ids(x, sw)
-                ]
-                assert set(old) <= set(got), (label, wid, s)
-                for xid in set(got) - set(old):
-                    assert xid not in basis.ms_constants(s, wid)
-                    extras += 1
-        assert extras > 0, label  # the extra members do occur
+                sw = module.action_case(s, wid)[2]
+                for xid in basis.ms_constants(s, wid):
+                    assert system.is_left_descent(s, xid), (label, wid, s, xid)
+                    assert system.length_of(xid) < system.length_of(sw)
+                    assert system.bruhat_leq_ids(xid, sw), (label, wid, s, xid)
+                    nonzero += 1
+        assert nonzero > 0, label
+
+
+@pytest.mark.parametrize(
+    "label, delta", [("B3", None), ("H3", None), ("F4", None), ("A3", [2, 1, 0])]
+)
+def test_ms_constants_are_empty_at_a_descent(label, delta):
+    """c_s A_w = (v^2 + v^-2) A_w for a left descent s of w, so every such
+    pair has no ms_constant."""
+    system, module, basis = make(label, delta)
+    pairs = 0
+    for wid in module.involution_ids:
+        for s in system.left_descents(wid):
+            assert basis.ms_constants(s, wid) == {}, (label, wid, s)
+            pairs += 1
+    assert pairs > 0
 
 
 def test_mu_rows_and_ms_constants_match_the_pair_scan():
@@ -357,7 +364,9 @@ def test_mu_rows_and_ms_constants_match_the_pair_scan():
             for s in range(system.rank):
                 if system.is_left_descent(s, wid):
                     continue
-                for xid in basis._descent_interval(s, wid):
+                members = descent_interval(basis, s, wid)
+                assert set(basis.ms_constants(s, wid)) <= set(members)
+                for xid in members:
                     m = basis.ms_constants(s, wid).get(xid, ZERO)
                     assert m == ms_constant_by_scan(basis, s, xid, wid), (
                         label, s, xid, wid
@@ -563,13 +572,13 @@ def test_corrupted_columns_fail_alike_on_both_routes():
     assert outcomes == {RecurrenceInconsistent, "table"}
 
 
-def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical):
+def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical, monkeypatch):
     """An oversized mu' or an oversized coefficient raises InvariantError:
     the guard stops before a slot could carry into its neighbour."""
     sts = a2.element_id_from_word([0, 1, 0])
     # a solution with a coefficient beyond the signed slot bound
     with pytest.raises(InvariantError, match="signed bits") as info:
-        a2_canonical._solve_row(pack((2**40,)), 0, sts, False, False)
+        a2_canonical._solve_row(pack((2**40,)), 0, sts, False)
     assert not isinstance(info.value, RecurrenceInconsistent)
     # known parts of ms_constant (mu' combinations) of 2^40 would push the
     # next column past the budget
@@ -578,8 +587,11 @@ def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical):
     zid = module.layers[3][0]
     s = system.left_descents(zid)[0]
     wid = module.action_case(s, zid)[2]
-    basis._known[s, wid] = dict.fromkeys(basis._descent_interval(s, wid), 2**40)
-    assert basis._known[s, wid]
+    members = descent_interval(basis, s, wid)
+    assert members
+    monkeypatch.setattr(
+        basis, "_known_parts", lambda t, w: dict.fromkeys(members, 2**40)
+    )
     with pytest.raises(InvariantError, match="carry"):
         basis.column(zid)
 

@@ -732,13 +732,21 @@ def test_bar_division_by_one_plus_u_is_checked():
 
 
 def test_a_vector_rejects_non_involutions():
-    """a_vector names an id that is no involution of the basis's module (ids
-    3 and 4 of A2, id 6 of A3 beyond max_length 2), as ``basis`` does."""
+    """a_vector, ``Involutions.interval`` and ``ms_constants`` name an id that
+    is no involution of the module (ids 3 and 4 of A2, id 5 of B3, id 6 of
+    A3 beyond max_length 2), as ``basis`` does."""
     cases = [(InvolutionModule(build_system("A2")), wid) for wid in (3, 4)]
+    cases.append((InvolutionModule(build_system("B3")), 5))
     cases.append((InvolutionModule(build_system("A3"), max_length=2), 6))
     for module, wid in cases:
-        with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
-            a_vector(CanonicalBasis(module), wid)
+        basis = CanonicalBasis(module)
+        for call in (
+            lambda: a_vector(basis, wid),
+            lambda: module.interval(wid),
+            lambda: basis.ms_constants(0, wid),
+        ):
+            with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
+                call()
 
 
 @pytest.mark.parametrize("entry", ["bar_basis", "bar_mvector", "bar_extended"])

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from helpers import q_mu, solve_row_tuples
+from helpers import mu_at, q_mu, solve_row_tuples
 
 from invkl import build_system, canonical, invmodule
 from invkl.canonical import CanonicalBasis
@@ -12,7 +12,7 @@ from invkl.invmodule import InvolutionModule
 from invkl.laurent import q_add, q_addmul, q_shift, q_trim
 from invkl.packed import (
     BUDGET, COEFF_BITS, ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most,
-    forbidden, in_slots, mu_at, pack, solve_one_plus_u, unpack,
+    forbidden, in_slots, pack, solve_one_plus_u, unpack,
 )
 
 
@@ -56,8 +56,8 @@ def test_packed_ring_operations_match_the_q_kernel():
 
 
 def test_mu_at_matches_q_mu():
-    """The one slot-read rule for mu, mu' and mu'' agrees with the tuple rule
-    on every polynomial that keeps its degree bound."""
+    """The packed slot read of mu, mu' and mu'' (``mu_at``) agrees with the
+    tuple rule on every polynomial that keeps its degree bound."""
     rng = random.Random(7)
     for _ in range(1000):
         gap = rng.randint(-1, 12)
@@ -117,16 +117,16 @@ def test_rejected_rows_raise_on_both_routes():
         gap = system.length_of(top) - system.length_of(yid)
         d = (gap - 1) // 2
         for commuting in (True, False):
-            for unknown in (False, True):
-                low = rand_packable(rng, 50, length=d + 1)
-                row = low + (0,) * (d + 2 - len(low)) + (1,)   # a u^(d+2) term
-                den = (1, 1) if commuting else (1,)
-                with pytest.raises(RecurrenceInconsistent):
-                    solve_row_tuples(row, gap, den, unknown)
-                with pytest.raises(RecurrenceInconsistent):
-                    basis._solve_row(pack(row), yid, top, commuting, unknown)
-                raised += 1
-    assert raised == 240
+            low = rand_packable(rng, 50, length=d + 1)
+            row = low + (0,) * (d + 2 - len(low)) + (1,)   # a u^(d+2) term
+            den = (1, 1) if commuting else (1,)
+            # only a commuting target's row may carry mu', as in the build
+            with pytest.raises(RecurrenceInconsistent):
+                solve_row_tuples(row, gap, den, commuting)
+            with pytest.raises(RecurrenceInconsistent):
+                basis._solve_row(pack(row), yid, top, commuting)
+            raised += 1
+    assert raised == 120
 
 
 def test_slot_bounds_and_budget():

@@ -89,11 +89,11 @@ multiplier * P(y, x) over the list, so the copied rows cost the
 accumulator nothing.
 
 Each column is one pass over the rows y < z of ``Involutions.interval``,
-with no method call per row.  The T_s cases are read once per basis from
-``Involutions.action_case`` into one table per generator s, mapping
-each involution y to its two ``_CASE_TERMS`` multipliers, its case
-(commuting, ascending) and its partner, and the left descents of y into
-one bit mask; lengths are read from the system's length list.  A
+with no method call per row.  It reads the tables of the index as they
+stand: ``cases[s][y]``, the case (commuting, ascending) of y and its
+s-partner, whose two multipliers are looked up in ``_CASE_TERMS`` by case,
+and ``descent_masks[y]``, the left descents of y as one bit mask; lengths
+are read from the system's length list.  A
 non-commuting target has no unknown mu', so its rows do not depend on one
 another: each solved row is P(y, z) itself.  A commuting target divides
 each solved row by 1 + u and adds its mu' terms row by row.  Either way
@@ -129,25 +129,14 @@ class CanonicalBasis:
     """Bar-invariant basis columns, built per involution and memoized.
 
     ``module`` is the involution index (``Involutions``) or the module that
-    extends it; the build reads its ids, cases and intervals only.
+    extends it; the build reads its ids, case table, descent masks and
+    intervals only.
     """
 
     def __init__(self, module):
         self.module = module
         self.system = module.system
         self._lengths = module.system.lengths
-        # per s: y -> (c_y, c_other, commuting, up, partner), the T_s case of
-        # y led by its two _CASE_TERMS multipliers
-        self._cases = [{} for _ in range(module.system.rank)]
-        self._left_descents = {}   # y -> its left descents, bit s set for each s
-        for yid in module.involution_ids:
-            descents = 0
-            for s, cases in enumerate(self._cases):
-                case = module.action_case(s, yid)
-                cases[yid] = _CASE_TERMS[case[:2]] + case
-                if not case[1]:
-                    descents |= 1 << s
-            self._left_descents[yid] = descents
         self._columns = {}   # wid -> {yid: P(y, w) packed}, over y <= w
         self._mu_rows = {0: {}}   # wid -> {xid: mu'(x, w)}, mu' != 0, set with column w
 
@@ -219,14 +208,14 @@ class CanonicalBasis:
         raises ``ValueError`` when w is not an involution of the module.
         """
         self.module._require(wid)
-        commuting, up, sw = self.module.action_case(s, wid)
+        cases = self.module.cases[s]
+        commuting, up, sw = cases[wid]
         if not up:
             return {}
         known = self._known_parts(s, wid)
-        cases = self._cases[s]
         if commuting:
             for xid, m in self.mu_row(sw).items():
-                if not cases[xid][3]:
+                if not cases[xid][1]:
                     known[xid] = known.get(xid, 0) - m
         lengths = self._lengths
         lw = lengths[wid]
@@ -249,22 +238,22 @@ class CanonicalBasis:
         over the mu' rows of the x' of w's mu' row with sx' < x', and
         mu'(sx, w) is read at the commuting ascents of w's mu' row.
         """
-        lengths, cases = self._lengths, self._cases[s]
+        lengths, cases = self._lengths, self.module.cases[s]
         lw = lengths[wid]
         known = {}
         for xid, p in self.column(wid).items():
             gap = lw - lengths[xid]
-            if not gap & 1 and not cases[xid][3] and (m := coeff_at(p, (gap - 1) >> 1)):
+            if not gap & 1 and not cases[xid][1] and (m := coeff_at(p, (gap - 1) >> 1)):
                 known[xid] = m   # mu''(x, w)
         for xid, m in self.mu_row(wid).items():
-            _c_x, _c_p, commuting, up, partner = cases[xid]
+            commuting, up, partner = cases[xid]
             if up:
                 if commuting:   # the mu'(sp, w) term of its partner p, sp = x
                     known[partner] = known.get(partner, 0) + m
                 continue
             known[xid] = m
             for x2, m2 in self.mu_row(xid).items():
-                if not cases[x2][3]:
+                if not cases[x2][1]:
                     known[x2] = known.get(x2, 0) - m2 * m
         return known
 
@@ -306,12 +295,12 @@ class CanonicalBasis:
         """
         if zid == 0:
             return {0: 1}
-        sys, lengths, all_cases = self.system, self._lengths, self._cases
-        left = self._left_descents
+        sys, lengths, module = self.system, self._lengths, self.module
+        all_cases, left = module.cases, module.descent_masks
         on_z = left[zid]
-        s = (on_z & -on_z).bit_length() - 1
+        s = module.smallest_descent(zid)
         cases = all_cases[s]
-        _c_z, _c_w, commuting, _up, wid = cases[zid]
+        commuting, _up, wid = cases[zid]
         col_w = self.column(wid)
         lz = lengths[zid]
         lift = lz + 1 if commuting else lz  # row y: v^(lift-l(y))
@@ -331,16 +320,17 @@ class CanonicalBasis:
         col = {zid: 1}
         at_z = col.get
         mu_z = {}
-        for yid in self.module.interval(zid)[-2::-1]:
+        for yid in module.interval(zid)[-2::-1]:
             gap = lz - lengths[yid]
             ascents = on_z & ~left[yid]
             if ascents:   # copied from t.y
-                other = all_cases[(ascents & -ascents).bit_length() - 1][yid][4]
+                other = all_cases[(ascents & -ascents).bit_length() - 1][yid][2]
                 p = at_z(other, 0)
                 # mu' is the copy's top slot: 1 if t.y = z at gap 1, else past its degree
                 mu = int(gap == 1 and other == zid)
             else:
-                c_y, c_other, _, _, other = cases[yid]
+                commuting_y, up, other = cases[yid]
+                c_y, c_other = _CASE_TERMS[commuting_y, up]
                 row = c_y * at_w(yid, 0) + c_other * at_w(other, 0)
                 for mult, at in pulls:
                     row += mult * at(yid, 0)

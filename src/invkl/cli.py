@@ -23,7 +23,8 @@ but not csv.  Each command imports only the layers it runs, inside its
 * ``table``: the involution index, the canonical build and ``packed``, plus
   the classical table with --classic;
 * ``kl``: the classical table and ``packed``;
-* ``cells``: the cells graph, the classical table and ``packed``;
+* ``cells``: the cells graph, the classical table, ``packed`` and the
+  involution index, which counts the involutions of each cell;
 * ``character``: the involution index and the u=1 module;
 * ``verify``: the suites, and through them every layer above plus the
   involution module's arithmetic.

@@ -30,6 +30,10 @@ id, as in Coxeter 3: ``generator_tables()`` hands these lists out, so the
 classical columns, the cells graph and conjugation read sw and ws with a
 subscript.  An entry is filled when its product is first taken; after the
 group is enumerated the tables are complete.
+
+The system keeps nothing about the twisted involutions: their walk, T_s
+cases, descent masks and Bruhat intervals live in ``involutions``, and
+``twisted_involution_ids`` reads a new index of that module.
 """
 
 from __future__ import annotations
@@ -422,7 +426,6 @@ class CoxeterSystem:
         self._layers = None  # list of id lists, grouped by length
         self._complete = False
         self._bruhat_memo = {}
-        self._tw_walks = {}  # max_length (None: all) -> (ids, action table)
         self._classes = None
         self._class_of = None
 
@@ -639,64 +642,11 @@ class CoxeterSystem:
         """Ids of all w with delta(w) = w^-1, in ShortLex order.
 
         With ``max_length``, only those of length at most ``max_length``.
+        Read from a new ``involutions.Involutions`` index, which walks them.
         """
-        return self._involution_walk(max_length)[0]
+        from .involutions import Involutions
 
-    def involution_action(self, max_length=None):
-        """The T_s case table: ``table[w][s] = (commuting, up, partner)``.
-
-        ``commuting`` says sw = w delta(s), ``up`` that sw > w, and the
-        partner is sw when commuting and s w delta(s) otherwise.  Keyed by
-        the twisted involutions, at least those of length at most
-        ``max_length``; an ascent entry may name a partner beyond it.
-        """
-        return self._involution_walk(max_length)[1]
-
-    def _involution_walk(self, max_length):
-        """(ids, case table) of the twisted involutions of length <= max_length.
-
-        Enumerated by closing {1} under the ascents w -> sw (when
-        sw = w delta(s)) and w -> s w delta(s); both moves stay inside the
-        twisted involutions and every one of them is reachable by
-        length-increasing steps, so a walk that keeps only partners of
-        length at most ``max_length`` finds exactly those of that length.
-        The same pass fills the T_s case table: an ascent s of w with
-        partner z records (commuting, True, z) at (w, s) and, when z is
-        kept, (commuting, False, w) at (z, s).  Every descent of z is the
-        ascent of its partner read backwards, so this fills every entry.
-        Memoized per ``max_length``; a capped request reads the complete
-        walk when there is one and otherwise walks only as far as its cap.
-        """
-        walk = self._tw_walks.get(max_length)
-        if walk is not None:
-            return walk
-        full = self._tw_walks.get(None)
-        if full is not None:
-            ids = tuple(w for w in full[0] if self._lengths[w] <= max_length)
-            walk = self._tw_walks[max_length] = (ids, full[1])
-            return walk
-        action = {0: [None] * self.rank}
-        frontier = [0]
-        while frontier:
-            nxt = set()
-            for wid in frontier:
-                for s in range(self.rank):
-                    if self.is_left_descent(s, wid):
-                        continue
-                    sw = self.lmul(s, wid)
-                    commuting = sw == self.rmul(wid, self.delta[s])
-                    z = sw if commuting else self.rmul(sw, self.delta[s])
-                    action[wid][s] = (commuting, True, z)
-                    if max_length is not None and self._lengths[z] > max_length:
-                        continue
-                    if z not in action:
-                        action[z] = [None] * self.rank
-                        nxt.add(z)
-                    action[z][s] = (commuting, False, wid)
-            frontier = sorted(nxt)
-        ids = tuple(sorted(action, key=self.shortlex_key))
-        walk = self._tw_walks[max_length] = (ids, action)
-        return walk
+        return Involutions(self, max_length).involution_ids
 
     # -- conjugacy classes -------------------------------------------------------
 

@@ -10,9 +10,11 @@ w*delta(s):
 * sw != ws* < w:  T_s a_w = (u^2-1) a_w + u^2 a_{s w s*}
 
 which satisfies (T_s+1)(T_s-u^2) = 0 and the braid relations.  The case
-and the partner of each (s, w), the involutions' length layers and their
-Bruhat intervals come from the index that ``InvolutionModule`` extends
-(``involutions.Involutions``); this module adds the arithmetic.  The
+and the partner of each (s, w), the left-descent masks and the Bruhat
+intervals come from the index that ``InvolutionModule`` extends
+(``involutions.Involutions``): the T_s action and the bar step read its
+case table ``cases`` directly, and ``bar_column`` takes the smallest left
+descent from its masks.  This module adds the arithmetic.  The
 module is defined over Z[u, u^-1]; every coefficient produced here must
 have even v-support, and the bar operations check that.
 
@@ -230,10 +232,10 @@ class InvolutionModule(Involutions):
         bound = m.bound * (4 if plus_one else 5)
         width = max(m.width, _width_for(bound))
         terms = _action_terms(width, plus_one)
-        action = self._action
+        cases = self.cases[s]
         out = {}
         for wid, f in m._at(width).items():
-            commuting, up, other = action[wid][s]
+            commuting, up, other = cases[wid]
             own, partner = terms[commuting, up]
             if own:
                 out[wid] = out.get(wid, 0) + own * f
@@ -261,8 +263,7 @@ class InvolutionModule(Involutions):
         col = self._bar.get(wid)
         if col is None:
             self._require(wid)
-            s = next(s for s, case in enumerate(self._action[wid]) if not case[1])
-            col = self._bar[wid] = self._bar_step(wid, s)
+            col = self._bar[wid] = self._bar_step(wid, self.smallest_descent(wid))
         return col
 
     def _bar_step(self, wid, s):
@@ -279,12 +280,12 @@ class InvolutionModule(Involutions):
         bound on R_x this keeps every slot of the push below 2^63.
         """
         sys = self.system
-        commuting, _up, xid = self._action[wid][s]
+        cases = self.cases[s]
+        commuting, _up, xid = cases[wid]
         terms = _bar_terms(commuting)
-        action = self._action
         pushed = {}
         for yid, r in self.bar_column(xid).items():
-            commuting_y, up, pid = action[yid][s]
+            commuting_y, up, pid = cases[yid]
             own, partner = terms[commuting_y, up]
             pushed[yid] = pushed.get(yid, 0) + own * r
             pushed[pid] = pushed.get(pid, 0) + partner * r

@@ -6,22 +6,24 @@ exactly one of four cases holds, with ws* short for w*delta(s):
 * sw = ws* > w, or sw = ws* < w: s commutes with w, and the partner is sw;
 * sw != ws* > w, or sw != ws* < w: the partner is s w s*.
 
-The case and the partner are decided once per (s, w) by the involution
-enumeration (``CoxeterSystem.involution_action``), and every layer reads
-that table through ``Involutions.action_case``: the Hecke module's T_s
-action, the canonical columns, the verify suites and the u=1 module.
-Bruhat order on the involutions is read from the same table:
-``Involutions.interval(w)`` lists the y <= w by the lifting property,
-without leaving the involutions.
+``Involutions`` is the one place that holds these facts.  Its walk finds
+the involutions and, in the same pass, decides the case and the partner of
+every (s, w) once (``cases``) and records the left descents of each w as
+one bit mask (``descent_masks``).  Every layer reads them there: the Hecke
+module's T_s action and bar table, the canonical columns, the verify suites
+and the u=1 module.  Bruhat order on the involutions is read from the same
+table: ``interval(w)`` lists the y <= w by the lifting property, without
+leaving the involutions.
 
 Each case fixes the whole T_s action on a_w: (T_s + 1) a_w = c_w (a_w +
 a_partner), c_w being 1 + u, u^2 - u, 1 or u^2 by the case (``CASE_POLYS``).
 That table is the one statement of the rule; the module action, the bar
 table and the canonical build derive their packed multipliers from it.
 
-This index holds no module arithmetic.  ``table``, ``character`` and the
-canonical build read it alone; ``invmodule.InvolutionModule`` extends it
-with the T_s action, the packed module vectors and the bar involution.
+This index holds no module arithmetic.  ``table``, ``character``, ``cells``
+and the canonical build read it alone; ``invmodule.InvolutionModule``
+extends it with the T_s action, the packed module vectors and the bar
+involution.
 """
 
 from __future__ import annotations
@@ -39,45 +41,74 @@ CASE_POLYS = {
 
 
 class Involutions:
-    """The twisted involutions of a system: ids, length layers, cases, intervals.
+    """The twisted involutions of a system: ids, cases, descent masks, intervals.
 
-    ``involution_ids`` lists them in ShortLex order and ``layers`` groups
-    them by length, in that order.  :meth:`action_case` reads the system's
-    T_s case table and :meth:`interval` gives the Bruhat interval below an
-    involution, read from the same table.  With ``max_length`` the index
+    ``involution_ids`` lists them in ShortLex order.  ``cases[s][w]`` is the
+    T_s case of w, (commuting, up, partner): ``commuting`` says sw = w
+    delta(s), ``up`` that sw > w, and the partner is sw when commuting and
+    s w delta(s) otherwise.  ``descent_masks[w]`` has bit s set for each
+    left descent s of w.  :meth:`interval` gives the Bruhat interval below
+    an involution, read from the same table.  With ``max_length`` the index
     holds only the involutions of at most that length (the Bruhat interval
     below each of them lies among them), and the walk that finds them stops
-    there.
+    there; an ascent case may name a partner beyond it.
     """
 
     def __init__(self, system, max_length=None):
+        """Walk the involutions of at most ``max_length``, filling the index.
+
+        The walk closes {1} under the ascents w -> sw (when sw = w delta(s))
+        and w -> s w delta(s); both moves stay inside the twisted
+        involutions and every one of them is reachable by length-increasing
+        steps, so a walk that keeps only partners of length at most
+        ``max_length`` finds exactly those of that length.  An ascent s of w
+        with partner z records (commuting, True, z) at (s, w) and, when z is
+        kept, (commuting, False, w) at (s, z).  Every descent of z is the
+        ascent of its partner read backwards, so this fills every case.
+        """
         self.system = system
-        self.involution_ids = system.twisted_involution_ids(max_length)
-        self._action = system.involution_action(max_length)
+        rank, delta, lengths = system.rank, system.delta, system.lengths
+        lmul, rmul, is_descent = system.lmul, system.rmul, system.is_left_descent
+        self.cases = cases = [{} for _ in range(rank)]
+        self.descent_masks = masks = {}
+        frontier = [0]
+        while frontier:
+            nxt = set()
+            for wid in frontier:
+                mask = 0
+                for s in range(rank):
+                    if is_descent(s, wid):
+                        mask |= 1 << s
+                        continue
+                    sw = lmul(s, wid)
+                    commuting = sw == rmul(wid, delta[s])
+                    z = sw if commuting else rmul(sw, delta[s])
+                    cases[s][wid] = (commuting, True, z)
+                    if max_length is None or lengths[z] <= max_length:
+                        cases[s][z] = (commuting, False, wid)
+                        nxt.add(z)
+                masks[wid] = mask
+            frontier = sorted(nxt - masks.keys())
+        self.involution_ids = tuple(sorted(masks, key=system.shortlex_key))
         self._position = {w: i for i, w in enumerate(self.involution_ids)}
-        by_length = {}
-        for wid in self.involution_ids:
-            by_length.setdefault(system.length_of(wid), []).append(wid)
-        self.layers = list(by_length.values())
-        # interval(w) as sorted positions, and the s-partner by position (None
-        # for an ascent partner past max_length, which no interval reaches)
-        self._below = [[0]] + [None] * (len(self.involution_ids) - 1)
-        self._partners = [
-            [self._position.get(self._action[w][s][2]) for w in self.involution_ids]
-            for s in range(system.rank)
-        ]
+        self._intervals = {0: (0,)}
 
     def is_involution(self, wid):
         """True iff w is a twisted involution of this index."""
-        return wid in self._position
+        return wid in self.descent_masks
 
     def _require(self, wid):
-        if wid not in self._position:
+        if wid not in self.descent_masks:
             raise ValueError(f"id {wid} is not a twisted involution")
 
     def action_case(self, s, wid):
         """(commuting, ascending, partner) for the T_s action on a_w."""
-        return self._action[wid][s]
+        return self.cases[s][wid]
+
+    def smallest_descent(self, wid):
+        """The smallest left descent of an involution w other than 1."""
+        mask = self.descent_masks[wid]
+        return (mask & -mask).bit_length() - 1
 
     def interval(self, wid):
         """The involutions y <= w in Bruhat order, in ``involution_ids`` order.
@@ -85,25 +116,20 @@ class Involutions:
         Decided inside the involution graph by the lifting property for
         twisted involutions (Richardson-Springer 1990; Hultman, Adv. Math.
         2005): with s the smallest left descent of w and x its partner, the
-        y <= w are the y <= x together with their s-partners.  The recursion
-        runs on positions in ``involution_ids``, with the s-partners read
-        from one position list per generator, so an interval is a sort of
-        ints with no key function.  The positions are memoized and mapped
-        back to ids on each call.  Raises ``ValueError`` when w is not an
-        involution of the index.
+        y <= w are the y <= x together with their s-partners.  Memoized as
+        the id tuple itself.  The partners not below x are appended to the
+        sorted interval of x before the sort, which then starts with one
+        long ordered run.  Raises ``ValueError`` when w is not an involution
+        of the index.
         """
-        self._require(wid)
-        return tuple(map(self.involution_ids.__getitem__, self._below_positions(wid)))
-
-    def _below_positions(self, wid):
-        """The positions of the y <= w, sorted."""
-        i = self._position[wid]
-        below = self._below[i]
+        below = self._intervals.get(wid)
         if below is None:
-            cases = self._action[wid]
-            s = next(s for s, case in enumerate(cases) if not case[1])
-            below = self._below_positions(cases[s][2])
+            self._require(wid)
+            cases = self.cases[self.smallest_descent(wid)]
+            below = self.interval(cases[wid][2])
             members = set(below)
-            members.update(map(self._partners[s].__getitem__, below))
-            below = self._below[i] = sorted(members)
+            new = [p for y in below if (p := cases[y][2]) not in members]
+            below = self._intervals[wid] = tuple(
+                sorted(below + tuple(new), key=self._position.__getitem__)
+            )
         return below

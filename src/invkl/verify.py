@@ -184,12 +184,11 @@ def suite_bar(ctx):
         res.checks += 1
         if mod.bar_mvector(bw) != mod.basis(wid):
             res.fail({"kind": "bar_squared", "w": _word(sys, wid)})
-        for s in sys.left_descents(wid):
-            res.checks += 1
-            if mod._bar_step(wid, s) != mod.bar_column(wid):
-                res.fail(
-                    {"kind": "descent_choice", "w": _word(sys, wid), "s": s}
-                )
+        for s in range(sys.rank):
+            if mod.descent_masks[wid] >> s & 1:
+                res.checks += 1
+                if mod._bar_step(wid, s) != mod.bar_column(wid):
+                    res.fail({"kind": "descent_choice", "w": _word(sys, wid), "s": s})
     for _ in range(12):
         m = ctx.random_even_vector(rng)
         bm = mod.bar_mvector(m)
@@ -295,14 +294,17 @@ def suite_descent_stability(ctx):
     res = SuiteResult("descent-stability")
     sys = ctx.system
     cb = ctx.canonical
-    for wid in ctx.module.involution_ids:
+    mod = ctx.module
+    for wid in mod.involution_ids:
         col = cb.column(wid)
-        below = ctx.module.interval(wid)
+        below = mod.interval(wid)
+        mask = mod.descent_masks[wid]
         for s in range(sys.rank):
-            if not sys.is_left_descent(s, wid):
+            if not mask >> s & 1:
                 continue
+            cases = mod.cases[s]
             for yid in below:
-                other = ctx.module.action_case(s, yid)[2]
+                other = cases[yid][2]
                 res.checks += 1
                 if col.get(yid, 0) != col.get(other, 0):
                     res.fail(

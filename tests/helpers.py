@@ -578,12 +578,10 @@ class LaurentBarfixBasis(CanonicalBasis):
         lw = sys.length_of(wid)
         col = {wid: ONE}
         out = {wid: 1}
-        rows = [
-            yid
-            for layer in reversed(self.module.layers)
-            if sys.length_of(layer[0]) < lw
-            for yid in layer
-        ]
+        rows = sorted(
+            (yid for yid in self.module.involution_ids if sys.length_of(yid) < lw),
+            key=lambda yid: -sys.length_of(yid),
+        )
         for yid in rows:
             q = ZERO
             for xid, pi_xw in col.items():
@@ -1063,9 +1061,8 @@ class FullRowCanonicalBasis(CanonicalBasis):
         if zid == 0:
             return {0: 1}
         sys, lengths = self.system, self._lengths
-        s = next(t for t, cases in enumerate(self._cases) if not cases[zid][3])
-        cases = self._cases[s]
-        _c_z, _c_w, commuting, _up, wid = cases[zid]
+        s = next(t for t in range(sys.rank) if not self.module.action_case(t, zid)[1])
+        commuting, _up, wid = self.module.action_case(s, zid)
         col_w = self.column(wid)
         lz = lengths[zid]
         lift = lz + 1 if commuting else lz
@@ -1081,7 +1078,8 @@ class FullRowCanonicalBasis(CanonicalBasis):
         tests = [slot_test((lz - ly + 1) >> 1) for ly in range(lz)]
         col = {zid: 1}
         for yid in self.module.interval(zid)[-2::-1]:
-            c_y, c_other, _, up, other = cases[yid]
+            commuting_y, up, other = self.module.action_case(s, yid)
+            c_y, c_other = _CASE_PACKED[commuting_y, up]
             row = pending.get(yid, 0) + c_y * col_w.get(yid, 0) + c_other * col_w.get(other, 0)
             if commuting:
                 gap = lz - lengths[yid]
@@ -1100,6 +1098,9 @@ class FullRowCanonicalBasis(CanonicalBasis):
             if p:
                 col[yid] = p
         return col
+
+
+_CASE_PACKED = {case: tuple(map(pack, terms)) for case, terms in _CASE_TUPLES.items()}
 
 
 def _add_column_packed(pending, mult, column):

@@ -584,7 +584,7 @@ def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical, monkeypatch
     # next column past the budget
     system, module, _ = make("B3")
     basis = CanonicalBasis(module)
-    zid = module.layers[3][0]
+    zid = next(w for w in module.involution_ids if system.length_of(w) == 3)
     s = system.left_descents(zid)[0]
     wid = module.action_case(s, zid)[2]
     members = descent_interval(basis, s, wid)

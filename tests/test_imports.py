@@ -239,7 +239,9 @@ _LAYERS = {
         "invkl.involutions", "invkl.canonical", "invkl.klclassic", "invkl.packed",
     },
     "kl --type A3": {"invkl.klclassic", "invkl.packed"},
-    "cells --type A3": {"invkl.cells", "invkl.klclassic", "invkl.packed"},
+    "cells --type A3": {
+        "invkl.cells", "invkl.involutions", "invkl.klclassic", "invkl.packed",
+    },
     "character --type A3": {"invkl.involutions", "invkl.specialize"},
     "verify --type A2": {
         "invkl.verify", "invkl.involutions", "invkl.invmodule", "invkl.canonical",

@@ -419,20 +419,59 @@ def test_specialization_coherence(a2_module):
     ],
 )
 def test_action_table_matches_products(label, delta):
-    """The enumeration's T_s case table against a derivation from products."""
+    """The walk's T_s case table against a derivation from products: it has
+    one entry per generator and involution, and no other."""
     system = build_system(label, delta=delta)
     module = InvolutionModule(system)
-    table = system.involution_action()
-    assert set(table) == set(module.involution_ids)
+    assert len(module.cases) == system.rank
+    for table in module.cases:
+        assert set(table) == set(module.involution_ids)
     for wid in module.involution_ids:
-        assert len(table[wid]) == system.rank and None not in table[wid]
         for s in range(system.rank):
-            sw = system.lmul(s, wid)
-            up = system.length_of(sw) > system.length_of(wid)
-            ds = system.delta[s]
-            commuting = sw == system.rmul(wid, ds)
-            partner = sw if commuting else system.rmul(sw, ds)
-            assert module.action_case(s, wid) == (commuting, up, partner)
+            assert module.action_case(s, wid) == _case_by_products(system, s, wid)
+
+
+def _case_by_products(system, s, wid):
+    """(commuting, up, partner) of the T_s case of w, from lmul and rmul."""
+    sw = system.lmul(s, wid)
+    up = system.length_of(sw) > system.length_of(wid)
+    ds = system.delta[s]
+    commuting = sw == system.rmul(wid, ds)
+    return commuting, up, sw if commuting else system.rmul(sw, ds)
+
+
+@pytest.mark.parametrize(
+    "label, delta, cap",
+    [
+        pytest.param("A3", (2, 1, 0), 3, id="A3-twisted"),
+        ("B3", None, 4),
+        pytest.param("D4", (0, 1, 3, 2), 5, id="D4-twisted"),
+        ("F4", None, 8),
+        ("H3", None, 7),
+        ("I2(5)", None, 2),
+        ("E6", None, 6),
+    ],
+)
+def test_the_index_reads_the_products_and_a_capped_walk_restricts_it(label, delta, cap):
+    """On the full index and on one capped at ``cap``, every descent mask,
+    case and partner equals what ``is_left_descent``, ``lmul`` and ``rmul``
+    give; and the capped index is the full one restricted to the involutions
+    of length at most ``cap``: the same ids, cases and intervals."""
+    system = build_system(label, delta=delta)
+    full, capped = Involutions(system), Involutions(system, cap)
+    for index in (full, capped):
+        for wid in index.involution_ids:
+            assert index.descent_masks[wid] == sum(
+                1 << s for s in range(system.rank) if system.is_left_descent(s, wid)
+            )
+            for s in range(system.rank):
+                assert index.cases[s][wid] == _case_by_products(system, s, wid)
+    kept = tuple(w for w in full.involution_ids if system.length_of(w) <= cap)
+    assert capped.involution_ids == kept and len(kept) < len(full.involution_ids)
+    for s in range(system.rank):
+        assert capped.cases[s] == {w: full.cases[s][w] for w in kept}
+    for wid in kept:
+        assert capped.interval(wid) == full.interval(wid)
 
 
 @pytest.mark.parametrize(
@@ -495,17 +534,16 @@ def test_interval_order_equals_the_keyed_sort(label, delta):
 )
 def test_the_index_and_the_module_agree(label, delta, max_length):
     """The involution index alone and the module built on it, each on its own
-    system, give the same ids, layers, cases and intervals, and a canonical
-    basis built on either has the same columns."""
+    system, give the same ids, cases, descent masks and intervals, and a
+    canonical basis built on either has the same columns."""
     index = Involutions(build_system(label, delta=delta), max_length)
     module = InvolutionModule(build_system(label, delta=delta), max_length)
     assert not hasattr(index, "bar_column")
     assert index.involution_ids == module.involution_ids
-    assert index.layers == module.layers
+    assert index.cases == module.cases
+    assert index.descent_masks == module.descent_masks
     for wid in index.involution_ids:
         assert index.interval(wid) == module.interval(wid)
-        for s in range(index.system.rank):
-            assert index.action_case(s, wid) == module.action_case(s, wid)
     on_index = CanonicalBasis(index).build()
     on_module = CanonicalBasis(module).build()
     for wid in index.involution_ids:
@@ -589,27 +627,22 @@ def test_bar_extended_equals_the_exponent_map(label, delta):
 def test_corrupted_action_partner_fails_on_both_routes():
     """Pointing the smallest left descent of w at another involution of the
     partner's length raises InvariantError on the packed table and on the
-    LaurentPoly recursion."""
+    LaurentPoly recursion.  Each module owns its case table, so the fault
+    stays in the module it is injected into."""
     for label in ("B3", "A4", "D4"):
         system = build_system(label)
         seen = 0
-        for wid in InvolutionModule(system).involution_ids:
+        for wid in InvolutionModule(system).involution_ids[1:]:
             module = InvolutionModule(system)
-            cases = module._action[wid]
-            downs = [s for s, case in enumerate(cases) if not case[1]]
-            if not downs:
-                continue
-            s = downs[0]
-            commuting, up, xid = cases[s]
+            s = module.smallest_descent(wid)
+            commuting, up, xid = module.cases[s][wid]
             others = [
-                x for layer in module.layers for x in layer
+                x for x in module.involution_ids
                 if x != xid and system.length_of(x) == system.length_of(xid)
             ]
             if not others:
                 continue
-            module._action = dict(module._action)
-            module._action[wid] = list(cases)
-            module._action[wid][s] = (commuting, up, others[0])
+            module.cases[s][wid] = (commuting, up, others[0])
             with pytest.raises(InvariantError):
                 module.bar_column(wid)
             with pytest.raises(InvariantError):
@@ -623,12 +656,13 @@ def test_bar_support_outside_the_interval_raises():
     its support check."""
     system = build_system("B3")
     module = InvolutionModule(system)
-    wid = module.involution_ids[-1]
-    yid = next(y for y in module.bar_column(module.layers[-2][0]) if y)
+    ids, length = module.involution_ids, system.length_of
+    wid = ids[-1]
+    below_top = max(length(x) for x in ids if length(x) < length(wid))
+    xid = next(x for x in ids if length(x) == below_top)
+    yid = next(y for y in module.bar_column(xid) if y)
     module = InvolutionModule(system)
-    drop = module._position[yid]
-    below = module._below_positions(wid)
-    module._below[module._position[wid]] = [i for i in below if i != drop]
+    module._intervals[wid] = tuple(y for y in module.interval(wid) if y != yid)
     with pytest.raises(InvariantError, match="support leaves the Bruhat interval"):
         module.bar_column(wid)
 
@@ -678,8 +712,8 @@ from invkl.errors import InvariantError
 from invkl.invmodule import InvolutionModule
 module = InvolutionModule(build_system("B3"))
 wid = next(w for w in module.involution_ids if module.system.length_of(w) >= 2)
-s = next(s for s, case in enumerate(module._action[wid]) if not case[1])
-xid = module._action[wid][s][2]
+s = module.smallest_descent(wid)
+xid = module.cases[s][wid][2]
 col = dict(module.bar_column(xid))
 yid = next(y for y in col if y != xid)
 col[yid] += BUMP
@@ -714,11 +748,11 @@ def test_bar_division_by_one_plus_u_is_checked():
     seen = 0
     for wid in InvolutionModule(system).involution_ids[1:]:
         module = InvolutionModule(system)
-        s = next(s for s, case in enumerate(module._action[wid]) if not case[1])
-        commuting, _up, xid = module._action[wid][s]
+        s = module.smallest_descent(wid)
+        commuting, _up, xid = module.cases[s][wid]
         col = dict(module.bar_column(xid))
         yid = next(
-            (y for y in col if y != xid and module._action[y][s][:2] != (True, True)),
+            (y for y in col if y != xid and module.cases[s][y][:2] != (True, True)),
             None,
         )
         if not commuting or yid is None:

@@ -110,8 +110,8 @@ from .errors import InvariantError, RecurrenceInconsistent
 from .involutions import CASE_POLYS
 from .laurent import LaurentPoly, spread
 from .packed import (
-    ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most, in_slots, pack, slot_test,
-    solve_one_plus_u, unpack,
+    BUDGET, ONE_PLUS_U, SLOT, check_budget, coeff_at, degree_at_most, in_slots, pack,
+    slot_test, solve_one_plus_u, unpack,
 )
 
 __all__ = ["CanonicalBasis"]
@@ -307,7 +307,8 @@ class CanonicalBasis:
         known = self._known_parts(s, wid)
         weight = 3 * (lz // 2) + 4
         spent = 4 + 2 * sum(map(abs, known.values()))
-        check_budget(spent * weight, f"column {sys.word_of(zid)}")
+        if spent * weight >= BUDGET:  # the word is spelled out only for the message
+            check_budget(spent * weight, f"column {sys.word_of(zid)}")
         pulls = []   # (mult, column x's get): each solved row y adds mult * P(y, x)
         for xid, k in known.items():
             if k:
@@ -348,7 +349,8 @@ class CanonicalBasis:
                 mu_z[yid] = mu
                 if commuting and left[yid] >> s & 1:
                     spent += abs(mu)
-                    check_budget(spent * weight, f"column {sys.word_of(zid)}")
+                    if spent * weight >= BUDGET:
+                        check_budget(spent * weight, f"column {sys.word_of(zid)}")
                     mult = mu << (SLOT * ((lift - lengths[yid]) // 2))
                     pulls.append((mult, self.column(yid).get))
             if p:

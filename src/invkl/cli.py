@@ -10,11 +10,17 @@ its rows through one writer, so a failure leaves stdout empty and creates
 no --out file, and no command holds its whole table or its whole output
 text: the writer joins the rows into blocks of at least 64 KiB, one
 ``write`` each.  table and kl hand the writer one column at a time, and a
-column renders to one text, its rows joined by the format's separator.
-Each row is joined from texts rendered once per command: each element's
-word and each distinct polynomial (keyed by its packed int) is formatted on
-first sight and reused by every later row that holds it, and the w-part of
-a row once per column.  Each command accepts
+column renders to one text, its rows joined by the format's separator, in
+one ``join`` and with no Python step per row: a parts list holds the
+fields of every row in turn, and each field is filled by one
+extended-slice assignment, from a ``map`` pass over the column's y ids
+(the word texts, the polynomial texts read through the column's ``get``,
+the classical ones with --classic) or as one repeated text (the w-part,
+the separators).  json, csv, text and --classic all render so.  The texts
+are rendered once per command: each element's word and each distinct
+polynomial (keyed by its packed int) is formatted on first sight and
+reused by every later row that holds it, and the w-part of a row once per
+column.  Each command accepts
 only the options it reads: --max-length (at least 0) belongs to table and
 kl, --max-elements (at least 1) to cells, and verify writes json or text
 but not csv.  Each command imports only the layers it runs, inside its
@@ -38,7 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .coxeter import build_system
@@ -177,11 +183,12 @@ def _json_chunks(head, key, items, tail):
     for k, v in head.items():
         yield f"\n  {json.dumps(k)}: {_json(v, 1)},"
     yield f"\n  {json.dumps(key)}: ["
-    empty = True
+    sep = "\n    "
     for item in items:
-        yield ("\n    " if empty else ",\n    ") + item
-        empty = False
-    yield "]" if empty else "\n  ]"
+        yield sep
+        yield item
+        sep = ",\n    "
+    yield "]" if sep == "\n    " else "\n  ]"
     for k, v in tail.items():
         yield f",\n  {json.dumps(k)}: {_json(v, 1)}"
     yield "\n}\n"
@@ -205,12 +212,12 @@ def _write(args, rows, *, head, key, item, title, line, header=None,
     """
     if args.format == "json":
         chunks = _json_chunks(head, key, map(item, rows), tail or {})
-    elif args.format == "csv":
-        lines = chain([_csv(header)], map(record, rows))
-        chunks = (text + "\n" for text in lines)
     else:
-        lines = chain([title], map(line, rows), [footer] if footer else [])
-        chunks = (text + "\n" for text in lines)
+        if args.format == "csv":
+            lines = chain([_csv(header)], map(record, rows))
+        else:
+            lines = chain([title], map(line, rows), [footer] if footer else [])
+        chunks = chain.from_iterable(zip(lines, repeat("\n")))
     handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for block in _blocks(chunks):
@@ -272,7 +279,8 @@ def _column_renderers(system, poly_key):
     column dict, 0 where y is missing, and likewise its classical P.  Each
     element's word and each distinct polynomial is rendered once per form,
     on first sight, and the w-part of a row is joined once per column, so
-    no row unpacks a polynomial, builds a ``LaurentPoly`` or encodes a word.
+    no row unpacks a polynomial, builds a ``LaurentPoly`` or encodes a word;
+    the rows are laid out field by field in one parts list and joined once.
     """
     from .packed import unpack
 
@@ -285,21 +293,24 @@ def _column_renderers(system, poly_key):
     def renderer(word, poly, pre, mid, post, classic_pre, classic_post, end, sep):
         """Row (y, w) reads pre y mid w post P [classic_pre P classic_post] end."""
         between = end + sep + pre
+        word_at, poly_at = word.__getitem__, poly.__getitem__
 
         def render(column):
             wid, ys, col, classic = column
-            at = col.get
-            w_part = mid + word[wid] + post
-            if classic is None:
-                texts = [word[y] + w_part + poly[at(y, 0)] for y in ys]
-            else:
-                c_at = classic.get
-                texts = [
-                    word[y] + w_part + poly[at(y, 0)]
-                    + classic_pre + poly[c_at(y, 0)] + classic_post
-                    for y in ys
-                ]
-            return pre + between.join(texts) + end
+            if not ys:
+                return pre + end
+            # k slots per row, the last one the separator after it
+            n, k = len(ys), 4 if classic is None else 7
+            parts = [between] * (k * n + 1)
+            parts[0], parts[-1] = pre, end
+            parts[1::k] = map(word_at, ys)
+            parts[2::k] = [mid + word[wid] + post] * n
+            parts[3::k] = map(poly_at, map(col.get, ys, repeat(0)))
+            if classic is not None:
+                parts[4::k] = [classic_pre] * n
+                parts[5::k] = map(poly_at, map(classic.get, ys, repeat(0)))
+                parts[6::k] = [classic_post] * n
+            return "".join(parts)
 
         return render
 

@@ -20,10 +20,18 @@ lies in that ring, so a coordinate is a tuple of Python ints over the power
 basis and no ``Fraction`` or division is involved.  That closure is the
 only field arithmetic.  An element is stored as the root numbers of
 w(alpha_s) and w^-1(alpha_s), so a product with a generator is a lookup per
-simple root, a descent is a sign test on one root number, and elements are
-interned lazily.  The integer reflection representation of crystallographic
-types is not built here: only the u=1 module's h-grading reads it, from
-``specialize.reflection_rep``.
+simple root and a descent is a sign test on one root number.  The integer
+reflection representation of crystallographic types is not built here:
+only the u=1 module's h-grading reads it, from ``specialize.reflection_rep``.
+
+Elements are interned lazily, each when a product first reaches it.  Two
+readers compose payloads on the engine and intern nothing they pass on the
+way.  The involution walk (``twisted_ascent``) decides whether s commutes
+with a twisted involution w by comparing w^-1(alpha_s) with alpha_delta(s)
+and interns only the partner, sw or s w delta(s).  ``shortlex_sorted``
+spells the words of the ids it sorts by peeling left descents off the w^-1
+halves of their payloads.  So an index of the involutions interns the
+involutions alone.
 
 Products with generators are memoized in one list per generator, indexed by
 id, as in Coxeter 3: ``generator_tables()`` hands these lists out, so the
@@ -233,12 +241,12 @@ class _RootEngine:
         w, winv = payload
         perm, r = self.perms[s], self.refl[winv[s]]
         # (sw)^-1 = (w^-1 s w) w^-1, and w^-1 s w reflects in w^-1(alpha_s)
-        return (tuple(perm[b] for b in w), tuple(r[b] for b in winv))
+        return (tuple([perm[b] for b in w]), tuple([r[b] for b in winv]))
 
     def rmul(self, payload, s):
         w, winv = payload
         perm, r = self.perms[s], self.refl[w[s]]
-        return (tuple(r[b] for b in w), tuple(perm[b] for b in winv))
+        return (tuple([r[b] for b in w]), tuple([perm[b] for b in winv]))
 
     def left_descent(self, s, payload):
         return payload[1][s] >= self.npos
@@ -527,18 +535,47 @@ class CoxeterSystem:
         word = self._words[wid]
         if word is not None:
             return word
-        # straighten: peel off the smallest left descent until a known word
+        # straighten: peel off the smallest left descent, the first s with
+        # w^-1(alpha_s) negative, until a known word
+        words, payloads, npos = self._words, self._payloads, self._engine.npos
         stack = []
         cur = wid
-        while self._words[cur] is None:
-            s = next(s for s in range(self.rank) if self.is_left_descent(s, cur))
+        while words[cur] is None:
+            s = [b >= npos for b in payloads[cur][1]].index(True)
             stack.append((cur, s))
             cur = self.lmul(s, cur)
-        word = self._words[cur]
+        word = words[cur]
         for xid, s in reversed(stack):
-            word = (s,) + word
-            self._words[xid] = word
-        return self._words[wid]
+            word = words[xid] = (s,) + word
+        return word
+
+    def shortlex_sorted(self, ids):
+        """``ids`` in ShortLex order, spelling the unknown words without interning.
+
+        An unknown word is peeled as ``word_of`` peels it, but on the w^-1
+        halves of the payloads alone: the half of sx is that of x permuted by
+        the reflection in x^-1(alpha_s).  The elements met on the way are
+        memoized by that half for this call only, so the chains that several
+        ids share are peeled once, and no element is interned: the
+        involution index sorts its walk with it.
+        """
+        words, payloads = self._words, self._payloads
+        npos, refl = self._engine.npos, self._engine.refl
+        spelled = {payloads[0][1]: ()}
+        for wid in ids:
+            if words[wid] is not None:
+                continue
+            winv = payloads[wid][1]
+            stack = []
+            while (word := spelled.get(winv)) is None:
+                s = [b >= npos for b in winv].index(True)
+                stack.append((winv, s))
+                r = refl[winv[s]]
+                winv = tuple([r[b] for b in winv])
+            for winv, s in reversed(stack):
+                word = spelled[winv] = (s,) + word
+            words[wid] = word
+        return sorted(ids, key=self.shortlex_key)
 
     def inverse_id(self, wid):
         """w^-1: the payload of w with its halves swapped, looked up, and
@@ -637,6 +674,26 @@ class CoxeterSystem:
         return [wid for layer in layers for wid in layer]
 
     # -- involutions ------------------------------------------------------------
+
+    def twisted_ascent(self, s, wid):
+        """(commuting, z) for an ascent s of a twisted involution w.
+
+        w^-1(alpha_s) is a positive root, and s commutes with w (sw = w
+        delta(s)) exactly when that root is alpha_delta(s): one comparison,
+        no product.  z is sw then, and s w delta(s) otherwise, of length l(w)
+        + 1 or l(w) + 2; its payload is composed on the engine, and z alone
+        is interned, not sw.
+        """
+        payload = self._payloads[wid]
+        t = self.delta[s]
+        commuting = payload[1][s] == t
+        payload = self._engine.lmul(s, payload)
+        if not commuting:
+            payload = self._engine.rmul(payload, t)
+        zid = self._index.get(payload[0])
+        if zid is None:
+            zid = self._register(payload, self._lengths[wid] + (1 if commuting else 2))
+        return commuting, zid
 
     def twisted_involution_ids(self, max_length=None):
         """Ids of all w with delta(w) = w^-1, in ShortLex order.

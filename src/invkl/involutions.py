@@ -6,6 +6,13 @@ exactly one of four cases holds, with ws* short for w*delta(s):
 * sw = ws* > w, or sw = ws* < w: s commutes with w, and the partner is sw;
 * sw != ws* > w, or sw != ws* < w: the partner is s w s*.
 
+For an ascent s, w^-1(alpha_s) is a positive root, and s commutes with w
+exactly when that root is alpha_delta(s): the case is one comparison on
+w's root payload, and the partner's payload is composed on the root engine
+(``CoxeterSystem.twisted_ascent``).  Only the partner is interned, never the
+intermediate sw, so a walk interns the involutions it finds and, under a
+length cap, the ascent partners just past it, and nothing else.
+
 ``Involutions`` is the one place that holds these facts.  Its walk finds
 the involutions and, in the same pass, decides the case and the partner of
 every (s, w) once (``cases``) and records the left descents of each w as
@@ -65,10 +72,16 @@ class Involutions:
         with partner z records (commuting, True, z) at (s, w) and, when z is
         kept, (commuting, False, w) at (s, z).  Every descent of z is the
         ascent of its partner read backwards, so this fills every case.
+
+        Each ascent is decided by ``CoxeterSystem.twisted_ascent``, which
+        interns z alone, at l(w) + 1 or l(w) + 2, so ``max_elements`` still
+        caps the walk; ``CoxeterSystem.shortlex_sorted`` orders the
+        involutions without interning.  A fresh system ends the walk holding
+        the involutions and the partners past ``max_length``, nothing else.
         """
         self.system = system
-        rank, delta, lengths = system.rank, system.delta, system.lengths
-        lmul, rmul, is_descent = system.lmul, system.rmul, system.is_left_descent
+        rank, lengths = system.rank, system.lengths
+        is_descent, ascent = system.is_left_descent, system.twisted_ascent
         self.cases = cases = [{} for _ in range(rank)]
         self.descent_masks = masks = {}
         frontier = [0]
@@ -80,16 +93,14 @@ class Involutions:
                     if is_descent(s, wid):
                         mask |= 1 << s
                         continue
-                    sw = lmul(s, wid)
-                    commuting = sw == rmul(wid, delta[s])
-                    z = sw if commuting else rmul(sw, delta[s])
+                    commuting, z = ascent(s, wid)
                     cases[s][wid] = (commuting, True, z)
                     if max_length is None or lengths[z] <= max_length:
                         cases[s][z] = (commuting, False, wid)
                         nxt.add(z)
                 masks[wid] = mask
             frontier = sorted(nxt - masks.keys())
-        self.involution_ids = tuple(sorted(masks, key=system.shortlex_key))
+        self.involution_ids = tuple(system.shortlex_sorted(masks))
         self._position = {w: i for i, w in enumerate(self.involution_ids)}
         self._intervals = {0: (0,)}
 

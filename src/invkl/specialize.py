@@ -52,6 +52,8 @@ def bareiss(rows, width):
     division is exact and every entry stays an int.  At the end row i of
     the first rank rows has its pivot in its i-th pivot column and zeros in
     the others, and every later row is zero in the first ``width`` columns.
+    When p = d, an entry whose pivot-row entry is 0 stays as it is, so only
+    the pivot row's nonzero positions are rewritten, in the row itself.
     """
     rank, prev = 0, 1
     for col in range(width):
@@ -61,10 +63,16 @@ def bareiss(rows, width):
         rows[rank], rows[piv] = rows[piv], rows[rank]
         top = rows[rank]
         pv = top[col]
+        support = [(j, b) for j, b in enumerate(top) if b]
         for i, row in enumerate(rows):
             f = row[col]
-            if i != rank and (f or pv != prev):
+            if i == rank:
+                continue
+            if pv != prev:
                 rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+            elif f:
+                for j, b in support:
+                    row[j] = (pv * row[j] - f * b) // prev
         prev = pv
         rank += 1
     return rank

@@ -868,6 +868,26 @@ def fraction_rank(rows):
     return rank
 
 
+def dense_bareiss(rows, width):
+    """``specialize.bareiss`` as it rewrites every entry of every other row at
+    every pivot: (p row - f top) / d, with no shortcut when p = d."""
+    rank, prev = 0, 1
+    for col in range(width):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        pv = top[col]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != rank and (f or pv != prev):
+                rows[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
+        rank += 1
+    return rank
+
+
 def matmul(a, b):
     """The dense product of two integer matrices."""
     cols = tuple(zip(*b))

@@ -572,6 +572,20 @@ def test_corrupted_columns_fail_alike_on_both_routes():
     assert outcomes == {RecurrenceInconsistent, "table"}
 
 
+@pytest.mark.parametrize("label, delta", [("F4", None), ("E6", (5, 1, 4, 3, 2, 0))])
+def test_the_build_spells_no_word_under_the_budget(label, delta, monkeypatch):
+    """The budget guard spells a column's word only for its message: a build
+    that stays under the budget never calls ``word_of``."""
+    system = build_system(label, delta=delta)
+    module = InvolutionModule(system)
+
+    def banned(wid):
+        raise AssertionError("word_of called by the canonical build")
+
+    monkeypatch.setattr(system, "word_of", banned)
+    assert len(CanonicalBasis(module).build().column(module.involution_ids[-1])) > 1
+
+
 def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical, monkeypatch):
     """An oversized mu' or an oversized coefficient raises InvariantError:
     the guard stops before a slot could carry into its neighbour."""
@@ -592,7 +606,8 @@ def test_overflow_guard_raises_instead_of_carrying(a2, a2_canonical, monkeypatch
     monkeypatch.setattr(
         basis, "_known_parts", lambda t, w: dict.fromkeys(members, 2**40)
     )
-    with pytest.raises(InvariantError, match="carry"):
+    # the message spells the word of the column that stops
+    with pytest.raises(InvariantError, match=r"^column \(\d+(, \d+)*,?\): .* carry"):
         basis.column(zid)
 
 

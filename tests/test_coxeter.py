@@ -394,11 +394,13 @@ def test_a_raw_matrix_caps_its_root_closure():
 
 
 def test_element_cap_bounds_interning():
-    """The cap counts interned elements, so involution enumeration, which
-    interns non-involutions on the way, stops at it too."""
-    with pytest.raises(ValueError, match="element cap"):
-        build_system("A3", max_elements=12).twisted_involution_ids()
-    assert len(build_system("A3", max_elements=24).twisted_involution_ids()) == 10
+    """The cap counts interned elements, so involution enumeration stops at
+    it too.  The walk interns the involutions alone: A3's 10 fit a cap of 10
+    and not one of 9."""
+    with pytest.raises(ValueError, match=r"element cap \(9\)"):
+        build_system("A3", max_elements=9).twisted_involution_ids()
+    capped = build_system("A3", max_elements=10)
+    assert len(capped.twisted_involution_ids()) == len(capped.lengths) == 10
 
 
 def _check_generator_tables(system, complete):

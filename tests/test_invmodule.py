@@ -475,6 +475,47 @@ def test_the_index_reads_the_products_and_a_capped_walk_restricts_it(label, delt
 
 
 @pytest.mark.parametrize(
+    "label, delta, max_length",
+    [
+        ("F4", None, None),
+        pytest.param("D5", (0, 1, 2, 4, 3), None, id="D5-twisted"),
+        pytest.param("A3", (2, 1, 0), None, id="A3-twisted"),
+        ("E6", None, None),
+        ("E8", None, 2),
+    ],
+)
+def test_the_walk_interns_only_the_involutions(label, delta, max_length):
+    """On a fresh system the index interns exactly its involutions and, under
+    a cap, the ascent partners past it: no sw on the way, and no element to
+    spell the ShortLex words.  Each word is the one ``word_of`` straightens
+    on a system that interns by products.  On every (s, w) the case that the
+    walk records, commuting read from a payload (w^-1(alpha_s) =
+    alpha_delta(s) for an ascent s), is the one the products give, with
+    lmul(s, w) == rmul(w, delta(s)) deciding commuting; and
+    ``twisted_ascent`` names the same partner."""
+    system = build_system(label, delta=delta)
+    index = Involutions(system, max_length)
+    ids = index.involution_ids
+    beyond = {
+        z for table in index.cases for _, up, z in table.values()
+        if up and not index.is_involution(z)
+    }
+    assert (max_length is None) == (not beyond)
+    assert len(system.lengths) == len(ids) + len(beyond)
+    oracle = build_system(label, delta=delta)
+    for wid in ids:
+        word = system.word_of(wid)
+        assert oracle.word_of(oracle.element_id_from_word(word)) == word
+    assert len(system.lengths) == len(ids) + len(beyond)
+    for wid in ids:
+        for s in range(system.rank):
+            commuting, up, partner = index.cases[s][wid]
+            assert (commuting, up, partner) == _case_by_products(system, s, wid)
+            if up:
+                assert system.twisted_ascent(s, wid) == (commuting, partner)
+
+
+@pytest.mark.parametrize(
     "label, delta",
     [
         ("A3", None),
@@ -765,13 +806,23 @@ def test_bar_division_by_one_plus_u_is_checked():
     assert seen > 0
 
 
+def _non_involutions(*more):
+    """(module, id) pairs of elements outside the module: 10 and 01 of A2,
+    then those of ``more`` (label, max_length, word).  Each is named by its
+    word, since the order of interning fixes no id."""
+    named = [("A2", None, (1, 0)), ("A2", None, (0, 1))] + list(more)
+    cases = []
+    for label, max_length, word in named:
+        module = InvolutionModule(build_system(label), max_length)
+        cases.append((module, module.system.element_id_from_word(word)))
+    return cases
+
+
 def test_a_vector_rejects_non_involutions():
     """a_vector, ``Involutions.interval`` and ``ms_constants`` name an id that
-    is no involution of the module (ids 3 and 4 of A2, id 5 of B3, id 6 of
-    A3 beyond max_length 2), as ``basis`` does."""
-    cases = [(InvolutionModule(build_system("A2")), wid) for wid in (3, 4)]
-    cases.append((InvolutionModule(build_system("B3")), 5))
-    cases.append((InvolutionModule(build_system("A3"), max_length=2), 6))
+    is no involution of the module (10 and 01 of A2, 01 of B3, 010 of A3
+    beyond max_length 2), as ``basis`` does."""
+    cases = _non_involutions(("B3", None, (0, 1)), ("A3", 2, (0, 1, 0)))
     for module, wid in cases:
         basis = CanonicalBasis(module)
         for call in (
@@ -785,11 +836,9 @@ def test_a_vector_rejects_non_involutions():
 
 @pytest.mark.parametrize("entry", ["bar_basis", "bar_mvector", "bar_extended"])
 def test_bar_entry_points_reject_non_involutions(entry):
-    """Ids 3 and 4 of A2 are no involutions, and id 6 of A3 (the word 010)
-    lies beyond max_length 2: each raises ValueError, as ``basis`` does."""
-    cases = [(InvolutionModule(build_system("A2")), wid) for wid in (3, 4)]
-    cases.append((InvolutionModule(build_system("A3"), max_length=2), 6))
-    for module, wid in cases:
+    """10 and 01 of A2 are no involutions, and 010 of A3 lies beyond
+    max_length 2: each raises ValueError, as ``basis`` does."""
+    for module, wid in _non_involutions(("A3", 2, (0, 1, 0))):
         with pytest.raises(ValueError, match=f"id {wid} is not a twisted involution"):
             if entry == "bar_basis":
                 module.bar_basis(wid)

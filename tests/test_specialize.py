@@ -15,7 +15,7 @@ from invkl.specialize import (
 )
 from invkl.verify import run_suites
 
-from helpers import fraction_rank, h_value_dense, matmul
+from helpers import dense_bareiss, fraction_rank, h_value_dense, matmul
 
 
 def spec_for(label):
@@ -309,3 +309,35 @@ def test_integer_rank_matches_fraction_elimination():
         assert rank == fraction_rank(mat), mat
         deficient += rank < min(rows, cols)
     assert deficient >= 50
+
+
+def test_bareiss_matches_the_dense_elimination():
+    """Rewriting only the pivot row's support when the pivot repeats (p = d)
+    leaves the same rows and rank as the dense update, on random integer
+    matrices, many of them with repeated pivots, rank deficiency or extra
+    right-hand columns past ``width``."""
+    rng = random.Random(20261021)
+    repeated = 0
+    for trial in range(400):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        width = rng.randint(0, cols)
+        bound = rng.choice((1, 2, 10 ** 3))
+        sparse = rng.random() < 0.5
+        mat = [
+            [0 if sparse and rng.random() < 0.6 else rng.randint(-bound, bound)
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if trial % 4 == 0 and rows > 1:
+            mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]
+        elif trial % 4 == 1 and rows and cols:
+            mat[0][0] = 1
+        fast, dense = [list(row) for row in mat], [list(row) for row in mat]
+        rank = bareiss(fast, width)
+        assert (rank, fast) == (dense_bareiss(dense, width), dense), (mat, width)
+        assert rank == fraction_rank([row[:width] for row in mat]), mat
+        # the first pivot repeats d = 1 when it is 1 and another row meets it
+        first = next((col for col in list(zip(*mat))[:width] if any(col)), ())
+        nonzero = [x for x in first if x]
+        repeated += bool(nonzero) and nonzero[0] == 1 and len(nonzero) > 1
+    assert repeated >= 50

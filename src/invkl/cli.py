@@ -10,20 +10,20 @@ its rows through one writer, so a failure leaves stdout empty and creates
 no --out file, and no command holds its whole table or its whole output
 text: the writer joins the rows into blocks of at least 64 KiB, one
 ``write`` each.  table and kl hand the writer one column at a time, and a
-column renders to one text, its rows joined by the format's separator, in
-one ``join`` and with no Python step per row: a parts list holds the
-fields of every row in turn, and each field is filled by one
-extended-slice assignment, from a ``map`` pass over the column's y ids
-(the word texts, the polynomial texts read through the column's ``get``,
-the classical ones with --classic) or as one repeated text (the w-part,
-the separators).  json, csv, text and --classic all render so.  The texts
-are rendered once per command: each element's word and each distinct
-polynomial (keyed by its packed int) is formatted on first sight and
-reused by every later row that holds it, and the w-part of a row once per
-column.  Each command accepts
-only the options it reads: --max-length (at least 0) belongs to table and
-kl, --max-elements (at least 1) to cells, and verify writes json or text
-but not csv.  Each command imports only the layers it runs, inside its
+column renders with no Python step per row to a parts list, which the
+writer lays into its block as it is, so each output byte is copied once,
+by the block's ``join``: the list holds the fields of every row in turn,
+and each field is filled by one extended-slice assignment, from a ``map``
+pass over the column's y ids (the word texts, the polynomial texts read
+through the column's ``get``, the classical ones with --classic) or as
+one repeated text (the w-part, the separators).  json, csv, text and
+--classic all render so.  The texts are rendered once per command: each
+element's word and each distinct polynomial (keyed by its packed int) is
+formatted on first sight and reused by every later row that holds it, and
+the w-part of a row once per column.  Each command accepts only the
+options it reads: --max-length (at least 0) belongs to table and kl,
+--max-elements (at least 1) to cells, and verify writes json or text but
+not csv.  Each command imports only the layers it runs, inside its
 ``cmd_*`` function:
 
 * ``table``: the involution index, the canonical build and ``packed``, plus
@@ -37,6 +37,16 @@ but not csv.  Each command imports only the layers it runs, inside its
 
 So only ``verify`` compiles the module arithmetic (``invmodule``); no
 command takes a product in the T basis of the Hecke algebra.
+
+A process runs one command through ``run``, the entry point of ``python -m
+invkl`` and of the ``invkl`` script: automatic collection is off while the
+command runs, and every object left is frozen before the process exits.  No
+layer builds reference cycles, so the cyclic collector finds next to nothing
+to free during a command (about two hundred objects of argparse's, however
+large the group), while each of its passes, and each of the interpreter's
+collections at shutdown, traverses every tracked object.
+``main(argv)`` is the in-process interface and leaves the collector as it
+finds it.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from .coxeter import build_system
 from .errors import InvariantError
 from .laurent import spread
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 _FORMATS = ("json", "csv", "text")
 _BLOCK = 1 << 16  # characters per write; every block but the last holds at least this
@@ -152,23 +162,30 @@ def _word_str(word):
 
 
 def _json(value, depth):
-    """``value`` as ``json.dumps(..., indent=2)`` writes it at nesting ``depth``.
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at nesting ``depth``.
 
-    A nonempty flat list of ints (a word) or flat dict of strings (a
-    polynomial) is joined here directly; anything else goes through
-    ``json.dumps``, whose indenting encoder is pure Python.
+    Lists, tuples and dicts (with string keys) are laid out here: the ints
+    of a flat list (a word) and the strings of a flat dict (a polynomial)
+    in one pass, other items by ``_json`` in turn.  A scalar goes through
+    ``json.dumps`` without indent.  The stdlib's indenting encoder is pure
+    Python, and each call of it leaves a reference cycle of closures.
     """
     kind = type(value)
-    if value and kind is list and {*map(type, value)} == {int}:
+    if not value or kind not in (list, tuple, dict):
+        return json.dumps(value)
+    if kind is dict:
+        values = value.values()
+        if {*map(type, values)} == {str}:
+            texts = map(_quote, values)
+        else:
+            texts = (_json(v, depth + 1) for v in values)
+        items = map("{}: {}".format, map(_quote, value), texts)
+    elif {*map(type, value)} == {int}:
         items = map(str, value)
-    elif value and kind is dict and {
-        *map(type, value), *map(type, value.values())
-    } == {str}:
-        items = (f"{_quote(k)}: {_quote(v)}" for k, v in value.items())
     else:
-        return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+        items = (_json(v, depth + 1) for v in value)
     inner = "\n" + "  " * (depth + 1)
-    ends = "[]" if kind is list else "{}"
+    ends = "{}" if kind is dict else "[]"
     return ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1]
 
 
@@ -206,9 +223,10 @@ def _write(args, rows, *, head, key, item, title, line, header=None,
     ``item(row)``, then the keys of ``tail``.  csv: the ``header`` names,
     then the text ``record(row)`` per row.  text: ``title``, ``line(row)``
     per row, then ``footer`` if given.  A row may stand for several entries
-    or lines: its text is then theirs joined by the format's separator
-    (",\\n    " for json, a newline for csv and text).  The output is opened
-    only here, after every computation that can raise has finished.
+    or lines: it then renders to a parts pair (see ``_blocks``) of their
+    texts and the format's separators between them (",\\n    " for json, a
+    newline for csv and text).  The output is opened only here, after every
+    computation that can raise has finished.
     """
     if args.format == "json":
         chunks = _json_chunks(head, key, map(item, rows), tail or {})
@@ -230,12 +248,18 @@ def _write(args, rows, *, head, key, item, title, line, header=None,
 def _blocks(chunks):
     """The chunks joined into blocks of at least ``_BLOCK`` characters.
 
+    A chunk is a text or a parts pair (texts, least): texts to write in
+    turn, at least ``least`` characters in all, laid into the block unjoined.
     Only the last block may be shorter.
     """
     block, size = [], 0
     for chunk in chunks:
-        block.append(chunk)
-        size += len(chunk)
+        if type(chunk) is str:
+            block.append(chunk)
+            size += len(chunk)
+        else:
+            block += chunk[0]
+            size += chunk[1]
         if size >= _BLOCK:
             yield "".join(block)
             block, size = [], 0
@@ -274,13 +298,14 @@ class _Texts(dict):
 def _column_renderers(system, poly_key):
     """Renderers of a column (w id, y ids, {y: packed P}, classical column or None).
 
-    A column renders to the texts of its rows (y, w), one per y in the order
-    given, joined by the format's separator; a row reads P(y, w) from the
-    column dict, 0 where y is missing, and likewise its classical P.  Each
-    element's word and each distinct polynomial is rendered once per form,
-    on first sight, and the w-part of a row is joined once per column, so
-    no row unpacks a polynomial, builds a ``LaurentPoly`` or encodes a word;
-    the rows are laid out field by field in one parts list and joined once.
+    A column renders to a parts pair (see ``_blocks``) whose texts join to
+    the texts of its rows (y, w), one per y in the order given, joined by
+    the format's separator; a row reads P(y, w) from the column dict, 0
+    where y is missing, and likewise its classical P.  Each element's word
+    and each distinct polynomial is rendered once per form, on first sight,
+    and the w-part of a row is joined once per column, so no row unpacks a
+    polynomial, builds a ``LaurentPoly`` or encodes a word; the rows are
+    laid out field by field in one parts list.
     """
     from .packed import unpack
 
@@ -298,19 +323,21 @@ def _column_renderers(system, poly_key):
         def render(column):
             wid, ys, col, classic = column
             if not ys:
-                return pre + end
+                return [pre, end], 0
             # k slots per row, the last one the separator after it
             n, k = len(ys), 4 if classic is None else 7
+            w_part = mid + word[wid] + post
             parts = [between] * (k * n + 1)
             parts[0], parts[-1] = pre, end
             parts[1::k] = map(word_at, ys)
-            parts[2::k] = [mid + word[wid] + post] * n
+            parts[2::k] = [w_part] * n
             parts[3::k] = map(poly_at, map(col.get, ys, repeat(0)))
             if classic is not None:
                 parts[4::k] = [classic_pre] * n
                 parts[5::k] = map(poly_at, map(classic.get, ys, repeat(0)))
                 parts[6::k] = [classic_post] * n
-            return "".join(parts)
+            # the separators and w-parts alone are this long
+            return parts, (n - 1) * len(between) + n * len(w_part)
 
         return render
 
@@ -519,5 +546,19 @@ def main(argv=None):
         return 3
 
 
+def run():
+    """Run ``main()`` as a whole process does; return its exit code.
+
+    Automatic collection stays off, and every object is frozen once the
+    output is written, so the shutdown collections skip them all.
+    """
+    import gc
+
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
